@@ -20,7 +20,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -134,26 +134,14 @@ def _cmd_scan(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     step = 0.02 if man.step is None else man.step
     tol = 1e-8 if man.tol is None else man.tol
     report = zeroscan.scan_fz(cfg, t_lo, t_hi, step, tol, man.workers, man.settings)
-    rows = [
-        {
-            "t_lo": br.t_lo, "t_hi": br.t_hi, "t_zero": hit.t,
-            "f_residual": hit.residual, "iterations": hit.iterations,
-        }
-        for br, hit in zip(report.brackets, report.zeros)
-    ]
     # workers is execution metadata, not result data: the report is identical
     # for any worker count, so the output must not mention it
     params = {
         "t_min": t_lo, "t_max": t_hi, "step": step, "tol": tol,
         "config_digest": report.config_digest,
-        "settings": {
-            "rel_tol": man.settings.rel_tol,
-            "max_terms": man.settings.max_terms,
-            "em_terms": man.settings.em_terms,
-            "quad_abs_tol": man.settings.quad_abs_tol,
-        },
+        "settings": asdict(man.settings),
     }
-    return ["t_lo", "t_hi", "t_zero", "f_residual", "iterations"], rows, True, params
+    return list(zeroscan.SCAN_FIELDS), zeroscan.report_rows(report), True, params
 
 
 _THETA_A_SWEEP = (1.0, 0.8, 1.5, math.sqrt(2.0),
@@ -243,10 +231,7 @@ def _cmd_moments(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     rows = []
     passed = True
     st = man.settings
-    series_settings = EvalSettings(
-        rel_tol=st.rel_tol, max_terms=st.max_terms, em_terms=st.em_terms,
-        quad_abs_tol=min(st.quad_abs_tol, 1e-9),
-    )
+    series_settings = replace(st, quad_abs_tol=min(st.quad_abs_tol, 1e-9))
     for m in range(min(man.m_max, 2) + 1):
         numeric = shifts_mod.moment_numeric(m, man.alpha, cfg, series_settings)
         assembled = shifts_mod.moment_series_rhs(m, man.alpha, cfg, series_settings)

@@ -2,10 +2,10 @@
 
 A scan walks a fixed grid t_i = t_lo + i*step, records strict sign changes
 between consecutive nodes as brackets, and reports zeros landing exactly on
-nodes (|f| < 1e-13) as width-zero brackets.  scan_fz partitions the grid into
-worker chunks overlapping by one node, so no boundary sign change can be
-missed and the merged report is identical for any worker count: every node's
-value depends only on its own abscissa, never on chunk mates.
+nodes as width-zero brackets.  scan_fz evaluates the grid in one call, then
+bisects all brackets in lockstep with one call per step.  A point's value
+never depends on its batch mates, so each bracket takes exactly the steps
+of scalar bisection.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,9 +23,11 @@ from .settings import DEFAULT_SETTINGS, EvalSettings
 from .shifts import ShiftConfig, fz_line_vec, validate_config
 
 __all__ = ["ZeroBracket", "ZeroHit", "ScanReport", "scan", "bisect", "scan_fz",
-           "report_csv_bytes", "report_json_bytes"]
+           "report_rows", "report_csv_bytes", "report_json_bytes"]
 
 ON_NODE_EPS = 1e-13
+UNDERFLOW_FLOOR = 5e-300
+SCAN_FIELDS = ("t_lo", "t_hi", "t_zero", "f_residual", "iterations")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,8 @@ class ZeroBracket:
 
     def __post_init__(self) -> None:
         on_node = self.t_lo == self.t_hi and self.f_lo == self.f_hi
-        proper = self.t_lo < self.t_hi and self.f_lo * self.f_hi < 0
+        # compare signs: the product f_lo * f_hi underflows below ~1e-162
+        proper = self.t_lo < self.t_hi and np.sign(self.f_lo) * np.sign(self.f_hi) < 0
         if not (on_node or proper):
             raise ConfigError(f"invalid bracket {self!r}")
 
@@ -80,27 +82,32 @@ def _grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
 def _brackets_from_values(
     ts: np.ndarray, fs: np.ndarray, errs: np.ndarray | None = None
 ) -> list[ZeroBracket]:
-    """Sign-change extraction.
+    """Sign-change extraction, ascending in t.
 
     A node counts as an on-node zero when |f| is indistinguishable from zero:
     below the per-node error bound when one is available, else below the
     absolute 1e-13 floor.  An absolute floor alone would misclassify genuine
-    values of a function that itself decays below 1e-13.
+    values of a function that itself decays below 1e-13.  When the verdict
+    would rest on the underflow floor alone (|f| and 4*err both below it),
+    the value has underflowed and EvaluationError names the node.
     """
     if errs is None:
         on_node = np.abs(fs) < ON_NODE_EPS
     else:
-        on_node = np.abs(fs) <= np.maximum(4.0 * errs, 5e-300)
-    out: list[ZeroBracket] = []
-    for i in range(len(ts)):
-        if on_node[i]:
-            out.append(ZeroBracket(float(ts[i]), float(ts[i]), float(fs[i]), float(fs[i])))
-    for i in range(len(ts) - 1):
-        if on_node[i] or on_node[i + 1]:
-            continue
-        if fs[i] * fs[i + 1] < 0:
-            out.append(ZeroBracket(float(ts[i]), float(ts[i + 1]), float(fs[i]), float(fs[i + 1])))
-    return out
+        on_node = np.abs(fs) <= np.maximum(4.0 * errs, UNDERFLOW_FLOOR)
+        floored = on_node & (4.0 * errs < UNDERFLOW_FLOOR)
+        if floored.any():
+            t = float(ts[np.argmax(floored)])
+            raise EvaluationError(f"value and error bound underflowed to below "
+                                  f"{UNDERFLOW_FLOOR:g} at t={t!r}")
+    signs = np.sign(fs)
+    proper = np.zeros(len(ts), dtype=bool)
+    proper[:-1] = (signs[:-1] * signs[1:] < 0) & ~on_node[:-1] & ~on_node[1:]
+    starts = np.flatnonzero(on_node | proper)
+    return [
+        ZeroBracket(float(ts[i]), float(ts[j]), float(fs[i]), float(fs[j]))
+        for i, j in zip(starts, starts + proper[starts])
+    ]
 
 
 def scan(
@@ -120,6 +127,51 @@ def scan(
     return _brackets_from_values(ts, fs)
 
 
+def _bisect_all(
+    brackets: Sequence[ZeroBracket], f: Callable[[np.ndarray], np.ndarray], tol: float
+) -> list[ZeroHit]:
+    """Bisect every bracket in lockstep, one call of the vector evaluator f per step.
+
+    Each call evaluates the midpoints of all brackets still open together with
+    the final midpoints of those that closed on the step before.  A bracket
+    stops at an exact zero (residual 0) or at width <= tol, where its result
+    is the final midpoint and |f| there.  f must give each point a value that
+    does not depend on its batch mates.
+    """
+    if tol <= 0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    lo = np.array([b.t_lo for b in brackets], dtype=float)
+    hi = np.array([b.t_hi for b in brackets], dtype=float)
+    f_lo = np.array([b.f_lo for b in brackets], dtype=float)
+    t = lo.copy()  # on-node brackets are done: (t_lo, |f_lo|, 0)
+    residual = np.abs(f_lo)
+    iterations = np.zeros(len(brackets), dtype=int)
+    live = hi > lo
+    pending = np.zeros(len(brackets), dtype=bool)  # closed, residual not yet evaluated
+    it = 0
+    while live.any() or pending.any():
+        if it == 200 and live.any():
+            raise MaxIterError(f"bisection did not reach width {tol:g} in 200 iterations")
+        it += 1
+        li, pi = np.flatnonzero(live), np.flatnonzero(pending)
+        mid = 0.5 * (lo[li] + hi[li])
+        vals = np.asarray(f(np.concatenate((mid, t[pi]))), dtype=float)
+        fm = vals[:len(li)]
+        residual[pi] = np.abs(vals[len(li):])
+        pending[pi] = False
+        iterations[li] = it
+        same = (fm < 0) == (f_lo[li] < 0)
+        lo[li[same]], f_lo[li[same]] = mid[same], fm[same]
+        hi[li[~same]] = mid[~same]
+        exact = fm == 0.0
+        closed = exact | (hi[li] - lo[li] <= tol)
+        t[li] = np.where(exact, mid, 0.5 * (lo[li] + hi[li]))
+        residual[li[exact]] = 0.0
+        pending[li[closed & ~exact]] = True
+        live[li[closed]] = False
+    return [ZeroHit(float(a), float(r), int(n)) for a, r, n in zip(t, residual, iterations)]
+
+
 def bisect(
     bracket: ZeroBracket, f: Callable[[float], float], tol: float
 ) -> tuple[float, float, int]:
@@ -128,31 +180,23 @@ def bisect(
     The residual is reported, not required to be small: a flat function can
     hold a wide bracket to a tiny residual or vice versa.
     """
-    if tol <= 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-    if bracket.is_on_node:
-        return bracket.t_lo, abs(bracket.f_lo), 0
-    lo, hi, f_lo = bracket.t_lo, bracket.t_hi, bracket.f_lo
-    for it in range(1, 201):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, 0.0, it
-        if (fm < 0) == (f_lo < 0):
-            lo, f_lo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            t = 0.5 * (lo + hi)
-            return t, abs(f(t)), it
-    raise MaxIterError(f"bisection did not reach width {tol:g} in 200 iterations")
+    (hit,) = _bisect_all([bracket], lambda ts: [f(float(t)) for t in ts], tol)
+    return hit.t, hit.residual, hit.iterations
 
 
-def _chunk_bounds(n_nodes: int, workers: int) -> list[tuple[int, int]]:
-    """Index ranges [a, b] inclusive, consecutive chunks sharing one node."""
-    workers = min(workers, max(1, n_nodes - 1))
-    cuts = [round(j * (n_nodes - 1) / workers) for j in range(workers + 1)]
-    return [(cuts[j], cuts[j + 1]) for j in range(workers) if cuts[j] < cuts[j + 1]]
+def _fz_real(
+    ts: np.ndarray, cfg: ShiftConfig, settings: EvalSettings
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re F_z(1/2+it) and its error bound; SymmetryError if a point fails reality."""
+    re, im, err = fz_line_vec(ts, cfg, settings)
+    bound = 1e-9 * (1.0 + np.hypot(re, im))
+    if (np.abs(im) > bound).any():
+        worst = int(np.argmax(np.abs(im) - bound))
+        raise SymmetryError(
+            f"imaginary residue {im[worst]:.3e} at t={float(ts[worst])!r} "
+            f"exceeds its reality bound"
+        )
+    return re, err
 
 
 def scan_fz(
@@ -166,43 +210,17 @@ def scan_fz(
 ) -> ScanReport:
     """Scan F_z(1/2+it) for sign changes and refine each bracket by bisection.
 
-    The report is identical for any worker count: chunks overlap by exactly
-    one grid node and every node value is a function of its own t alone.
+    workers is validated (a positive integer) but has no effect: the scan runs
+    in the calling thread, and its report is the same for any value.
     """
     validate_config(cfg)
     if not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(f"workers must be a positive integer, got {workers}")
     ts = _grid(t_lo, t_hi, step)
-
-    def eval_nodes(tarr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        re, im, err = fz_line_vec(tarr, cfg, settings)
-        bound = 1e-9 * (1.0 + np.hypot(re, im))
-        if (np.abs(im) > bound).any():
-            worst = int(np.argmax(np.abs(im) - bound))
-            raise SymmetryError(
-                f"imaginary residue {im[worst]:.3e} at t={tarr[worst]!r} "
-                f"exceeds its reality bound"
-            )
-        return re, err
-
-    bounds = _chunk_bounds(len(ts), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunk_vals = list(pool.map(lambda ab: eval_nodes(ts[ab[0]:ab[1] + 1]), bounds))
-    brackets: list[ZeroBracket] = []
-    for (a, _b), (vals, errs) in zip(bounds, chunk_vals):
-        brackets.extend(_brackets_from_values(ts[a:a + len(vals)], vals, errs))
-    uniq = sorted(set(brackets), key=lambda b: (b.t_lo, b.t_hi))
-
-    def point(t: float) -> float:
-        return float(eval_nodes(np.array([t]))[0][0])
-
-    zeros = []
-    for br in uniq:
-        t0, residual, iters = bisect(br, point, tol)
-        zeros.append(ZeroHit(t0, residual, iters))
-    zeros.sort(key=lambda h: h.t)
+    brackets = _brackets_from_values(ts, *_fz_real(ts, cfg, settings))
+    zeros = _bisect_all(brackets, lambda tarr: _fz_real(tarr, cfg, settings)[0], tol)
     return ScanReport(
-        brackets=tuple(uniq),
+        brackets=tuple(brackets),
         zeros=tuple(zeros),
         grid_step=step,
         t_range=(float(t_lo), float(t_hi)),
@@ -220,12 +238,7 @@ def _digest(
         "z_re": cfg.z.real,
         "z_im": cfg.z.imag,
         "tail_bound": cfg.tail_bound,
-        "settings": {
-            "rel_tol": settings.rel_tol,
-            "max_terms": settings.max_terms,
-            "em_terms": settings.em_terms,
-            "quad_abs_tol": settings.quad_abs_tol,
-        },
+        "settings": asdict(settings),
         "t_lo": t_lo,
         "t_hi": t_hi,
         "step": step,
@@ -235,16 +248,21 @@ def _digest(
     return hashlib.sha256(blob).hexdigest()
 
 
-def report_csv_bytes(report: ScanReport) -> bytes:
-    """CSV with one row per refined bracket: t_lo, t_hi, t_zero, f_residual, iterations.
+def report_rows(report: ScanReport) -> list[dict]:
+    """One row per refined bracket, keyed by SCAN_FIELDS.
 
     Brackets are disjoint and ascending, so they pair 1:1 with the zeros.
     """
-    lines = ["t_lo,t_hi,t_zero,f_residual,iterations"]
-    for br, hit in zip(report.brackets, report.zeros):
-        lines.append(
-            f"{br.t_lo!r},{br.t_hi!r},{hit.t!r},{hit.residual!r},{hit.iterations}"
-        )
+    return [
+        dict(zip(SCAN_FIELDS, (br.t_lo, br.t_hi, hit.t, hit.residual, hit.iterations)))
+        for br, hit in zip(report.brackets, report.zeros)
+    ]
+
+
+def report_csv_bytes(report: ScanReport) -> bytes:
+    """CSV of report_rows under a SCAN_FIELDS header."""
+    lines = [",".join(SCAN_FIELDS)]
+    lines += [",".join(repr(v) for v in row.values()) for row in report_rows(report)]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -255,19 +273,8 @@ def report_json_bytes(report: ScanReport, settings: EvalSettings = DEFAULT_SETTI
         "config_digest": report.config_digest,
         "grid_step": report.grid_step,
         "range": list(report.t_range),
-        "settings": {
-            "rel_tol": settings.rel_tol,
-            "max_terms": settings.max_terms,
-            "em_terms": settings.em_terms,
-            "quad_abs_tol": settings.quad_abs_tol,
-        },
-        "brackets": [
-            {"t_lo": b.t_lo, "t_hi": b.t_hi, "f_lo": b.f_lo, "f_hi": b.f_hi}
-            for b in report.brackets
-        ],
-        "zeros": [
-            {"t": h.t, "residual": h.residual, "iterations": h.iterations}
-            for h in report.zeros
-        ],
+        "settings": asdict(settings),
+        "brackets": [asdict(b) for b in report.brackets],
+        "zeros": [asdict(h) for h in report.zeros],
     }
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()

@@ -70,6 +70,11 @@ PSI1_000 = 0.543217405606654
 XI_INT_HARDY = 0.456782594393346
 MOMENT_HARDY_A0 = -5.740099371335289
 ZETA_ZEROS = (14.134725141734695, 21.022039638771556, 25.01085758014569)
+# ordinates of zeta zeros 257..263, all of those in [480, 490]
+# (mpmath.zetazero at 30 digits)
+ZETA_ZEROS_480 = (481.8303393762866, 482.8347827909824, 483.8514272124825,
+                  485.539148129356, 486.52871826165125, 488.38056709001745,
+                  489.66176157795616)
 
 GAMMA_TABLE = {
     complex(0.25, 7.067): complex(2.31480615669624e-05, 1.8012238015295504e-06),

@@ -7,16 +7,18 @@ from xishift import (
     EvaluationError,
     MaxIterError,
     ZeroBracket,
+    ZeroHit,
     big_xi,
     bisect,
     make_config,
     scan,
     scan_fz,
 )
-from xishift.shifts import fz_line_vec
+from xishift import zeroscan
+from xishift.shifts import f_z_critical, fz_line_vec
 from xishift.zeroscan import report_csv_bytes, report_json_bytes
 
-from ._oracles import ZETA_ZEROS
+from ._oracles import ZETA_ZEROS, ZETA_ZEROS_480
 
 HARDY = make_config([1.0], [0.0], 0.0)
 EXHIBIT = make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j)
@@ -87,6 +89,78 @@ class TestBisect:
         with pytest.raises(ConfigError):
             bisect(ZeroBracket(0.0, 1.0, -1.0, 1.0), lambda t: t, 0.0)
 
+    def test_tiny_values_bracket(self):
+        # the product of the two values underflows to 0; their signs still differ
+        br = ZeroBracket(0.0, 1.0, -1e-200, 1e-200)
+        assert not br.is_on_node
+        with pytest.raises(ConfigError):
+            ZeroBracket(0.0, 1.0, 1e-200, 1e-200)
+
+
+def _reference_bisect(bracket, f, tol):
+    """Textbook scalar bisection, the loop the batch kernel must reproduce."""
+    if bracket.is_on_node:
+        return bracket.t_lo, abs(bracket.f_lo), 0
+    lo, hi, f_lo = bracket.t_lo, bracket.t_hi, bracket.f_lo
+    for it in range(1, 201):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid, 0.0, it
+        if (fm < 0) == (f_lo < 0):
+            lo, f_lo = mid, fm
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            t = 0.5 * (lo + hi)
+            return t, abs(f(t)), it
+    raise MaxIterError("reference bisection did not converge")
+
+
+class TestBatchBisect:
+    @staticmethod
+    def f(t):
+        # values near 1e-200: a product of two of them underflows
+        return 1e-200 * (t - 2.0) * (t - 5.3) * (t - 7.1)
+
+    def brackets(self):
+        f = self.f
+        return [
+            ZeroBracket(1.0, 3.0, f(1.0), f(3.0)),  # first midpoint is an exact zero
+            ZeroBracket(5.0, 5.0, f(5.0), f(5.0)),  # on-node
+            ZeroBracket(5.25, 5.5, f(5.25), f(5.5)),
+            ZeroBracket(6.0, 7.2, f(6.0), f(7.2)),  # wider, takes more steps
+        ]
+
+    def test_batch_equals_scalar_one_by_one(self):
+        tol = 1e-9
+        brs = self.brackets()
+        batch = zeroscan._bisect_all(brs, self.f, tol)
+        scalar = [ZeroHit(*bisect(br, self.f, tol)) for br in brs]
+        reference = [ZeroHit(*_reference_bisect(br, self.f, tol)) for br in brs]
+        assert batch == scalar == reference
+        assert [h.iterations for h in batch][:2] == [1, 0]
+        assert batch[0] == ZeroHit(2.0, 0.0, 1)
+
+    def test_scan_fz_equals_scalar_bisection(self):
+        tol = 1e-8
+        rep = scan_fz(EXHIBIT, 0.0, 40.0, 0.02, tol)
+        point = lambda t: f_z_critical(t, EXHIBIT)
+        assert len(rep.zeros) >= 5
+        assert rep.zeros == tuple(ZeroHit(*bisect(br, point, tol)) for br in rep.brackets)
+
+    def test_refinement_is_batched(self, monkeypatch):
+        calls = []
+
+        def counted(ts, *args):
+            calls.append(len(ts))
+            return fz_line_vec(ts, *args)
+
+        monkeypatch.setattr(zeroscan, "fz_line_vec", counted)
+        rep = scan_fz(HARDY, 10.0, 100.0, 0.05, 1e-8)
+        assert len(rep.zeros) == 29  # N(100) = 29, none below 14
+        assert len(calls) <= 60
+
 
 class TestScanFz:
     def test_hardy_recovers_zeta_zeros(self):
@@ -148,3 +222,19 @@ class TestScanFz:
     def test_invalid_workers(self):
         with pytest.raises(ConfigError):
             scan_fz(HARDY, 0.0, 1.0, 0.5, 1e-8, workers=0)
+
+    def test_invalid_tol_without_brackets(self):
+        with pytest.raises(ConfigError):
+            scan_fz(HARDY, 15.0, 20.0, 0.05, 0.0)
+
+    def test_tiny_values_near_480(self):
+        # |F_z| ~ 1e-164 here, so products of neighbouring node values underflow
+        rep = scan_fz(HARDY, 480.0, 490.0, 0.05, 1e-8)
+        assert len(rep.zeros) == len(ZETA_ZEROS_480)
+        for hit, ref in zip(rep.zeros, ZETA_ZEROS_480):
+            assert abs(hit.t - ref) < 1e-6
+
+    def test_underflow_raises_with_t(self):
+        # past t ~ 905, F_z and its error bound underflow to 0 at every node
+        with pytest.raises(EvaluationError, match=r"t=1000\.0"):
+            scan_fz(HARDY, 1000.0, 1010.0, 0.05, 1e-8)
