@@ -118,6 +118,7 @@ def _cmd_eval(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     step = 0.5 if man.step is None else man.step
     ts = zeroscan._grid(t_lo, t_hi, step)
     re, im, err = shifts_mod.fz_line_vec(ts, cfg, man.settings)
+    zeroscan.require_resolved(ts, re, err)
     rows = [
         {"t": float(t), "f": float(v), "im_residual": float(r), "abs_err_est": float(e)}
         for t, v, r, e in zip(ts, re, im, err)

@@ -31,7 +31,7 @@ from .errors import AccuracyError, DomainError, RegionError, ToleranceError, Uns
 from .quadrature import adaptive_gk, truncation_point
 from .region import classify_inequality
 from .settings import DEFAULT_SETTINGS, EvalSettings, require_finite
-from .specfun import eta_weighted_line, hyp1f1, hyp1f1_vec, xi_line_vec
+from .specfun import em_length, eta_weighted_line, hyp1f1, hyp1f1_vec, xi_line_vec
 
 __all__ = [
     "QuadratureResult",
@@ -174,7 +174,7 @@ def moment_integral(
     T = truncation_point(
         2.0 * m, rate, abs(z) / math.sqrt(2.0), 0.025 * tol * rate / 8.0, 40.0
     )
-    if 1.3 * (T + abs(lam) + 1.0) > settings.max_terms:
+    if em_length(complex(0.5, T + abs(lam)), settings) > settings.max_terms:
         raise AccuracyError(
             f"moment_integral: T={T:.0f} needs more zeta terms than "
             f"max_terms={settings.max_terms} allows"

@@ -15,7 +15,7 @@ class EvalSettings:
     rel_tol      : target relative accuracy of series evaluations
     max_terms    : hard cap on series length (also caps the zeta direct sum)
     em_terms     : minimum Euler-Maclaurin direct-sum length; the actual
-                   length grows like 1.3*|Im s|
+                   length comes from the remainder bound, ~0.61*|s+27|
     quad_abs_tol : absolute tolerance for quadrature and theta tail bounds
     """
 

@@ -12,9 +12,10 @@ Algorithms
 ----------
 Gamma      : Lanczos rational approximation, g = 607/128 with the standard
              15-coefficient set (Godfrey), reflection below Re(s) = 1/2.
-Zeta       : Euler-Maclaurin with direct-sum length N ~ 1.3*|Im s| and
-             Bernoulli corrections through B26 (B28 feeds the error bound);
-             the functional equation covers Re(s) < 0.
+Zeta       : Euler-Maclaurin with Bernoulli corrections through B26 (B28
+             feeds the error bound) and a direct-sum length N ~ 0.61*|s+27|
+             taken from that bound; the functional equation covers
+             Re(s) < 0.
 1F1        : Maclaurin series with compensated summation; the error estimate
              carries an explicit cancellation term (machine epsilon times the
              largest partial sum).
@@ -177,12 +178,30 @@ def _loggamma_vec(s: np.ndarray) -> np.ndarray:
 # Zeta (Euler-Maclaurin)
 # ---------------------------------------------------------------------------
 
+# The first dropped Euler-Maclaurin term is about 2*(|s+2K+1|/(2 pi N))^(2K+2)
+# with K = _EM_K; N = _EM_RATE*|s+2K+1| puts it at _EM_TARGET.
+_EM_TARGET = 1e-16
+_EM_RATE = (2.0 / _EM_TARGET) ** (1.0 / (2 * _EM_K + 2)) / (2.0 * math.pi)
+_EM_CHUNK = 1 << 20  # entries per block of the direct sum
+
+
+def em_length(s, settings: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
+    """Euler-Maclaurin direct-sum length each s needs, before ladder rounding.
+
+    N = ceil(_EM_RATE*|s+2K+1|) ~ 0.61*|s+27|, at least settings.em_terms.
+    Points needing more than max_terms cannot meet the remainder target.
+    Lengths are whole floats, so a huge |s| cannot wrap an integer type.
+    """
+    need = np.ceil(_EM_RATE * np.abs(np.asarray(s, dtype=complex) + (2 * _EM_K + 1)))
+    return np.maximum(float(settings.em_terms), need)
+
+
 @lru_cache(maxsize=8)
 def _em_ladder(em_terms: int, max_terms: int) -> tuple[int, ...]:
     """Fixed ladder of direct-sum lengths.
 
-    Each point picks the smallest ladder entry covering its own 1.3*|Im s|
-    requirement, so its value is independent of array grouping.
+    Each point picks the smallest ladder entry covering its own em_length,
+    so its value is independent of array grouping.
     """
     ladder = [max(4, em_terms)]
     while ladder[-1] < max_terms:
@@ -192,14 +211,14 @@ def _em_ladder(em_terms: int, max_terms: int) -> tuple[int, ...]:
 
 def _zeta_em_group(s: np.ndarray, n_direct: int) -> tuple[np.ndarray, np.ndarray]:
     """Euler-Maclaurin zeta for one group sharing direct-sum length n_direct."""
-    ns = np.arange(1, n_direct, dtype=float)
-    logn = np.log(ns)
+    logn = np.log(np.arange(1, n_direct, dtype=float))
     direct = np.zeros(s.shape, dtype=complex)
-    # chunk the outer product to bound memory
-    chunk = max(1, int(4_000_000 // max(1, n_direct)))
+    # row blocks bound the memory; summing each row on its own (no BLAS
+    # product) keeps a point's value independent of its batch
+    chunk = max(1, _EM_CHUNK // n_direct)
     for lo in range(0, s.size, chunk):
-        sc = s[lo:lo + chunk]
-        direct[lo:lo + chunk] = np.exp(-np.outer(sc, logn)).sum(axis=1)
+        x = np.multiply.outer(-s[lo:lo + chunk], logn)
+        direct[lo:lo + chunk] = np.exp(x, out=x).sum(axis=1)
     ln_n = math.log(n_direct)
     val = direct + np.exp((1.0 - s) * ln_n) / (s - 1.0) + 0.5 * np.exp(-s * ln_n)
     poch = s.copy()
@@ -229,7 +248,7 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
     if (s.real < 0).any():
         raise ValueError("zeta_vec requires Re(s) >= 0")
     ladder = np.asarray(_em_ladder(settings.em_terms, settings.max_terms))
-    need = np.maximum(settings.em_terms, np.ceil(1.3 * np.abs(s.imag))).astype(int)
+    need = em_length(s, settings)
     idx = np.searchsorted(ladder, np.minimum(need, ladder[-1]))
     vals = np.empty(s.shape, dtype=complex)
     errs = np.empty(s.shape, dtype=float)
@@ -253,10 +272,10 @@ def zeta_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithEr
         raise PoleError("zeta has its pole at s=1")
     if s.real >= 0.0:
         ladder = _em_ladder(settings.em_terms, settings.max_terms)
-        need = max(settings.em_terms, math.ceil(1.3 * abs(s.imag)))
+        need = float(em_length(s, settings))
         if need > ladder[-1]:
             raise AccuracyError(
-                f"zeta({s}): direct sum needs {need} terms, cap is {ladder[-1]}"
+                f"zeta({s}): direct sum needs {need:.0f} terms, cap is {ladder[-1]}"
             )
         v, e = zeta_vec(np.array([s]), settings)
         value, err = complex(v[0]), float(e[0])

@@ -23,7 +23,7 @@ from .settings import DEFAULT_SETTINGS, EvalSettings
 from .shifts import ShiftConfig, fz_line_vec, validate_config
 
 __all__ = ["ZeroBracket", "ZeroHit", "ScanReport", "scan", "bisect", "scan_fz",
-           "report_rows", "report_csv_bytes", "report_json_bytes"]
+           "require_resolved", "report_rows", "report_csv_bytes", "report_json_bytes"]
 
 ON_NODE_EPS = 1e-13
 UNDERFLOW_FLOOR = 5e-300
@@ -79,6 +79,17 @@ def _grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
     return ts
 
 
+def require_resolved(ts: np.ndarray, fs: np.ndarray, errs: np.ndarray) -> None:
+    """EvaluationError naming the first node whose |f| and 4*err both fell
+    below UNDERFLOW_FLOOR: there the value has underflowed, and it says
+    nothing about the sign or the size of the function."""
+    floored = (np.abs(fs) <= UNDERFLOW_FLOOR) & (4.0 * errs < UNDERFLOW_FLOOR)
+    if floored.any():
+        t = float(ts[np.argmax(floored)])
+        raise EvaluationError(f"value and error bound underflowed to below "
+                              f"{UNDERFLOW_FLOOR:g} at t={t!r}")
+
+
 def _brackets_from_values(
     ts: np.ndarray, fs: np.ndarray, errs: np.ndarray | None = None
 ) -> list[ZeroBracket]:
@@ -87,19 +98,14 @@ def _brackets_from_values(
     A node counts as an on-node zero when |f| is indistinguishable from zero:
     below the per-node error bound when one is available, else below the
     absolute 1e-13 floor.  An absolute floor alone would misclassify genuine
-    values of a function that itself decays below 1e-13.  When the verdict
-    would rest on the underflow floor alone (|f| and 4*err both below it),
-    the value has underflowed and EvaluationError names the node.
+    values of a function that itself decays below 1e-13.  A verdict that
+    would rest on the underflow floor alone raises (require_resolved).
     """
     if errs is None:
         on_node = np.abs(fs) < ON_NODE_EPS
     else:
+        require_resolved(ts, fs, errs)
         on_node = np.abs(fs) <= np.maximum(4.0 * errs, UNDERFLOW_FLOOR)
-        floored = on_node & (4.0 * errs < UNDERFLOW_FLOOR)
-        if floored.any():
-            t = float(ts[np.argmax(floored)])
-            raise EvaluationError(f"value and error bound underflowed to below "
-                                  f"{UNDERFLOW_FLOOR:g} at t={t!r}")
     signs = np.sign(fs)
     proper = np.zeros(len(ts), dtype=bool)
     proper[:-1] = (signs[:-1] * signs[1:] < 0) & ~on_node[:-1] & ~on_node[1:]

@@ -76,6 +76,14 @@ ZETA_ZEROS_480 = (481.8303393762866, 482.8347827909824, 483.8514272124825,
                   485.539148129356, 486.52871826165125, 488.38056709001745,
                   489.66176157795616)
 
+# zeta(1/2 + it) high on the critical line (mpmath.zeta at 30 digits)
+ZETA_LINE_HIGH = {
+    101.5: complex(0.2770505973173966, 0.4863137224089815),
+    1003.25: complex(0.04149439444585868, -0.038841918225480096),
+    5007.5: complex(-0.027539531352820754, 0.03916277487644832),
+    12003.75: complex(1.3187805757807411, -0.43292167341616056),
+}
+
 GAMMA_TABLE = {
     complex(0.25, 7.067): complex(2.31480615669624e-05, 1.8012238015295504e-06),
     complex(2.5, 30.0): complex(7.418010432131728e-18, -2.1809028456286174e-18),

@@ -159,6 +159,15 @@ class TestSubcommands:
         assert record["error"] == "EvaluationError" and "t=1000.0" in record["message"]
         assert not out.exists()
 
+    def test_eval_underflow_is_exit_4(self, hardy_config, tmp_path, capsys):
+        out = tmp_path / "eval.json"
+        code = main(["eval", "--config", hardy_config, "--out", str(out), "--format", "json",
+                     "--t-min", "1000", "--t-max", "1001", "--step", "0.5"])
+        assert code == EXIT_NUMERIC
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "EvaluationError" and "t=1000.0" in record["message"]
+        assert not out.exists()
+
     def test_idempotent_outputs(self, hardy_config, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["scan", "--config", hardy_config, "--format", "json",

@@ -19,6 +19,7 @@ from xishift import (
     xi_c,
     zeta_c,
 )
+from xishift import specfun
 
 from ._oracles import (
     GAMMA_QUARTER,
@@ -26,6 +27,7 @@ from ._oracles import (
     HYP1F1_TABLE,
     XI_HALF,
     ZETA_HALF,
+    ZETA_LINE_HIGH,
     ZETA_TABLE,
     ZETA_ZEROS,
     alternating_zeta,
@@ -107,6 +109,44 @@ class TestZeta:
             a = zeta_c(s).value
             b = zeta_c(s.conjugate()).value
             assert abs(b - a.conjugate()) <= 1e-11 * abs(a)
+
+
+class TestZetaKernel:
+    """The vector Euler-Maclaurin kernel and its direct-sum length rule."""
+
+    def test_high_on_line_vs_mpmath_and_error_honesty(self):
+        ts = np.array(list(ZETA_LINE_HIGH))
+        vals, errs = specfun.zeta_vec(0.5 + 1j * ts)
+        for t, v, e in zip(ts, vals, errs):
+            ref = ZETA_LINE_HIGH[t]
+            assert abs(v - ref) <= e, t
+            # no clamped ladder: the estimate stays a real bound, not ~1
+            assert e < 1e-10, t
+
+    def test_length_rule(self):
+        settings = EvalSettings()
+        assert specfun.em_length(0.5 + 1e3j, settings) <= 650
+        assert specfun.em_length(0.5 + 1j, settings) == settings.em_terms
+        # every point of the moment and scan paths up to t ~ 1.2e4 fits the cap
+        assert specfun.em_length(0.5 + 12_003.75j, settings) <= settings.max_terms
+
+    def test_point_alone_equals_point_in_batch(self):
+        settings = EvalSettings()
+        rng = np.random.default_rng(7)
+        ts = np.concatenate((rng.uniform(0.0, 6000.0, 1000), rng.uniform(4500.0, 5000.0, 1000)))
+        s = 0.5 + 1j * ts
+        ladder = np.asarray(specfun._em_ladder(settings.em_terms, settings.max_terms))
+        idx = np.searchsorted(ladder, specfun.em_length(s, settings))
+        groups, sizes = np.unique(idx, return_counts=True)
+        # the batch spans several ladder groups, and one group several row blocks
+        assert len(groups) >= 5
+        biggest = int(ladder[groups[np.argmax(sizes)]])
+        assert sizes.max() > 2 * (specfun._EM_CHUNK // biggest)
+        vals, errs = specfun.zeta_vec(s, settings)
+        for i in list(range(0, 2000, 97)) + [1999]:
+            v, e = specfun.zeta_vec(s[i:i + 1], settings)
+            assert v[0].tobytes() == vals[i].tobytes(), ts[i]
+            assert e[0].tobytes() == errs[i].tobytes(), ts[i]
 
 
 class TestEta:
