@@ -5,7 +5,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, EvaluationError
+
+# the one underflow floor, for scalar results and scan nodes alike (underflowed)
+UNDERFLOW_FLOOR = 5e-300
 
 
 @dataclass(frozen=True)
@@ -51,3 +56,19 @@ def require_finite(value: complex, context: str) -> complex:
     if not (cmath.isfinite(value)):
         raise EvaluationError(f"{context}: non-finite value {value!r}")
     return value
+
+
+def underflowed(values, errs) -> np.ndarray:
+    """Where |value| and 4*err both fell below UNDERFLOW_FLOOR: there the value
+    has underflowed and says nothing about the sign or size of the function."""
+    return (np.abs(values) <= UNDERFLOW_FLOOR) & (4.0 * np.asarray(errs) < UNDERFLOW_FLOOR)
+
+
+def checked_value(value: complex, err: float, context: str) -> ValueWithError:
+    """A scalar result that is finite and not lost to underflow; context names
+    the point in the EvaluationError raised otherwise."""
+    require_finite(value, context)
+    if underflowed(value, err):
+        raise EvaluationError(f"{context}: value and error bound underflowed "
+                              f"to below {UNDERFLOW_FLOOR:g}")
+    return ValueWithError(complex(value), float(err))

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import ConfigError, DegenerateError, PoleError, SymmetryError
 from .integral import moment_integral
 from .region import classify_inequality
-from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, require_finite
-from .specfun import eta_completed, eta_line_vec, hyp1f1, hyp1f1_vec
+from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, checked_value
+from .specfun import _eta_vec, eta_line_vec, hyp1f1_vec
 from .theta import psi1_alpha_derivative
 
 __all__ = [
@@ -138,31 +138,27 @@ def dominant_index(cfg: ShiftConfig) -> int:
 def f_z(
     s: complex, cfg: ShiftConfig, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> ValueWithError:
-    """The finite weighted sum defining F_z at a general complex point."""
-    s = complex(s)
-    z = complex(cfg.z)
+    """The finite weighted sum defining F_z at a general complex point.
+
+    All shifts go through one eta kernel call and one 1F1 call per
+    confluent factor.
+    """
+    s, z = complex(s), complex(cfg.z)
     w_a = z * z / 4.0
-    w_b = w_a.conjugate()
-    total = 0.0 + 0.0j
-    err = 0.0
-    max_term = 0.0
-    for c, lam in zip(cfg.coefficients, cfg.shifts):
-        s_j = s + 1j * lam
-        if s_j == 0 or s_j == 1:
-            raise PoleError(f"shifted argument s + i*{lam:g} hits a pole of eta")
-        ev = eta_completed(s_j, settings)
-        f_a = hyp1f1((1.0 - s_j) / 2.0, 0.5, w_a, settings)
-        f_b = hyp1f1((1.0 - (s.conjugate() - 1j * lam)) / 2.0, 0.5, w_b, settings)
-        bracket = f_a.value + f_b.value
-        total += c * ev.value * bracket
-        err += abs(c) * (
-            ev.abs_err_est * abs(bracket)
-            + abs(ev.value) * (f_a.abs_err_est + f_b.abs_err_est)
-        )
-        max_term = max(max_term, abs(ev.value) * abs(bracket))
-    err += cfg.tail_bound * max_term
-    require_finite(total, "f_z")
-    return ValueWithError(total, err)
+    c, lam = np.array(cfg.coefficients), np.array(cfg.shifts)
+    s_j = s + 1j * lam
+    pole = (s_j == 0) | (s_j == 1)
+    if pole.any():
+        raise PoleError(f"shifted argument s + i*{lam[pole][0]:g} hits a pole of eta")
+    ev, ee = _eta_vec(s_j, settings)
+    f_a, e_a = hyp1f1_vec((1.0 - s_j) / 2.0, 0.5, w_a, settings)
+    f_b, e_b = hyp1f1_vec(
+        (1.0 - (s.conjugate() - 1j * lam)) / 2.0, 0.5, w_a.conjugate(), settings
+    )
+    bracket = f_a + f_b
+    err = np.sum(np.abs(c) * (ee * np.abs(bracket) + np.abs(ev) * (e_a + e_b)))
+    err += cfg.tail_bound * np.max(np.abs(ev) * np.abs(bracket))
+    return checked_value(np.sum(c * ev * bracket), err, f"f_z({s})")
 
 
 def fz_line_vec(

@@ -1,24 +1,31 @@
-"""Complex special-function kernel.
+"""Complex special-function kernels.
 
-Scalar operations (gamma, zeta, the completed zeta eta, xi and its
-critical-line restrictions, and the confluent hypergeometric 1F1) return a
+Each function has exactly one vectorised kernel.  The scalar operations
+(gamma, zeta, the completed zeta eta, xi and its critical-line restrictions,
+and the confluent hypergeometric 1F1) are thin wrappers: they check their
+argument, evaluate the kernel on a one-element array, and return a
 ValueWithError carrying an upper estimate of the numerical error actually
-incurred.  Vectorised variants of the same algorithms (same formulas, same
-truncation ladders) back the grid and quadrature paths; a point's value never
-depends on which other points share the array with it, so results are
-reproducible under any partitioning.
+incurred.  A scalar result that is not finite, or whose value and error
+bound both underflowed, raises EvaluationError naming the point.  A point's
+value never depends on which other points share the array with it, so
+results are reproducible under any partitioning and a scalar call equals the
+same point of any batch bit for bit.
 
 Algorithms
 ----------
 Gamma      : Lanczos rational approximation, g = 607/128 with the standard
-             15-coefficient set (Godfrey), reflection below Re(s) = 1/2.
+             15-coefficient set (Godfrey); one recurrence step for
+             0 <= Re(s) < 1/2 and reflection below Re(s) = 0, with log sin
+             kept stable for large |Im s|.
 Zeta       : Euler-Maclaurin with Bernoulli corrections through B26 (B28
              feeds the error bound) and a direct-sum length N ~ 0.61*|s+27|
              taken from that bound; the functional equation covers
              Re(s) < 0.
-1F1        : Maclaurin series with compensated summation; the error estimate
-             carries an explicit cancellation term (machine epsilon times the
-             largest partial sum).
+Eta        : pi^(-s/2) Gamma(s/2) zeta(s) with an optional log-weight fused
+             into the exponent.
+1F1        : Maclaurin series over an array of a-parameters; the error
+             estimate carries the tail and an explicit cancellation term
+             (machine epsilon times the largest partial sum).
 """
 
 from __future__ import annotations
@@ -34,11 +41,18 @@ from .errors import (
     AccuracyError,
     DivergenceError,
     DomainError,
+    EvaluationError,
     ParameterError,
     PoleError,
     SymmetryError,
 )
-from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, require_finite
+from .settings import (
+    DEFAULT_SETTINGS,
+    EvalSettings,
+    ValueWithError,
+    checked_value,
+    require_finite,
+)
 
 __all__ = [
     "gamma_c",
@@ -80,6 +94,8 @@ _LANCZOS_C = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+_LANCZOS_TAIL = np.array(_LANCZOS_C[1:], dtype=complex)
+_LANCZOS_K = np.arange(1.0, 15.0, dtype=complex)
 
 # Bernoulli numbers B2..B28 as exact fractions; B28 is used only by the
 # Euler-Maclaurin remainder bound.
@@ -99,79 +115,80 @@ _EM_COEF = tuple(
 # Gamma
 # ---------------------------------------------------------------------------
 
-def _lanczos_sum(x):
-    """Lanczos partial-fraction sum A(x) for Gamma(x); x is scalar or array."""
-    acc = _LANCZOS_C[0]
-    for k in range(1, 15):
-        acc = acc + _LANCZOS_C[k] / (x - 1.0 + k)
-    return acc
+def _lanczos_sum(x: np.ndarray) -> np.ndarray:
+    """Lanczos partial-fraction sum A(x) = c0 + sum_k c_k/(x-1+k), elementwise.
+
+    Summed left to right from c0 in one table (accumulate, never a pairwise
+    reduce), so each point has the bits of a plain loop over k.
+    """
+    terms = np.add.outer(_LANCZOS_K, x - 1.0)
+    np.divide(_LANCZOS_TAIL.reshape((14,) + (1,) * x.ndim), terms, out=terms)
+    terms[0] += _LANCZOS_C[0]
+    return np.add.accumulate(terms, out=terms)[-1]
 
 
-def _loggamma_right(s: complex) -> complex:
-    """log Gamma(s) for Re(s) >= 0.5 (any log branch; meant for exponentiation)."""
-    t = s + (_LANCZOS_G - 0.5)
-    return HALF_LN_2PI + (s - 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(s))
+def _logsin(w: np.ndarray) -> np.ndarray:
+    """log(sin(w)) elementwise, stable for large |Im w| (branch only valid under exp)."""
+    out = np.empty(w.shape, dtype=complex)
+    near = np.abs(w.imag) <= 30.0
+    out[near] = np.log(np.sin(w[near]))
+    far = w[~near]
+    # sin w = (g i/2) e^(-g i w) (1 - e^(2 g i w)) with g = sign(Im w), |e^(2 g i w)| << 1
+    g = np.sign(far.imag)
+    out[~near] = g * (0.5j * math.pi) - LN_2 - g * 1j * far + np.log(1.0 - np.exp(2j * g * far))
+    return out
 
 
-def _logsin(w: complex) -> complex:
-    """log(sin(w)), stable for large |Im w| (branch only valid under exp)."""
-    u = w.imag
-    if abs(u) <= 30.0:
-        return cmath.log(cmath.sin(w))
-    if u > 0:
-        # sin w = (i/2) e^{-iw} (1 - e^{2iw}),  |e^{2iw}| = e^{-2u} << 1
-        return (0.5j * math.pi - LN_2) - 1j * w + cmath.log(1.0 - cmath.exp(2j * w))
-    return (-0.5j * math.pi - LN_2) + 1j * w + cmath.log(1.0 - cmath.exp(-2j * w))
+def _is_nonpositive_int(s):
+    """Elementwise test for s in {0, -1, -2, ...}; s is a scalar or an array."""
+    s = np.asarray(s, dtype=complex)
+    return (s.imag == 0.0) & (s.real <= 0.0) & (s.real == np.floor(s.real))
 
 
-def _is_nonpositive_int(s: complex) -> bool:
-    return s.imag == 0.0 and s.real <= 0.0 and s.real == math.floor(s.real)
+def _loggamma_vec(s) -> tuple[np.ndarray, np.ndarray]:
+    """log Gamma(s) and a relative error bound for Gamma(s), elementwise.
+
+    Lanczos for Re(s) >= 1/2, one recurrence step Gamma(s) = Gamma(s+1)/s
+    for 0 <= Re(s) < 1/2, and reflection below Re(s) = 0, where the bound
+    carries the conditioning of the sine near a pole.  The branch is
+    irrelevant to callers, which only exponentiate the result in combination
+    with other logarithms.
+    """
+    s = np.asarray(s, dtype=complex)
+    if (s.real <= 0.0).any():
+        pole = _is_nonpositive_int(s)
+        if pole.any():
+            raise PoleError(f"gamma has a pole at s={s[pole][0].real:g}")
+    refl = s.real < 0.0
+    step = (s.real < 0.5) & ~refl
+    z = s + step  # Lanczos argument, Re(z) >= 1/2
+    z[refl] = 1.0 - s[refl]
+    shift = np.zeros(s.shape, dtype=complex)
+    shift[step] = -np.log(s[step])
+    t = z + (_LANCZOS_G - 0.5)
+    lg = shift + HALF_LN_2PI + (z - 0.5) * np.log(t) - t + np.log(_lanczos_sum(z))
+    rel = np.full(s.shape, 1e-13)
+    if refl.any():
+        r = s[refl]
+        lg[refl] = LN_PI - _logsin(math.pi * r) - lg[refl]
+        dist = np.abs(r - np.round(r.real))
+        rel[refl] += 4.0 * EPS * (1.0 + np.abs(r)) * math.pi / np.maximum(dist, EPS)
+    return lg, rel
 
 
 def gamma_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithError:
-    """Complex Gamma function.
+    """Complex Gamma function: the log-gamma kernel at one point, exponentiated.
 
-    Below Re(s) = 1/2 the reflection formula is applied to gamma_c(1-s); the
-    sine factor is handled in log space so large imaginary parts do not
-    overflow prematurely.
+    The reflection's sine is handled in log space, so large imaginary parts
+    do not overflow prematurely.
     """
     s = complex(s)
     require_finite(s, "gamma_c argument")
-    if _is_nonpositive_int(s):
-        raise PoleError(f"gamma has a pole at s={s.real:g}")
-    rel = 1e-13
-    if s.real >= 0.5:
-        lg = _loggamma_right(s)
-    else:
-        lg = LN_PI - _logsin(math.pi * s) - _loggamma_right(1.0 - s)
-        # conditioning of the sine near a pole of Gamma
-        dist = abs(s - complex(round(s.real), 0.0))
-        rel += 4.0 * EPS * (1.0 + abs(s)) * math.pi / max(dist, EPS)
-    if lg.real > MAX_EXP:
-        raise OverflowError(f"|gamma({s})| exceeds double range (log={lg.real:.1f})")
-    value = cmath.exp(lg)
-    require_finite(value, "gamma_c")
-    return ValueWithError(value, abs(value) * rel)
-
-
-def _loggamma_vec(s: np.ndarray) -> np.ndarray:
-    """Vectorised log Gamma via Lanczos; shifts arguments up to Re >= 0.5.
-
-    The branch is irrelevant to callers, which only exponentiate the result
-    in combination with other logarithms.
-    """
-    z = np.array(s, dtype=complex)
-    shift = np.zeros_like(z)
-    for _ in range(64):
-        mask = z.real < 0.5
-        if not mask.any():
-            break
-        if (z[mask] == 0).any():
-            raise PoleError("log-gamma at a nonpositive integer")
-        shift[mask] -= np.log(z[mask])
-        z[mask] += 1.0
-    t = z + (_LANCZOS_G - 0.5)
-    return shift + HALF_LN_2PI + (z - 0.5) * np.log(t) - t + np.log(_lanczos_sum(z))
+    lg, rel = _loggamma_vec(np.array([s]))
+    if lg[0].real > MAX_EXP:
+        raise OverflowError(f"|gamma({s})| exceeds double range (log={lg[0].real:.1f})")
+    value = np.exp(lg[0])
+    return checked_value(value, abs(value) * rel[0], f"gamma_c({s})")
 
 
 # ---------------------------------------------------------------------------
@@ -242,77 +259,94 @@ def _zeta_em_group(s: np.ndarray, n_direct: int) -> tuple[np.ndarray, np.ndarray
     return val, err
 
 
+def _em_argument(s: np.ndarray) -> np.ndarray:
+    """Where the Euler-Maclaurin sum runs: at s, or at 1-s below Re(s) = 0."""
+    refl = s.real < 0.0
+    return np.where(refl, 1.0 - s, s) if refl.any() else s
+
+
 def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised zeta for Re(s) >= 0, s away from 1.  Returns (values, errors)."""
+    """Vectorised zeta for s != 1.  Returns (values, errors).
+
+    The functional equation covers Re(s) < 0.  PoleError at s = 1, and
+    EvaluationError naming the first point whose value or error is not
+    finite (the correction terms overflow for |s| near 1e19).
+    """
     s = np.asarray(s, dtype=complex)
-    if (s.real < 0).any():
-        raise ValueError("zeta_vec requires Re(s) >= 0")
+    if (s == 1.0).any():
+        raise PoleError("zeta has its pole at s=1")
+    u = _em_argument(s)
     ladder = np.asarray(_em_ladder(settings.em_terms, settings.max_terms))
-    need = em_length(s, settings)
-    idx = np.searchsorted(ladder, np.minimum(need, ladder[-1]))
+    need = em_length(u, settings)
+    # fmin: a nan point takes the last group and is caught as non-finite below
+    idx = np.searchsorted(ladder, np.fmin(need, ladder[-1]))
     vals = np.empty(s.shape, dtype=complex)
     errs = np.empty(s.shape, dtype=float)
     for i in np.unique(idx):
         mask = idx == i
-        v, e = _zeta_em_group(s[mask], int(ladder[i]))
+        v, e = _zeta_em_group(u[mask], int(ladder[i]))
         vals[mask] = v
         errs[mask] = e
     over = need > ladder[-1]
     if over.any():
         # honest flag: the ladder was clamped; widen the reported error
         errs[over] += np.abs(vals[over]) * 1e-6 + 1.0
+    refl = s.real < 0.0
+    if refl.any():
+        # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
+        r, zv = s[refl], vals[refl]
+        log_chi = (r * LN_2 + (r - 1.0) * LN_PI + _logsin(math.pi * r / 2.0)
+                   + _loggamma_vec(1.0 - r)[0])
+        big = log_chi.real > MAX_EXP
+        if big.any():
+            raise OverflowError(f"|zeta({complex(r[big][0])})| exceeds double range "
+                                f"via functional equation")
+        vals[refl] = np.exp(log_chi) * zv
+        errs[refl] = np.abs(vals[refl]) * (errs[refl] / np.maximum(np.abs(zv), 1e-300) + 1e-13)
+    if not (np.isfinite(vals).all() and np.isfinite(errs).all()):
+        bad = ~(np.isfinite(vals) & np.isfinite(errs))
+        raise EvaluationError(f"zeta_vec: non-finite value or error at s={complex(s[bad][0])!r}")
     return vals, errs
 
 
 def zeta_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithError:
-    """Riemann zeta via Euler-Maclaurin; functional equation for Re(s) < 0."""
+    """Riemann zeta: zeta_vec at one point, once its direct sum fits the term budget."""
     s = complex(s)
     require_finite(s, "zeta_c argument")
-    if s == 1:
-        raise PoleError("zeta has its pole at s=1")
-    if s.real >= 0.0:
-        ladder = _em_ladder(settings.em_terms, settings.max_terms)
-        need = float(em_length(s, settings))
-        if need > ladder[-1]:
-            raise AccuracyError(
-                f"zeta({s}): direct sum needs {need:.0f} terms, cap is {ladder[-1]}"
-            )
-        v, e = zeta_vec(np.array([s]), settings)
-        value, err = complex(v[0]), float(e[0])
-        require_finite(value, "zeta_c")
-        return ValueWithError(value, err)
-    # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
-    zv = zeta_c(1.0 - s, settings)
-    log_chi = s * LN_2 + (s - 1.0) * LN_PI + _logsin(math.pi * s / 2.0) + _loggamma_right(1.0 - s)
-    if log_chi.real > MAX_EXP:
-        raise OverflowError(f"|zeta({s})| exceeds double range via functional equation")
-    chi = cmath.exp(log_chi)
-    value = chi * zv.value
-    require_finite(value, "zeta_c (functional equation)")
-    rel_prev = zv.abs_err_est / max(abs(zv.value), 1e-300)
-    return ValueWithError(value, abs(value) * (rel_prev + 1e-13))
+    cap = _em_ladder(settings.em_terms, settings.max_terms)[-1]
+    need = float(em_length(_em_argument(np.array([s])), settings)[0])
+    if need > cap:
+        raise AccuracyError(f"zeta({s}): direct sum needs {need:.0f} terms, cap is {cap}")
+    v, e = zeta_vec(np.array([s]), settings)
+    return checked_value(v[0], e[0], f"zeta_c({s})")
 
 
 # ---------------------------------------------------------------------------
 # Completed zeta and the xi family
 # ---------------------------------------------------------------------------
 
+def _eta_vec(
+    s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS, log_weight=0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(log_weight) pi^(-s/2) Gamma(s/2) zeta(s), elementwise: (values, errors).
+
+    The log-weight enters the exponent first: a weight exp(alpha t) that grows
+    while eta decays like exp(-pi|t|/4) on the line never meets it as 0 * inf.
+    """
+    zv, ze = zeta_vec(s, settings)
+    lg, g_rel = _loggamma_vec(s / 2)
+    pref = np.exp(log_weight - s / 2 * LN_PI + lg)
+    return pref * zv, np.abs(pref) * (ze + np.abs(zv) * g_rel)
+
+
 def eta_completed(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithError:
     """pi^(-s/2) Gamma(s/2) zeta(s); meromorphic with poles at 0 and 1."""
     s = complex(s)
+    require_finite(s, "eta_completed argument")
     if s == 0 or s == 1:
         raise PoleError(f"completed zeta has a pole at s={s}")
-    g = gamma_c(s / 2, settings)
-    zv = zeta_c(s, settings)
-    pref = cmath.exp(-s / 2 * LN_PI)
-    value = pref * g.value * zv.value
-    require_finite(value, "eta_completed")
-    rel = (
-        g.abs_err_est / max(abs(g.value), 1e-300)
-        + zv.abs_err_est / max(abs(zv.value), 1e-300)
-        + 2 * EPS
-    )
-    return ValueWithError(value, abs(value) * rel)
+    v, e = _eta_vec(np.array([s]), settings)
+    return checked_value(v[0], e[0], f"eta_completed({s})")
 
 
 def xi_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithError:
@@ -324,10 +358,10 @@ def xi_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithErro
     s = complex(s)
     if abs(s) <= 1e-8 or abs(s - 1.0) <= 1e-8:
         return ValueWithError(0.5 + 0.0j, 2e-8)
-    ev = eta_completed(s, settings)
-    value = 0.5 * s * (s - 1.0) * ev.value
-    require_finite(value, "xi_c")
-    return ValueWithError(value, 0.5 * abs(s) * abs(s - 1.0) * ev.abs_err_est + 4 * EPS * abs(value))
+    ev, ee = _eta_vec(np.array([s]), settings)
+    value = 0.5 * s * (s - 1.0) * ev[0]
+    err = 0.5 * abs(s) * abs(s - 1.0) * ee[0] + 4 * EPS * abs(value)
+    return checked_value(value, err, f"xi_c({s})")
 
 
 def _real_part_checked(v: ValueWithError, what: str) -> float:
@@ -360,52 +394,10 @@ def rho_real(t: float, settings: EvalSettings = DEFAULT_SETTINGS) -> float:
 def hyp1f1(
     a: complex, b: complex, w: complex, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> ValueWithError:
-    """Kummer's 1F1(a; b; w) by its Maclaurin series with compensated summation.
-
-    Terminates when two consecutive term magnitudes fall below
-    rel_tol * |partial sum|.  The error estimate includes the tail and an
-    explicit cancellation term (largest partial-sum magnitude times machine
-    epsilon).
-    """
-    a, b, w = complex(a), complex(b), complex(w)
-    if _is_nonpositive_int(b):
-        raise ParameterError(f"1F1 undefined for b={b} (nonpositive integer)")
-    if w == 0:
-        return ValueWithError(1.0 + 0.0j, 0.0)
-    acc = 1.0 + 0.0j
-    comp = 0.0 + 0.0j  # Kahan compensation
-    term = 1.0 + 0.0j
-    max_partial = 1.0
-    small_streak = 0
-    last_mag = 1.0
-    for n in range(settings.max_terms):
-        term = term * (a + n) * w / ((b + n) * (n + 1))
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        max_partial = max(max_partial, abs(acc))
-        last_mag = abs(term)
-        if term == 0:  # a hit a nonpositive integer: the series is a polynomial
-            small_streak = 2
-            break
-        if last_mag <= settings.rel_tol * max(abs(acc), 1e-300):
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        else:
-            small_streak = 0
-    else:
-        raise DivergenceError(
-            f"1F1({a}; {b}; {w}) did not converge in {settings.max_terms} terms"
-        )
-    if small_streak < 2:
-        raise DivergenceError(
-            f"1F1({a}; {b}; {w}) did not converge in {settings.max_terms} terms"
-        )
-    require_finite(acc, "hyp1f1")
-    err = 2.0 * last_mag + 16.0 * EPS * max_partial
-    return ValueWithError(acc, err)
+    """Kummer's 1F1(a; b; w): hyp1f1_vec at one point."""
+    a = complex(a)
+    v, e = hyp1f1_vec(np.array([a]), b, w, settings)
+    return checked_value(v[0], e[0], f"hyp1f1({a}; {complex(b)}; {complex(w)})")
 
 
 def hyp1f1_vec(
@@ -481,23 +473,15 @@ def eta_line_vec(
     tau: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> tuple[np.ndarray, np.ndarray]:
     """eta(1/2 + i tau) for a real array tau.  Returns (values, errors)."""
-    tau = np.asarray(tau, dtype=float)
-    s = 0.5 + 1j * tau
-    zv, ze = zeta_vec(s, settings)
-    log_pref = -s / 2 * LN_PI + _loggamma_vec(s / 2)
-    pref = np.exp(log_pref)
-    vals = pref * zv
-    errs = np.abs(pref) * (ze + np.abs(zv) * 1e-13)
-    return vals, errs
+    return _eta_vec(0.5 + 1j * np.asarray(tau, dtype=float), settings)
 
 
 def xi_line_vec(
     tau: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> tuple[np.ndarray, np.ndarray]:
     """Xi(tau) = xi(1/2 + i tau) on a real grid.  Returns (values, errors)."""
-    tau = np.asarray(tau, dtype=float)
-    s = 0.5 + 1j * tau
-    ev, ee = eta_line_vec(tau, settings)
+    s = 0.5 + 1j * np.asarray(tau, dtype=float)
+    ev, ee = _eta_vec(s, settings)
     vals = 0.5 * s * (s - 1.0) * ev
     return vals.real, 0.5 * np.abs(s) * np.abs(s - 1.0) * ee
 
@@ -508,16 +492,11 @@ def eta_weighted_line(
     lam: float,
     settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """exp(alpha t) * rho(t + lam) with the exponentials fused in log space.
+    """exp(alpha t) * rho(t + lam), with alpha t as the eta kernel's log-weight.
 
     rho decays like exp(-pi|t|/4) while exp(alpha t) grows; fusing the
     exponents avoids 0 * inf far out on the line.  Returns (values, errors).
     """
     t = np.asarray(t, dtype=float)
-    s = 0.5 + 1j * (t + lam)
-    zv, ze = zeta_vec(s, settings)
-    log_pref = alpha * t - s / 2 * LN_PI + _loggamma_vec(s / 2)
-    a = np.exp(log_pref)
-    vals = (a * zv).real
-    errs = np.abs(a) * (ze + np.abs(zv) * 1e-13)
-    return vals, errs
+    vals, errs = _eta_vec(0.5 + 1j * (t + lam), settings, alpha * t)
+    return vals.real, errs

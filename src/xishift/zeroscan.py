@@ -19,14 +19,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, EvaluationError, MaxIterError, SymmetryError, XishiftError
-from .settings import DEFAULT_SETTINGS, EvalSettings
+from .settings import DEFAULT_SETTINGS, UNDERFLOW_FLOOR, EvalSettings, underflowed
 from .shifts import ShiftConfig, fz_line_vec, validate_config
 
 __all__ = ["ZeroBracket", "ZeroHit", "ScanReport", "scan", "bisect", "scan_fz",
            "require_resolved", "report_rows", "report_csv_bytes", "report_json_bytes"]
 
 ON_NODE_EPS = 1e-13
-UNDERFLOW_FLOOR = 5e-300
 SCAN_FIELDS = ("t_lo", "t_hi", "t_zero", "f_residual", "iterations")
 
 
@@ -83,7 +82,7 @@ def require_resolved(ts: np.ndarray, fs: np.ndarray, errs: np.ndarray) -> None:
     """EvaluationError naming the first node whose |f| and 4*err both fell
     below UNDERFLOW_FLOOR: there the value has underflowed, and it says
     nothing about the sign or the size of the function."""
-    floored = (np.abs(fs) <= UNDERFLOW_FLOOR) & (4.0 * errs < UNDERFLOW_FLOOR)
+    floored = underflowed(fs, errs)
     if floored.any():
         t = float(ts[np.argmax(floored)])
         raise EvaluationError(f"value and error bound underflowed to below "

@@ -35,6 +35,21 @@ def alternating_zeta(s: complex, terms: int = 64) -> complex:
     return eta_val / (1.0 - 2.0 ** (1.0 - s))
 
 
+def compensated_hyp1f1(a: complex, b: complex, w: complex, rel_tol: float = 1e-12) -> complex:
+    """1F1(a; b; w) by its Maclaurin series with Kahan-compensated summation,
+    stopped after two consecutive terms below rel_tol * |partial sum|."""
+    acc, comp, term, streak, n = 1.0 + 0.0j, 0.0j, 1.0 + 0.0j, 0, 0
+    while streak < 2:
+        term = term * (a + n) * w / ((b + n) * (n + 1))
+        y = term - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+        streak = streak + 1 if abs(term) <= rel_tol * max(abs(acc), 1e-300) else 0
+        n += 1
+    return acc
+
+
 def direct_theta_sum(x: complex, z: complex, terms: int = 400) -> complex:
     """Brute-force sum of exp(-pi n^2 x) cos(sqrt(pi x) n z)."""
     x, z = complex(x), complex(z)
@@ -90,6 +105,13 @@ GAMMA_TABLE = {
     complex(-1.5, 2.0): complex(-0.0018843965411520958, 0.02093272198692183),
     complex(10.0, -40.0): complex(-9.319370349154888e-13, -2.1461951052926225e-12),
     complex(0.1, 0.3): complex(0.5686400382609745, -2.7668025190278325),
+}
+
+# Gamma far left of the imaginary axis, past 64 recurrence steps
+# (mpmath.gamma at 40 digits)
+GAMMA_FAR_LEFT = {
+    complex(-100.3, 2.0): complex(2.9224799491420268e-161, 1.3401458197183591e-161),
+    complex(-70.2, 1.0): complex(-4.5605528643881395e-102, 8.616466141868237e-102),
 }
 
 ZETA_TABLE = {

@@ -10,6 +10,7 @@ from xishift import (
     ConfigError,
     DegenerateError,
     EvalSettings,
+    EvaluationError,
     PoleError,
     ShiftConfig,
     eta_completed,
@@ -106,6 +107,10 @@ class TestFz:
     def test_pole_error(self):
         with pytest.raises(PoleError):
             f_z(complex(0.0, -0.3), make_config([1.0], [0.3], 0.0))
+
+    def test_underflow_raises(self):
+        with pytest.raises(EvaluationError, match="1000"):
+            f_z(0.5 + 1000j, HARDY)
 
     def test_tail_bound_enters_error(self):
         cfg = make_config([1.0], [0.0], 0.0, tail_bound=0.125)

@@ -8,6 +8,7 @@ from xishift import (
     AccuracyError,
     DivergenceError,
     EvalSettings,
+    EvaluationError,
     ParameterError,
     PoleError,
     big_xi,
@@ -22,6 +23,7 @@ from xishift import (
 from xishift import specfun
 
 from ._oracles import (
+    GAMMA_FAR_LEFT,
     GAMMA_QUARTER,
     GAMMA_TABLE,
     HYP1F1_TABLE,
@@ -31,6 +33,7 @@ from ._oracles import (
     ZETA_TABLE,
     ZETA_ZEROS,
     alternating_zeta,
+    compensated_hyp1f1,
 )
 
 RNG = np.random.default_rng(20260810)
@@ -66,9 +69,29 @@ class TestGamma:
             with pytest.raises(PoleError):
                 gamma_c(s)
 
+    def test_lanczos_table_equals_plain_loop(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 500):
+            x = rng.uniform(0.5, 40.0, n) + 1j * rng.uniform(-3000.0, 3000.0, n)
+            acc = specfun._LANCZOS_C[0]
+            for k in range(1, 15):
+                acc = acc + specfun._LANCZOS_C[k] / (x - 1.0 + k)
+            assert specfun._lanczos_sum(x).tobytes() == acc.tobytes(), n
+
     def test_overflow(self):
         with pytest.raises(OverflowError):
             gamma_c(200.0)
+
+    def test_far_left_vs_mpmath(self):
+        # reflection, not a capped recurrence, reaches these points
+        for s, ref in GAMMA_FAR_LEFT.items():
+            got = gamma_c(s)
+            assert abs(got.value - ref) <= got.abs_err_est, s
+            assert abs(got.value - ref) <= 1e-13 * abs(ref), s
+
+    def test_underflow_raises(self):
+        with pytest.raises(EvaluationError, match=r"-200\.5"):
+            gamma_c(-200.5 + 0.3j)
 
 
 class TestZeta:
@@ -149,6 +172,62 @@ class TestZetaKernel:
             assert e[0].tobytes() == errs[i].tobytes(), ts[i]
 
 
+class TestZetaVecDomain:
+    def test_mixed_half_planes_vs_table_and_zeta_c(self):
+        points = list(ZETA_TABLE)
+        assert any(s.real < 0 for s in points) and any(s.real >= 0 for s in points)
+        vals, errs = specfun.zeta_vec(np.array(points))
+        for s, v, e in zip(points, vals, errs):
+            ref = ZETA_TABLE[s]
+            assert abs(v - ref) <= e + 4e-16 * abs(ref), s
+            got = zeta_c(s)
+            assert (got.value, got.abs_err_est) == (v, e), s
+
+    def test_pole(self):
+        with pytest.raises(PoleError):
+            specfun.zeta_vec(np.array([2.0, 1.0]))
+
+    def test_non_finite_names_point(self):
+        # the correction terms overflow this high; no nan may come back
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvaluationError, match=r"1e\+19"):
+                specfun.zeta_vec(np.array([0.5 + 10j, 0.5 + 1e19j]))
+            with pytest.raises(EvaluationError, match=r"1e\+19"):
+                specfun.eta_line_vec(np.array([1e19]))
+
+
+class TestWrapperEqualsKernel:
+    """Each scalar API is its vector kernel at one point, bit for bit."""
+
+    POINTS = (0.25 + 7.067j, -1.5 + 2.0j, 0.1 + 0.3j, 3.0 - 40.0j, -70.2 + 1.0j)
+
+    def test_gamma(self):
+        lg, rel = specfun._loggamma_vec(np.array(self.POINTS))
+        for s, l, r in zip(self.POINTS, lg, rel):
+            got = gamma_c(s)
+            assert got.value == np.exp(l) and got.abs_err_est == abs(np.exp(l)) * r, s
+
+    def test_hyp1f1(self):
+        a = np.array([0.3 + 0.7j, -12.5 + 30.0j, 0.25 - 750.0j])
+        vals, errs = specfun.hyp1f1_vec(a, 0.5, 0.0625 + 0.015625j)
+        for x, v, e in zip(a, vals, errs):
+            got = hyp1f1(x, 0.5, 0.0625 + 0.015625j)
+            assert (got.value, got.abs_err_est) == (v, e), x
+
+    def test_eta_completed(self):
+        points = (0.3 + 7.0j, 0.5 + 14.0j, -2.5 + 10.0j, 2.0, 0.8 - 25.0j)
+        vals, errs = specfun._eta_vec(np.array(points))
+        for s, v, e in zip(points, vals, errs):
+            got = eta_completed(s)
+            assert (got.value, got.abs_err_est) == (v, e), s
+
+    def test_rho_real(self):
+        ts = np.array([0.0, 5.1, -5.1, ZETA_ZEROS[0], 123.456, 800.0])
+        vals, _ = specfun.eta_line_vec(ts)
+        for t, v in zip(ts, vals):
+            assert rho_real(float(t)) == v.real, t
+
+
 class TestEta:
     def test_functional_equation_sample(self):
         for _ in range(40):
@@ -169,6 +248,10 @@ class TestEta:
         for s in (0.0, 1.0):
             with pytest.raises(PoleError):
                 eta_completed(s)
+
+    def test_underflow_raises(self):
+        with pytest.raises(EvaluationError, match="1000"):
+            eta_completed(0.5 + 1000j)
 
     def test_conjugate_symmetry(self):
         s = 0.7 + 9.3j
@@ -212,6 +295,18 @@ class TestXiFamily:
         s = 0.3 + 2.2j
         assert abs(xi_c(s).value - 0.5 * s * (s - 1) * eta_completed(s).value) < 1e-12
 
+    def test_xi_underflow_raises(self):
+        with pytest.raises(EvaluationError, match="1000"):
+            xi_c(0.5 + 1000j)
+
+    def test_big_xi_underflow_raises(self):
+        with pytest.raises(EvaluationError, match="1000"):
+            big_xi(1000.0)
+
+    def test_rho_underflow_raises(self):
+        with pytest.raises(EvaluationError, match="1000"):
+            rho_real(1000.0)
+
     def test_exponential_decay_bound(self):
         # |Xi(t)| e^(pi t/4) / t^6 stays below its t=20 value onward
         vals = [abs(big_xi(t)) * math.exp(math.pi * t / 4.0) / t**6 for t in (20, 30, 40, 50)]
@@ -241,6 +336,15 @@ class TestHyp1F1:
             lhs = hyp1f1(a, b, w).value
             rhs = cmath.exp(w) * hyp1f1(b - a, b, -w).value
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs)), (a, b, w)
+
+    def test_plain_sum_within_estimate_of_compensated_sum(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            a = complex(*rng.uniform(-5, 5, 2) * np.sqrt(0.5))
+            w = complex(*rng.uniform(-5, 5, 2) * np.sqrt(0.5))
+            b = complex(rng.uniform(0.3, 3.0), rng.uniform(-1, 1))
+            got = hyp1f1(a, b, w)
+            assert abs(got.value - compensated_hyp1f1(a, b, w)) <= got.abs_err_est, (a, b, w)
 
     def test_frozen_table_and_error_honesty(self):
         for (a, b, w), ref in HYP1F1_TABLE.items():
