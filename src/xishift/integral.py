@@ -11,6 +11,10 @@ other.  moment_integral computes the real part of the weighted moments
     Int_{-T}^{T} t^(2m) e^(alpha t) rho(t+lam) 1F1((1-2i(t+lam))/4; 1/2; z^2/4) dt
 
 whose alpha -> pi/4 limits reproduce the closed-form moment expressions.
+In tau = t + lam the integrand is H(tau) = rho(tau) Re 1F1((1-2i tau)/4; 1/2;
+z^2/4) times a weight, and H depends on none of alpha, lam or m; so any
+linear combination of such moments (every shift of a configuration, several
+alphas) is one quadrature that evaluates H once per node.
 
 Truncation points come from the decay majorant t^p exp(-rate t + c sqrt(t)):
 Xi(t) falls like t^A e^(-pi t/4) (A fixed at 6 here) while the confluent
@@ -31,7 +35,7 @@ from .errors import AccuracyError, DomainError, RegionError, ToleranceError, Uns
 from .quadrature import adaptive_gk, truncation_point
 from .region import classify_inequality
 from .settings import DEFAULT_SETTINGS, EvalSettings, require_finite
-from .specfun import em_length, eta_weighted_line, hyp1f1, hyp1f1_vec, xi_line_vec
+from .specfun import MAX_EXP, em_length, eta_weighted_line, hyp1f1, hyp1f1_vec, xi_line_vec
 
 __all__ = [
     "QuadratureResult",
@@ -51,6 +55,8 @@ class QuadratureResult:
     abs_err_est: float
     truncation_T: float
     evaluations: int
+    panels: int
+    at_roundoff: bool
 
 
 def mu(
@@ -135,7 +141,9 @@ def xi_integral(
             f"xi_integral(a={a}, z={z}): achieved {total_err:.2e} > {tol:.2e}"
         )
     require_finite(out.value, "xi_integral")
-    return QuadratureResult(out.value, total_err, T, out.evaluations)
+    return QuadratureResult(
+        out.value, total_err, T, out.evaluations, out.panels, out.at_roundoff
+    )
 
 
 def transform_identity_residual(
@@ -149,6 +157,85 @@ def transform_identity_residual(
     return max(abs(integral - side_a), abs(integral - side_b))
 
 
+def _weighted_moment(
+    m: int,
+    terms,
+    z: complex,
+    settings: EvalSettings = DEFAULT_SETTINGS,
+) -> QuadratureResult:
+    """Re of sum_k c_k Int t^(2m) e^(alpha_k t) H(t + lam_k) dt as one quadrature.
+
+    terms holds (c_k, alpha_k, lam_k).  In tau = t + lam_k every term
+    integrates the same H(tau) = rho(tau) Re 1F1((1-2i tau)/4; 1/2; z^2/4)
+    against c_k e^(alpha_k (tau-lam_k)) (tau-lam_k)^(2m), so H is evaluated
+    once per node: one eta call with log-weight alpha_ref*tau
+    (alpha_ref = max alpha_k) and one 1F1 call, and each term only multiplies
+    by exp((alpha_k - alpha_ref) tau - alpha_k lam_k).  The range covers every
+    term's [-T + lam_k, T + lam_k], T from the largest |alpha_k|, and the
+    truncation target is shared out by sum |c_k|, so quad_abs_tol bounds the
+    weighted sum itself.
+    """
+    if m not in (0, 1, 2):
+        raise UnsupportedOrderError(f"moment order m={m} not supported (m <= 2)")
+    cs, alphas, lams = (np.array(col, dtype=float) for col in zip(*terms))
+    top = float(np.max(np.abs(alphas)))
+    if top > ALPHA_MARGIN:
+        raise DomainError(
+            f"|alpha| = {top:.4f} exceeds pi/4 - 0.01; decay rate too small"
+        )
+    z = complex(z)
+    if z != 0:
+        _require_z(z, 1.0, "moment_integral")
+    rate = math.pi / 4.0 - top
+    tol = settings.quad_abs_tol
+    # |rho(t)| <= C e^(-pi t/4) with C ~ 3 beyond t = 40 (Stirling for Gamma,
+    # convexity for zeta leave no net polynomial growth); the factor 8 in the
+    # target also covers the confluent prefactors, and sum |c_k| the tails
+    # of all terms together.
+    T = truncation_point(
+        2.0 * m, rate, abs(z) / math.sqrt(2.0),
+        0.025 * tol * rate / (8.0 * float(np.sum(np.abs(cs)))), 40.0,
+    )
+    lo, hi = -T + float(lams.min()), T + float(lams.max())
+    if em_length(complex(0.5, max(-lo, hi)), settings) > settings.max_terms:
+        raise AccuracyError(
+            f"moment_integral: T={T:.0f} needs more zeta terms than "
+            f"max_terms={settings.max_terms} allows"
+        )
+    alpha_ref = float(alphas.max())
+    spread = alphas - alpha_ref
+    if float(np.max(np.maximum(spread * lo, spread * hi) - alphas * lams)) > MAX_EXP:
+        raise DomainError(
+            f"alphas spread {-spread.min():.4f} over tau in [{lo:.0f}, {hi:.0f}]; "
+            f"the term weights overflow"
+        )
+    w = z * z / 4.0
+
+    def integrand(taus: np.ndarray) -> np.ndarray:
+        weighted, _ = eta_weighted_line(taus, alpha_ref, 0.0, settings)
+        f1, _ = hyp1f1_vec((1.0 - 2j * taus) / 4.0, 0.5, w, settings)
+        h = weighted * f1.real
+        weight = np.zeros(taus.shape)
+        for c, d, alpha, lam in zip(cs, spread, alphas, lams):
+            weight += c * np.exp(d * taus - alpha * lam) * ((taus - lam) ** (2 * m) if m else 1.0)
+        return h * weight
+
+    out = adaptive_gk(
+        integrand, lo, hi, 0.9 * tol,
+        initial_panels=max(64, int(math.ceil((hi - lo) / 2.0))),
+    )
+    trunc_est = 0.05 * tol
+    total_err = out.abs_err_est + trunc_est
+    if total_err > tol and not out.at_roundoff:
+        raise ToleranceError(
+            f"moment_integral(m={m}, alphas={alphas.tolist()}): achieved "
+            f"{total_err:.2e} > {tol:.2e}"
+        )
+    value = float(out.value.real)
+    require_finite(complex(value), "moment_integral")
+    return QuadratureResult(value, total_err, T, out.evaluations, out.panels, out.at_roundoff)
+
+
 def moment_integral(
     m: int,
     alpha: float,
@@ -157,47 +244,4 @@ def moment_integral(
     settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Re of the two-sided weighted moment integral for one shift lam."""
-    if m not in (0, 1, 2):
-        raise UnsupportedOrderError(f"moment order m={m} not supported (m <= 2)")
-    if abs(alpha) > ALPHA_MARGIN:
-        raise DomainError(
-            f"|alpha| = {abs(alpha):.4f} exceeds pi/4 - 0.01; decay rate too small"
-        )
-    z = complex(z)
-    if z != 0:
-        _require_z(z, 1.0, "moment_integral")
-    rate = math.pi / 4.0 - abs(alpha)
-    tol = settings.quad_abs_tol
-    # |rho(t)| <= C e^(-pi t/4) with C ~ 3 beyond t = 40 (Stirling for Gamma,
-    # convexity for zeta leave no net polynomial growth); the factor 8 in the
-    # target also covers the confluent prefactors.
-    T = truncation_point(
-        2.0 * m, rate, abs(z) / math.sqrt(2.0), 0.025 * tol * rate / 8.0, 40.0
-    )
-    if em_length(complex(0.5, T + abs(lam)), settings) > settings.max_terms:
-        raise AccuracyError(
-            f"moment_integral: T={T:.0f} needs more zeta terms than "
-            f"max_terms={settings.max_terms} allows"
-        )
-    w = z * z / 4.0
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        weighted, _ = eta_weighted_line(ts, alpha, lam, settings)
-        f1, _ = hyp1f1_vec((1.0 - 2j * (ts + lam)) / 4.0, 0.5, w, settings)
-        poly = ts ** (2 * m) if m else 1.0
-        return poly * weighted * f1.real
-
-    out = adaptive_gk(
-        integrand, -T, T, 0.9 * tol,
-        initial_panels=max(64, int(math.ceil(T))),
-    )
-    trunc_est = 0.05 * tol
-    total_err = out.abs_err_est + trunc_est
-    if total_err > tol and not out.at_roundoff:
-        raise ToleranceError(
-            f"moment_integral(m={m}, alpha={alpha:.4f}): achieved "
-            f"{total_err:.2e} > {tol:.2e}"
-        )
-    value = float(out.value.real)
-    require_finite(complex(value), "moment_integral")
-    return value
+    return _weighted_moment(m, [(1.0, alpha, lam)], z, settings).value

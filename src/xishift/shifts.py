@@ -13,7 +13,10 @@ side computes both routes of the limit identity
         = -4 pi w_z sum_j c_j e^(-pi lam_j/4) r_j^(2m) cos(pi/8 + beta_z + 2m theta_j)
 
 with r_j e^(i theta_j) = i/2 - lam_j and (w_z, beta_z) the polar form of
-1 + e^(z^2/8) sinh(z^2/8).
+1 + e^(z^2/8) sinh(z^2/8).  The numeric side is linear in the shifted
+integrand, so moment_numeric integrates all shifts in one quadrature, and
+moment_limit_check all shifts at both alpha samples, its extrapolation folded
+into the term coefficients.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DegenerateError, PoleError, SymmetryError
-from .integral import moment_integral
+from .integral import _weighted_moment
 from .region import classify_inequality
 from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, checked_value
 from .specfun import _eta_vec, eta_line_vec, hyp1f1_vec
@@ -250,11 +253,9 @@ def moment_closed_form(m: int, cfg: ShiftConfig) -> float:
 def moment_numeric(
     m: int, alpha: float, cfg: ShiftConfig, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> float:
-    """Weighted sum over shifts of the numeric moment integrals."""
-    return sum(
-        c * moment_integral(m, alpha, lam, cfg.z, settings)
-        for c, lam in zip(cfg.coefficients, cfg.shifts)
-    )
+    """Weighted sum over shifts of the numeric moment integrals, as one quadrature."""
+    terms = [(c, alpha, lam) for c, lam in zip(cfg.coefficients, cfg.shifts)]
+    return _weighted_moment(m, terms, cfg.z, settings).value
 
 
 def moment_series_rhs(
@@ -304,8 +305,14 @@ def moment_limit_check(
     floor = 1e-5 if m == 0 else 1e-4
     eff = replace(settings, quad_abs_tol=max(settings.quad_abs_tol, floor))
     eps1, eps2 = (10.0**-k for k in _LIMIT_KS)
-    v1 = moment_numeric(m, math.pi / 4.0 - eps1, cfg, eff)
-    v2 = moment_numeric(m, math.pi / 4.0 - eps2, cfg, eff)
-    extrap = v2 + (v2 - v1) * eps2 / (eps1 - eps2)
+    # extrapolated value (1+r) v(alpha_2) - r v(alpha_1), folded into the
+    # coefficients of one quadrature
+    r = eps2 / (eps1 - eps2)
+    terms = [
+        (coef * c, math.pi / 4.0 - eps, lam)
+        for coef, eps in ((1.0 + r, eps2), (-r, eps1))
+        for c, lam in zip(cfg.coefficients, cfg.shifts)
+    ]
+    extrap = _weighted_moment(m, terms, cfg.z, eff).value
     closed = moment_closed_form(m, cfg)
     return abs(extrap - closed) / (1.0 + abs(closed))

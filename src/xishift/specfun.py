@@ -295,14 +295,19 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
     if refl.any():
         # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
         r, zv = s[refl], vals[refl]
-        log_chi = (r * LN_2 + (r - 1.0) * LN_PI + _logsin(math.pi * r / 2.0)
-                   + _loggamma_vec(1.0 - r)[0])
+        log_sin = _logsin(math.pi * r / 2.0)
+        log_chi = r * LN_2 + (r - 1.0) * LN_PI + log_sin + _loggamma_vec(1.0 - r)[0]
         big = log_chi.real > MAX_EXP
         if big.any():
             raise OverflowError(f"|zeta({complex(r[big][0])})| exceeds double range "
                                 f"via functional equation")
         vals[refl] = np.exp(log_chi) * zv
-        errs[refl] = np.abs(vals[refl]) * (errs[refl] / np.maximum(np.abs(zv), 1e-300) + 1e-13)
+        # the rounding of pi s/2 is amplified where the sine nears a zero
+        # (the trivial zeros): EPS |pi s/2| / |sin(pi s/2)|
+        sin_cond = EPS * np.abs(math.pi * r / 2.0) * np.exp(-log_sin.real)
+        errs[refl] = np.abs(vals[refl]) * (
+            errs[refl] / np.maximum(np.abs(zv), 1e-300) + 1e-13 + sin_cond
+        )
     if not (np.isfinite(vals).all() and np.isfinite(errs).all()):
         bad = ~(np.isfinite(vals) & np.isfinite(errs))
         raise EvaluationError(f"zeta_vec: non-finite value or error at s={complex(s[bad][0])!r}")

@@ -125,6 +125,14 @@ ZETA_TABLE = {
     complex(-11.0, 3.0): complex(-0.21774009165176098, -0.7669121690011694),
 }
 
+# zeta next to the trivial zeros -2 and -4, where sin(pi s/2) nearly
+# vanishes (mpmath.zeta at 40 digits, at these exact doubles)
+ZETA_NEAR_TRIVIAL = {
+    -2.0 + 1e-9: -3.0448459610591665e-11,
+    -2.0 + 1e-6: -3.0448489937660334e-08,
+    -4.0000001: -7.983811185786921e-10,
+}
+
 HYP1F1_TABLE = {
     (complex(0.5), complex(0.5), complex(1.0)): complex(2.718281828459045, 0.0),
     (complex(0.3, 0.7), complex(0.5), complex(0.2, -0.4)):

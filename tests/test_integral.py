@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import pytest
@@ -17,6 +18,8 @@ from xishift import (
     transform_identity_residual,
     xi_integral,
 )
+from xishift import integral
+from xishift.integral import _weighted_moment
 from xishift.quadrature import adaptive_gk
 from xishift.specfun import eta_weighted_line, hyp1f1_vec
 
@@ -90,6 +93,19 @@ class TestXiIntegral:
             out = xi_integral(a, z)
             assert abs(out.value - side) <= 3.0 * out.abs_err_est, (a, z)
 
+    def test_roundoff_reported(self, monkeypatch):
+        # 2e-15 is below what this integrand's rounding allows: uncapped, GK
+        # refines to its 40000-panel limit and ends at the floor; the cap
+        # keeps the test short and ends the same way
+        monkeypatch.setattr(
+            integral, "adaptive_gk", functools.partial(adaptive_gk, max_panels=600)
+        )
+        tol = 2e-15
+        out = xi_integral(cmath.exp(0.3j), 0.8, EvalSettings(quad_abs_tol=tol))
+        assert out.at_roundoff and out.panels == 600
+        # GK missed its 0.9 tol share; 0.05 tol is the truncation estimate
+        assert out.abs_err_est > 0.95 * tol
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             xi_integral(3.0, 0.0)  # real a outside [0.5, 2]
@@ -127,6 +143,25 @@ class TestMomentIntegral:
         v1 = moment_integral(0, 0.12, 0.0, 0.3)
         v2 = moment_integral(0, -0.12, 0.0, 0.3)
         assert abs(v1 - v2) < 1e-8
+
+    def test_two_alphas_equal_their_one_term_integrals(self):
+        # one quadrature for terms at alpha = 0.35 and 0.30 (as in the limit
+        # check's extrapolation) against one integral per term
+        tol = 1e-9
+        settings = EvalSettings(quad_abs_tol=tol)
+        z = 0.3 - 0.2j
+        terms = [(1.7, 0.35, 0.0), (-0.7, 0.30, 0.0), (0.5, 0.35, 1.0), (-0.2, 0.30, 1.0)]
+        for m in (0, 1):
+            got = _weighted_moment(m, terms, z, settings)
+            ref = sum(c * moment_integral(m, a, lam, z, settings) for c, a, lam in terms)
+            assert abs(got.value - ref) <= sum(abs(c) for c, _, _ in terms) * tol, m
+            assert got.abs_err_est <= tol and not got.at_roundoff
+            assert got.panels > 0 and got.evaluations > 0
+
+    def test_alpha_spread_overflow(self):
+        # e^((alpha_k - alpha_ref) tau) over tau ~ -1400 would overflow
+        with pytest.raises(DomainError, match="spread"):
+            _weighted_moment(0, [(1.0, 0.77, 0.0), (1.0, -0.77, 0.0)], 0.0)
 
     def test_order_and_domain_guards(self):
         with pytest.raises(UnsupportedOrderError):

@@ -19,12 +19,16 @@ from xishift import (
     hyp1f1,
     make_config,
     moment_closed_form,
+    moment_integral,
+    moment_limit_check,
     moment_numeric,
     moment_params,
     moment_series_rhs,
     polar_shift,
     validate_config,
 )
+from xishift import integral
+from xishift.quadrature import GKOutcome, adaptive_gk
 from xishift.shifts import dominant_index, fz_line_vec
 
 from ._oracles import ZETA_ZEROS
@@ -238,6 +242,45 @@ class TestMoments:
             lhs = moment_numeric(m, 0.2, cfg, st_q)
             rhs = moment_series_rhs(m, 0.2, cfg)
             assert abs(lhs - rhs) < tol, (m, lhs, rhs)
+
+    def test_numeric_equals_per_shift_integrals(self):
+        tol = 1e-9
+        st_q = EvalSettings(quad_abs_tol=tol)
+        cfg = make_config([1.0, 0.5], [0.0, 1.0], 0.3 - 0.2j)
+        bound = sum(abs(c) for c in cfg.coefficients) * tol
+        for alpha in (0.2, 0.5):
+            for m in (0, 1, 2):
+                ref = sum(
+                    c * moment_integral(m, alpha, lam, cfg.z, st_q)
+                    for c, lam in zip(cfg.coefficients, cfg.shifts)
+                )
+                assert abs(moment_numeric(m, alpha, cfg, st_q) - ref) <= bound, (alpha, m)
+
+    def test_one_quadrature_per_moment(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return adaptive_gk(*args, **kwargs)
+
+        monkeypatch.setattr(integral, "adaptive_gk", counted)
+        cfg = make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j)
+        moment_numeric(1, 0.2, cfg, EvalSettings(quad_abs_tol=1e-9))
+        assert len(calls) == 1
+        # the range covers every shift's own [-T + lam, T + lam]
+        lo, hi = calls[0]
+        assert hi - lo > 2.0 and lo + hi == pytest.approx(2.0)
+
+        # both alpha samples of the limit check share one quadrature; the
+        # count is all that is asked here, so the integral itself is skipped
+        def skipped(*args, **kwargs):
+            calls.append(args[1:3])
+            return GKOutcome(0j, 0.0, 0, 0, False)
+
+        calls.clear()
+        monkeypatch.setattr(integral, "adaptive_gk", skipped)
+        moment_limit_check(0, HARDY)
+        assert len(calls) == 1
 
     def test_linearity_in_coefficients(self):
         st_q = EvalSettings(quad_abs_tol=1e-9)

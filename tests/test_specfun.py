@@ -30,6 +30,7 @@ from ._oracles import (
     XI_HALF,
     ZETA_HALF,
     ZETA_LINE_HIGH,
+    ZETA_NEAR_TRIVIAL,
     ZETA_TABLE,
     ZETA_ZEROS,
     alternating_zeta,
@@ -186,6 +187,17 @@ class TestZetaVecDomain:
     def test_pole(self):
         with pytest.raises(PoleError):
             specfun.zeta_vec(np.array([2.0, 1.0]))
+
+    def test_error_bound_near_trivial_zeros(self):
+        # the functional equation's sine nearly vanishes here; its
+        # conditioning must enter the estimate (it once reported 1e-13
+        # relative against an actual 3e-8)
+        points = list(ZETA_NEAR_TRIVIAL)
+        vals, errs = specfun.zeta_vec(np.array(points, dtype=complex))
+        for s, v, e in zip(points, vals, errs):
+            ref = ZETA_NEAR_TRIVIAL[s]
+            assert abs(v - ref) <= e, s
+            assert e <= 1e-6 * abs(ref), s
 
     def test_non_finite_names_point(self):
         # the correction terms overflow this high; no nan may come back
