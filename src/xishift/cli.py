@@ -67,6 +67,10 @@ class RunManifest:
             raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        for name in ("t_min", "t_max", "step", "tol", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def parse_config(path: str) -> shifts_mod.ShiftConfig:

@@ -1,4 +1,5 @@
-"""The Xi-integral transform and the shifted moment integrals.
+"""The Xi-integral transform and the shifted moment integrals, on one
+critical-line quadrature.
 
 xi_integral computes
 
@@ -11,22 +12,22 @@ other.  moment_integral computes the real part of the weighted moments
     Int_{-T}^{T} t^(2m) e^(alpha t) rho(t+lam) 1F1((1-2i(t+lam))/4; 1/2; z^2/4) dt
 
 whose alpha -> pi/4 limits reproduce the closed-form moment expressions.
-In tau = t + lam the integrand is H(tau) = rho(tau) Re 1F1((1-2i tau)/4; 1/2;
-z^2/4) times a weight, and H depends on none of alpha, lam or m; so any
-linear combination of such moments (every shift of a configuration, several
-alphas) is one quadrature that evaluates H once per node.
-
-Truncation points come from the decay majorant t^p exp(-rate t + c sqrt(t)):
-Xi(t) falls like t^A e^(-pi t/4) (A fixed at 6 here) while the confluent
-factor can grow like exp(|z| sqrt(t/2)), so rate = pi/8 - |arg a|/2 for the
-transform and pi/4 - |alpha| for the moments.
+Both integrate rho(tau) F(tau), F(tau) = 1F1((1-2i tau)/4; 1/2; z^2/4),
+against an exponential weight: in tau = t/2, Xi(tau)/(1+4 tau^2) =
+-rho(tau)/8, rho is even and the two nabla terms swap under tau -> -tau, so
+the transform is c Int e^(beta tau) rho(tau) F(tau) dtau with
+c = -e^(-z^2/8)/(4 pi) and beta = -i log a.  _line_integral evaluates any
+sum of such terms in one quadrature, rho and F once per node, and truncates
+by one majorant, |tau|^(2m) exp(-rate |tau| + |z| sqrt(|tau|/2)) with
+rate = pi/4 - max |Re beta_k|: rho falls like e^(-pi |tau|/4) and F can
+grow like exp(|z| sqrt(|tau|/2)).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import AccuracyError, DomainError, RegionError, ToleranceError, Uns
 from .quadrature import adaptive_gk, truncation_point
 from .region import classify_inequality
 from .settings import DEFAULT_SETTINGS, EvalSettings, require_finite
-from .specfun import MAX_EXP, em_length, eta_weighted_line, hyp1f1, hyp1f1_vec, xi_line_vec
+from .specfun import MAX_EXP, em_length, eta_weighted_line, hyp1f1, hyp1f1_vec
 
 __all__ = [
     "QuadratureResult",
@@ -78,24 +79,20 @@ def nabla(
     return mu(x, z, s, settings) + mu(x, z, 1.0 - s, settings)
 
 
-def _check_transform_a(a: complex) -> float:
-    """Admissible a: real in [0.5, 2], or unit-modulus with |arg| <= pi/4 - 0.01.
+def _check_transform_a(a: complex) -> complex:
+    """Admissible a: real in [0.5, 2], or unit-modulus (|arg a| <= pi/4 - 0.01
+    is left to the kernel's margin on Re beta).
 
-    Returns the exponential growth rate |arg a| of the integrand.
+    Returns the integrand's log-weight rate beta = -i log a: imaginary for
+    real a, and arg a (real) on the unit circle.
     """
     a = complex(a)
     if a.imag == 0.0:
         if not 0.5 <= a.real <= 2.0:
             raise DomainError(f"real a must lie in [0.5, 2], got {a.real}")
-        return 0.0
-    if abs(abs(a) - 1.0) > 1e-12:
+    elif not abs(abs(a) - 1.0) <= 1e-12:
         raise DomainError(f"complex a must have |a| = 1, got |a| = {abs(a)}")
-    alpha = abs(cmath.phase(a))
-    if alpha > ALPHA_MARGIN:
-        raise DomainError(
-            f"|arg a| = {alpha:.4f} too close to pi/4; integrand decay is lost"
-        )
-    return alpha
+    return -1j * cmath.log(a)
 
 
 def _require_z(z: complex, limit: float, what: str) -> None:
@@ -108,42 +105,13 @@ def _require_z(z: complex, limit: float, what: str) -> None:
 def xi_integral(
     a: complex, z: complex, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> QuadratureResult:
-    """The transform integral over [0, T]; T from the decay majorant."""
+    """The transform integral as one term of the line kernel; truncation_T is
+    in tau = t/2."""
     a, z = complex(a), complex(z)
-    alpha = _check_transform_a(a)
-    if z != 0:
-        _require_z(z, 1.5, "xi_integral")
-    rate = math.pi / 8.0 - alpha / 2.0
-    tol = settings.quad_abs_tol
-    T = truncation_point(6.0, rate, abs(z), 0.025 * tol * rate, 40.0)
-    log_a = cmath.log(a)
-    w = z * z / 4.0
-    e_z = cmath.exp(-z * z / 8.0)
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        xi_vals, _ = xi_line_vec(ts / 2.0, settings)
-        f_plus, _ = hyp1f1_vec((1.0 - 1j * ts) / 4.0, 0.5, w, settings)
-        f_minus, _ = hyp1f1_vec((1.0 + 1j * ts) / 4.0, 0.5, w, settings)
-        grad = (
-            np.exp(-0.5j * ts * log_a) * e_z * f_plus
-            + np.exp(0.5j * ts * log_a) * e_z * f_minus
-        )
-        return xi_vals / (1.0 + ts * ts) * grad / math.pi
-
-    out = adaptive_gk(
-        integrand, 0.0, T, 0.9 * tol,
-        initial_panels=max(16, int(math.ceil(T / 2.0))),
-    )
-    trunc_est = 0.05 * tol
-    total_err = out.abs_err_est + trunc_est
-    if total_err > tol and not out.at_roundoff:
-        raise ToleranceError(
-            f"xi_integral(a={a}, z={z}): achieved {total_err:.2e} > {tol:.2e}"
-        )
-    require_finite(out.value, "xi_integral")
-    return QuadratureResult(
-        out.value, total_err, T, out.evaluations, out.panels, out.at_roundoff
-    )
+    beta = _check_transform_a(a)
+    _require_z(z, 1.5, "xi_integral")
+    c = -cmath.exp(-z * z / 8.0) / (4.0 * math.pi)
+    return _line_integral(0, [(c, beta, 0.0)], z, settings, "xi_integral")
 
 
 def transform_identity_residual(
@@ -157,35 +125,36 @@ def transform_identity_residual(
     return max(abs(integral - side_a), abs(integral - side_b))
 
 
-def _weighted_moment(
+def _line_integral(
     m: int,
     terms,
     z: complex,
-    settings: EvalSettings = DEFAULT_SETTINGS,
+    settings: EvalSettings,
+    what: str,
 ) -> QuadratureResult:
-    """Re of sum_k c_k Int t^(2m) e^(alpha_k t) H(t + lam_k) dt as one quadrature.
+    """sum_k c_k Int (tau-lam_k)^(2m) e^(beta_k (tau-lam_k)) rho(tau) F(tau) dtau
+    as one quadrature, F(tau) = 1F1((1-2i tau)/4; 1/2; z^2/4).
 
-    terms holds (c_k, alpha_k, lam_k).  In tau = t + lam_k every term
-    integrates the same H(tau) = rho(tau) Re 1F1((1-2i tau)/4; 1/2; z^2/4)
-    against c_k e^(alpha_k (tau-lam_k)) (tau-lam_k)^(2m), so H is evaluated
-    once per node: one eta call with log-weight alpha_ref*tau
-    (alpha_ref = max alpha_k) and one 1F1 call, and each term only multiplies
-    by exp((alpha_k - alpha_ref) tau - alpha_k lam_k).  The range covers every
-    term's [-T + lam_k, T + lam_k], T from the largest |alpha_k|, and the
+    terms holds (c_k, beta_k, lam_k), c_k and beta_k complex.  rho and F are
+    evaluated once per node: one eta call with the real log-weight b_ref*tau
+    (b_ref = max Re beta_k) and one 1F1 call; each term then multiplies by
+    exp((Re beta_k - b_ref) tau - Re beta_k lam_k) and the unit phase
+    exp(i Im beta_k (tau - lam_k)).  The range covers every term's
+    [-T + lam_k, T + lam_k], T from the largest |Re beta_k|, and the
     truncation target is shared out by sum |c_k|, so quad_abs_tol bounds the
-    weighted sum itself.
+    weighted sum itself.  what names the caller in the errors raised.
     """
     if m not in (0, 1, 2):
         raise UnsupportedOrderError(f"moment order m={m} not supported (m <= 2)")
-    cs, alphas, lams = (np.array(col, dtype=float) for col in zip(*terms))
-    top = float(np.max(np.abs(alphas)))
-    if top > ALPHA_MARGIN:
+    cs, betas, lams = (np.array(col) for col in zip(*terms))
+    if not (np.isfinite(betas).all() and np.isfinite(lams).all()):
+        raise DomainError(f"{what}: non-finite weight rate or shift")
+    bs, gs = betas.real, betas.imag
+    top = float(np.max(np.abs(bs)))
+    if not top <= ALPHA_MARGIN:
         raise DomainError(
-            f"|alpha| = {top:.4f} exceeds pi/4 - 0.01; decay rate too small"
+            f"{what}: |Re beta| = {top:.4f} exceeds pi/4 - 0.01; decay rate too small"
         )
-    z = complex(z)
-    if z != 0:
-        _require_z(z, 1.0, "moment_integral")
     rate = math.pi / 4.0 - top
     tol = settings.quad_abs_tol
     # |rho(t)| <= C e^(-pi t/4) with C ~ 3 beyond t = 40 (Stirling for Gamma,
@@ -199,26 +168,28 @@ def _weighted_moment(
     lo, hi = -T + float(lams.min()), T + float(lams.max())
     if em_length(complex(0.5, max(-lo, hi)), settings) > settings.max_terms:
         raise AccuracyError(
-            f"moment_integral: T={T:.0f} needs more zeta terms than "
+            f"{what}: T={T:.0f} needs more zeta terms than "
             f"max_terms={settings.max_terms} allows"
         )
-    alpha_ref = float(alphas.max())
-    spread = alphas - alpha_ref
-    if float(np.max(np.maximum(spread * lo, spread * hi) - alphas * lams)) > MAX_EXP:
+    b_ref = float(bs.max())
+    spread = bs - b_ref
+    if float(np.max(np.maximum(spread * lo, spread * hi) - bs * lams)) > MAX_EXP:
         raise DomainError(
-            f"alphas spread {-spread.min():.4f} over tau in [{lo:.0f}, {hi:.0f}]; "
+            f"{what}: rates spread {-spread.min():.4f} over tau in [{lo:.0f}, {hi:.0f}]; "
             f"the term weights overflow"
         )
     w = z * z / 4.0
 
     def integrand(taus: np.ndarray) -> np.ndarray:
-        weighted, _ = eta_weighted_line(taus, alpha_ref, 0.0, settings)
+        weighted, _ = eta_weighted_line(taus, b_ref, 0.0, settings)
         f1, _ = hyp1f1_vec((1.0 - 2j * taus) / 4.0, 0.5, w, settings)
-        h = weighted * f1.real
-        weight = np.zeros(taus.shape)
-        for c, d, alpha, lam in zip(cs, spread, alphas, lams):
-            weight += c * np.exp(d * taus - alpha * lam) * ((taus - lam) ** (2 * m) if m else 1.0)
-        return h * weight
+        weight = np.zeros(taus.shape, dtype=complex)
+        for c, d, b, g, lam in zip(cs, spread, bs, gs, lams):
+            weight += (
+                c * np.exp(d * taus - b * lam) * np.exp(1j * g * (taus - lam))
+                * ((taus - lam) ** (2 * m) if m else 1.0)
+            )
+        return weighted * f1 * weight
 
     out = adaptive_gk(
         integrand, lo, hi, 0.9 * tol,
@@ -228,12 +199,26 @@ def _weighted_moment(
     total_err = out.abs_err_est + trunc_est
     if total_err > tol and not out.at_roundoff:
         raise ToleranceError(
-            f"moment_integral(m={m}, alphas={alphas.tolist()}): achieved "
+            f"{what}(m={m}, betas={betas.tolist()}): achieved "
             f"{total_err:.2e} > {tol:.2e}"
         )
-    value = float(out.value.real)
-    require_finite(complex(value), "moment_integral")
-    return QuadratureResult(value, total_err, T, out.evaluations, out.panels, out.at_roundoff)
+    require_finite(out.value, what)
+    return QuadratureResult(out.value, total_err, T, out.evaluations, out.panels, out.at_roundoff)
+
+
+def _weighted_moment(
+    m: int,
+    terms,
+    z: complex,
+    settings: EvalSettings = DEFAULT_SETTINGS,
+    what: str = "moment_integral",
+) -> QuadratureResult:
+    """Re of sum_k c_k Int t^(2m) e^(alpha_k t) rho(t+lam_k) F(t+lam_k) dt, real
+    (c_k, alpha_k, lam_k), as one line-kernel quadrature; |z| <= 1."""
+    z = complex(z)
+    _require_z(z, 1.0, what)
+    out = _line_integral(m, terms, z, settings, what)
+    return replace(out, value=out.value.real)
 
 
 def moment_integral(

@@ -59,8 +59,11 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
     mid = 0.5 * (hi + lo)
     nodes = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-    k15 = (vals * _W_K[None, :]).sum(axis=1) * half
-    g7 = (vals * _W_G[None, :]).sum(axis=1) * half
+    # real and imaginary parts are summed apart, so that a complex integrand
+    # with zero imaginary part gives its real part's bits (numpy sums complex
+    # rows in another order)
+    k15 = ((vals.real * _W_K).sum(axis=1) + 1j * (vals.imag * _W_K).sum(axis=1)) * half
+    g7 = ((vals.real * _W_G).sum(axis=1) + 1j * (vals.imag * _W_G).sum(axis=1)) * half
     resabs = (np.abs(vals) * _W_K[None, :]).sum(axis=1) * np.abs(half)
     return k15, np.abs(k15 - g7), resabs
 

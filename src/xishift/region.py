@@ -95,6 +95,8 @@ def region_grid(
 ) -> list[tuple[complex, RegionVerdict]]:
     """Row-major classification of every grid node; the two membership tests
     must agree on each node off the 1e-9 boundary band."""
+    if not all(map(math.isfinite, (x_min, x_max, y_min, y_max, step))):
+        raise DomainError("grid bounds and step must be finite")
     if step <= 0:
         raise DomainError(f"step must be positive, got {step}")
     if not (x_min < x_max and y_min < y_max):

@@ -255,7 +255,7 @@ def moment_numeric(
 ) -> float:
     """Weighted sum over shifts of the numeric moment integrals, as one quadrature."""
     terms = [(c, alpha, lam) for c, lam in zip(cfg.coefficients, cfg.shifts)]
-    return _weighted_moment(m, terms, cfg.z, settings).value
+    return _weighted_moment(m, terms, cfg.z, settings, "moment_numeric").value
 
 
 def moment_series_rhs(
@@ -313,6 +313,6 @@ def moment_limit_check(
         for coef, eps in ((1.0 + r, eps2), (-r, eps1))
         for c, lam in zip(cfg.coefficients, cfg.shifts)
     ]
-    extrap = _weighted_moment(m, terms, cfg.z, eff).value
+    extrap = _weighted_moment(m, terms, cfg.z, eff, "moment_limit_check").value
     closed = moment_closed_form(m, cfg)
     return abs(extrap - closed) / (1.0 + abs(closed))

@@ -67,6 +67,8 @@ class ScanReport:
 
 
 def _grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
+    if not all(map(math.isfinite, (t_lo, t_hi, step))):
+        raise ConfigError(f"grid needs finite bounds and step, got [{t_lo}, {t_hi}] step {step}")
     if step <= 0:
         raise ConfigError(f"step must be positive, got {step}")
     if not t_lo < t_hi:
@@ -143,7 +145,7 @@ def _bisect_all(
     is the final midpoint and |f| there.  f must give each point a value that
     does not depend on its batch mates.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol}")
     lo = np.array([b.t_lo for b in brackets], dtype=float)
     hi = np.array([b.t_hi for b in brackets], dtype=float)

@@ -196,3 +196,19 @@ class TestManifest:
     def test_bad_workers(self):
         with pytest.raises(ConfigError):
             RunManifest(subcommand="eval", output_path="x", workers=0)
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--step", "nan"],
+        ["eval", "--step", "nan"],
+        ["region", "--step", "nan"],
+        ["scan", "--t-max", "inf"],
+        ["eval", "--t-min=-inf"],
+        ["scan", "--tol", "nan"],
+        ["moments", "--alpha", "nan"],
+    ])
+    def test_non_finite_argument_is_exit_3(self, argv, hardy_config, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--config", hardy_config, "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and "finite" in record["message"]
+        assert not out.exists()

@@ -2,12 +2,14 @@ import cmath
 import functools
 import math
 
+import numpy as np
 import pytest
 
 from xishift import (
     DomainError,
     EvalSettings,
     RegionError,
+    ToleranceError,
     UnsupportedOrderError,
     eta_completed,
     hyp1f1,
@@ -18,10 +20,10 @@ from xishift import (
     transform_identity_residual,
     xi_integral,
 )
-from xishift import integral
+from xishift import integral, make_config, moment_limit_check
 from xishift.integral import _weighted_moment
 from xishift.quadrature import adaptive_gk
-from xishift.specfun import eta_weighted_line, hyp1f1_vec
+from xishift.specfun import eta_line_vec, eta_weighted_line, hyp1f1_vec, xi_line_vec
 
 from ._oracles import MOMENT_HARDY_A0, TRANSFORM_SIDE_TABLE, XI_INT_HARDY
 
@@ -117,6 +119,62 @@ class TestXiIntegral:
             xi_integral(1.0, 1.3 + 0.1j)  # outside the admissible region
         with pytest.raises(DomainError):
             xi_integral(1.0, 1.2 + 1.2j)  # inside the region but |z| > 1.5
+
+
+class TestOneLineKernel:
+    """xi_integral runs as one term of the moment kernel, in tau = t/2."""
+
+    def test_xi_over_one_plus_t2_is_minus_rho_over_8(self):
+        # Xi(t/2)/(1+t^2) = -rho(t/2)/8, since s(s-1) = -(1+t^2)/4 at s = (1+it)/2
+        u = np.linspace(0.0, 200.0, 801)
+        xi_vals, _ = xi_line_vec(u)
+        rho = eta_line_vec(u)[0].real
+        assert np.all(np.abs(xi_vals / (1.0 + 4.0 * u * u) + rho / 8.0) <= 1e-14 * np.abs(rho))
+
+    @pytest.mark.parametrize("theta", [0.75, 0.77])
+    @pytest.mark.parametrize("z", [0.0, 0.1])
+    def test_transform_identity_near_the_margin(self, theta, z):
+        # e^(theta tau) on the line used to overflow where Xi had underflowed
+        a = cmath.exp(1j * theta)
+        out = xi_integral(a, z)
+        assert cmath.isfinite(out.value)
+        for side in (series_side(a, z).value, series_side(1.0 / a, 1j * z).value):
+            assert abs(out.value - side) < 1e-9
+
+    def test_one_quadrature_one_1f1_per_eta_call(self, monkeypatch):
+        calls = {"gk": 0, "eta": 0, "1f1": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(integral, "adaptive_gk", counted("gk", adaptive_gk))
+        monkeypatch.setattr(integral, "eta_weighted_line", counted("eta", eta_weighted_line))
+        monkeypatch.setattr(integral, "hyp1f1_vec", counted("1f1", hyp1f1_vec))
+        xi_integral(cmath.exp(0.3j), 0.4 + 0.1j)
+        assert calls["gk"] == 1
+        assert calls["1f1"] == calls["eta"] > 1
+
+    def test_kernel_errors_name_their_caller(self, monkeypatch):
+        # GK stopped at its initial panels misses the tolerance
+        monkeypatch.setattr(
+            integral, "adaptive_gk", functools.partial(adaptive_gk, max_panels=8)
+        )
+        with pytest.raises(ToleranceError) as info:
+            xi_integral(cmath.exp(0.3j), 0.8)
+        assert str(info.value).startswith("xi_integral(")
+        with pytest.raises(ToleranceError) as info:
+            moment_limit_check(0, make_config([1.0], [0.0], 0.0))
+        assert str(info.value).startswith("moment_limit_check(")
+
+    @pytest.mark.parametrize("alpha, lam", [
+        (math.nan, 0.0), (0.1, math.nan), (math.inf, 0.0), (0.1, -math.inf),
+    ])
+    def test_non_finite_rate_or_shift(self, alpha, lam):
+        with pytest.raises(DomainError):
+            moment_integral(0, alpha, lam, 0.0)
 
 
 class TestMomentIntegral:

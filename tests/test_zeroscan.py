@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from xishift import (
     big_xi,
     bisect,
     make_config,
+    region_grid,
     scan,
     scan_fz,
 )
@@ -238,3 +241,29 @@ class TestScanFz:
         # past t ~ 905, F_z and its error bound underflow to 0 at every node
         with pytest.raises(EvaluationError, match=r"t=1000\.0"):
             scan_fz(HARDY, 1000.0, 1010.0, 0.05, 1e-8)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("t_lo, t_hi, step", [
+        (0.0, 1.0, math.nan), (0.0, math.inf, 0.1), (-math.inf, 1.0, 0.1), (math.nan, 1.0, 0.1),
+    ])
+    def test_grid(self, t_lo, t_hi, step):
+        with pytest.raises(ConfigError, match="finite"):
+            scan(t_lo, t_hi, step, lambda t: t)
+        with pytest.raises(ConfigError, match="finite"):
+            scan_fz(HARDY, t_lo, t_hi, step, 1e-8)
+
+    def test_nan_tol(self):
+        with pytest.raises(ConfigError, match="tol"):
+            bisect(ZeroBracket(0.0, 1.0, -1.0, 1.0), lambda t: t - 0.3, math.nan)
+        with pytest.raises(ConfigError, match="tol"):
+            scan_fz(HARDY, 14.0, 14.3, 0.05, math.nan)  # one bracket, at 14.13
+
+    @pytest.mark.parametrize("bounds, step", [
+        ((-1.0, 1.0, -1.0, 1.0), math.nan),
+        ((-1.0, math.inf, -1.0, 1.0), 0.25),
+        ((-1.0, 1.0, math.nan, 1.0), 0.25),
+    ])
+    def test_region_grid(self, bounds, step):
+        with pytest.raises(DomainError, match="finite"):
+            region_grid(*bounds, step)
