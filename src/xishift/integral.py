@@ -36,7 +36,7 @@ from .errors import AccuracyError, DomainError, RegionError, ToleranceError, Uns
 from .quadrature import adaptive_gk, truncation_point
 from .region import classify_inequality
 from .settings import DEFAULT_SETTINGS, EvalSettings, require_finite
-from .specfun import MAX_EXP, em_length, eta_weighted_line, hyp1f1, hyp1f1_vec
+from .specfun import MAX_EXP, eta_weighted_line, hyp1f1, hyp1f1_vec, line_length
 
 __all__ = [
     "QuadratureResult",
@@ -142,7 +142,10 @@ def _line_integral(
     exp(i Im beta_k (tau - lam_k)).  The range covers every term's
     [-T + lam_k, T + lam_k], T from the largest |Re beta_k|, and the
     truncation target is shared out by sum |c_k|, so quad_abs_tol bounds the
-    weighted sum itself.  what names the caller in the errors raised.
+    weighted sum itself.  When every c_k and beta_k is real the integrand is
+    the real part alone (rho is real, so only Re F enters).  The length guard
+    asks the eta kernel for the direct sum its worst node runs.  what names
+    the caller in the errors raised.
     """
     if m not in (0, 1, 2):
         raise UnsupportedOrderError(f"moment order m={m} not supported (m <= 2)")
@@ -166,7 +169,7 @@ def _line_integral(
         0.025 * tol * rate / (8.0 * float(np.sum(np.abs(cs)))), 40.0,
     )
     lo, hi = -T + float(lams.min()), T + float(lams.max())
-    if em_length(complex(0.5, max(-lo, hi)), settings) > settings.max_terms:
+    if line_length(max(-lo, hi), settings) > settings.max_terms:
         raise AccuracyError(
             f"{what}: T={T:.0f} needs more zeta terms than "
             f"max_terms={settings.max_terms} allows"
@@ -179,6 +182,9 @@ def _line_integral(
             f"the term weights overflow"
         )
     w = z * z / 4.0
+    # real c_k and beta_k (every moment route): the sum is real, and GK
+    # refines only the real part the caller keeps
+    real = not (np.iscomplexobj(cs) or np.iscomplexobj(betas))
 
     def integrand(taus: np.ndarray) -> np.ndarray:
         weighted, _ = eta_weighted_line(taus, b_ref, 0.0, settings)
@@ -189,7 +195,8 @@ def _line_integral(
                 c * np.exp(d * taus - b * lam) * np.exp(1j * g * (taus - lam))
                 * ((taus - lam) ** (2 * m) if m else 1.0)
             )
-        return weighted * f1 * weight
+        values = weighted * f1 * weight
+        return values.real if real else values
 
     out = adaptive_gk(
         integrand, lo, hi, 0.9 * tol,

@@ -21,8 +21,14 @@ Zeta       : Euler-Maclaurin with Bernoulli corrections through B26 (B28
              feeds the error bound) and a direct-sum length N ~ 0.61*|s+27|
              taken from that bound; the functional equation covers
              Re(s) < 0.
+Hardy Z    : Riemann-Siegel main sum of floor(sqrt(t/2pi)) terms, theta(t)
+             from its Stirling series, phases reduced in longdouble, and the
+             corrections C_0..C_10 from a frozen table (tests/make_rs_table.py
+             derives it from the Arias de Reyna expansion).
 Eta        : pi^(-s/2) Gamma(s/2) zeta(s) with an optional log-weight fused
-             into the exponent.
+             into the exponent.  On the critical line at |t| >= RS_CROSSOVER
+             (495, where the Z estimate drops below the Euler-Maclaurin one)
+             it is pi^(-1/4) |Gamma(1/4 + it/2)| Z(|t|): real, no Gamma phase.
 1F1        : Maclaurin series over an array of a-parameters; the error
              estimate carries the tail and an explicit cancellation term
              (machine epsilon times the largest partial sum).
@@ -327,8 +333,241 @@ def zeta_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithEr
 
 
 # ---------------------------------------------------------------------------
+# Hardy Z (Riemann-Siegel)
+# ---------------------------------------------------------------------------
+
+# C_k(z) = z^(k mod 2) * sum_j _RS_COEF[k][j] z^(2j), z = 1 - 2p: the
+# Riemann-Siegel corrections, derived by tests/make_rs_table.py from the
+# Arias de Reyna expansion (mpmath's rszeta) and frozen here.
+_RS_COEF = (
+    (
+        0.3826834323650898, 0.43724046807752043, 0.1323765754803435,
+        -0.013605026047674188, -0.013567621970103581, -0.0016237253231444653,
+        0.0002970535373337969, 7.94330087952147e-05, 4.6556124614504504e-07,
+        -1.4327251630955106e-06, -1.0354847112312946e-07, 1.2357927083861738e-08,
+        1.7881083857954906e-09, -3.391414389927036e-11, -1.6326633902565907e-11,
+        -3.7851093185412205e-13, 9.327423259201725e-14, 5.221843015978137e-15,
+        -3.350673072744264e-16, -3.4124265228117265e-17, 5.751203341432399e-19,
+        1.4895301363211506e-19,
+    ),
+    (
+        0.026825102628375348, -0.013784773426351853, -0.03849125048223508,
+        -0.009871066299062077, 0.0033107597608584044, 0.0014647808577954152,
+        1.3207940624876963e-05, -5.9227487018471416e-05, -5.980242585373449e-06,
+        9.641322456169826e-07, 1.8334733722714413e-07, -4.4670875627178334e-09,
+        -2.7096350821772744e-09, -7.785288654315851e-11, 2.343762601089369e-11,
+        1.5830172789987521e-12, -1.211994157372379e-13, -1.4583781161108306e-14,
+        2.878630525813192e-16, 8.662862902123724e-17, 8.430722727137041e-19,
+        -3.6308072230973464e-19,
+    ),
+    (
+        0.005188542830293168, 0.00030946583880634744, -0.011335941078229373,
+        0.0022330457419581446, 0.00519663740886233, 0.0003439914407620834,
+        -0.0005910648427470583, -0.00010229972547935857, 2.0888392216992754e-05,
+        5.927665493096536e-06, -1.6423838362436276e-07, -1.5161199700940684e-07,
+        -5.907803698206668e-09, 2.0911514859478188e-09, 1.781564958329235e-10,
+        -1.6164072455353832e-11, -2.3806962496667617e-12, 5.398265295542595e-14,
+        1.9750142196969516e-14, 2.3332868732882633e-16, -1.118751761004808e-16,
+        -4.164009488883767e-18, 4.446081109291883e-19,
+    ),
+    (
+        0.0013397160907194568, -0.003744215136379394, 0.0013303178919321468,
+        0.0022654660765471786, -0.0009548499998506731, -0.0006010038458963604,
+        0.00010128858286776622, 6.865733449299826e-05, -5.985366791538599e-07,
+        -3.331659851239947e-06, -2.1919289102435082e-07, 7.890884245681494e-08,
+        9.414685081295262e-09, -9.57011621088348e-10, -1.8763137453470662e-10,
+        4.4378376793233995e-12, 2.242673850561735e-12, 3.6276868657352434e-14,
+        -1.7639809550821582e-14, -7.960765246786778e-16, 9.419651490589691e-17,
+        7.133103854569658e-18, -3.2899105845546245e-19,
+    ),
+    (
+        0.00046483389361763383, -0.001005660736534047, 0.00024044856573725794,
+        0.0010283086149702322, -0.0007657861071755644, -0.00020365286803084818,
+        0.0002321229049106873, 3.2602144243865195e-05, -2.5579062517949524e-05,
+        -4.107464438915745e-06, 1.1781113640371294e-06, 2.445656142248458e-07,
+        -2.3915824767344323e-08, -7.505214207035756e-09, 1.3312279416258429e-10,
+        1.344062675422562e-10, 3.513770042430486e-12, -1.519154453370392e-12,
+        -8.915417681447087e-14, 1.1195891165228536e-14, 1.0516013329914816e-15,
+        -5.1786552736466835e-17, -8.065874861916566e-18, 1.0608204530563966e-19,
+    ),
+    (
+        -0.00011343405922868681, -0.00013851558567147984, 0.0005068306017359404,
+        -0.00041222682854677667, -5.0212503923893044e-05, 0.00018583330293362498,
+        -2.750486803301064e-05, -3.156913243559333e-05, 4.2177259041220196e-06,
+        2.9158997804790636e-06, -1.5653784955844681e-07, -1.4652135593176926e-07,
+        -1.2200158650611429e-09, 4.161924475909784e-09, 2.0939812749734364e-10,
+        -7.083955086672488e-11, -6.023001444442243e-12, 7.454153644214176e-13,
+        9.432313173635468e-14, -4.63034208562233e-15, -9.637605904062081e-16,
+        1.0449402845048073e-17, 6.93872452014127e-18, 9.733002096569541e-20,
+    ),
+    (
+        3.369099840108094e-05, -0.00012182596819343517, 0.00021820650719505934,
+        -0.00016619033454413337, -3.110176899016765e-05, 0.00012085816038756387,
+        -4.51514678364552e-05, -1.8550769189257536e-05, 1.1616261484368335e-05,
+        1.5516054414965867e-06, -1.173183613638087e-06, -1.2201406611672693e-07,
+        5.938091048879949e-08, 7.0119971278102854e-09, -1.644509235965503e-09,
+        -2.413847792012177e-10, 2.588538684310006e-11, 5.11928726139503e-12,
+        -2.1541595758904304e-13, -7.134227452688869e-14, 2.8785597934103785e-16,
+        6.883513880945692e-16, 1.5208914446850878e-17, -4.760198156157085e-18,
+        -2.092936377194933e-19,
+    ),
+    (
+        -3.306239959139952e-05, 5.583801197167342e-05, -3.38757252127791e-05,
+        -3.928549915442036e-05, 7.590133889708718e-05, -3.763650752641637e-05,
+        -7.75875212898364e-06, 1.2434681009031702e-05, -1.3758660974089538e-06,
+        -1.5381436320507913e-06, 2.4692335216114254e-07, 1.1303748841071982e-07,
+        -1.4065380576820329e-08, -5.3302209994313445e-09, 3.594283526285034e-10,
+        1.609146884319826e-10, -3.4053984355486287e-12, -3.1750244960695343e-12,
+        -3.862417137390637e-14, 4.237052713611464e-14, 1.5991933724677905e-15,
+        -3.939048539223848e-16, -2.4001639971157294e-17, 2.586051085421689e-18,
+        2.2700871443308316e-19,
+    ),
+    (
+        2.4197536136117965e-06, -4.028380692676013e-06, 1.3573801583121782e-05,
+        -3.662743047420052e-05, 4.512746795456113e-05, -2.336374918075876e-05,
+        -3.79170029208223e-06, 1.025723707028558e-05, -3.1689290012248423e-06,
+        -1.0319159039853272e-06, 6.297345327606051e-07, 4.1686604881939493e-08,
+        -5.378631444658436e-08, -1.4153446763913294e-09, 2.616924263058847e-09,
+        8.632205275861301e-11, -7.863547640798744e-11, -3.981580682374462e-12,
+        1.5272973816746164e-12, 1.0788522406038325e-13, -1.9808957372871652e-14,
+        -1.8541427835015355e-15, 1.7388912945712539e-16, 2.1825209026684958e-17,
+        -1.0019236998655075e-18, -1.8578745495353616e-19,
+    ),
+    (
+        -6.884120503027345e-06, 1.3545533780523584e-05, -2.1754023152211477e-05,
+        2.199475516585996e-05, -1.0178284429930488e-05, -3.8363101444274505e-06,
+        7.919629169063572e-06, -3.5151967004321614e-06, -3.7347988972624764e-07,
+        7.600058623543953e-07, -1.1390878442965699e-07, -6.614344745943316e-08,
+        1.554004796612315e-08, 3.623234093309804e-09, -8.813175526299378e-10,
+        -1.4670998190011627e-10, 2.7908712271236326e-11, 4.3686394460535956e-12,
+        -5.397389908013263e-13, -9.262633460098316e-14, 6.5431349032226816e-15,
+        1.3980829940397601e-15, -4.684257177175832e-17, -1.532698984815314e-17,
+        1.1174990187544544e-19, 1.2504120718383387e-19,
+    ),
+    (
+        -2.000102517333251e-07, 2.747875445600471e-06, -6.35390175448108e-06,
+        6.1092144657038735e-06, -1.044389166713013e-06, -4.724591519145358e-06,
+        6.0374952925265806e-06, -3.008799217853451e-06, -1.7387368046207477e-09,
+        7.045817097395811e-07, -2.4463828333826787e-07, -3.66481905815922e-08,
+        3.3351927670915355e-08, -7.74280847239686e-10, -2.2372533367446277e-09,
+        1.3484634487797551e-10, 9.524581564195606e-11, -5.1354811812690146e-12,
+        -2.77257974107068e-12, 9.021412028490195e-14, 5.664873232773137e-14,
+        -5.443966659049589e-16, -8.286994363830809e-16, -8.777077856500683e-18,
+        8.862918884245353e-18, 2.487338937487722e-19,
+    ),
+)
+_RS_K = len(_RS_COEF) - 1
+_RS_WIDTH = max(map(len, _RS_COEF))
+# row j: the z^(2j) coefficient of every C_k, zero-padded
+_RS_TABLE = np.array([row + (0.0,) * (_RS_WIDTH - len(row)) for row in _RS_COEF]).T
+# |Z - Z_K| <= _RS_TAIL a^-(K + 3/2): twice a^(-1/2) times the truncation
+# bound 3 c Gamma((K+1)/2) (2a)^-(K+1), c = 3/(sqrt(2) pi), that mpmath's
+# rszeta uses at sigma = 1/2 (Arias de Reyna 2011)
+_RS_TAIL = (6.0 * 3.0 / (math.sqrt(2.0) * math.pi) * math.gamma((_RS_K + 1) / 2.0)
+            / 2.0 ** (_RS_K + 1))
+# lowest height at which the Z kernel's error estimate is no larger than the
+# Euler-Maclaurin zeta estimate (default settings); tests/test_specfun.py
+# recomputes it
+RS_CROSSOVER = 495.0
+# theta(t) - (t/2) ln(t/2pi) + t/2 + pi/8 = sum_k (1 - 2^(1-2k)) |B_2k| / (4k(2k-1) t^(2k-1))
+_THETA_COEF = tuple(
+    float((1 - Fraction(1, 2 ** (2 * k - 1))) * abs(_BERNOULLI[k - 1]) / (4 * k * (2 * k - 1)))
+    for k in (1, 2, 3)
+)
+# the phases are reduced in extended precision where numpy's longdouble has it
+_LD_EPS = float(np.finfo(np.longdouble).eps)
+_TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
+_RS_CHUNK = 1 << 18  # entries per block of the main sum
+
+
+def rs_length(t) -> np.ndarray:
+    """Riemann-Siegel main-sum length floor(sqrt(|t|/2pi)) at height t."""
+    return np.floor(np.sqrt(np.abs(np.asarray(t, dtype=float)) / (2.0 * math.pi)))
+
+
+def line_length(t_max: float, settings: EvalSettings = DEFAULT_SETTINGS) -> float:
+    """Longest direct sum the eta kernel runs for any 1/2 + i tau, |tau| <= t_max."""
+    em = em_length(complex(0.5, min(t_max, RS_CROSSOVER)), settings)
+    return max(float(em), float(rs_length(t_max)))
+
+
+def _rs_corrections(p: np.ndarray) -> np.ndarray:
+    """C_0(p) ... C_K(p) as rows: Horner in z^2 for every C_k at once, z = 1 - 2p."""
+    z = 1.0 - 2.0 * p
+    w = z * z
+    ck = np.zeros((_RS_K + 1,) + p.shape)
+    for col in _RS_TABLE[::-1]:
+        ck *= w
+        ck += col[:, None]
+    ck[1::2] *= z
+    return ck
+
+
+def _hardy_z(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hardy's Z(t) for real t > 0 by Riemann-Siegel with C_0..C_K: (values, errors).
+
+    Main sum 2 sum_{n<=N} n^(-1/2) cos(theta - t ln n), N = floor(a),
+    a = sqrt(t/2pi), with theta from its Stirling series and each phase reduced
+    mod 2pi in longdouble before the cosine; each point's terms are added left
+    to right (padding adds exact zeros), so its value does not depend on its
+    batch.  The error estimate is the tail bound plus the rounding of the
+    phases, of the sum and of the corrections.
+    """
+    tl = t.astype(np.longdouble)
+    a_ld = np.sqrt(tl / _TWO_PI_LD)
+    n_main = np.floor(a_ld)
+    p = (a_ld - n_main).astype(float)
+    a = a_ld.astype(float)
+    stirling = (_THETA_COEF[0] + (_THETA_COEF[1] + _THETA_COEF[2] / t**2) / t**2) / t
+    theta = tl * (np.log(a_ld) - 0.5) - _TWO_PI_LD / 16 + stirling
+    n_max = int(n_main.max())
+    n = np.arange(1.0, n_max + 1.0)[:, None]
+    log_n = np.log(n.astype(np.longdouble))
+    main = np.empty(t.shape)
+    chunk = max(1, _RS_CHUNK // n_max)
+    for lo in range(0, t.size, chunk):
+        sl = slice(lo, lo + chunk)
+        phase = theta[sl] - log_n * tl[sl]
+        phase -= _TWO_PI_LD * np.rint(phase / _TWO_PI_LD)
+        terms = np.cos(phase.astype(float))
+        terms *= np.where(n <= n_main[sl], 2.0 / np.sqrt(n), 0.0)
+        main[sl] = np.add.accumulate(terms, out=terms)[-1]
+    ck = _rs_corrections(p)
+    corr = ck[_RS_K]
+    for k in range(_RS_K - 1, -1, -1):
+        corr = corr / a + ck[k]
+    nf = n_main.astype(float)
+    sign = 1.0 - 2.0 * ((nf - 1.0) % 2.0)  # (-1)^(N-1)
+    value = main + sign * corr / np.sqrt(a)
+    # rounding: each phase is off by a few longdouble ulps of |theta| + t ln n
+    # before its reduction and by a few double ulps after it; the sum by N
+    # double ulps of sum_{n<=N} 2 n^(-1/2) <= 4 sqrt(N)
+    phase_err = 4.0 * _LD_EPS * (np.abs(theta.astype(float)) + t * np.log(nf)) + 2.0 * EPS
+    err = (_RS_TAIL * a ** -(_RS_K + 1.5) + 4.0 * np.sqrt(nf) * (phase_err + nf * EPS)
+           + 4.0 * EPS / np.sqrt(a))
+    return value, err
+
+
+# ---------------------------------------------------------------------------
 # Completed zeta and the xi family
 # ---------------------------------------------------------------------------
+
+def _eta_em(s: np.ndarray, settings: EvalSettings, log_weight) -> tuple[np.ndarray, np.ndarray]:
+    """exp(log_weight) pi^(-s/2) Gamma(s/2) zeta(s) with zeta by Euler-Maclaurin."""
+    zv, ze = zeta_vec(s, settings)
+    lg, g_rel = _loggamma_vec(s / 2)
+    pref = np.exp(log_weight - s / 2 * LN_PI + lg)
+    return pref * zv, np.abs(pref) * (ze + np.abs(zv) * g_rel)
+
+
+def _eta_rs(t: np.ndarray, log_weight) -> tuple[np.ndarray, np.ndarray]:
+    """exp(log_weight) eta(1/2 + it) = exp(log_weight) pi^(-1/4) |Gamma(1/4 + it/2)| Z(|t|),
+    real by construction: no Gamma phase enters."""
+    zv, ze = _hardy_z(np.abs(t))
+    lg, g_rel = _loggamma_vec(0.25 + 0.5j * t)
+    pref = np.exp(log_weight + lg.real - 0.25 * LN_PI)
+    return pref * zv, pref * (ze + np.abs(zv) * g_rel)
+
 
 def _eta_vec(
     s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS, log_weight=0.0
@@ -337,11 +576,24 @@ def _eta_vec(
 
     The log-weight enters the exponent first: a weight exp(alpha t) that grows
     while eta decays like exp(-pi|t|/4) on the line never meets it as 0 * inf.
+    Points on the critical line at |t| >= RS_CROSSOVER take the Hardy Z
+    kernel (while its main sum fits max_terms); every other point takes
+    Euler-Maclaurin zeta.
     """
-    zv, ze = zeta_vec(s, settings)
-    lg, g_rel = _loggamma_vec(s / 2)
-    pref = np.exp(log_weight - s / 2 * LN_PI + lg)
-    return pref * zv, np.abs(pref) * (ze + np.abs(zv) * g_rel)
+    s = np.asarray(s, dtype=complex)
+    rs = np.abs(s.imag) >= RS_CROSSOVER
+    if rs.any():
+        rs &= (s.real == 0.5) & (rs_length(s.imag) <= settings.max_terms)
+        if rs.any():
+            lw = np.broadcast_to(log_weight, s.shape)
+            vals = np.empty(s.shape, dtype=complex)
+            errs = np.empty(s.shape)
+            vals[rs], errs[rs] = _eta_rs(s.imag[rs], lw[rs])
+            em = ~rs
+            if em.any():
+                vals[em], errs[em] = _eta_em(s[em], settings, lw[em])
+            return vals, errs
+    return _eta_em(s, settings, log_weight)
 
 
 def eta_completed(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithError:

@@ -20,10 +20,10 @@ from xishift import (
     transform_identity_residual,
     xi_integral,
 )
-from xishift import integral, make_config, moment_limit_check
+from xishift import integral, make_config, moment_limit_check, shifts
 from xishift.integral import _weighted_moment
 from xishift.quadrature import adaptive_gk
-from xishift.specfun import eta_line_vec, eta_weighted_line, hyp1f1_vec, xi_line_vec
+from xishift.specfun import em_length, eta_line_vec, eta_weighted_line, hyp1f1_vec, xi_line_vec
 
 from ._oracles import MOMENT_HARDY_A0, TRANSFORM_SIDE_TABLE, XI_INT_HARDY
 
@@ -168,6 +168,40 @@ class TestOneLineKernel:
         with pytest.raises(ToleranceError) as info:
             moment_limit_check(0, make_config([1.0], [0.0], 0.0))
         assert str(info.value).startswith("moment_limit_check(")
+
+    def test_moment_route_integrates_the_real_part(self, monkeypatch):
+        dtypes = []
+
+        def spy(f, *args, **kwargs):
+            def recorded(x):
+                out = f(x)
+                dtypes.append(out.dtype)
+                return out
+            return adaptive_gk(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(integral, "adaptive_gk", spy)
+        moment_limit_check(0, make_config([1.0, 0.5], [0.0, 1.0], 0.3 - 0.2j))
+        assert dtypes and set(dtypes) == {np.dtype(float)}
+        dtypes.clear()
+        xi_integral(cmath.exp(0.2j), 0.4 + 0.1j)
+        assert dtypes and set(dtypes) == {np.dtype(complex)}
+
+    def test_length_guard_counts_the_kernel_that_runs(self, monkeypatch):
+        # Euler-Maclaurin alone would need more than 1000 terms at the far
+        # end of the Hardy m = 0 limit check; the Z kernel runs there
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(_weighted_moment(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(shifts, "_weighted_moment", spy)
+        hardy = make_config([1.0], [0.0], 0.0)
+        moment_limit_check(0, hardy, EvalSettings(max_terms=1000))
+        moment_limit_check(0, hardy)
+        capped, full = results
+        assert em_length(complex(0.5, capped.truncation_T), EvalSettings()) > 1000
+        assert abs(capped.value - full.value) <= capped.abs_err_est + full.abs_err_est
 
     @pytest.mark.parametrize("alpha, lam", [
         (math.nan, 0.0), (0.1, math.nan), (math.inf, 0.0), (0.1, -math.inf),

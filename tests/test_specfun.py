@@ -27,6 +27,7 @@ from ._oracles import (
     GAMMA_QUARTER,
     GAMMA_TABLE,
     HYP1F1_TABLE,
+    SIEGEL_Z,
     XI_HALF,
     ZETA_HALF,
     ZETA_LINE_HIGH,
@@ -171,6 +172,82 @@ class TestZetaKernel:
             v, e = specfun.zeta_vec(s[i:i + 1], settings)
             assert v[0].tobytes() == vals[i].tobytes(), ts[i]
             assert e[0].tobytes() == errs[i].tobytes(), ts[i]
+
+
+class TestHardyZ:
+    """The Riemann-Siegel Z kernel the eta kernel runs on the critical line
+    at |t| >= RS_CROSSOVER, against frozen mpmath values and against the
+    Euler-Maclaurin route it replaces there."""
+
+    def test_vs_siegelz_and_error_honesty(self):
+        ts = np.array(list(SIEGEL_Z))
+        assert ts.min() == specfun.RS_CROSSOVER and ts.max() == 1e5
+        vals, errs = specfun._hardy_z(ts)
+        for t, v, e in zip(ts, vals, errs):
+            assert abs(v - SIEGEL_Z[t]) <= e, t
+            assert e <= 1e-9, t
+
+    def test_crossover_is_lowest_height_where_z_estimate_wins(self):
+        # whole heights: the Z estimate first drops to the Euler-Maclaurin
+        # one at RS_CROSSOVER and stays below it from there on
+        ts = np.arange(300.0, 3001.0)
+        _, em = specfun.zeta_vec(0.5 + 1j * ts)
+        _, rs = specfun._hardy_z(ts)
+        wins = rs <= em
+        assert ts[np.argmax(wins)] == specfun.RS_CROSSOVER
+        assert wins[ts >= specfun.RS_CROSSOVER].all()
+        assert specfun.RS_CROSSOVER > 450.0  # benchmark scans stay on Euler-Maclaurin
+
+    def test_both_routes_agree_across_the_crossover(self):
+        ts = np.linspace(specfun.RS_CROSSOVER - 25.0, specfun.RS_CROSSOVER + 400.0, 301)
+        weight = 0.7 * ts
+        v_rs, e_rs = specfun._eta_rs(ts, weight)
+        v_em, e_em = specfun._eta_em(0.5 + 1j * ts, EvalSettings(), weight)
+        assert (np.abs(v_rs - v_em) <= e_rs + e_em).all()
+
+    def test_eta_takes_z_kernel_on_the_line_only(self):
+        x = specfun.RS_CROSSOVER
+        s = np.array([0.5 + 1j * (x - 1.0), 0.5 + 1j * x, 0.5 - 1j * (x + 7.0), 0.6 + 1j * x])
+        vals, errs = specfun._eta_vec(s)
+        v_rs, e_rs = specfun._eta_rs(s.imag[1:3], 0.0)
+        v_em, e_em = specfun._eta_em(s[[0, 3]], EvalSettings(), 0.0)
+        assert vals[1:3].tobytes() == v_rs.astype(complex).tobytes()
+        assert errs[1:3].tobytes() == e_rs.tobytes()
+        assert vals[[0, 3]].tobytes() == v_em.tobytes()
+        assert errs[[0, 3]].tobytes() == e_em.tobytes()
+        assert (vals[1:3].imag == 0.0).all()
+
+    def test_point_alone_equals_point_in_batch(self):
+        # main sums of many lengths in one batch, on both sides of the crossover
+        rng = np.random.default_rng(17)
+        ts = np.concatenate((rng.uniform(0.0, 6000.0, 600), rng.uniform(480.0, 520.0, 100)))
+        vals, errs = specfun.eta_weighted_line(ts, 0.6, 0.0)
+        assert len(np.unique(specfun.rs_length(ts[ts >= specfun.RS_CROSSOVER]))) >= 15
+        for i in list(range(0, 700, 23)) + [699]:
+            v, e = specfun.eta_weighted_line(ts[i:i + 1], 0.6, 0.0)
+            assert v[0].tobytes() == vals[i].tobytes(), ts[i]
+            assert e[0].tobytes() == errs[i].tobytes(), ts[i]
+
+    def test_rho_real_equals_batch_point(self):
+        ts = np.array([600.25, -640.5, 700.0, 495.0, 300.0, 870.0])
+        vals, _ = specfun.eta_line_vec(ts)
+        for t, v in zip(ts, vals):
+            assert rho_real(float(t)) == v.real, t
+
+    def test_c0_closed_form(self):
+        # avoid p = 1/4, 3/4, where the closed form is 0/0
+        p = np.concatenate((np.linspace(0.0, 0.22, 17), np.linspace(0.28, 0.72, 17),
+                            np.linspace(0.78, 1.0, 16)))
+        c0 = specfun._rs_corrections(p)[0]
+        closed = np.cos(2 * np.pi * (p * p - p - 1.0 / 16.0)) / np.cos(2 * np.pi * p)
+        assert len(p) == 50
+        assert np.abs(c0 - closed).max() <= 1e-14
+
+    def test_table_rows_regenerate(self):
+        pytest.importorskip("mpmath")
+        from .make_rs_table import table_rows
+
+        assert table_rows(1) == specfun._RS_COEF[:2]
 
 
 class TestZetaVecDomain:

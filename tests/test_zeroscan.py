@@ -19,9 +19,10 @@ from xishift import (
 )
 from xishift import zeroscan
 from xishift.shifts import f_z_critical, fz_line_vec
+from xishift.specfun import RS_CROSSOVER
 from xishift.zeroscan import report_csv_bytes, report_json_bytes
 
-from ._oracles import ZETA_ZEROS, ZETA_ZEROS_480
+from ._oracles import ZETA_ZEROS, ZETA_ZEROS_480, ZETA_ZEROS_HIGH
 
 HARDY = make_config([1.0], [0.0], 0.0)
 EXHIBIT = make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j)
@@ -236,6 +237,14 @@ class TestScanFz:
         assert len(rep.zeros) == len(ZETA_ZEROS_480)
         for hit, ref in zip(rep.zeros, ZETA_ZEROS_480):
             assert abs(hit.t - ref) < 1e-6
+
+    def test_hardy_to_860_across_the_crossover(self):
+        # 537 = N(860); above RS_CROSSOVER the Z kernel gives the values
+        rep = scan_fz(HARDY, 0.0, 860.0, 0.05, 1e-9)
+        assert len(rep.zeros) == 537
+        high = [hit.t for hit in rep.zeros if hit.t >= RS_CROSSOVER]
+        assert len(high) == len(ZETA_ZEROS_HIGH)
+        assert max(abs(t - ref) for t, ref in zip(high, ZETA_ZEROS_HIGH)) <= 1e-8
 
     def test_underflow_raises_with_t(self):
         # past t ~ 905, F_z and its error bound underflow to 0 at every node
