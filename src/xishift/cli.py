@@ -28,7 +28,7 @@ import numpy as np
 from . import integral, region, theta, zeroscan
 from . import shifts as shifts_mod
 from .errors import ConfigError, ParseError, XishiftError
-from .settings import DEFAULT_SETTINGS, EvalSettings
+from .settings import DEFAULT_SETTINGS, EvalSettings, reality_bound
 
 __all__ = ["RunManifest", "parse_config", "run", "main"]
 
@@ -127,7 +127,7 @@ def _cmd_eval(man: RunManifest, cfg: shifts_mod.ShiftConfig):
         {"t": float(t), "f": float(v), "im_residual": float(r), "abs_err_est": float(e)}
         for t, v, r, e in zip(ts, re, im, err)
     ]
-    passed = bool(np.all(np.abs(im) <= 1e-9 * (1.0 + np.hypot(re, im))))
+    passed = bool(np.all(np.abs(im) <= reality_bound(re, im)))
     return ["t", "f", "im_residual", "abs_err_est"], rows, passed, {
         "t_min": t_lo, "t_max": t_hi, "step": step,
     }

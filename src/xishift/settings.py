@@ -1,13 +1,14 @@
-"""Evaluation settings and the value-plus-error-bound result type."""
+"""Evaluation settings, the value-plus-error-bound result type and the shared numeric rules."""
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, SymmetryError
 
 # the one underflow floor, for scalar results and scan nodes alike (underflowed)
 UNDERFLOW_FLOOR = 5e-300
@@ -62,6 +63,21 @@ def underflowed(values, errs) -> np.ndarray:
     """Where |value| and 4*err both fell below UNDERFLOW_FLOOR: there the value
     has underflowed and says nothing about the sign or size of the function."""
     return (np.abs(values) <= UNDERFLOW_FLOOR) & (4.0 * np.asarray(errs) < UNDERFLOW_FLOOR)
+
+
+def reality_bound(re, im):
+    """1e-9 (1 + |re + i im|): the largest imaginary residue a real result may carry."""
+    return 1e-9 * (1.0 + np.hypot(re, im))
+
+
+def require_real(re, im, name: Callable[[int], str]) -> None:
+    """SymmetryError at the point whose imaginary residue most exceeds its
+    reality_bound; name(i) names point i in the message."""
+    bound = reality_bound(re, im)
+    if (np.abs(im) > bound).any():
+        i = int(np.argmax(np.abs(im) - bound))
+        raise SymmetryError(f"{name(i)}: imaginary residue {np.ravel(im)[i]:.3e} "
+                            f"exceeds {np.ravel(bound)[i]:.3e}")
 
 
 def checked_value(value: complex, err: float, context: str) -> ValueWithError:

@@ -5,9 +5,12 @@ For a finite list of nonzero weights c_j and distinct real shifts lam_j,
     F_z(s) = sum_j c_j eta(s + i lam_j) { 1F1((1-(s+i lam_j))/2; 1/2; z^2/4)
                                         + 1F1((1-(conj(s)-i lam_j))/2; 1/2; conj(z)^2/4) }
 
-is real on the critical line: there the second confluent factor is the
-conjugate of the first and eta reduces to the real function rho.  The moment
-side computes both routes of the limit identity
+1F1 has real b = 1/2, so the second confluent factor is the conjugate of the
+first at every s and each bracket is 2 Re of one 1F1.  One kernel evaluates
+every shift and point of a call with one eta call and one 1F1 call; f_z and
+fz_line_vec wrap it.  On the critical line eta reduces to the real function
+rho, so F_z is real there.  The moment side computes both routes of the
+limit identity
 
     lim_{alpha->pi/4} Int t^(2m) e^(alpha t) F_z(1/2+it)/2 dt
         = -4 pi w_z sum_j c_j e^(-pi lam_j/4) r_j^(2m) cos(pi/8 + beta_z + 2m theta_j)
@@ -27,11 +30,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, PoleError, SymmetryError
+from .errors import ConfigError, DegenerateError, PoleError
 from .integral import _weighted_moment
 from .region import classify_inequality
-from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, checked_value
-from .specfun import _eta_vec, eta_line_vec, hyp1f1_vec
+from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, checked_value, require_real
+from .specfun import _eta_vec, hyp1f1_vec
 from .theta import psi1_alpha_derivative
 
 __all__ = [
@@ -138,30 +141,36 @@ def dominant_index(cfg: ShiftConfig) -> int:
 # F_z itself
 # ---------------------------------------------------------------------------
 
+def _fz_vec(
+    s: np.ndarray, cfg: ShiftConfig, settings: EvalSettings = DEFAULT_SETTINGS
+) -> tuple[np.ndarray, np.ndarray]:
+    """F_z at an array of points: (values, errors).  Every s + i lam_j goes
+    through one eta call and one 1F1 call; the builtin sum adds the shift rows
+    in order (np.sum would pair them), so no point depends on its batch."""
+    s = np.asarray(s, dtype=complex)
+    s_j = s.ravel() + 1j * np.array(cfg.shifts)[:, None]  # (shift, point) table
+    ev, ee = (x.reshape(s_j.shape) for x in _eta_vec(s_j.ravel(), settings))
+    f_a, e_a = hyp1f1_vec((1.0 - s_j) / 2.0, 0.5, cfg.z * cfg.z / 4.0, settings)
+    bracket = 2.0 * f_a.real
+    c = np.array(cfg.coefficients)[:, None]
+    total = sum(c * ev * bracket)
+    err = sum(np.abs(c) * (ee * np.abs(bracket) + np.abs(ev) * 2.0 * e_a))
+    if cfg.tail_bound:
+        err += cfg.tail_bound * (np.abs(ev) * np.abs(bracket)).max(axis=0)
+    return total.reshape(s.shape), err.reshape(s.shape)
+
+
 def f_z(
     s: complex, cfg: ShiftConfig, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> ValueWithError:
-    """The finite weighted sum defining F_z at a general complex point.
-
-    All shifts go through one eta kernel call and one 1F1 call per
-    confluent factor.
-    """
-    s, z = complex(s), complex(cfg.z)
-    w_a = z * z / 4.0
-    c, lam = np.array(cfg.coefficients), np.array(cfg.shifts)
-    s_j = s + 1j * lam
-    pole = (s_j == 0) | (s_j == 1)
-    if pole.any():
-        raise PoleError(f"shifted argument s + i*{lam[pole][0]:g} hits a pole of eta")
-    ev, ee = _eta_vec(s_j, settings)
-    f_a, e_a = hyp1f1_vec((1.0 - s_j) / 2.0, 0.5, w_a, settings)
-    f_b, e_b = hyp1f1_vec(
-        (1.0 - (s.conjugate() - 1j * lam)) / 2.0, 0.5, w_a.conjugate(), settings
-    )
-    bracket = f_a + f_b
-    err = np.sum(np.abs(c) * (ee * np.abs(bracket) + np.abs(ev) * (e_a + e_b)))
-    err += cfg.tail_bound * np.max(np.abs(ev) * np.abs(bracket))
-    return checked_value(np.sum(c * ev * bracket), err, f"f_z({s})")
+    """F_z at a general complex point.  The poles s + i lam_j in {0, 1} lie off
+    the critical line, so only this entry checks for them."""
+    s = complex(s)
+    for lam in cfg.shifts:
+        if s + 1j * lam in (0, 1):
+            raise PoleError(f"shifted argument s + i*{lam:g} hits a pole of eta")
+    v, e = _fz_vec(np.array([s]), cfg, settings)
+    return checked_value(v[0], e[0], f"f_z({s})")
 
 
 def fz_line_vec(
@@ -169,25 +178,10 @@ def fz_line_vec(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F_z(1/2 + i t) on a real grid: (real part, imaginary residue, error).
 
-    On the critical line the bracket equals twice the real part of the first
-    confluent factor, so the imaginary residue comes from eta alone and
-    measures how well the kernel preserves the reality symmetry.
+    The bracket is real, so the residue comes from eta alone and measures how
+    well the kernel preserves the reality symmetry.
     """
-    t = np.asarray(t, dtype=float)
-    z = complex(cfg.z)
-    w_a = z * z / 4.0
-    total = np.zeros(t.shape, dtype=complex)
-    err = np.zeros(t.shape, dtype=float)
-    max_term = np.zeros(t.shape, dtype=float)
-    for c, lam in zip(cfg.coefficients, cfg.shifts):
-        tau = t + lam
-        eta_vals, eta_errs = eta_line_vec(tau, settings)
-        f_a, f_errs = hyp1f1_vec((1.0 - 2j * tau) / 4.0, 0.5, w_a, settings)
-        bracket = 2.0 * f_a.real
-        total += c * eta_vals * bracket
-        err += abs(c) * (eta_errs * np.abs(bracket) + np.abs(eta_vals) * 2.0 * f_errs)
-        np.maximum(max_term, np.abs(eta_vals) * np.abs(bracket), out=max_term)
-    err += cfg.tail_bound * max_term
+    total, err = _fz_vec(0.5 + 1j * np.asarray(t, dtype=float), cfg, settings)
     return total.real, total.imag, err
 
 
@@ -196,13 +190,8 @@ def f_z_critical(
 ) -> float:
     """F_z(1/2 + i t) as a real number; SymmetryError if reality fails."""
     re, im, _ = fz_line_vec(np.array([float(t)]), cfg, settings)
-    value, residue = float(re[0]), float(im[0])
-    bound = 1e-9 * (1.0 + math.hypot(value, residue))
-    if abs(residue) > bound:
-        raise SymmetryError(
-            f"f_z_critical(t={t}): imaginary residue {residue:.3e} exceeds {bound:.3e}"
-        )
-    return value
+    require_real(re, im, lambda _: f"f_z_critical(t={t})")
+    return float(re[0])
 
 
 # ---------------------------------------------------------------------------

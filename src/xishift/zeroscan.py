@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError, MaxIterError, SymmetryError, XishiftError
-from .settings import DEFAULT_SETTINGS, UNDERFLOW_FLOOR, EvalSettings, underflowed
+from .errors import ConfigError, EvaluationError, MaxIterError, XishiftError
+from .settings import DEFAULT_SETTINGS, UNDERFLOW_FLOOR, EvalSettings, require_real, underflowed
 from .shifts import ShiftConfig, fz_line_vec, validate_config
 
 __all__ = ["ZeroBracket", "ZeroHit", "ScanReport", "scan", "bisect", "scan_fz",
@@ -196,13 +196,7 @@ def _fz_real(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re F_z(1/2+it) and its error bound; SymmetryError if a point fails reality."""
     re, im, err = fz_line_vec(ts, cfg, settings)
-    bound = 1e-9 * (1.0 + np.hypot(re, im))
-    if (np.abs(im) > bound).any():
-        worst = int(np.argmax(np.abs(im) - bound))
-        raise SymmetryError(
-            f"imaginary residue {im[worst]:.3e} at t={float(ts[worst])!r} "
-            f"exceeds its reality bound"
-        )
+    require_real(re, im, lambda i: f"t={float(ts[i])!r}")
     return re, err
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from xishift import (
     EvaluationError,
     PoleError,
     ShiftConfig,
+    SymmetryError,
     eta_completed,
     f_z,
     f_z_critical,
@@ -27,7 +29,7 @@ from xishift import (
     polar_shift,
     validate_config,
 )
-from xishift import integral
+from xishift import integral, shifts, specfun
 from xishift.quadrature import GKOutcome, adaptive_gk
 from xishift.shifts import dominant_index, fz_line_vec
 
@@ -134,6 +136,50 @@ class TestFz:
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
+def _count_calls(monkeypatch, fn, counts: dict, key: str) -> None:
+    """Count calls of fn through every xishift module attribute bound to it."""
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("xishift"):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+
+
+class TestOneKernel:
+    """f_z and fz_line_vec are one kernel: every shift and point of a call
+    through one eta call and one 1F1 call."""
+
+    EXHIBIT = make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j)
+
+    def _counts(self, monkeypatch) -> dict:
+        counts = {"eta": 0, "1f1": 0}
+        _count_calls(monkeypatch, specfun._eta_vec, counts, "eta")
+        _count_calls(monkeypatch, specfun.hyp1f1_vec, counts, "1f1")
+        return counts
+
+    def test_line_call_counts(self, monkeypatch):
+        counts = self._counts(monkeypatch)
+        fz_line_vec(np.linspace(0.0, 60.0, 7), self.EXHIBIT)
+        assert counts == {"eta": 1, "1f1": 1}
+
+    def test_general_point_call_counts(self, monkeypatch):
+        counts = self._counts(monkeypatch)
+        f_z(0.3 + 7.0j, self.EXHIBIT)
+        assert counts == {"eta": 1, "1f1": 1}
+
+    def test_line_is_the_kernel_on_the_line(self):
+        ts = np.array([0.0, 3.7, 14.0, 100.3, 600.0])
+        re, im, err = fz_line_vec(ts, self.EXHIBIT)
+        for t, r, i, e in zip(ts, re, im, err):
+            got = f_z(complex(0.5, t), self.EXHIBIT)
+            assert (got.value, got.abs_err_est) == (complex(r, i), e), t
+
+
 class TestCriticalLine:
     def test_hardy_vanishes_at_zeta_zero(self):
         assert abs(f_z_critical(ZETA_ZEROS[0], HARDY)) < 1e-5
@@ -150,6 +196,15 @@ class TestCriticalLine:
             ts = np.linspace(0.0, 40.0, 401)
             re, im, _ = fz_line_vec(ts, cfg)
             assert np.all(np.abs(im) <= 1e-9 * (1.0 + np.hypot(re, im))), cfg
+
+    def test_reality_failure_names_t(self, monkeypatch):
+        def skewed(t, cfg, settings):
+            re, im, err = fz_line_vec(t, cfg, settings)
+            return re, im + 1e-3, err
+
+        monkeypatch.setattr(shifts, "fz_line_vec", skewed)
+        with pytest.raises(SymmetryError, match=r"t=2\.5"):
+            f_z_critical(2.5, TWO_TERM)
 
     def test_term_cross_check(self):
         cfg = make_config([1.0, -0.5], [0.2, 0.9], 0.5 + 0.25j)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,20 +14,24 @@ from xishift import (
     PoleError,
     big_xi,
     eta_completed,
+    f_z,
     gamma_c,
     hyp1f1,
     hyp1f1_asym_residual,
+    make_config,
     rho_real,
     xi_c,
     zeta_c,
 )
 from xishift import specfun
+from xishift.shifts import _fz_vec
 
 from ._oracles import (
     GAMMA_FAR_LEFT,
     GAMMA_QUARTER,
     GAMMA_TABLE,
     HYP1F1_TABLE,
+    LOGGAMMA_LINE,
     SIEGEL_Z,
     XI_HALF,
     ZETA_HALF,
@@ -94,6 +99,15 @@ class TestGamma:
     def test_underflow_raises(self):
         with pytest.raises(EvaluationError, match=r"-200\.5"):
             gamma_c(-200.5 + 0.3j)
+
+    def test_log_gamma_bound_high_on_the_line(self):
+        # the rounding of log Gamma grows with its magnitude ~ (t/2) ln t; a
+        # fixed relative bound understates it from t ~ 1e3 on
+        ts = np.array(list(LOGGAMMA_LINE))
+        lg, rel = specfun._loggamma_vec(0.25 + 0.5j * ts)
+        for t, got, bound in zip(ts, lg, rel):
+            assert abs(got - LOGGAMMA_LINE[t]) <= bound, t
+            assert bound <= 1e-9, t
 
 
 class TestZeta:
@@ -172,6 +186,27 @@ class TestZetaKernel:
             v, e = specfun.zeta_vec(s[i:i + 1], settings)
             assert v[0].tobytes() == vals[i].tobytes(), ts[i]
             assert e[0].tobytes() == errs[i].tobytes(), ts[i]
+
+
+    def test_direct_sum_holds_one_block(self):
+        # one reused buffer: the peak stays near one block however many
+        # blocks the batch spans
+        settings = EvalSettings()
+        s = 0.5 + 1j * np.linspace(440.0, 460.0, 8)
+        ladder = specfun._em_ladder(settings.em_terms, settings.max_terms)
+        n_direct = min(n for n in ladder if n >= specfun.em_length(s, settings).max())
+        assert n_direct >= specfun.em_length(s, settings).min()  # one ladder group
+        chunk = specfun._EM_CHUNK // n_direct
+        block_bytes = chunk * (n_direct - 1) * 16
+        s = 0.5 + 1j * np.linspace(440.0, 460.0, 2 * chunk + chunk // 2)
+        specfun.zeta_vec(s[:1], settings)  # first-call imports stay out of the trace
+        tracemalloc.start()
+        try:
+            specfun.zeta_vec(s, settings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * block_bytes, (peak, block_bytes)
 
 
 class TestHardyZ:
@@ -309,6 +344,14 @@ class TestWrapperEqualsKernel:
         for s, v, e in zip(points, vals, errs):
             got = eta_completed(s)
             assert (got.value, got.abs_err_est) == (v, e), s
+
+    def test_f_z(self):
+        for cfg in (make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j),
+                    make_config([1.0, -0.5, 0.25, 0.3], [0.0, 1.0, 2.0, -0.5], 0.3)):
+            vals, errs = _fz_vec(np.array(self.POINTS), cfg)
+            for s, v, e in zip(self.POINTS, vals, errs):
+                got = f_z(s, cfg)
+                assert (got.value, got.abs_err_est) == (v, e), s
 
     def test_rho_real(self):
         ts = np.array([0.0, 5.1, -5.1, ZETA_ZEROS[0], 123.456, 800.0])
@@ -458,6 +501,14 @@ class TestHyp1F1:
     def test_divergence_error(self):
         with pytest.raises(DivergenceError):
             hyp1f1(1.0, 0.5, 30.0, EvalSettings(max_terms=16))
+
+    def test_any_shape(self):
+        a = (np.linspace(-12.0, 3.0, 12) + 1j * np.linspace(0.5, 40.0, 12)).reshape(3, 4)
+        vals, errs = specfun.hyp1f1_vec(a, 0.5, 0.0625 + 0.015625j)
+        flat_vals, flat_errs = specfun.hyp1f1_vec(a.ravel(), 0.5, 0.0625 + 0.015625j)
+        assert vals.shape == errs.shape == (3, 4)
+        assert vals.tobytes() == flat_vals.tobytes()
+        assert errs.tobytes() == flat_errs.tobytes()
 
 
 class TestAsymptoticResidual:

@@ -8,6 +8,7 @@ from xishift import (
     DomainError,
     EvaluationError,
     MaxIterError,
+    SymmetryError,
     ZeroBracket,
     ZeroHit,
     big_xi,
@@ -164,6 +165,15 @@ class TestBatchBisect:
         rep = scan_fz(HARDY, 10.0, 100.0, 0.05, 1e-8)
         assert len(rep.zeros) == 29  # N(100) = 29, none below 14
         assert len(calls) <= 60
+
+    def test_reality_failure_names_t(self, monkeypatch):
+        def skewed(ts, *args):
+            re, im, err = fz_line_vec(ts, *args)
+            return re, np.where(ts == 12.5, 1e-3, im), err
+
+        monkeypatch.setattr(zeroscan, "fz_line_vec", skewed)
+        with pytest.raises(SymmetryError, match=r"t=12\.5"):
+            scan_fz(HARDY, 10.0, 30.0, 0.5, 1e-8)
 
 
 class TestScanFz:
