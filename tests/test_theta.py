@@ -24,7 +24,7 @@ from xishift import (
     theta_series,
 )
 
-from ._oracles import PSI1_000, PSI_ONE, THETA_TABLE, direct_theta_sum
+from ._oracles import PSI1_000, PSI1_JETS, PSI_ONE, THETA_TABLE, direct_theta_sum
 
 RNG = np.random.default_rng(1234)
 TIGHT = EvalSettings(quad_abs_tol=1e-15)
@@ -138,6 +138,12 @@ class TestPsi1:
             0.5 + theta_series(cmath.exp(2j * alpha), 0.0, TIGHT).value
         )
         assert abs(got - ref) < 1e-14
+
+    @pytest.mark.parametrize("alpha, z, lam", list(PSI1_JETS))
+    def test_frozen_jets(self, alpha, z, lam):
+        for order, ref in enumerate(PSI1_JETS[alpha, z, lam]):
+            got = psi1_alpha_derivative(alpha, z, lam, order)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (order, got, ref)
 
     def test_order_zero_equals_psi1(self):
         args = (0.2, 0.3 + 0.1j, 0.4)
