@@ -35,7 +35,7 @@ from .integral import _weighted_moment
 from .region import classify_inequality
 from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, checked_value, require_real
 from .specfun import _eta_vec, hyp1f1_vec
-from .theta import psi1_alpha_derivative
+from .theta import _psi1_base_jet, _psi1_shifted
 
 __all__ = [
     "ShiftConfig",
@@ -257,10 +257,11 @@ def moment_series_rhs(
     """
     z = complex(cfg.z)
     ez8 = cmath.exp(z * z / 8.0)
+    base = _psi1_base_jet(alpha, z, settings)  # one theta jet for all shifts
     total = 0.0
     for c, lam in zip(cfg.coefficients, cfg.shifts):
         ps = polar_shift(lam)
-        deriv = psi1_alpha_derivative(alpha, z, lam, 2 * m, settings)
+        deriv = _psi1_shifted(base, alpha, lam, 2 * m)
         total += c * (
             -4.0
             * math.pi

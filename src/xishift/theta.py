@@ -20,8 +20,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import DivergenceError, DomainError, RegionError, UnsupportedOrderError
+from .region import classify_inequality
 from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, require_finite
 
 __all__ = [
@@ -44,69 +48,150 @@ SQRT_PI = math.sqrt(math.pi)
 _EXP_GUARD = 700.0
 
 
+# ---------------------------------------------------------------------------
+# Taylor jets: truncated power series in alpha as arrays of coefficients
+# ---------------------------------------------------------------------------
+
+_JET_LEN = 5
+_JET_FACT = np.array([math.factorial(k) for k in range(_JET_LEN)], dtype=float)
+
+
+def _j_lift(v) -> np.ndarray:
+    """A jet as is; a scalar as the jet of a constant."""
+    if isinstance(v, np.ndarray):
+        return v
+    out = np.zeros(_JET_LEN, dtype=complex)
+    out[0] = v
+    return out
+
+
+def _j_exp_of(c: complex, alpha: float) -> np.ndarray:
+    """The jet of e^{c alpha} at alpha."""
+    return cmath.exp(c * alpha) * c ** np.arange(_JET_LEN) / _JET_FACT
+
+
+def _j_mul(a, b) -> np.ndarray:
+    return np.convolve(a, b)[:_JET_LEN]
+
+
+def _j_recip(a):
+    r = np.zeros(_JET_LEN, dtype=complex)
+    r[0] = 1.0 / a[0]
+    for k in range(1, _JET_LEN):
+        r[k] = -sum(a[j] * r[k - j] for j in range(1, k + 1)) / a[0]
+    return r
+
+
+def _j_log(a):
+    out = np.zeros(_JET_LEN, dtype=complex)
+    out[0] = cmath.log(a[0])
+    for k in range(1, _JET_LEN):
+        out[k] = (a[k] - sum((j / k) * out[j] * a[k - j] for j in range(1, k))) / a[0]
+    return out
+
+
+def _j_exp(a):
+    a = a.tolist()
+    e = [cmath.exp(a[0])]
+    for k in range(1, _JET_LEN):
+        e.append(sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
+    return np.array(e)
+
+
+# ---------------------------------------------------------------------------
+# The theta kernel
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class ThetaEval:
-    """A truncated theta sum: value, terms actually used, and a tail bound."""
+    """A truncated theta sum: value, terms actually used, and a tail bound.
 
-    value: complex
+    For a jet sum, value is the jet and abs_err_est an array bounding each
+    coefficient."""
+
+    value: complex | np.ndarray
     terms_used: int
-    abs_err_est: float
+    abs_err_est: float | np.ndarray
 
 
-def _folded_theta(
-    x: complex, z: complex, log_prefactor: complex, settings: EvalSettings
-) -> ThetaEval:
-    """exp(log_prefactor) * psi(x, z) with the prefactor folded per term."""
-    if x.real <= 0:
-        raise DomainError(f"theta sum needs Re(x) > 0, got Re(x)={x.real:g}")
-    w = cmath.sqrt(math.pi * x) * z
-    decay = math.pi * x.real
-    grow = abs(w.imag)
-    p_re = log_prefactor.real
+def _folded_theta(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
+    """exp(log_prefactor) * sum_{n>=1} exp(-pi n^2 x) cos(n w), the prefactor
+    folded into every term.
+
+    x, w and log_prefactor are each a complex scalar or a jet; with any jet
+    among them the result is the jet of the sum.  The n-th exponent
+    h = log_prefactor - pi n^2 x +- i n w then has |h_j| <= n^2 a_j for j >= 1,
+    a_j = |log_prefactor_j| + pi |x_j| + |w_j|, so coefficient k of exp(h) is
+    at most |exp(h_0)| n^(2k) E_k with E the jet of exp(a) (a_0 = 0).  This
+    derivative factor grows from term n to n + 1 by at most e^(8/n), so the
+    scalar geometric tail bound carries over to every coefficient.
+    """
+    jet = any(isinstance(v, np.ndarray) for v in (x, w, log_prefactor))
+    if jet:
+        x, w, log_prefactor = (_j_lift(v) for v in (x, w, log_prefactor))
+        exp, lead = _j_exp, itemgetter(0)
+        a = np.abs(log_prefactor) + math.pi * np.abs(x) + np.abs(w)
+        a[0] = 0.0
+        envelope, powers = _j_exp(a).real, 2 * np.arange(_JET_LEN)
+    else:
+        exp, lead = cmath.exp, complex
+        envelope, powers = 1.0, 0
+    top, slope = np.max(envelope), np.max(powers)  # n^(2k) E_k <= n^slope top
+    x0, w0 = complex(lead(x)), complex(lead(w))
+    if x0.real <= 0:
+        raise DomainError(f"theta sum needs Re(x) > 0, got Re(x)={x0.real:g}")
+    decay = math.pi * x0.real
+    grow = abs(w0.imag)
+    p_re = lead(log_prefactor).real
     acc = 0.0 + 0.0j
-    noise = 0.0  # rounding: |term| * (phase size of its exponent) * eps
+    noise = 0.0  # rounding: |term| * (phase size of its exponent) * eps, / E
     tol = settings.quad_abs_tol
     n = 0
-    tail = math.inf
+    tail = math.inf  # the tail of the leading sizes; times the factor below
     eps = 2.3e-16
     while n < settings.max_terms:
         n += 1
         base = log_prefactor - math.pi * n * n * x
-        e_plus = base + 1j * n * w
-        e_minus = base - 1j * n * w
-        if e_plus.real > _EXP_GUARD or e_minus.real > _EXP_GUARD:
+        inw = 1j * n * w
+        e_plus = base + inw
+        e_minus = base - inw
+        h_plus, h_minus = lead(e_plus), lead(e_minus)
+        if h_plus.real > _EXP_GUARD or h_minus.real > _EXP_GUARD:
             raise DivergenceError(
                 f"theta term n={n} overflows: cosh growth beats the Gaussian "
-                f"factor at x={x!r}, z={z!r}"
+                f"factor at x={x0!r}, w={w0!r}"
             )
-        t_plus = cmath.exp(e_plus)
-        t_minus = cmath.exp(e_minus)
+        t_plus = exp(e_plus)
+        t_minus = exp(e_minus)
         acc += 0.5 * (t_plus + t_minus)
         noise += 0.5 * eps * (
-            abs(t_plus) * (2.0 + 0.5 * abs(e_plus.imag))
-            + abs(t_minus) * (2.0 + 0.5 * abs(e_minus.imag))
-        )
-        ratio = -decay * (2 * n + 3) + grow
+            abs(lead(t_plus)) * (2.0 + 0.5 * abs(h_plus.imag))
+            + abs(lead(t_minus)) * (2.0 + 0.5 * abs(h_minus.imag))
+        ) * n ** powers
+        ratio = -decay * (2 * n + 3) + grow + slope / (n + 1)
         if ratio < -1e-3:  # geometric tail bound applies
             r = math.exp(ratio)
             mu_next = p_re - decay * (n + 1) * (n + 1) + grow * (n + 1)
             tail = math.exp(min(mu_next, _EXP_GUARD)) / (1.0 - r)
-            if tail <= tol:
+            if tail * (n + 1) ** slope * top <= tol:
                 break
     else:
         raise DivergenceError(
-            f"theta sum at x={x!r}, z={z!r} missed tolerance {tol:g} after "
+            f"theta sum at x={x0!r}, w={w0!r} missed tolerance {tol:g} after "
             f"{settings.max_terms} terms (tail bound {tail:g})"
         )
-    require_finite(acc, "theta sum")
-    return ThetaEval(acc, n, tail + noise)
+    for v in np.ravel(acc):
+        require_finite(v, "theta sum")
+    err = (tail * (n + 1) ** powers + noise) * envelope
+    return ThetaEval(acc, n, err)
 
 
 def theta_series(
     x: complex, z: complex, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> ThetaEval:
     """psi(x, z) = sum exp(-pi n^2 x) cos(sqrt(pi x) n z) for Re(x) > 0."""
-    return _folded_theta(complex(x), complex(z), 0.0 + 0.0j, settings)
+    x = complex(x)
+    return _folded_theta(x, cmath.sqrt(math.pi * x) * complex(z), 0.0 + 0.0j, settings)
 
 
 def psi_classical(x: float, settings: EvalSettings = DEFAULT_SETTINGS) -> ThetaEval:
@@ -189,74 +274,20 @@ def psi_xz_transform_residual(
 # The shifted combination psi1 and its alpha-derivatives
 # ---------------------------------------------------------------------------
 #
-# psi1 and its derivatives are computed on truncated Taylor jets in alpha
-# (5 coefficients, enough for derivative orders through 4).  Away from the
-# boundary the theta series is differentiated term by term.  Near alpha =
-# pi/4 the argument e^{2 i alpha} approaches i and the direct series loses
-# ~16 digits to cancellation and phase rounding, so there the even/odd split
-# combined with the modular transformation is used instead:
+# psi1 = e^{(i/2 - lam) alpha} B(alpha) with the lam-free factor
+# B = e^{-z^2/8}/2 + e^{z^2/8} psi(e^{2 i alpha}, z).  B is computed once per
+# alpha as a truncated Taylor jet in alpha (5 coefficients, enough for
+# derivative orders through 4), and each shift costs only a Leibniz product
+# with the jet of e^{(i/2 - lam) alpha}.  Both routes to B are folded theta
+# sums with jet arguments.  Away from the boundary the series is summed
+# directly at x = e^{2 i alpha}.  Near alpha = pi/4, x approaches i and the
+# direct series loses ~16 digits to cancellation and phase rounding, so there
+# the even/odd split combined with the modular transformation is used:
 #
 #   psi(i+d, z) = -1/2 + d^{-1/2} e^{-(z^2/4)(1+i/d)} *
 #                 [ psi(1/(4d), i z sqrt(1+i/d)) - psi(1/d, i z sqrt(1+i/d)) ]
 #
 # whose terms are superexponentially small, with no cancellation at all.
-
-_JET_LEN = 5
-
-
-def _j_const(v: complex) -> list[complex]:
-    return [complex(v), 0j, 0j, 0j, 0j]
-
-
-def _j_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-def _j_scale(a, c):
-    return [x * c for x in a]
-
-
-def _j_mul(a, b):
-    out = [0j] * _JET_LEN
-    for i in range(_JET_LEN):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(_JET_LEN - i):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def _j_recip(a):
-    r = [0j] * _JET_LEN
-    r[0] = 1.0 / a[0]
-    for k in range(1, _JET_LEN):
-        r[k] = -sum(a[j] * r[k - j] for j in range(1, k + 1)) / a[0]
-    return r
-
-
-def _j_sqrt(a):
-    s = [0j] * _JET_LEN
-    s[0] = cmath.sqrt(a[0])
-    for k in range(1, _JET_LEN):
-        s[k] = (a[k] - sum(s[j] * s[k - j] for j in range(1, k))) / (2.0 * s[0])
-    return s
-
-
-def _j_log(a):
-    out = [0j] * _JET_LEN
-    out[0] = cmath.log(a[0])
-    for k in range(1, _JET_LEN):
-        out[k] = (a[k] - sum((j / k) * out[j] * a[k - j] for j in range(1, k))) / a[0]
-    return out
-
-
-def _j_exp(a):
-    e = [0j] * _JET_LEN
-    e[0] = cmath.exp(a[0])
-    for k in range(1, _JET_LEN):
-        e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
-    return e
-
 
 def _check_alpha(alpha: float) -> None:
     if not -math.pi / 4 < alpha < math.pi / 4:
@@ -265,114 +296,51 @@ def _check_alpha(alpha: float) -> None:
         )
 
 
-def _strictly_inside(z: complex) -> bool:
-    from .region import classify_inequality
+def _psi1_base_jet(alpha: float, z: complex, settings: EvalSettings) -> np.ndarray:
+    """Taylor jet in alpha of the lam-free factor e^{-z^2/8}/2 + e^{z^2/8} psi(e^{2 i alpha}, z).
 
-    return classify_inequality(z).inside
-
-
-def _psi1_jet(
-    alpha: float, z: complex, lam: float, settings: EvalSettings
-) -> list[complex]:
-    """Taylor jet of psi1 in alpha through order 4."""
+    The theta sums run far below the tolerance, as the residual checks do,
+    since the jet's coefficients are scaled up to derivatives."""
     _check_alpha(alpha)
     z = complex(z)
-    c = 0.5j - lam
-    ec = cmath.exp(c * alpha)
-    ejet = [ec, ec * c, ec * c * c / 2.0, ec * c**3 / 6.0, ec * c**4 / 24.0]
-    x = cmath.exp(2j * alpha)
-    tol = settings.quad_abs_tol
-    use_transform = x.real < 0.1 and alpha > 0 and _strictly_inside(z)
-    if not use_transform:
-        # direct theta series, differentiated term by term
-        u = cmath.exp(1j * alpha)
-        ujet = [u, 1j * u, -u / 2.0, -1j * u / 6.0, u / 24.0]
-        u2 = _j_mul(ujet, ujet)
-        acc = _j_const(0.0)
-        decay = math.pi * x.real
-        grow = abs((SQRT_PI * z * u).imag)
-        streak = 0
-        n = 0
-        while n < settings.max_terms:
-            n += 1
-            a_part = _j_scale(u2, -math.pi * n * n)
-            contrib = 0.0
-            for sign in (1.0, -1.0):
-                h = _j_add(a_part, _j_scale(ujet, sign * 1j * SQRT_PI * n * z))
-                if h[0].real > _EXP_GUARD:
-                    raise DivergenceError(f"psi1 series term n={n} overflows")
-                e = _j_exp(h)
-                acc = _j_add(acc, _j_scale(e, 0.5))
-                contrib = max(contrib, max(abs(v) for v in e))
-            if -decay * (2 * n + 3) + grow < -0.3:
-                mu = math.exp(min(-decay * (n + 1) ** 2 + grow * (n + 1), _EXP_GUARD))
-                amp = (16.0 * math.pi * (n + 1) ** 2 + 2.0 * SQRT_PI * (n + 1) * abs(z) + 1.0) ** 4
-                if 5.0 * mu * amp <= 1e-2 * tol and contrib <= 1e-2 * tol:
-                    streak += 1
-                    if streak >= 2:
-                        break
-                else:
-                    streak = 0
-        else:
-            raise DivergenceError(
-                f"psi1 series unconverged after {settings.max_terms} terms"
-            )
-        base = _j_add(
-            _j_const(cmath.exp(-z * z / 8.0) / 2.0),
-            _j_scale(acc, cmath.exp(z * z / 8.0)),
-        )
-        return _j_mul(ejet, base)
-    # transformed near-axis route; d = e^{2 i alpha} - i, computed without
-    # cancellation from eps = pi/4 - alpha
+    tight = _tightened(settings)
+    ez8 = cmath.exp(z * z / 8.0)
+    u = _j_exp_of(1j, alpha)
+    x = _j_exp_of(2j, alpha)
+    if not (x[0].real < 0.1 and alpha > 0 and classify_inequality(z).inside):
+        base = ez8 * _folded_theta(x, SQRT_PI * z * u, 0j, tight).value
+        base[0] += cmath.exp(-z * z / 8.0) / 2.0
+        return base
+    # transformed near-axis route; d = e^{2 i alpha} - i, its value computed
+    # without cancellation from eps = pi/4 - alpha; sqrt(i + d) = e^{i alpha}
     eps_b = math.pi / 4.0 - alpha
-    d0 = complex(math.sin(2.0 * eps_b), -2.0 * math.sin(eps_b) ** 2)
-    djet = [d0] + [x * (2j) ** k / math.factorial(k) for k in range(1, _JET_LEN)]
-    inv = _j_recip(djet)
-    nu = _j_sqrt(_j_add(_j_const(1j), djet))
-    nuinv = _j_mul(nu, inv)
-    pref = _j_add(
-        _j_const(-z * z / 4.0),
-        _j_add(_j_scale(inv, -1j * z * z / 4.0), _j_scale(_j_log(djet), -0.5)),
-    )
-    acc = _j_const(0.0)
-    streak = 0
-    m = 0
-    while m < settings.max_terms:
-        m += 1
-        contrib = 0.0
-        for kappa, weight, a3 in ((4.0, 1.0, SQRT_PI * z / 2.0), (1.0, -1.0, SQRT_PI * z)):
-            base_j = _j_add(pref, _j_scale(inv, -math.pi * m * m / kappa))
-            for sign in (1.0, -1.0):
-                h = _j_add(base_j, _j_scale(nuinv, sign * m * a3))
-                if h[0].real > _EXP_GUARD:
-                    raise DivergenceError(
-                        "transformed psi1 series grows; z too close to the "
-                        "boundary of the admissible region"
-                    )
-                e = _j_exp(h)
-                acc = _j_add(acc, _j_scale(e, 0.5 * weight))
-                contrib = max(contrib, max(abs(v) for v in e))
-        if contrib <= 1e-3 * tol:
-            streak += 1
-            if streak >= 2:
-                break
-        else:
-            streak = 0
-    else:
-        raise DivergenceError(
-            f"transformed psi1 series unconverged after {settings.max_terms} terms"
-        )
-    base = _j_add(_j_const(-cmath.sinh(z * z / 8.0)), _j_scale(acc, cmath.exp(z * z / 8.0)))
-    return _j_mul(ejet, base)
+    d = x.copy()
+    d[0] = complex(math.sin(2.0 * eps_b), -2.0 * math.sin(eps_b) ** 2)
+    inv = _j_recip(d)
+    log_pref = -0.25j * z * z * inv - 0.5 * _j_log(d)
+    log_pref[0] -= z * z / 4.0
+    w = 0.5j * SQRT_PI * z * _j_mul(u, inv)
+    quarter = _folded_theta(inv / 4.0, w, log_pref, tight).value
+    unit = _folded_theta(inv, 2.0 * w, log_pref, tight).value
+    base = ez8 * (quarter - unit)
+    base[0] -= cmath.sinh(z * z / 8.0)
+    return base
+
+
+def _psi1_shifted(base: np.ndarray, alpha: float, lam: float, order: int) -> complex:
+    """order-th alpha-derivative of psi1 = e^{(i/2 - lam) alpha} * base, by Leibniz."""
+    if not 0 <= order < _JET_LEN:
+        raise UnsupportedOrderError(f"alpha-derivative order {order} not supported (max 4)")
+    shift = _j_exp_of(0.5j - lam, alpha)
+    value = _JET_FACT[order] * sum(shift[order - k] * base[k] for k in range(order + 1))
+    return require_finite(complex(value), "psi1_alpha_derivative")
 
 
 def psi1(
     alpha: float, z: complex, lam: float, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> complex:
     """e^{(i/2 - lam) alpha} ( e^{-z^2/8}/2 + e^{z^2/8} psi(e^{2 i alpha}, z) )."""
-    value = _psi1_jet(alpha, z, lam, settings)[0]
-    require_finite(value, "psi1")
-    return value
+    return _psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, 0)
 
 
 def psi1_alpha_derivative(
@@ -388,12 +356,7 @@ def psi1_alpha_derivative(
     Near alpha = pi/4 the transformed representation keeps orders <= 4
     noise-free; finite differences would be hopeless there.
     """
-    if not 0 <= order <= 4:
-        raise UnsupportedOrderError(f"alpha-derivative order {order} not supported (max 4)")
-    jet = _psi1_jet(alpha, z, lam, settings)
-    value = jet[order] * math.factorial(order)
-    require_finite(value, "psi1_alpha_derivative")
-    return value
+    return _psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, order)
 
 
 def psi1_limit_value(z: complex, lam: float, order: int) -> complex:
@@ -410,8 +373,6 @@ def psi1_limit_value(z: complex, lam: float, order: int) -> complex:
 # ---------------------------------------------------------------------------
 
 def _require_in_region(z: complex, what: str) -> None:
-    from .region import classify_inequality
-
     if not classify_inequality(z).inside:
         raise RegionError(f"{what}: z={z!r} lies outside the admissible region")
 
@@ -447,7 +408,8 @@ def axis_decay_sequence(
         x = 1.0 / (scale * dc)
         arg = 1j * z * cmath.sqrt(1.0 + 1j / dc)
         log_pref = -z * z / 4.0 * (1.0 + 1j / dc) - 0.5 * cmath.log(dc)
-        out.append(abs(_folded_theta(x, arg, log_pref, settings).value))
+        w = cmath.sqrt(math.pi * x) * arg
+        out.append(abs(_folded_theta(x, w, log_pref, settings).value))
     return out
 
 

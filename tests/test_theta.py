@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,17 @@ from xishift import (
     theta_series,
 )
 
-from ._oracles import PSI1_000, PSI1_JETS, PSI_ONE, THETA_TABLE, direct_theta_sum
+from xishift import make_config, moment_series_rhs, theta
+from xishift.cli import main
+
+from ._oracles import (
+    PSI1_000,
+    PSI1_JETS,
+    PSI_ONE,
+    THETA_TABLE,
+    direct_theta_jet_sum,
+    direct_theta_sum,
+)
 
 RNG = np.random.default_rng(1234)
 TIGHT = EvalSettings(quad_abs_tol=1e-15)
@@ -41,11 +52,27 @@ class TestThetaSeries:
         assert abs(psi_classical(1.0, TIGHT).value - PSI_ONE) < 1e-15
         assert abs(psi_classical(10.0).value - 2.2711010683240937e-14) < 1e-22
 
-    def test_tail_bound_honest(self):
+    def test_tail_bound_honest(self, monkeypatch):
         for (x, z) in THETA_TABLE:
             got = theta_series(x, z)  # default tolerance, truncates earlier
             brute = direct_theta_sum(x, z, 200)
             assert abs(got.value - brute) <= got.abs_err_est + 1e-15, (x, z)
+        # jets: the kernel's inputs behind psi1, on the direct route (alpha =
+        # 0.3 and pi/4 - 0.1) and the transformed one (pi/4 - 0.0135 and - 0.01)
+        jets = []
+        kernel = theta._folded_theta
+        monkeypatch.setattr(
+            theta, "_folded_theta", lambda *a: jets.append(a[:3]) or kernel(*a)
+        )
+        for alpha in (0.3, math.pi / 4 - 0.1, math.pi / 4 - 0.0135, math.pi / 4 - 0.01):
+            psi1(alpha, -0.3 + 0.35j, 0.0)
+        assert len(jets) == 6
+        coarse = EvalSettings(quad_abs_tol=1e-3)  # truncation, not rounding, dominates
+        for x, w, log_pref in jets:
+            got = kernel(x, w, log_pref, coarse)
+            brute = np.array(direct_theta_jet_sum(x, w, log_pref, 200))
+            gap = np.abs(got.value - brute)
+            assert (gap <= got.abs_err_est + 1e-15).all(), (x[0], gap, got.abs_err_est)
 
     def test_z_zero_matches_classical(self):
         a = theta_series(0.7, 0.0, TIGHT).value
@@ -200,6 +227,46 @@ class TestPsi1:
             psi1_alpha_derivative(0.1, 0.0, 0.0, 5)
         with pytest.raises(UnsupportedOrderError):
             psi1_limit_value(0.4, 0.0, 3)
+
+
+class TestOneJetSumPerAlpha:
+    """psi1's theta jet is summed once per alpha, whatever the number of
+    shifts: one kernel call on the direct route, two on the transformed one."""
+
+    SHIFTS = ([0.0], [0.0, 1.0, 2.0])
+
+    @staticmethod
+    def _count_jet_sums(monkeypatch) -> list:
+        calls = []
+        kernel = theta._folded_theta
+
+        def spy(x, w, log_pref, settings):
+            if isinstance(x, np.ndarray):
+                calls.append(x[0])
+            return kernel(x, w, log_pref, settings)
+
+        monkeypatch.setattr(theta, "_folded_theta", spy)
+        return calls
+
+    @pytest.mark.parametrize("alpha, sums", [(0.2, 1), (math.pi / 4 - 0.01, 2)])
+    def test_moment_series_rhs(self, monkeypatch, alpha, sums):
+        calls = self._count_jet_sums(monkeypatch)
+        for shifts in self.SHIFTS:
+            cfg = make_config([1.0] * len(shifts), shifts, 0.4 + 0.1j)
+            calls.clear()
+            moment_series_rhs(1, alpha, cfg)
+            assert len(calls) == sums, shifts
+
+    def test_limits_subcommand(self, monkeypatch, tmp_path):
+        calls = self._count_jet_sums(monkeypatch)
+        for shifts in self.SHIFTS:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"coefficients": [1.0] * len(shifts), "shifts": shifts,
+                                        "z_re": 0.4, "z_im": 0.1}))
+            calls.clear()
+            assert main(["limits", "--config", str(path), "--out", str(tmp_path / "l.csv")]) == 0
+            # alpha = pi/4 - 10^-k: k = 1 direct, k = 2 and 3 transformed
+            assert len(calls) == 5, shifts
 
 
 class TestAxisLimits:
