@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -53,33 +52,18 @@ _EXP_GUARD = 700.0
 # ---------------------------------------------------------------------------
 
 _JET_LEN = 5
-_JET_FACT = np.array([math.factorial(k) for k in range(_JET_LEN)], dtype=float)
+
+
+def _j_var(alpha: float) -> np.ndarray:
+    """The jet of the variable itself at alpha."""
+    return np.array([alpha, 1.0] + [0.0] * (_JET_LEN - 2), dtype=complex)
 
 
 def _j_lift(v) -> np.ndarray:
     """A jet as is; a scalar as the jet of a constant."""
     if isinstance(v, np.ndarray):
         return v
-    out = np.zeros(_JET_LEN, dtype=complex)
-    out[0] = v
-    return out
-
-
-def _j_exp_of(c: complex, alpha: float) -> np.ndarray:
-    """The jet of e^{c alpha} at alpha."""
-    return cmath.exp(c * alpha) * c ** np.arange(_JET_LEN) / _JET_FACT
-
-
-def _j_mul(a, b) -> np.ndarray:
-    return np.convolve(a, b)[:_JET_LEN]
-
-
-def _j_recip(a):
-    r = np.zeros(_JET_LEN, dtype=complex)
-    r[0] = 1.0 / a[0]
-    for k in range(1, _JET_LEN):
-        r[k] = -sum(a[j] * r[k - j] for j in range(1, k + 1)) / a[0]
-    return r
+    return np.array([v] + [0.0] * (_JET_LEN - 1), dtype=complex)
 
 
 def _j_log(a):
@@ -126,23 +110,23 @@ def _folded_theta(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
     derivative factor grows from term n to n + 1 by at most e^(8/n), so the
     scalar geometric tail bound carries over to every coefficient.
     """
-    jet = any(isinstance(v, np.ndarray) for v in (x, w, log_prefactor))
+    jet = isinstance(x, np.ndarray) or isinstance(w, np.ndarray) or isinstance(log_prefactor, np.ndarray)
     if jet:
         x, w, log_prefactor = (_j_lift(v) for v in (x, w, log_prefactor))
-        exp, lead = _j_exp, itemgetter(0)
+        exp = _j_exp
         a = np.abs(log_prefactor) + math.pi * np.abs(x) + np.abs(w)
         a[0] = 0.0
         envelope, powers = _j_exp(a).real, 2 * np.arange(_JET_LEN)
+        top, slope = float(envelope.max()), 2.0 * (_JET_LEN - 1)  # n^(2k) E_k <= n^slope top
     else:
-        exp, lead = cmath.exp, complex
-        envelope, powers = 1.0, 0
-    top, slope = np.max(envelope), np.max(powers)  # n^(2k) E_k <= n^slope top
-    x0, w0 = complex(lead(x)), complex(lead(w))
+        exp = cmath.exp
+        envelope, powers, top, slope = 1.0, 0, 1.0, 0
+    x0, w0, p0 = (x[0], w[0], log_prefactor[0]) if jet else (x, w, log_prefactor)
     if x0.real <= 0:
         raise DomainError(f"theta sum needs Re(x) > 0, got Re(x)={x0.real:g}")
     decay = math.pi * x0.real
     grow = abs(w0.imag)
-    p_re = lead(log_prefactor).real
+    p_re = p0.real
     acc = 0.0 + 0.0j
     noise = 0.0  # rounding: |term| * (phase size of its exponent) * eps, / E
     tol = settings.quad_abs_tol
@@ -155,7 +139,7 @@ def _folded_theta(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
         inw = 1j * n * w
         e_plus = base + inw
         e_minus = base - inw
-        h_plus, h_minus = lead(e_plus), lead(e_minus)
+        h_plus, h_minus = (e_plus[0], e_minus[0]) if jet else (e_plus, e_minus)
         if h_plus.real > _EXP_GUARD or h_minus.real > _EXP_GUARD:
             raise DivergenceError(
                 f"theta term n={n} overflows: cosh growth beats the Gaussian "
@@ -164,9 +148,10 @@ def _folded_theta(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
         t_plus = exp(e_plus)
         t_minus = exp(e_minus)
         acc += 0.5 * (t_plus + t_minus)
+        l_plus, l_minus = (t_plus[0], t_minus[0]) if jet else (t_plus, t_minus)
         noise += 0.5 * eps * (
-            abs(lead(t_plus)) * (2.0 + 0.5 * abs(h_plus.imag))
-            + abs(lead(t_minus)) * (2.0 + 0.5 * abs(h_minus.imag))
+            abs(l_plus) * (2.0 + 0.5 * abs(h_plus.imag))
+            + abs(l_minus) * (2.0 + 0.5 * abs(h_minus.imag))
         ) * n ** powers
         ratio = -decay * (2 * n + 3) + grow + slope / (n + 1)
         if ratio < -1e-3:  # geometric tail bound applies
@@ -180,8 +165,7 @@ def _folded_theta(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
             f"theta sum at x={x0!r}, w={w0!r} missed tolerance {tol:g} after "
             f"{settings.max_terms} terms (tail bound {tail:g})"
         )
-    for v in np.ravel(acc):
-        require_finite(v, "theta sum")
+    require_finite(acc.sum() if jet else acc, "theta sum")  # a jet: all coefficients
     err = (tail * (n + 1) ** powers + noise) * envelope
     return ThetaEval(acc, n, err)
 
@@ -289,26 +273,22 @@ def psi_xz_transform_residual(
 #
 # whose terms are superexponentially small, with no cancellation at all.
 
-def _check_alpha(alpha: float) -> None:
-    if not -math.pi / 4 < alpha < math.pi / 4:
-        raise DomainError(
-            f"alpha={alpha:g} outside (-pi/4, pi/4); Re(e^(2 i alpha)) <= 0 there"
-        )
-
-
 def _psi1_base_jet(alpha: float, z: complex, settings: EvalSettings) -> np.ndarray:
     """Taylor jet in alpha of the lam-free factor e^{-z^2/8}/2 + e^{z^2/8} psi(e^{2 i alpha}, z).
 
     The theta sums run far below the tolerance, as the residual checks do,
     since the jet's coefficients are scaled up to derivatives."""
-    _check_alpha(alpha)
+    if not -math.pi / 4 < alpha < math.pi / 4:
+        raise DomainError(
+            f"alpha={alpha:g} outside (-pi/4, pi/4); Re(e^(2 i alpha)) <= 0 there"
+        )
     z = complex(z)
     tight = _tightened(settings)
     ez8 = cmath.exp(z * z / 8.0)
-    u = _j_exp_of(1j, alpha)
-    x = _j_exp_of(2j, alpha)
+    var = _j_var(alpha)
+    x = _j_exp(2j * var)
     if not (x[0].real < 0.1 and alpha > 0 and classify_inequality(z).inside):
-        base = ez8 * _folded_theta(x, SQRT_PI * z * u, 0j, tight).value
+        base = ez8 * _folded_theta(x, SQRT_PI * z * _j_exp(1j * var), 0j, tight).value
         base[0] += cmath.exp(-z * z / 8.0) / 2.0
         return base
     # transformed near-axis route; d = e^{2 i alpha} - i, its value computed
@@ -316,10 +296,11 @@ def _psi1_base_jet(alpha: float, z: complex, settings: EvalSettings) -> np.ndarr
     eps_b = math.pi / 4.0 - alpha
     d = x.copy()
     d[0] = complex(math.sin(2.0 * eps_b), -2.0 * math.sin(eps_b) ** 2)
-    inv = _j_recip(d)
-    log_pref = -0.25j * z * z * inv - 0.5 * _j_log(d)
+    log_d = _j_log(d)
+    inv = _j_exp(-log_d)
+    log_pref = -0.25j * z * z * inv - 0.5 * log_d
     log_pref[0] -= z * z / 4.0
-    w = 0.5j * SQRT_PI * z * _j_mul(u, inv)
+    w = 0.5j * SQRT_PI * z * _j_exp(1j * var - log_d)  # sqrt(i + d)/d = e^{i alpha}/d
     quarter = _folded_theta(inv / 4.0, w, log_pref, tight).value
     unit = _folded_theta(inv, 2.0 * w, log_pref, tight).value
     base = ez8 * (quarter - unit)
@@ -331,8 +312,8 @@ def _psi1_shifted(base: np.ndarray, alpha: float, lam: float, order: int) -> com
     """order-th alpha-derivative of psi1 = e^{(i/2 - lam) alpha} * base, by Leibniz."""
     if not 0 <= order < _JET_LEN:
         raise UnsupportedOrderError(f"alpha-derivative order {order} not supported (max 4)")
-    shift = _j_exp_of(0.5j - lam, alpha)
-    value = _JET_FACT[order] * sum(shift[order - k] * base[k] for k in range(order + 1))
+    shift = _j_exp((0.5j - lam) * _j_var(alpha))
+    value = math.factorial(order) * sum(shift[order - k] * base[k] for k in range(order + 1))
     return require_finite(complex(value), "psi1_alpha_derivative")
 
 
