@@ -160,7 +160,8 @@ def _loggamma_vec(s) -> tuple[np.ndarray, np.ndarray]:
     irrelevant to callers, which only exponentiate the result in combination
     with other logarithms.
     """
-    s = np.asarray(s, dtype=complex)
+    shape = np.shape(s)
+    s = np.atleast_1d(np.asarray(s, dtype=complex))  # masks need an array, not a 0-d scalar
     if (s.real <= 0.0).any():
         pole = _is_nonpositive_int(s)
         if pole.any():
@@ -181,7 +182,7 @@ def _loggamma_vec(s) -> tuple[np.ndarray, np.ndarray]:
         rel[refl] += 4.0 * EPS * (1.0 + np.abs(r)) * math.pi / np.maximum(dist, EPS)
     # the rounding of log Gamma itself, ~EPS |log Gamma|, is a relative error of Gamma
     rel += 4.0 * EPS * np.abs(lg)
-    return lg, rel
+    return lg.reshape(shape), rel.reshape(shape)
 
 
 def gamma_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithError:
@@ -480,7 +481,7 @@ _THETA_COEF = tuple(
 # the phases are reduced in extended precision where numpy's longdouble has it
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 _TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
-_RS_CHUNK = 1 << 18  # entries per block of the main sum
+_RS_CHUNK = 1 << 17  # (n, point) entries per block of the main sum
 
 
 def rs_length(t) -> np.ndarray:
@@ -506,15 +507,46 @@ def _rs_corrections(p: np.ndarray) -> np.ndarray:
     return ck
 
 
+def _rs_main_sum(tl: np.ndarray, theta: np.ndarray, n_main: np.ndarray) -> np.ndarray:
+    """2 sum_{n<=N} n^(-1/2) cos(theta - t ln n) at each point, N = n_main.
+
+    Each phase is reduced mod 2pi in longdouble before the cosine.  The (n,
+    point) table runs in blocks of _RS_CHUNK entries through three reused
+    buffers (longdouble phase and turns, double term: 40 bytes an entry).
+    Each point's terms are added left to right and its sum is read at its own
+    N, so its value does not depend on its batch.
+    """
+    n_max = int(n_main.max())
+    n = np.arange(1.0, n_max + 1.0)[:, None]
+    log_n = np.log(n.astype(np.longdouble))
+    weight = 2.0 / np.sqrt(n)
+    last = n_main.astype(int) - 1
+    main = np.empty(tl.shape)
+    chunk = max(1, _RS_CHUNK // n_max)
+    phase_buf = np.empty((n_max, min(chunk, tl.size)), dtype=np.longdouble)
+    turns_buf = np.empty_like(phase_buf)
+    terms_buf = np.empty(phase_buf.shape)
+    for lo in range(0, tl.size, chunk):
+        sl = slice(lo, lo + chunk)
+        cols = np.arange(tl[sl].size)
+        phase, turns, terms = (buf[:, :cols.size] for buf in (phase_buf, turns_buf, terms_buf))
+        np.subtract(theta[sl], np.multiply(log_n, tl[sl], out=phase), out=phase)
+        np.rint(np.divide(phase, _TWO_PI_LD, out=turns), out=turns)
+        phase -= np.multiply(turns, _TWO_PI_LD, out=turns)
+        np.copyto(terms, phase, casting="same_kind")
+        np.cos(terms, out=terms)
+        terms *= weight
+        main[sl] = np.add.accumulate(terms, out=terms)[last[sl], cols]
+    return main
+
+
 def _hardy_z(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hardy's Z(t) for real t > 0 by Riemann-Siegel with C_0..C_K: (values, errors).
 
     Main sum 2 sum_{n<=N} n^(-1/2) cos(theta - t ln n), N = floor(a),
-    a = sqrt(t/2pi), with theta from its Stirling series and each phase reduced
-    mod 2pi in longdouble before the cosine; each point's terms are added left
-    to right (padding adds exact zeros), so its value does not depend on its
-    batch.  The error estimate is the tail bound plus the rounding of the
-    phases, of the sum and of the corrections.
+    a = sqrt(t/2pi), with theta from its Stirling series (_rs_main_sum).  The
+    error estimate is the tail bound plus the rounding of the phases, of the
+    sum and of the corrections.
     """
     tl = t.astype(np.longdouble)
     a_ld = np.sqrt(tl / _TWO_PI_LD)
@@ -523,18 +555,7 @@ def _hardy_z(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = a_ld.astype(float)
     stirling = (_THETA_COEF[0] + (_THETA_COEF[1] + _THETA_COEF[2] / t**2) / t**2) / t
     theta = tl * (np.log(a_ld) - 0.5) - _TWO_PI_LD / 16 + stirling
-    n_max = int(n_main.max())
-    n = np.arange(1.0, n_max + 1.0)[:, None]
-    log_n = np.log(n.astype(np.longdouble))
-    main = np.empty(t.shape)
-    chunk = max(1, _RS_CHUNK // n_max)
-    for lo in range(0, t.size, chunk):
-        sl = slice(lo, lo + chunk)
-        phase = theta[sl] - log_n * tl[sl]
-        phase -= _TWO_PI_LD * np.rint(phase / _TWO_PI_LD)
-        terms = np.cos(phase.astype(float))
-        terms *= np.where(n <= n_main[sl], 2.0 / np.sqrt(n), 0.0)
-        main[sl] = np.add.accumulate(terms, out=terms)[-1]
+    main = _rs_main_sum(tl, theta, n_main)
     ck = _rs_corrections(p)
     corr = ck[_RS_K]
     for k in range(_RS_K - 1, -1, -1):
@@ -596,7 +617,8 @@ def _eta_vec(
             if em.any():
                 vals[em], errs[em] = _eta_em(s[em], settings, lw[em])
             return vals, errs
-    return _eta_em(s, settings, log_weight)
+    vals, errs = _eta_em(s, settings, log_weight)
+    return np.asarray(vals), np.asarray(errs)  # 0-d arrays for 0-d input, not scalars
 
 
 def eta_completed(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithError:
@@ -739,8 +761,9 @@ def xi_line_vec(
     """Xi(tau) = xi(1/2 + i tau) on a real grid.  Returns (values, errors)."""
     s = 0.5 + 1j * np.asarray(tau, dtype=float)
     ev, ee = _eta_vec(s, settings)
-    vals = 0.5 * s * (s - 1.0) * ev
-    return vals.real, 0.5 * np.abs(s) * np.abs(s - 1.0) * ee
+    ev *= 0.5 * s * (s - 1.0)  # in place: 0-d input keeps 0-d arrays
+    ee *= 0.5 * np.abs(s) * np.abs(s - 1.0)
+    return ev.real, ee
 
 
 def eta_weighted_line(

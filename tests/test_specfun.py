@@ -269,6 +269,24 @@ class TestHardyZ:
         for t, v in zip(ts, vals):
             assert rho_real(float(t)) == v.real, t
 
+    def test_main_sum_holds_one_block(self):
+        # three reused buffers (longdouble phase and turns, double term): the
+        # peak stays near one block however many blocks the batch spans
+        ts = np.linspace(1e5, 1e5 + 10.0, 8)
+        n_max = int(specfun.rs_length(ts).max())
+        assert n_max == specfun.rs_length(ts).min()
+        chunk = specfun._RS_CHUNK // n_max
+        block_bytes = chunk * n_max * (2 * np.dtype(np.longdouble).itemsize + 8)
+        ts = np.linspace(1e5, 1e5 + 10.0, 2 * chunk + chunk // 2)
+        specfun._hardy_z(ts[:1])  # first-call imports stay out of the trace
+        tracemalloc.start()
+        try:
+            specfun._hardy_z(ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * block_bytes, (peak, block_bytes)
+
     def test_c0_closed_form(self):
         # avoid p = 1/4, 3/4, where the closed form is 0/0
         p = np.concatenate((np.linspace(0.0, 0.22, 17), np.linspace(0.28, 0.72, 17),
@@ -352,6 +370,19 @@ class TestWrapperEqualsKernel:
             for s, v, e in zip(self.POINTS, vals, errs):
                 got = f_z(s, cfg)
                 assert (got.value, got.abs_err_est) == (v, e), s
+
+    @pytest.mark.parametrize("wrapper, args", [
+        (specfun.eta_line_vec, ()),
+        (specfun.xi_line_vec, ()),
+        (specfun.eta_weighted_line, (0.1, 0.0)),
+    ])
+    def test_line_wrappers_take_scalars(self, wrapper, args):
+        # a scalar t gives 0-d arrays with the bits of the one-point batch
+        for t in (3.0, -7.5, 600.0):
+            v, e = wrapper(t, *args)
+            bv, be = wrapper(np.array([t]), *args)
+            assert isinstance(v, np.ndarray) and v.shape == () and e.shape == (), t
+            assert v.tobytes() == bv[0].tobytes() and e.tobytes() == be[0].tobytes(), t
 
     def test_rho_real(self):
         ts = np.array([0.0, 5.1, -5.1, ZETA_ZEROS[0], 123.456, 800.0])
