@@ -160,8 +160,9 @@ def _loggamma_vec(s) -> tuple[np.ndarray, np.ndarray]:
     irrelevant to callers, which only exponentiate the result in combination
     with other logarithms.
     """
-    shape = np.shape(s)
-    s = np.atleast_1d(np.asarray(s, dtype=complex))  # masks need an array, not a 0-d scalar
+    s = np.asarray(s, dtype=complex)
+    if s.ndim == 0:  # the masks below need an array, not a 0-d scalar
+        return tuple(x.reshape(()) for x in _loggamma_vec(s.reshape(1)))
     if (s.real <= 0.0).any():
         pole = _is_nonpositive_int(s)
         if pole.any():
@@ -182,7 +183,7 @@ def _loggamma_vec(s) -> tuple[np.ndarray, np.ndarray]:
         rel[refl] += 4.0 * EPS * (1.0 + np.abs(r)) * math.pi / np.maximum(dist, EPS)
     # the rounding of log Gamma itself, ~EPS |log Gamma|, is a relative error of Gamma
     rel += 4.0 * EPS * np.abs(lg)
-    return lg.reshape(shape), rel.reshape(shape)
+    return lg, rel
 
 
 def gamma_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithError:
@@ -508,13 +509,11 @@ def _rs_corrections(p: np.ndarray) -> np.ndarray:
 
 
 def _rs_main_sum(tl: np.ndarray, theta: np.ndarray, n_main: np.ndarray) -> np.ndarray:
-    """2 sum_{n<=N} n^(-1/2) cos(theta - t ln n) at each point, N = n_main.
-
-    Each phase is reduced mod 2pi in longdouble before the cosine.  The (n,
-    point) table runs in blocks of _RS_CHUNK entries through three reused
-    buffers (longdouble phase and turns, double term: 40 bytes an entry).
-    Each point's terms are added left to right and its sum is read at its own
-    N, so its value does not depend on its batch.
+    """2 sum_{n<=N} n^(-1/2) cos(theta - t ln n) at each point, N = n_main, each
+    phase reduced mod 2pi in longdouble before the cosine.  The (n, point)
+    table runs in blocks of _RS_CHUNK entries through three reused buffers
+    (longdouble phase and turns, double term).  A point's terms are added left
+    to right and its sum read at its own N: its value does not depend on its batch.
     """
     n_max = int(n_main.max())
     n = np.arange(1.0, n_max + 1.0)[:, None]
@@ -543,10 +542,9 @@ def _rs_main_sum(tl: np.ndarray, theta: np.ndarray, n_main: np.ndarray) -> np.nd
 def _hardy_z(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hardy's Z(t) for real t > 0 by Riemann-Siegel with C_0..C_K: (values, errors).
 
-    Main sum 2 sum_{n<=N} n^(-1/2) cos(theta - t ln n), N = floor(a),
-    a = sqrt(t/2pi), with theta from its Stirling series (_rs_main_sum).  The
-    error estimate is the tail bound plus the rounding of the phases, of the
-    sum and of the corrections.
+    Main sum (_rs_main_sum) to N = floor(a), a = sqrt(t/2pi), with theta from
+    its Stirling series.  The error estimate is the tail bound plus the
+    rounding of the phases, of the sum and of the corrections.
     """
     tl = t.astype(np.longdouble)
     a_ld = np.sqrt(tl / _TWO_PI_LD)

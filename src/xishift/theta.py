@@ -12,7 +12,9 @@ and a geometric tail bound.
 
 An optional log-prefactor is folded into the exponents, which keeps the
 near-axis limit expressions finite even when the prefactor alone would
-overflow and the theta sum alone would underflow.
+overflow and the theta sum alone would underflow.  One kernel,
+_folded_theta, sums every series here, on numbers or on Taylor jets in alpha
+(psi1's derivatives).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def _j_lift(v) -> np.ndarray:
     """A jet as is; a scalar as the jet of a constant."""
     if isinstance(v, np.ndarray):
         return v
-    return np.array([v] + [0.0] * (_JET_LEN - 1), dtype=complex)
+    return np.array([v] + [0j] * (_JET_LEN - 1))
 
 
 def _j_log(a):
@@ -88,10 +90,8 @@ def _j_exp(a):
 
 @dataclass(frozen=True)
 class ThetaEval:
-    """A truncated theta sum: value, terms actually used, and a tail bound.
-
-    For a jet sum, value is the jet and abs_err_est an array bounding each
-    coefficient."""
+    """A truncated theta sum: value, terms actually used, and a tail bound
+    (for a jet sum: the jet, and a bound on each coefficient)."""
 
     value: complex | np.ndarray
     terms_used: int
@@ -110,25 +110,25 @@ def _folded_theta(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
     derivative factor grows from term n to n + 1 by at most e^(8/n), so the
     scalar geometric tail bound carries over to every coefficient.
     """
-    jet = isinstance(x, np.ndarray) or isinstance(w, np.ndarray) or isinstance(log_prefactor, np.ndarray)
+    jet = np.ndarray in (type(x), type(w), type(log_prefactor))
     if jet:
         x, w, log_prefactor = (_j_lift(v) for v in (x, w, log_prefactor))
-        exp = _j_exp
+        x0, w0, p0 = x[0], w[0], log_prefactor[0]
         a = np.abs(log_prefactor) + math.pi * np.abs(x) + np.abs(w)
         a[0] = 0.0
         envelope, powers = _j_exp(a).real, 2 * np.arange(_JET_LEN)
-        top, slope = float(envelope.max()), 2.0 * (_JET_LEN - 1)  # n^(2k) E_k <= n^slope top
+        # n^(2k) E_k <= n^slope top
+        exp, top, slope = _j_exp, float(envelope.max()), 2.0 * (_JET_LEN - 1)
     else:
-        exp = cmath.exp
-        envelope, powers, top, slope = 1.0, 0, 1.0, 0
-    x0, w0, p0 = (x[0], w[0], log_prefactor[0]) if jet else (x, w, log_prefactor)
+        x0, w0, p0 = x, w, log_prefactor
+        exp, envelope, powers, top, slope = cmath.exp, 1.0, 0, 1.0, 0
     if x0.real <= 0:
         raise DomainError(f"theta sum needs Re(x) > 0, got Re(x)={x0.real:g}")
     decay = math.pi * x0.real
     grow = abs(w0.imag)
     p_re = p0.real
     acc = 0.0 + 0.0j
-    noise = 0.0  # rounding: |term| * (phase size of its exponent) * eps, / E
+    noise = 0.0  # rounding: |term| * (phase size of its exponent) * eps, before E
     tol = settings.quad_abs_tol
     n = 0
     tail = math.inf  # the tail of the leading sizes; times the factor below
@@ -258,15 +258,13 @@ def psi_xz_transform_residual(
 # The shifted combination psi1 and its alpha-derivatives
 # ---------------------------------------------------------------------------
 #
-# psi1 = e^{(i/2 - lam) alpha} B(alpha) with the lam-free factor
-# B = e^{-z^2/8}/2 + e^{z^2/8} psi(e^{2 i alpha}, z).  B is computed once per
-# alpha as a truncated Taylor jet in alpha (5 coefficients, enough for
-# derivative orders through 4), and each shift costs only a Leibniz product
-# with the jet of e^{(i/2 - lam) alpha}.  Both routes to B are folded theta
-# sums with jet arguments.  Away from the boundary the series is summed
-# directly at x = e^{2 i alpha}.  Near alpha = pi/4, x approaches i and the
-# direct series loses ~16 digits to cancellation and phase rounding, so there
-# the even/odd split combined with the modular transformation is used:
+# psi1 = e^{(i/2 - lam) alpha} B(alpha), B = e^{-z^2/8}/2 + e^{z^2/8} psi(e^{2 i alpha}, z).
+# B is one Taylor jet in alpha per alpha (orders through 4), summed by the
+# theta kernel; each shift costs only a Leibniz product with the jet of
+# e^{(i/2 - lam) alpha}.  Away from the boundary the series is summed directly
+# at x = e^{2 i alpha}.  Near alpha = pi/4, x approaches i and the direct
+# series loses ~16 digits to cancellation and phase rounding, so there the
+# even/odd split combined with the modular transformation is used:
 #
 #   psi(i+d, z) = -1/2 + d^{-1/2} e^{-(z^2/4)(1+i/d)} *
 #                 [ psi(1/(4d), i z sqrt(1+i/d)) - psi(1/d, i z sqrt(1+i/d)) ]
@@ -325,11 +323,7 @@ def psi1(
 
 
 def psi1_alpha_derivative(
-    alpha: float,
-    z: complex,
-    lam: float,
-    order: int,
-    settings: EvalSettings = DEFAULT_SETTINGS,
+    alpha: float, z: complex, lam: float, order: int, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> complex:
     """order-th alpha-derivative of psi1 by analytic (jet) differentiation.
 

@@ -36,8 +36,9 @@ def _terms(mp, alpha, z) -> int:
     the log-majorant is -pi n^2 cos(2 alpha) + n |Im(sqrt(pi) e^(i alpha) z)|."""
     decay = math.pi * math.cos(2.0 * alpha)
     grow = abs((math.sqrt(math.pi) * complex(math.cos(alpha), math.sin(alpha)) * z).imag)
+    floor = -45 * math.log(10.0)
     n = 1
-    while not (n * decay > grow and -decay * n * n + grow * n + 4 * math.log(40.0 * n * n) < -45 * math.log(10)):
+    while n * decay <= grow or -decay * n * n + grow * n + 4 * math.log(40.0 * n * n) >= floor:
         n += 1
     return n
 

@@ -14,6 +14,8 @@ from xishift import (
     axis_decay_sequence,
     general_theta_residual,
     jacobi_residual,
+    make_config,
+    moment_series_rhs,
     psi1,
     psi1_alpha_derivative,
     psi1_limit_value,
@@ -22,10 +24,9 @@ from xishift import (
     psi_general,
     psi_xz_transform_residual,
     series_side,
+    theta,
     theta_series,
 )
-
-from xishift import make_config, moment_series_rhs, theta
 from xishift.cli import main
 
 from ._oracles import (
