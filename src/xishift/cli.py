@@ -2,8 +2,8 @@
 
 Subcommands cover every verification the library offers; outputs are CSV or
 JSON files that are byte-identical across repeated runs.  Exit codes:
-0 all tolerances met, 2 a tolerance gate failed, 3 config or parse error,
-4 numeric error.
+0 all tolerances met, 2 a tolerance gate failed, 3 config, parse or usage
+error, 4 numeric error.
 
 Config files are flat JSON with exactly these keys:
 
@@ -28,7 +28,7 @@ import numpy as np
 from . import integral, region, theta, zeroscan
 from . import shifts as shifts_mod
 from .errors import ConfigError, ParseError, XishiftError
-from .settings import DEFAULT_SETTINGS, EvalSettings, reality_bound
+from .settings import DEFAULT_SETTINGS, EvalSettings, grid_nodes, reality_bound
 
 __all__ = ["RunManifest", "parse_config", "run", "main"]
 
@@ -120,7 +120,7 @@ def _cmd_eval(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     t_lo = 0.0 if man.t_min is None else man.t_min
     t_hi = 40.0 if man.t_max is None else man.t_max
     step = 0.5 if man.step is None else man.step
-    ts = zeroscan._grid(t_lo, t_hi, step)
+    ts = grid_nodes(t_lo, t_hi, step)
     re, im, err = shifts_mod.fz_line_vec(ts, cfg, man.settings)
     zeroscan.require_resolved(ts, re, err)
     rows = [
@@ -345,8 +345,15 @@ def _emit_error(exc: XishiftError) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (exit 3): exit 2 means a failed tolerance gate."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xishift",
         description="Completed-zeta / theta-transformation checks and "
                     "critical-line zero scans for shifted Xi-type combinations.",
@@ -370,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         manifest = RunManifest(
             subcommand=args.subcommand,
             output_path=args.output_path,
@@ -385,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
             m_max=args.m_max,
             alpha=args.alpha,
         )
-    except ConfigError as exc:
+    except (ParseError, ConfigError) as exc:
         _emit_error(exc)
         return EXIT_CONFIG
     return run(manifest)

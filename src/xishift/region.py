@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, RegionError
+from .settings import grid_nodes
 
 __all__ = [
     "SQUARE_HALF_WIDTH",
@@ -25,6 +26,7 @@ __all__ = [
     "region_margin",
     "classify_inequality",
     "classify_decomposition",
+    "require_inside",
     "region_grid",
     "grid_csv_rows",
 ]
@@ -86,6 +88,12 @@ def classify_decomposition(z: complex) -> RegionVerdict:
     return RegionVerdict(True, label, m)
 
 
+def require_inside(z: complex, what: str) -> None:
+    """RegionError, naming the caller what, unless z is strictly inside the region."""
+    if not classify_inequality(z).inside:
+        raise RegionError(f"{what}: z={complex(z)!r} lies outside the admissible region")
+
+
 def region_grid(
     x_min: float,
     x_max: float,
@@ -94,15 +102,10 @@ def region_grid(
     step: float,
 ) -> list[tuple[complex, RegionVerdict]]:
     """Row-major classification of every grid node; the two membership tests
-    must agree on each node off the 1e-9 boundary band."""
-    if not all(map(math.isfinite, (x_min, x_max, y_min, y_max, step))):
-        raise DomainError("grid bounds and step must be finite")
-    if step <= 0:
-        raise DomainError(f"step must be positive, got {step}")
-    if not (x_min < x_max and y_min < y_max):
-        raise DomainError("need x_min < x_max and y_min < y_max")
-    xs = _axis(x_min, x_max, step)
-    ys = _axis(y_min, y_max, step)
+    must agree on each node off the 1e-9 boundary band.  grid_nodes builds
+    both axes (ConfigError on bad bounds or step)."""
+    xs = grid_nodes(x_min, x_max, step).tolist()
+    ys = grid_nodes(y_min, y_max, step).tolist()
     out: list[tuple[complex, RegionVerdict]] = []
     for y in ys:
         for x in xs:
@@ -117,14 +120,6 @@ def region_grid(
                 )
             out.append((z, v1))
     return out
-
-
-def _axis(lo: float, hi: float, step: float) -> list[float]:
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    vals = [lo + i * step for i in range(n)]
-    if vals[-1] < hi - 1e-9 * step:
-        vals.append(hi)
-    return vals
 
 
 def grid_csv_rows(grid: list[tuple[complex, RegionVerdict]]):

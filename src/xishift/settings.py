@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,7 +20,7 @@ class EvalSettings:
     """Precision and truncation policy shared by all series and quadratures.
 
     rel_tol      : target relative accuracy of series evaluations
-    max_terms    : hard cap on series length (also caps the zeta direct sum)
+    max_terms    : hard cap on series length; every series kernel refuses more itself
     em_terms     : minimum Euler-Maclaurin direct-sum length; the actual
                    length comes from the remainder bound, ~0.61*|s+27|
     quad_abs_tol : absolute tolerance for quadrature and theta tail bounds
@@ -57,6 +58,21 @@ def require_finite(value: complex, context: str) -> complex:
     if not (cmath.isfinite(value)):
         raise EvaluationError(f"{context}: non-finite value {value!r}")
     return value
+
+
+def grid_nodes(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... and hi: the one grid of eval, scan and both region axes."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError(f"grid needs finite bounds and step, got [{lo}, {hi}] step {step}")
+    if step <= 0:
+        raise ConfigError(f"step must be positive, got {step}")
+    if not lo < hi:
+        raise ConfigError(f"grid needs lo < hi, got [{lo}, {hi}]")
+    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    nodes = lo + step * np.arange(n)
+    if nodes[-1] < hi - 1e-9 * step:
+        nodes = np.append(nodes, hi)
+    return nodes
 
 
 def underflowed(values, errs) -> np.ndarray:

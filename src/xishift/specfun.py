@@ -6,10 +6,12 @@ and the confluent hypergeometric 1F1) are thin wrappers: they check their
 argument, evaluate the kernel on a one-element array, and return a
 ValueWithError carrying an upper estimate of the numerical error actually
 incurred.  A scalar result that is not finite, or whose value and error
-bound both underflowed, raises EvaluationError naming the point.  A point's
-value never depends on which other points share the array with it, so
-results are reproducible under any partitioning and a scalar call equals the
-same point of any batch bit for bit.
+bound both underflowed, raises EvaluationError naming the point.  No zeta
+or Hardy Z direct sum runs past settings.max_terms terms: before summing, the
+kernel raises AccuracyError naming the first point that needs more, and how
+many.  A point's value never depends on which other points share the array
+with it, so results are reproducible under any partitioning and a scalar
+call equals the same point of any batch bit for bit.
 
 Algorithms
 ----------
@@ -215,12 +217,21 @@ _EM_CHUNK = 1 << 17  # entries per block of the direct sum (2 MB)
 def em_length(s, settings: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
     """Euler-Maclaurin direct-sum length each s needs, before ladder rounding.
 
-    N = ceil(_EM_RATE*|s+2K+1|) ~ 0.61*|s+27|, at least settings.em_terms.
-    Points needing more than max_terms cannot meet the remainder target.
+    N = ceil(_EM_RATE*|s+2K+1|) ~ 0.61*|s+27|, at least settings.em_terms;
+    zeta_vec refuses a point that needs more than settings.max_terms.
     Lengths are whole floats, so a huge |s| cannot wrap an integer type.
     """
     need = np.ceil(_EM_RATE * np.abs(np.asarray(s, dtype=complex) + (2 * _EM_K + 1)))
     return np.maximum(float(settings.em_terms), need)
+
+
+def _require_budget(need, points, what: str, settings: EvalSettings) -> None:
+    """AccuracyError at the first point whose sum needs more than max_terms terms."""
+    over = need > settings.max_terms
+    if over.any():
+        i = int(np.argmax(over))
+        raise AccuracyError(f"{what}={np.ravel(points)[i].item()!r} needs {np.ravel(need)[i]:.0f} "
+                            f"terms, more than max_terms={settings.max_terms}")
 
 
 @lru_cache(maxsize=8)
@@ -270,25 +281,22 @@ def _zeta_em_group(s: np.ndarray, n_direct: int) -> tuple[np.ndarray, np.ndarray
     return val, err
 
 
-def _em_argument(s: np.ndarray) -> np.ndarray:
-    """Where the Euler-Maclaurin sum runs: at s, or at 1-s below Re(s) = 0."""
-    refl = s.real < 0.0
-    return np.where(refl, 1.0 - s, s) if refl.any() else s
-
-
 def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised zeta for s != 1.  Returns (values, errors).
 
-    The functional equation covers Re(s) < 0.  PoleError at s = 1, and
-    EvaluationError naming the first point whose value or error is not
-    finite (the correction terms overflow for |s| near 1e19).
+    The functional equation covers Re(s) < 0, where the sum runs at 1-s.
+    PoleError at s = 1, AccuracyError naming the first point whose direct sum
+    needs more than settings.max_terms terms, and EvaluationError naming the
+    first point whose value or error is not finite.
     """
     s = np.asarray(s, dtype=complex)
     if (s == 1.0).any():
         raise PoleError("zeta has its pole at s=1")
-    u = _em_argument(s)
-    ladder = np.asarray(_em_ladder(settings.em_terms, settings.max_terms))
+    refl = s.real < 0.0
+    u = np.where(refl, 1.0 - s, s) if refl.any() else s
     need = em_length(u, settings)
+    _require_budget(need, s, "zeta: Euler-Maclaurin direct sum at s", settings)
+    ladder = np.asarray(_em_ladder(settings.em_terms, settings.max_terms))
     # fmin: a nan point takes the last group and is caught as non-finite below
     idx = np.searchsorted(ladder, np.fmin(need, ladder[-1]))
     vals = np.empty(s.shape, dtype=complex)
@@ -298,11 +306,6 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
         v, e = _zeta_em_group(u[mask], int(ladder[i]))
         vals[mask] = v
         errs[mask] = e
-    over = need > ladder[-1]
-    if over.any():
-        # honest flag: the ladder was clamped; widen the reported error
-        errs[over] += np.abs(vals[over]) * 1e-6 + 1.0
-    refl = s.real < 0.0
     if refl.any():
         # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
         r, zv = s[refl], vals[refl]
@@ -326,13 +329,9 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
 
 
 def zeta_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithError:
-    """Riemann zeta: zeta_vec at one point, once its direct sum fits the term budget."""
+    """Riemann zeta: zeta_vec at one point."""
     s = complex(s)
     require_finite(s, "zeta_c argument")
-    cap = _em_ladder(settings.em_terms, settings.max_terms)[-1]
-    need = float(em_length(_em_argument(np.array([s])), settings)[0])
-    if need > cap:
-        raise AccuracyError(f"zeta({s}): direct sum needs {need:.0f} terms, cap is {cap}")
     v, e = zeta_vec(np.array([s]), settings)
     return checked_value(v[0], e[0], f"zeta_c({s})")
 
@@ -490,12 +489,6 @@ def rs_length(t) -> np.ndarray:
     return np.floor(np.sqrt(np.abs(np.asarray(t, dtype=float)) / (2.0 * math.pi)))
 
 
-def line_length(t_max: float, settings: EvalSettings = DEFAULT_SETTINGS) -> float:
-    """Longest direct sum the eta kernel runs for any 1/2 + i tau, |tau| <= t_max."""
-    em = em_length(complex(0.5, min(t_max, RS_CROSSOVER)), settings)
-    return max(float(em), float(rs_length(t_max)))
-
-
 def _rs_corrections(p: np.ndarray) -> np.ndarray:
     """C_0(p) ... C_K(p) as rows: Horner in z^2 for every C_k at once, z = 1 - 2p."""
     z = 1.0 - 2.0 * p
@@ -599,18 +592,20 @@ def _eta_vec(
     The log-weight enters the exponent first: a weight exp(alpha t) that grows
     while eta decays like exp(-pi|t|/4) on the line never meets it as 0 * inf.
     Points on the critical line at |t| >= RS_CROSSOVER take the Hardy Z
-    kernel (while its main sum fits max_terms); every other point takes
-    Euler-Maclaurin zeta.
+    kernel; every other point takes Euler-Maclaurin zeta.  Each kernel
+    refuses a point whose sum needs more than settings.max_terms terms.
     """
     s = np.asarray(s, dtype=complex)
     rs = np.abs(s.imag) >= RS_CROSSOVER
     if rs.any():
-        rs &= (s.real == 0.5) & (rs_length(s.imag) <= settings.max_terms)
+        rs &= s.real == 0.5
         if rs.any():
+            t = s.imag[rs]
+            _require_budget(rs_length(t), t, "eta: Riemann-Siegel main sum at t", settings)
             lw = np.broadcast_to(log_weight, s.shape)
             vals = np.empty(s.shape, dtype=complex)
             errs = np.empty(s.shape)
-            vals[rs], errs[rs] = _eta_rs(s.imag[rs], lw[rs])
+            vals[rs], errs[rs] = _eta_rs(t, lw[rs])
             em = ~rs
             if em.any():
                 vals[em], errs[em] = _eta_em(s[em], settings, lw[em])

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, RegionError, UnsupportedOrderError
-from .region import classify_inequality
+from .errors import DivergenceError, DomainError, UnsupportedOrderError
+from .region import require_inside
 from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, require_finite
 
 __all__ = [
@@ -285,10 +285,12 @@ def _psi1_base_jet(alpha: float, z: complex, settings: EvalSettings) -> np.ndarr
     ez8 = cmath.exp(z * z / 8.0)
     var = _j_var(alpha)
     x = _j_exp(2j * var)
-    if not (x[0].real < 0.1 and alpha > 0 and classify_inequality(z).inside):
+    if not (x[0].real < 0.1 and alpha > 0):
         base = ez8 * _folded_theta(x, SQRT_PI * z * _j_exp(1j * var), 0j, tight).value
         base[0] += cmath.exp(-z * z / 8.0) / 2.0
         return base
+    # the direct sum cancels here, and the transformed route needs z inside
+    require_inside(z, f"psi1 at alpha={alpha:g}")
     # transformed near-axis route; d = e^{2 i alpha} - i, its value computed
     # without cancellation from eps = pi/4 - alpha; sqrt(i + d) = e^{i alpha}
     eps_b = math.pi / 4.0 - alpha
@@ -329,7 +331,8 @@ def psi1_alpha_derivative(
 
     Orders through 4 are supported (the moment identities need 2m <= 4).
     Near alpha = pi/4 the transformed representation keeps orders <= 4
-    noise-free; finite differences would be hopeless there.
+    noise-free; finite differences would be hopeless there.  That route
+    needs z inside the admissible region (RegionError otherwise).
     """
     return _psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, order)
 
@@ -347,11 +350,6 @@ def psi1_limit_value(z: complex, lam: float, order: int) -> complex:
 # Near-axis limit expressions
 # ---------------------------------------------------------------------------
 
-def _require_in_region(z: complex, what: str) -> None:
-    if not classify_inequality(z).inside:
-        raise RegionError(f"{what}: z={z!r} lies outside the admissible region")
-
-
 def axis_decay_sequence(
     z: complex,
     deltas: list[float],
@@ -367,7 +365,7 @@ def axis_decay_sequence(
     ray_angle tilts delta along the ray delta*e^{i*ray_angle}, |angle| < pi/2.
     """
     z = complex(z)
-    _require_in_region(z, "axis_decay_sequence")
+    require_inside(z, "axis_decay_sequence")
     if not (scale in (1.0, 4.0)):
         raise DomainError(f"scale must be 1 or 4, got {scale}")
     if abs(ray_angle) >= math.pi / 2:
@@ -400,7 +398,7 @@ def psi_at_axis_combination(
     tends to -sinh(z^2/8) as delta -> 0 for admissible z.
     """
     z = complex(z)
-    _require_in_region(z, "psi_at_axis_combination")
+    require_inside(z, "psi_at_axis_combination")
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}")
     c = cmath.sqrt(1j + delta) / math.sqrt(delta)

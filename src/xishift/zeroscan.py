@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, EvaluationError, MaxIterError, XishiftError
-from .settings import DEFAULT_SETTINGS, UNDERFLOW_FLOOR, EvalSettings, require_real, underflowed
+from .settings import (DEFAULT_SETTINGS, UNDERFLOW_FLOOR, EvalSettings, grid_nodes,
+                       require_real, underflowed)
 from .shifts import ShiftConfig, fz_line_vec, validate_config
 
 __all__ = ["ZeroBracket", "ZeroHit", "ScanReport", "scan", "bisect", "scan_fz",
@@ -66,20 +67,6 @@ class ScanReport:
     config_digest: str
 
 
-def _grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
-    if not all(map(math.isfinite, (t_lo, t_hi, step))):
-        raise ConfigError(f"grid needs finite bounds and step, got [{t_lo}, {t_hi}] step {step}")
-    if step <= 0:
-        raise ConfigError(f"step must be positive, got {step}")
-    if not t_lo < t_hi:
-        raise ConfigError(f"need t_lo < t_hi, got [{t_lo}, {t_hi}]")
-    n = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
-    ts = t_lo + step * np.arange(n)
-    if ts[-1] < t_hi - 1e-9 * step:
-        ts = np.append(ts, t_hi)
-    return ts
-
-
 def require_resolved(ts: np.ndarray, fs: np.ndarray, errs: np.ndarray) -> None:
     """EvaluationError naming the first node whose |f| and 4*err both fell
     below UNDERFLOW_FLOOR: there the value has underflowed, and it says
@@ -121,7 +108,7 @@ def scan(
     t_lo: float, t_hi: float, step: float, f: Callable[[float], float]
 ) -> list[ZeroBracket]:
     """All strict sign changes of f on the grid, plus on-node zeros."""
-    ts = _grid(t_lo, t_hi, step)
+    ts = grid_nodes(t_lo, t_hi, step)
     fs = np.empty(len(ts))
     for i, t in enumerate(ts):
         try:
@@ -217,7 +204,7 @@ def scan_fz(
     validate_config(cfg)
     if not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(f"workers must be a positive integer, got {workers}")
-    ts = _grid(t_lo, t_hi, step)
+    ts = grid_nodes(t_lo, t_hi, step)
     brackets = _brackets_from_values(ts, *_fz_real(ts, cfg, settings))
     zeros = _bisect_all(brackets, lambda tarr: _fz_real(tarr, cfg, settings)[0], tol)
     return ScanReport(

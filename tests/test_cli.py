@@ -212,3 +212,30 @@ class TestManifest:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError" and "finite" in record["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["eval", "scan", "region"])
+    def test_zero_step_is_exit_3(self, subcommand, hardy_config, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [subcommand, "--step", "0", "--config", hardy_config, "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and "step" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--bogus", "1"],
+        ["scan", "--step", "abc"],
+    ])
+    def test_usage_error_is_exit_3(self, argv, tmp_path, capsys):
+        # argparse's own exit 2 would read as a failed tolerance gate
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError" and argv[1] in record["message"]
+        assert not out.exists()
+
+    def test_help_is_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--help"])
+        assert exc.value.code == 0
+        assert "--step" in capsys.readouterr().out

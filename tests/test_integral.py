@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xishift import (
+    AccuracyError,
     DomainError,
     EvalSettings,
     RegionError,
@@ -202,6 +203,12 @@ class TestOneLineKernel:
         capped, full = results
         assert em_length(complex(0.5, capped.truncation_T), EvalSettings()) > 1000
         assert abs(capped.value - full.value) <= capped.abs_err_est + full.abs_err_est
+
+    def test_kernel_refusal_names_the_caller(self):
+        # the Z main sum at the far nodes needs 19 terms
+        hardy = make_config([1.0], [0.0], 0.0)
+        with pytest.raises(AccuracyError, match=r"^moment_limit_check: .* 19 terms"):
+            moment_limit_check(0, hardy, EvalSettings(max_terms=16))
 
     @pytest.mark.parametrize("alpha, lam", [
         (math.nan, 0.0), (0.1, math.nan), (math.inf, 0.0), (0.1, -math.inf),

@@ -5,7 +5,7 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from xishift import classify_decomposition, classify_inequality, region_grid
-from xishift.errors import DomainError
+from xishift.errors import ConfigError
 from xishift.region import SQUARE_HALF_WIDTH, grid_csv_rows, region_margin
 
 C = SQUARE_HALF_WIDTH
@@ -94,7 +94,8 @@ class TestGrid:
         }
 
     def test_bad_params(self):
-        with pytest.raises(DomainError):
+        # the axes share the eval/scan grid rule, and its ConfigError
+        with pytest.raises(ConfigError):
             region_grid(0.0, 1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             region_grid(1.0, 0.0, 0.0, 1.0, 0.1)

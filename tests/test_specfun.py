@@ -159,7 +159,7 @@ class TestZetaKernel:
         for t, v, e in zip(ts, vals, errs):
             ref = ZETA_LINE_HIGH[t]
             assert abs(v - ref) <= e, t
-            # no clamped ladder: the estimate stays a real bound, not ~1
+            # every point fits the term budget: the estimate is a real bound
             assert e < 1e-10, t
 
     def test_length_rule(self):
@@ -330,12 +330,44 @@ class TestZetaVecDomain:
             assert e <= 1e-6 * abs(ref), s
 
     def test_non_finite_names_point(self):
-        # the correction terms overflow this high; no nan may come back
+        # the correction terms would overflow this high; the kernel refuses
+        # the point for its length before summing, so no nan may come back
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(EvaluationError, match=r"1e\+19"):
+            with pytest.raises(AccuracyError, match=r"1e\+19"):
                 specfun.zeta_vec(np.array([0.5 + 10j, 0.5 + 1e19j]))
-            with pytest.raises(EvaluationError, match=r"1e\+19"):
+            with pytest.raises(AccuracyError, match=r"1e\+19"):
                 specfun.eta_line_vec(np.array([1e19]))
+
+
+class TestTermBudget:
+    """Each direct-sum kernel refuses a point whose sum needs more than
+    max_terms terms, naming the point and the count, instead of clamping."""
+
+    HARDY = make_config([1.0], [0.0], 0.0)
+
+    def test_euler_maclaurin_on_the_line(self):
+        # a 20-term sum here is wrong in sign and 13 orders in size
+        with pytest.raises(AccuracyError, match=r"450j?\).* 275 terms.*max_terms=20"):
+            rho_real(450.0, EvalSettings(max_terms=20))
+
+    def test_euler_maclaurin_off_the_line(self):
+        settings = EvalSettings(max_terms=100)
+        with pytest.raises(AccuracyError, match=r"\(2\+300j\).* 184 terms"):
+            eta_completed(2 + 300j, settings)
+        with pytest.raises(AccuracyError, match=r"\(2\+300j\).* 184 terms"):
+            f_z(2 + 300j, self.HARDY, settings)
+
+    def test_riemann_siegel_has_no_fallback(self):
+        # no Euler-Maclaurin fallback: that would need ~1800 terms here
+        with pytest.raises(AccuracyError, match=r"Riemann-Siegel.*t=3000\.0 needs 21 terms"):
+            specfun.eta_weighted_line(3000.0, 0.78, 0.0, EvalSettings(max_terms=16))
+
+    def test_reflected_point_counts_the_sum_at_one_minus_s(self):
+        # the sum runs at 1 - s = 4 - 40i, which needs 31 terms; s = 2 needs 20
+        with pytest.raises(AccuracyError, match=r"\(-3\+40j\).* 31 terms.*max_terms=30"):
+            specfun.zeta_vec(np.array([2.0, -3 + 40j]), EvalSettings(max_terms=30))
+        v, _ = specfun.zeta_vec(np.array([2.0]), EvalSettings(max_terms=30))
+        assert abs(v[0] - math.pi**2 / 6) <= 1e-14
 
 
 class TestWrapperEqualsKernel:

@@ -223,6 +223,16 @@ class TestPsi1:
         with pytest.raises(DomainError):
             psi1_alpha_derivative(-1.0, 0.0, 0.0, 1)
 
+    def test_near_axis_needs_z_inside(self):
+        # near pi/4 the direct sum cancels: it has no correct digit here
+        # against a 60-digit mpmath sum (-7.51e235-5.67e235i)
+        with pytest.raises(RegionError, match=r"psi1 at alpha=0\.785"):
+            psi1(0.785, 2 - 0.1j, 0.3)
+        with pytest.raises(RegionError):
+            psi1_alpha_derivative(0.785, 2 - 0.1j, 0.3, 2)
+        # away from the axis the direct route has no region condition
+        assert cmath.isfinite(psi1(0.2, 2 - 0.1j, 0.3))
+
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
             psi1_alpha_derivative(0.1, 0.0, 0.0, 5)

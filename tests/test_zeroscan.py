@@ -284,5 +284,5 @@ class TestNonFiniteInput:
         ((-1.0, 1.0, math.nan, 1.0), 0.25),
     ])
     def test_region_grid(self, bounds, step):
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             region_grid(*bounds, step)
