@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands cover every verification the library offers; outputs are CSV or
-JSON files that are byte-identical across repeated runs.  Exit codes:
+JSON files that are byte-identical across repeated runs.  Every subcommand
+takes the same options, and the subcommand may stand anywhere on the command
+line; options a subcommand does not use are ignored.  Exit codes:
 0 all tolerances met, 2 a tolerance gate failed, 3 config, parse or usage
 error, 4 numeric error.
 
@@ -31,10 +33,6 @@ from .errors import ConfigError, ParseError, XishiftError
 from .settings import DEFAULT_SETTINGS, EvalSettings, grid_nodes, reality_bound
 
 __all__ = ["RunManifest", "parse_config", "run", "main"]
-
-SUBCOMMANDS = (
-    "eval", "scan", "theta-check", "integral-check", "region", "moments", "limits",
-)
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 2
@@ -287,7 +285,6 @@ def _cmd_limits(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     return fields, rows, passed, {"deltas": list(_DECAY_DELTAS)}
 
 
-_NEEDS_CONFIG = {"eval", "scan", "moments", "limits"}
 _DISPATCH = {
     "eval": _cmd_eval,
     "scan": _cmd_scan,
@@ -297,6 +294,8 @@ _DISPATCH = {
     "moments": _cmd_moments,
     "limits": _cmd_limits,
 }
+SUBCOMMANDS = tuple(_DISPATCH)
+_NEEDS_CONFIG = {_cmd_eval, _cmd_scan, _cmd_moments, _cmd_limits}
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
@@ -321,12 +320,13 @@ def _write_json(path: str, man: RunManifest, fieldnames, rows, passed, params) -
 def run(manifest: RunManifest) -> int:
     """Execute one subcommand; returns the exit code of the contract."""
     try:
+        command = _DISPATCH[manifest.subcommand]
         cfg = None
-        if manifest.subcommand in _NEEDS_CONFIG:
+        if command in _NEEDS_CONFIG:
             if manifest.config_path is None:
                 raise ConfigError(f"subcommand {manifest.subcommand!r} requires --config")
             cfg = parse_config(manifest.config_path)
-        fieldnames, rows, passed, params = _DISPATCH[manifest.subcommand](manifest, cfg)
+        fieldnames, rows, passed, params = command(manifest, cfg)
     except (ParseError, ConfigError) as exc:
         _emit_error(exc)
         return EXIT_CONFIG
@@ -353,45 +353,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    """One parser for every subcommand; each dest is a RunManifest field."""
+    p = _Parser(
         prog="xishift",
         description="Completed-zeta / theta-transformation checks and "
                     "critical-line zero scans for shifted Xi-type combinations.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", dest="config_path", default=None,
-                       help="path to a shift-config JSON file")
-        p.add_argument("--out", dest="output_path", required=True)
-        p.add_argument("--format", dest="output_format", choices=("csv", "json"),
-                       default="csv")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--t-min", dest="t_min", type=float, default=None)
-        p.add_argument("--t-max", dest="t_max", type=float, default=None)
-        p.add_argument("--step", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--m", dest="m_max", type=int, default=1)
-        p.add_argument("--alpha", type=float, default=0.2)
-    return parser
+    p.add_argument("subcommand", choices=SUBCOMMANDS)
+    p.add_argument("--config", dest="config_path", default=None,
+                   help="path to a shift-config JSON file")
+    p.add_argument("--out", dest="output_path", required=True)
+    p.add_argument("--format", dest="output_format", choices=("csv", "json"),
+                   default="csv")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--t-min", dest="t_min", type=float, default=None)
+    p.add_argument("--t-max", dest="t_max", type=float, default=None)
+    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--m", dest="m_max", type=int, default=1)
+    p.add_argument("--alpha", type=float, default=0.2)
+    return p
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        manifest = RunManifest(
-            subcommand=args.subcommand,
-            output_path=args.output_path,
-            config_path=args.config_path,
-            output_format=args.output_format,
-            workers=args.workers,
-            t_min=args.t_min,
-            t_max=args.t_max,
-            step=args.step,
-            tol=args.tol,
-            m_max=args.m_max,
-            alpha=args.alpha,
-        )
+        manifest = RunManifest(**vars(build_parser().parse_args(argv)))
     except (ParseError, ConfigError) as exc:
         _emit_error(exc)
         return EXIT_CONFIG

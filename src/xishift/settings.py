@@ -21,8 +21,8 @@ class EvalSettings:
 
     rel_tol      : target relative accuracy of series evaluations
     max_terms    : hard cap on series length; every series kernel refuses more itself
-    em_terms     : minimum Euler-Maclaurin direct-sum length; the actual
-                   length comes from the remainder bound, ~0.61*|s+27|
+    em_terms     : minimum Euler-Maclaurin direct-sum length, at most max_terms;
+                   the actual length comes from the remainder bound, ~0.61*|s+27|
     quad_abs_tol : absolute tolerance for quadrature and theta tail bounds
     """
 
@@ -40,6 +40,8 @@ class EvalSettings:
             raise ConfigError(f"quad_abs_tol must be positive, got {self.quad_abs_tol}")
         if self.em_terms < 4:
             raise ConfigError(f"em_terms must be >= 4, got {self.em_terms}")
+        if self.em_terms > self.max_terms:
+            raise ConfigError(f"em_terms={self.em_terms} exceeds max_terms={self.max_terms}")
 
 
 DEFAULT_SETTINGS = EvalSettings()

@@ -54,6 +54,7 @@ _EXP_GUARD = 700.0
 # ---------------------------------------------------------------------------
 
 _JET_LEN = 5
+_MIRROR_SIGNS = (-1.0) ** np.arange(_JET_LEN)  # coefficient k of a jet under alpha -> -alpha
 
 
 def _j_var(alpha: float) -> np.ndarray:
@@ -270,6 +271,8 @@ def psi_xz_transform_residual(
 #                 [ psi(1/(4d), i z sqrt(1+i/d)) - psi(1/d, i z sqrt(1+i/d)) ]
 #
 # whose terms are superexponentially small, with no cancellation at all.
+# Near alpha = -pi/4 the same route runs on the mirror image, since
+# B(alpha; z) = conj B(-alpha; conj z).
 
 def _psi1_base_jet(alpha: float, z: complex, settings: EvalSettings) -> np.ndarray:
     """Taylor jet in alpha of the lam-free factor e^{-z^2/8}/2 + e^{z^2/8} psi(e^{2 i alpha}, z).
@@ -281,15 +284,19 @@ def _psi1_base_jet(alpha: float, z: complex, settings: EvalSettings) -> np.ndarr
             f"alpha={alpha:g} outside (-pi/4, pi/4); Re(e^(2 i alpha)) <= 0 there"
         )
     z = complex(z)
+    near_axis = math.cos(2.0 * alpha) < 0.1  # there the direct sum cancels
+    if near_axis and alpha < 0:
+        # the mirror image; its transformed route needs conj z inside
+        require_inside(z.conjugate(), f"psi1 at alpha={alpha:g}")
+        return np.conj(_psi1_base_jet(-alpha, z.conjugate(), settings)) * _MIRROR_SIGNS
     tight = _tightened(settings)
     ez8 = cmath.exp(z * z / 8.0)
     var = _j_var(alpha)
     x = _j_exp(2j * var)
-    if not (x[0].real < 0.1 and alpha > 0):
+    if not near_axis:
         base = ez8 * _folded_theta(x, SQRT_PI * z * _j_exp(1j * var), 0j, tight).value
         base[0] += cmath.exp(-z * z / 8.0) / 2.0
         return base
-    # the direct sum cancels here, and the transformed route needs z inside
     require_inside(z, f"psi1 at alpha={alpha:g}")
     # transformed near-axis route; d = e^{2 i alpha} - i, its value computed
     # without cancellation from eps = pi/4 - alpha; sqrt(i + d) = e^{i alpha}
@@ -330,9 +337,10 @@ def psi1_alpha_derivative(
     """order-th alpha-derivative of psi1 by analytic (jet) differentiation.
 
     Orders through 4 are supported (the moment identities need 2m <= 4).
-    Near alpha = pi/4 the transformed representation keeps orders <= 4
+    Near alpha = +-pi/4 the transformed representation keeps orders <= 4
     noise-free; finite differences would be hopeless there.  That route
-    needs z inside the admissible region (RegionError otherwise).
+    needs z inside the admissible region near pi/4, and conj z near -pi/4
+    (RegionError otherwise).
     """
     return _psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, order)
 

@@ -6,6 +6,9 @@ nodes as width-zero brackets.  scan_fz evaluates the grid in one call, then
 bisects all brackets in lockstep with one call per step.  A point's value
 never depends on its batch mates, so each bracket takes exactly the steps
 of scalar bisection.
+
+report_rows flattens a ScanReport into SCAN_FIELDS rows; the CLI's CSV and
+JSON writers are the only serialisers of scan results.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .settings import (DEFAULT_SETTINGS, UNDERFLOW_FLOOR, EvalSettings, grid_nod
 from .shifts import ShiftConfig, fz_line_vec, validate_config
 
 __all__ = ["ZeroBracket", "ZeroHit", "ScanReport", "scan", "bisect", "scan_fz",
-           "require_resolved", "report_rows", "report_csv_bytes", "report_json_bytes"]
+           "require_resolved", "report_rows", "SCAN_FIELDS"]
 
 ON_NODE_EPS = 1e-13
 SCAN_FIELDS = ("t_lo", "t_hi", "t_zero", "f_residual", "iterations")
@@ -245,24 +248,3 @@ def report_rows(report: ScanReport) -> list[dict]:
         dict(zip(SCAN_FIELDS, (br.t_lo, br.t_hi, hit.t, hit.residual, hit.iterations)))
         for br, hit in zip(report.brackets, report.zeros)
     ]
-
-
-def report_csv_bytes(report: ScanReport) -> bytes:
-    """CSV of report_rows under a SCAN_FIELDS header."""
-    lines = [",".join(SCAN_FIELDS)]
-    lines += [",".join(repr(v) for v in row.values()) for row in report_rows(report)]
-    return ("\n".join(lines) + "\n").encode()
-
-
-def report_json_bytes(report: ScanReport, settings: EvalSettings = DEFAULT_SETTINGS) -> bytes:
-    payload = {
-        "schema_version": 1,
-        "kind": "scan_report",
-        "config_digest": report.config_digest,
-        "grid_step": report.grid_step,
-        "range": list(report.t_range),
-        "settings": asdict(settings),
-        "brackets": [asdict(b) for b in report.brackets],
-        "zeros": [asdict(h) for h in report.zeros],
-    }
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()

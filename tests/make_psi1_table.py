@@ -9,9 +9,9 @@ Here it is summed directly, with no modular transformation, at 40 digits and
 with enough terms that the dropped tail of every alpha-derivative through
 order 4 is below 10^-45; mpmath's `diffs` then gives orders 0..4.  Near
 alpha = pi/4 the direct sum cancels by ~11 digits at the sampled z, which the
-40 working digits absorb.  The sample covers both of the library's routes:
-alpha <= pi/4 - 0.1 takes the direct sum, pi/4 - 0.01 and pi/4 - 10^-3 the
-transformed one.
+40 working digits absorb.  The sample covers all of the library's routes:
+-0.5 <= alpha <= pi/4 - 0.1 takes the direct sum, pi/4 - 0.01 and
+pi/4 - 10^-3 the transformed one, and -0.78 its mirror image.
 
 Usage (mpmath is a test dependency only; the library never imports it):
 
@@ -25,7 +25,8 @@ import math
 import mpmath
 
 DPS = 40
-ALPHAS = (0.0, 0.3, 0.6, math.pi / 4 - 0.1, math.pi / 4 - 0.01, math.pi / 4 - 1e-3)
+ALPHAS = (0.0, 0.3, 0.6, math.pi / 4 - 0.1, math.pi / 4 - 0.01, math.pi / 4 - 1e-3,
+          -0.5, -0.78)
 ZS = (0.4 + 0.1j, -0.3 + 0.35j)
 LAMS = (0.0, 0.45)
 ORDER = 4

@@ -28,7 +28,6 @@ from xishift.cli import EXIT_OK, main
 from xishift.region import classify_decomposition, classify_inequality
 from xishift.settings import EvalSettings
 from xishift.shifts import fz_line_vec
-from xishift.zeroscan import report_csv_bytes, report_json_bytes
 
 from ._oracles import ZETA_ZEROS
 
@@ -197,21 +196,24 @@ def test_criterion_10_shifted_exhibit():
 def test_criterion_11_determinism(tmp_path):
     start = time.time()
     reports = [scan_fz(HARDY, 10.0, 30.0, 0.05, 1e-8, workers=w) for w in (1, 4, 8)]
-    same_json = len({report_json_bytes(r) for r in reports}) == 1
-    same_csv = len({report_csv_bytes(r) for r in reports}) == 1
+    # repr is exact for every float, -0.0 included, and covers f_lo / f_hi
+    same_reports = len({repr(r) for r in reports}) == 1
     cfg = tmp_path / "hardy.json"
     cfg.write_text('{"coefficients": [1.0], "shifts": [0.0], "z_re": 0.0, "z_im": 0.0}\n')
-    outs = []
-    for name in ("a.json", "b.json"):
-        out = tmp_path / name
-        code = main([
-            "scan", "--config", str(cfg), "--out", str(out), "--format", "json",
-            "--t-min", "14", "--t-max", "15", "--step", "0.05",
-        ])
-        assert code == EXIT_OK
-        outs.append(out.read_bytes())
-    ok = same_json and same_csv and outs[0] == outs[1]
+    blobs = {"csv": set(), "json": set()}
+    for fmt, outputs in blobs.items():
+        # a rerun at one worker, then other worker counts
+        for run, workers in enumerate(("1", "1", "4", "8")):
+            out = tmp_path / f"run{run}.{fmt}"
+            code = main([
+                "scan", "--config", str(cfg), "--out", str(out), "--format", fmt,
+                "--t-min", "14", "--t-max", "15", "--step", "0.05", "--workers", workers,
+            ])
+            assert code == EXIT_OK
+            outputs.add(out.read_bytes())
+    same_cli = all(len(outputs) == 1 for outputs in blobs.values())
+    ok = same_reports and same_cli
     elapsed = time.time() - start
     _report(11, ok, elapsed,
-            f"reports identical across workers: {same_json and same_csv}; "
-            f"CLI reruns byte-identical: {outs[0] == outs[1]}")
+            f"reports identical across workers: {same_reports}; "
+            f"CLI csv and json byte-identical across reruns and workers: {same_cli}")

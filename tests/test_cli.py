@@ -8,7 +8,9 @@ from xishift.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_TOLERANCE,
+    SUBCOMMANDS,
     RunManifest,
+    build_parser,
     main,
     parse_config,
     run,
@@ -145,7 +147,7 @@ class TestSubcommands:
             subcommand="moments",
             output_path=str(tmp_path / "m.csv"),
             config_path=hardy_config,
-            settings=EvalSettings(max_terms=16),
+            settings=EvalSettings(max_terms=16, em_terms=16),
             m_max=0,
         )
         assert run(manifest) == EXIT_NUMERIC
@@ -239,3 +241,32 @@ class TestManifest:
             main(["scan", "--help"])
         assert exc.value.code == 0
         assert "--step" in capsys.readouterr().out
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert SUBCOMMANDS == ("eval", "scan", "theta-check", "integral-check", "region",
+                               "moments", "limits")
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
+
+    def test_unknown_subcommand_is_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["nope", "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError" and "'nope'" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_every_subcommand_takes_every_option(self, subcommand):
+        argv = ["--config", "c.json", "--out", "o.json", "--format", "json",
+                "--workers", "4", "--t-min", "-1.5", "--t-max", "9", "--step", "0.25",
+                "--tol", "1e-6", "--m", "2", "--alpha", "0.3"]
+        expected = RunManifest(subcommand=subcommand, output_path="o.json",
+                               config_path="c.json", output_format="json", workers=4,
+                               t_min=-1.5, t_max=9.0, step=0.25, tol=1e-6, m_max=2,
+                               alpha=0.3)
+        # the subcommand may stand anywhere on the line
+        for at in (0, 4, len(argv)):
+            args = build_parser().parse_args(argv[:at] + [subcommand] + argv[at:])
+            assert RunManifest(**vars(args)) == expected, at

@@ -208,7 +208,7 @@ class TestOneLineKernel:
         # the Z main sum at the far nodes needs 19 terms
         hardy = make_config([1.0], [0.0], 0.0)
         with pytest.raises(AccuracyError, match=r"^moment_limit_check: .* 19 terms"):
-            moment_limit_check(0, hardy, EvalSettings(max_terms=16))
+            moment_limit_check(0, hardy, EvalSettings(max_terms=16, em_terms=16))
 
     @pytest.mark.parametrize("alpha, lam", [
         (math.nan, 0.0), (0.1, math.nan), (math.inf, 0.0), (0.1, -math.inf),

@@ -7,6 +7,7 @@ import pytest
 
 from xishift import (
     AccuracyError,
+    ConfigError,
     DivergenceError,
     EvalSettings,
     EvaluationError,
@@ -140,7 +141,12 @@ class TestZeta:
         with pytest.raises(AccuracyError):
             zeta_c(0.5 + 1e7j)
         with pytest.raises(AccuracyError):
-            zeta_c(0.5 + 40j, EvalSettings(max_terms=16))
+            zeta_c(0.5 + 40j, EvalSettings(max_terms=16, em_terms=16))
+
+    def test_em_terms_above_max_terms_rejected(self):
+        # no zeta point could fit such a budget
+        with pytest.raises(ConfigError, match=r"em_terms=20 exceeds max_terms=16"):
+            EvalSettings(max_terms=16)
 
     def test_conjugate_symmetry(self):
         for _ in range(30):
@@ -360,7 +366,8 @@ class TestTermBudget:
     def test_riemann_siegel_has_no_fallback(self):
         # no Euler-Maclaurin fallback: that would need ~1800 terms here
         with pytest.raises(AccuracyError, match=r"Riemann-Siegel.*t=3000\.0 needs 21 terms"):
-            specfun.eta_weighted_line(3000.0, 0.78, 0.0, EvalSettings(max_terms=16))
+            specfun.eta_weighted_line(3000.0, 0.78, 0.0,
+                                      EvalSettings(max_terms=16, em_terms=16))
 
     def test_reflected_point_counts_the_sum_at_one_minus_s(self):
         # the sum runs at 1 - s = 4 - 40i, which needs 31 terms; s = 2 needs 20
@@ -563,7 +570,7 @@ class TestHyp1F1:
 
     def test_divergence_error(self):
         with pytest.raises(DivergenceError):
-            hyp1f1(1.0, 0.5, 30.0, EvalSettings(max_terms=16))
+            hyp1f1(1.0, 0.5, 30.0, EvalSettings(max_terms=16, em_terms=16))
 
     def test_any_shape(self):
         a = (np.linspace(-12.0, 3.0, 12) + 1j * np.linspace(0.5, 40.0, 12)).reshape(3, 4)
