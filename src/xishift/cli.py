@@ -3,7 +3,8 @@
 Subcommands cover every verification the library offers; outputs are CSV or
 JSON files that are byte-identical across repeated runs.  Every subcommand
 takes the same options, and the subcommand may stand anywhere on the command
-line; options a subcommand does not use are ignored.  Exit codes:
+line; options it does not use are ignored, but a given --config is always read.
+Every subcommand runs at the default settings.  Exit codes:
 0 all tolerances met, 2 a tolerance gate failed, 3 config, parse or usage
 error, 4 numeric error.
 
@@ -22,7 +23,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from . import integral, region, theta, zeroscan
 from . import shifts as shifts_mod
 from .errors import ConfigError, ParseError, XishiftError
-from .settings import DEFAULT_SETTINGS, EvalSettings, grid_nodes, reality_bound
+from .settings import DEFAULT_SETTINGS, grid_nodes, reality_bound
 
 __all__ = ["RunManifest", "parse_config", "run", "main"]
 
@@ -50,7 +51,6 @@ class RunManifest:
     config_path: str | None = None
     output_format: str = "csv"
     workers: int = 1
-    settings: EvalSettings = field(default_factory=lambda: DEFAULT_SETTINGS)
     t_min: float | None = None
     t_max: float | None = None
     step: float | None = None
@@ -119,7 +119,7 @@ def _cmd_eval(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     t_hi = 40.0 if man.t_max is None else man.t_max
     step = 0.5 if man.step is None else man.step
     ts = grid_nodes(t_lo, t_hi, step)
-    re, im, err = shifts_mod.fz_line_vec(ts, cfg, man.settings)
+    re, im, err = shifts_mod.fz_line_vec(ts, cfg)
     zeroscan.require_resolved(ts, re, err)
     rows = [
         {"t": float(t), "f": float(v), "im_residual": float(r), "abs_err_est": float(e)}
@@ -136,13 +136,13 @@ def _cmd_scan(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     t_hi = 30.0 if man.t_max is None else man.t_max
     step = 0.02 if man.step is None else man.step
     tol = 1e-8 if man.tol is None else man.tol
-    report = zeroscan.scan_fz(cfg, t_lo, t_hi, step, tol, man.workers, man.settings)
+    report = zeroscan.scan_fz(cfg, t_lo, t_hi, step, tol, man.workers)
     # workers is execution metadata, not result data: the report is identical
     # for any worker count, so the output must not mention it
     params = {
         "t_min": t_lo, "t_max": t_hi, "step": step, "tol": tol,
         "config_digest": report.config_digest,
-        "settings": asdict(man.settings),
+        "settings": asdict(DEFAULT_SETTINGS),
     }
     return list(zeroscan.SCAN_FIELDS), zeroscan.report_rows(report), True, params
 
@@ -159,21 +159,21 @@ def _cmd_theta_check(man: RunManifest, _cfg):
     worst_jacobi = 0.0
     for i in range(50):
         x = 10.0 ** (-1.0 + 2.0 * i / 49.0)
-        r = theta.jacobi_residual(x, man.settings)
+        r = theta.jacobi_residual(x)
         worst_jacobi = max(worst_jacobi, r)
         rows.append({"check": "jacobi", "p_re": x, "p_im": 0.0,
                      "z_re": 0.0, "z_im": 0.0, "residual": r})
     worst_general = 0.0
     for a in _THETA_A_SWEEP:
         for z in _THETA_Z_SWEEP:
-            r = theta.general_theta_residual(a, z, man.settings)
+            r = theta.general_theta_residual(a, z)
             worst_general = max(worst_general, r)
             a_c = complex(a)
             rows.append({"check": "general", "p_re": a_c.real, "p_im": a_c.imag,
                          "z_re": complex(z).real, "z_im": complex(z).imag, "residual": r})
     for x in _THETA_X_SWEEP:
         for z in _THETA_Z_SWEEP:
-            r = theta.psi_xz_transform_residual(x, z, man.settings)
+            r = theta.psi_xz_transform_residual(x, z)
             worst_general = max(worst_general, r)
             x_c = complex(x)
             rows.append({"check": "xz_transform", "p_re": x_c.real, "p_im": x_c.imag,
@@ -194,9 +194,9 @@ def _cmd_integral_check(man: RunManifest, _cfg):
     worst = 0.0
     for a in _INTEGRAL_A:
         for z in _INTEGRAL_Z:
-            out = integral.xi_integral(a, z, man.settings)
-            side_a = theta.series_side(a, z, man.settings).value
-            side_b = theta.series_side(1.0 / a, 1j * z, man.settings).value
+            out = integral.xi_integral(a, z)
+            side_a = theta.series_side(a, z).value
+            side_b = theta.series_side(1.0 / a, 1j * z).value
             resid = max(abs(out.value - side_a), abs(out.value - side_b))
             worst = max(worst, resid)
             rows.append({
@@ -233,11 +233,9 @@ _LIMIT_GATES = {0: 5e-3, 1: 2e-2}
 def _cmd_moments(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     rows = []
     passed = True
-    st = man.settings
-    series_settings = replace(st, quad_abs_tol=min(st.quad_abs_tol, 1e-9))
     for m in range(min(man.m_max, 2) + 1):
-        numeric = shifts_mod.moment_numeric(m, man.alpha, cfg, series_settings)
-        assembled = shifts_mod.moment_series_rhs(m, man.alpha, cfg, series_settings)
+        numeric = shifts_mod.moment_numeric(m, man.alpha, cfg)
+        assembled = shifts_mod.moment_series_rhs(m, man.alpha, cfg)
         diff = abs(numeric - assembled)
         gate = _SERIES_GATES[m]
         passed &= diff < gate
@@ -245,7 +243,7 @@ def _cmd_moments(man: RunManifest, cfg: shifts_mod.ShiftConfig):
                      "numeric": numeric, "reference": assembled,
                      "discrepancy": diff, "gate": gate})
         if m in _LIMIT_GATES:
-            rel = shifts_mod.moment_limit_check(m, cfg, st)
+            rel = shifts_mod.moment_limit_check(m, cfg)
             closed = shifts_mod.moment_closed_form(m, cfg)
             gate = _LIMIT_GATES[m]
             passed &= rel < gate
@@ -261,7 +259,7 @@ def _cmd_limits(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     passed = True
     z = cfg.z
     for scale, name in ((4.0, "quarter"), (1.0, "unit")):
-        seq = theta.axis_decay_sequence(z, list(_DECAY_DELTAS), man.settings, scale=scale)
+        seq = theta.axis_decay_sequence(z, list(_DECAY_DELTAS), scale=scale)
         ok = all(b < a for a, b in zip(seq, seq[1:])) and seq[-1] < 1e-8
         passed &= ok
         for d, v in zip(_DECAY_DELTAS, seq):
@@ -269,7 +267,7 @@ def _cmd_limits(man: RunManifest, cfg: shifts_mod.ShiftConfig):
                          "order": 0, "param": d, "value": v,
                          "target": 1e-8, "ok": int(ok)})
     alphas = [math.pi / 4.0 - 10.0 ** -k for k in (1, 2, 3)]
-    bases = [theta._psi1_base_jet(alpha, z, man.settings) for alpha in alphas]
+    bases = [theta._psi1_base_jet(alpha, z, DEFAULT_SETTINGS) for alpha in alphas]
     for lam in cfg.shifts:
         for m in (0, 1):
             lim = theta.psi1_limit_value(z, lam, 2 * m)
@@ -321,11 +319,10 @@ def run(manifest: RunManifest) -> int:
     """Execute one subcommand; returns the exit code of the contract."""
     try:
         command = _DISPATCH[manifest.subcommand]
-        cfg = None
-        if command in _NEEDS_CONFIG:
-            if manifest.config_path is None:
-                raise ConfigError(f"subcommand {manifest.subcommand!r} requires --config")
-            cfg = parse_config(manifest.config_path)
+        if manifest.config_path is None and command in _NEEDS_CONFIG:
+            raise ConfigError(f"subcommand {manifest.subcommand!r} requires --config")
+        # a given config is read and validated even where the subcommand ignores it
+        cfg = None if manifest.config_path is None else parse_config(manifest.config_path)
         fieldnames, rows, passed, params = command(manifest, cfg)
     except (ParseError, ConfigError) as exc:
         _emit_error(exc)

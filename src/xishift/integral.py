@@ -231,6 +231,6 @@ def moment_integral(
     lam: float,
     z: complex,
     settings: EvalSettings = DEFAULT_SETTINGS,
-) -> float:
-    """Re of the two-sided weighted moment integral for one shift lam."""
-    return _weighted_moment(m, [(1.0, alpha, lam)], z, settings).value
+) -> QuadratureResult:
+    """The two-sided weighted moment integral for one shift lam; value is its real part."""
+    return _weighted_moment(m, [(1.0, alpha, lam)], z, settings)

@@ -42,6 +42,7 @@ _W_G = np.zeros(15)
 _W_G[1:14:2] = np.concatenate([_WG[:3], _WG[3:4], _WG[2::-1]])
 
 _ROUNDOFF_REL = 5e-15
+_BATCH = 64  # panels split per refinement wave, one integrand call each
 
 
 @dataclass
@@ -76,7 +77,6 @@ def adaptive_gk(
     *,
     initial_panels: int = 8,
     max_panels: int = 40_000,
-    batch: int = 64,
 ) -> GKOutcome:
     """Integrate f over [a, b] to absolute tolerance abs_tol.
 
@@ -103,7 +103,7 @@ def adaptive_gk(
             break
         if n_panels >= max_panels:
             break
-        n_split = min(batch, len(heap), max(1, (max_panels - n_panels)))
+        n_split = min(_BATCH, len(heap), max(1, (max_panels - n_panels)))
         split = [heapq.heappop(heap) for _ in range(n_split)]
         lo = np.empty(2 * n_split)
         hi = np.empty(2 * n_split)

@@ -13,35 +13,28 @@ from .errors import ConfigError, EvaluationError, SymmetryError
 
 # the one underflow floor, for scalar results and scan nodes alike (underflowed)
 UNDERFLOW_FLOOR = 5e-300
+EM_MIN_TERMS = 20  # the shortest Euler-Maclaurin sum (specfun.em_length): the least max_terms
 
 
 @dataclass(frozen=True)
 class EvalSettings:
-    """Precision and truncation policy shared by all series and quadratures.
+    """The two knobs callers set on every series and quadrature.
 
-    rel_tol      : target relative accuracy of series evaluations
-    max_terms    : hard cap on series length; every series kernel refuses more itself
-    em_terms     : minimum Euler-Maclaurin direct-sum length, at most max_terms;
-                   the actual length comes from the remainder bound, ~0.61*|s+27|
+    max_terms    : hard cap on series length; every series kernel refuses more
+                   itself.  At least EM_MIN_TERMS, the shortest Euler-Maclaurin
+                   direct sum, so that zeta fits the budget somewhere
     quad_abs_tol : absolute tolerance for quadrature and theta tail bounds
     """
 
-    rel_tol: float = 1e-12
     max_terms: int = 10_000
-    em_terms: int = 20
     quad_abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ConfigError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_terms < 16:
-            raise ConfigError(f"max_terms must be >= 16, got {self.max_terms}")
+        if self.max_terms < EM_MIN_TERMS:
+            raise ConfigError(f"max_terms must be >= {EM_MIN_TERMS} (the Euler-Maclaurin floor), "
+                              f"got {self.max_terms}")
         if not self.quad_abs_tol > 0:
             raise ConfigError(f"quad_abs_tol must be positive, got {self.quad_abs_tol}")
-        if self.em_terms < 4:
-            raise ConfigError(f"em_terms must be >= 4, got {self.em_terms}")
-        if self.em_terms > self.max_terms:
-            raise ConfigError(f"em_terms={self.em_terms} exceeds max_terms={self.max_terms}")
 
 
 DEFAULT_SETTINGS = EvalSettings()

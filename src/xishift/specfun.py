@@ -21,8 +21,8 @@ Gamma      : Lanczos rational approximation, g = 607/128 with the standard
              kept stable for large |Im s|.
 Zeta       : Euler-Maclaurin with Bernoulli corrections through B26 (B28
              feeds the error bound) and a direct-sum length N ~ 0.61*|s+27|
-             taken from that bound; the functional equation covers
-             Re(s) < 0.
+             taken from that bound, at least EM_MIN_TERMS (20); the
+             functional equation covers Re(s) < 0.
 Hardy Z    : Riemann-Siegel main sum of floor(sqrt(t/2pi)) terms, theta(t)
              from its Stirling series, phases reduced in longdouble, and the
              corrections C_0..C_10 from a frozen table (tests/make_rs_table.py
@@ -31,9 +31,9 @@ Eta        : pi^(-s/2) Gamma(s/2) zeta(s) with an optional log-weight fused
              into the exponent.  On the critical line at |t| >= RS_CROSSOVER
              (495, where the Z estimate drops below the Euler-Maclaurin one)
              it is pi^(-1/4) |Gamma(1/4 + it/2)| Z(|t|): real, no Gamma phase.
-1F1        : Maclaurin series over an array of a-parameters; the error
-             estimate carries the tail and an explicit cancellation term
-             (machine epsilon times the largest partial sum).
+1F1        : Maclaurin series over an array of a-parameters, each stopped after
+             two terms below 1e-12 of its sum; the error estimate carries the
+             tail and a cancellation term (eps times the largest partial sum).
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .errors import (
 )
 from .settings import (
     DEFAULT_SETTINGS,
+    EM_MIN_TERMS,
     EvalSettings,
     ValueWithError,
     checked_value,
@@ -214,15 +215,15 @@ _EM_RATE = (2.0 / _EM_TARGET) ** (1.0 / (2 * _EM_K + 2)) / (2.0 * math.pi)
 _EM_CHUNK = 1 << 17  # entries per block of the direct sum (2 MB)
 
 
-def em_length(s, settings: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def em_length(s) -> np.ndarray:
     """Euler-Maclaurin direct-sum length each s needs, before ladder rounding.
 
-    N = ceil(_EM_RATE*|s+2K+1|) ~ 0.61*|s+27|, at least settings.em_terms;
+    N = ceil(_EM_RATE*|s+2K+1|) ~ 0.61*|s+27|, at least EM_MIN_TERMS (20);
     zeta_vec refuses a point that needs more than settings.max_terms.
     Lengths are whole floats, so a huge |s| cannot wrap an integer type.
     """
     need = np.ceil(_EM_RATE * np.abs(np.asarray(s, dtype=complex) + (2 * _EM_K + 1)))
-    return np.maximum(float(settings.em_terms), need)
+    return np.maximum(float(EM_MIN_TERMS), need)
 
 
 def _require_budget(need, points, what: str, settings: EvalSettings) -> None:
@@ -235,13 +236,13 @@ def _require_budget(need, points, what: str, settings: EvalSettings) -> None:
 
 
 @lru_cache(maxsize=8)
-def _em_ladder(em_terms: int, max_terms: int) -> tuple[int, ...]:
-    """Fixed ladder of direct-sum lengths.
+def _em_ladder(max_terms: int) -> tuple[int, ...]:
+    """Fixed ladder of direct-sum lengths, EM_MIN_TERMS up to max_terms.
 
     Each point picks the smallest ladder entry covering its own em_length,
     so its value is independent of array grouping.
     """
-    ladder = [max(4, em_terms)]
+    ladder = [EM_MIN_TERMS]
     while ladder[-1] < max_terms:
         ladder.append(min(max_terms, math.ceil(ladder[-1] * 1.25)))
     return tuple(ladder)
@@ -294,9 +295,9 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
         raise PoleError("zeta has its pole at s=1")
     refl = s.real < 0.0
     u = np.where(refl, 1.0 - s, s) if refl.any() else s
-    need = em_length(u, settings)
+    need = em_length(u)
     _require_budget(need, s, "zeta: Euler-Maclaurin direct sum at s", settings)
-    ladder = np.asarray(_em_ladder(settings.em_terms, settings.max_terms))
+    ladder = np.asarray(_em_ladder(settings.max_terms))
     # fmin: a nan point takes the last group and is caught as non-finite below
     idx = np.searchsorted(ladder, np.fmin(need, ladder[-1]))
     vals = np.empty(s.shape, dtype=complex)
@@ -671,6 +672,9 @@ def hyp1f1(
     return checked_value(v[0], e[0], f"hyp1f1({a}; {complex(b)}; {complex(w)})")
 
 
+_HYP1F1_REL_TOL = 1e-12  # an entry stops after two terms below this share of its sum
+
+
 def hyp1f1_vec(
     a: np.ndarray,
     b: complex,
@@ -704,7 +708,7 @@ def hyp1f1_vec(
         np.maximum(max_partial, np.abs(acc), out=max_partial, where=active)
         mag = np.abs(tn)
         last_mag[active] = mag
-        small = mag <= settings.rel_tol * np.maximum(np.abs(acc[active]), 1e-300)
+        small = mag <= _HYP1F1_REL_TOL * np.maximum(np.abs(acc[active]), 1e-300)
         streak_active = np.where(small, streak[active] + 1, 0)
         streak[active] = streak_active
         done = streak_active >= 2

@@ -1,8 +1,9 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from xishift import ConfigError, EvalSettings, ParseError
+from xishift import ConfigError, ParseError
 from xishift.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -13,7 +14,6 @@ from xishift.cli import (
     build_parser,
     main,
     parse_config,
-    run,
 )
 
 HARDY_JSON = '{"coefficients": [1.0], "shifts": [0.0], "z_re": 0.0, "z_im": 0.0}\n'
@@ -142,15 +142,39 @@ class TestSubcommands:
         assert main(["eval", "--out", str(out)]) == EXIT_CONFIG
         assert main(["eval", "--config", "/no/file", "--out", str(out)]) == EXIT_CONFIG
 
-    def test_numeric_error_is_exit_4(self, hardy_config, tmp_path):
-        manifest = RunManifest(
-            subcommand="moments",
-            output_path=str(tmp_path / "m.csv"),
-            config_path=hardy_config,
-            settings=EvalSettings(max_terms=16, em_terms=16),
-            m_max=0,
-        )
-        assert run(manifest) == EXIT_NUMERIC
+    def test_numeric_error_is_exit_4(self, hardy_config, tmp_path, capsys):
+        # alpha past the pi/4 - 0.01 margin: the moment kernel's DomainError
+        out = tmp_path / "m.csv"
+        code = main(["moments", "--config", hardy_config, "--out", str(out),
+                     "--alpha", "0.78", "--m", "0"])
+        assert code == EXIT_NUMERIC
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "DomainError" and "pi/4 - 0.01" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["theta-check", "integral-check", "region"])
+    def test_unused_missing_config_is_exit_3(self, subcommand, tmp_path, capsys):
+        # a given --config is read even where the subcommand does not use it
+        out = tmp_path / "x.csv"
+        code = main([subcommand, "--config", "/no/such/file.json", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError" and "/no/such/file.json" in record["message"]
+        assert not out.exists()
+
+    def test_unused_valid_config_changes_no_byte(self, hardy_config, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["region", "--t-min", "-1", "--t-max", "1", "--step", "0.25"]
+        assert main(argv + ["--out", str(a)]) == EXIT_OK
+        assert main(argv + ["--config", hardy_config, "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_scan_json_echoes_both_settings(self, hardy_config, tmp_path):
+        out = tmp_path / "scan.json"
+        assert main(["scan", "--config", hardy_config, "--out", str(out), "--format", "json",
+                     "--t-min", "10", "--t-max", "30"]) == EXIT_OK
+        settings = json.loads(out.read_text())["params"]["settings"]
+        assert settings == {"max_terms": 10000, "quad_abs_tol": 1e-10}
 
     def test_scan_underflow_is_exit_4(self, hardy_config, tmp_path, capsys):
         out = tmp_path / "scan.csv"
@@ -198,6 +222,12 @@ class TestManifest:
     def test_bad_workers(self):
         with pytest.raises(ConfigError):
             RunManifest(subcommand="eval", output_path="x", workers=0)
+
+    def test_fields_are_the_parser_dests(self):
+        # the manifest is the parsed argv: no field that no option sets
+        dests = {a.dest for a in build_parser()._actions if a.dest != "help"}
+        assert {f.name for f in fields(RunManifest)} == dests
+        assert len(dests) == 11
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--step", "nan"],

@@ -9,6 +9,7 @@ from xishift import (
     AccuracyError,
     DomainError,
     EvalSettings,
+    QuadratureResult,
     RegionError,
     ToleranceError,
     UnsupportedOrderError,
@@ -201,14 +202,16 @@ class TestOneLineKernel:
         moment_limit_check(0, hardy, EvalSettings(max_terms=1000))
         moment_limit_check(0, hardy)
         capped, full = results
-        assert em_length(complex(0.5, capped.truncation_T), EvalSettings()) > 1000
+        assert em_length(complex(0.5, capped.truncation_T)) > 1000
         assert abs(capped.value - full.value) <= capped.abs_err_est + full.abs_err_est
 
     def test_kernel_refusal_names_the_caller(self):
-        # the Z main sum at the far nodes needs 19 terms
+        # the Euler-Maclaurin sum just below the Riemann-Siegel crossover
+        # needs 302 terms
         hardy = make_config([1.0], [0.0], 0.0)
-        with pytest.raises(AccuracyError, match=r"^moment_limit_check: .* 19 terms"):
-            moment_limit_check(0, hardy, EvalSettings(max_terms=16, em_terms=16))
+        with pytest.raises(AccuracyError,
+                           match=r"^moment_limit_check: zeta: Euler-Maclaurin .* 302 terms"):
+            moment_limit_check(0, hardy, EvalSettings(max_terms=20))
 
     @pytest.mark.parametrize("alpha, lam", [
         (math.nan, 0.0), (0.1, math.nan), (math.inf, 0.0), (0.1, -math.inf),
@@ -221,13 +224,15 @@ class TestOneLineKernel:
 class TestMomentIntegral:
     def test_hardy_base_value(self):
         got = moment_integral(0, 0.0, 0.0, 0.0)
-        assert abs(got - MOMENT_HARDY_A0) < 1e-8
+        assert isinstance(got, QuadratureResult) and isinstance(got.value, float)
+        assert abs(got.value - MOMENT_HARDY_A0) < 1e-8
+        assert got.abs_err_est <= EvalSettings().quad_abs_tol
 
     def test_two_sided_equals_twice_one_sided(self):
         # alpha = 0, lam = 0, z real: the integrand is even in t
         m, z = 1, 0.5
         settings = EvalSettings()
-        two_sided = moment_integral(m, 0.0, 0.0, z, settings)
+        two_sided = moment_integral(m, 0.0, 0.0, z, settings).value
         w = complex(z) ** 2 / 4.0
 
         def integrand(ts):
@@ -239,8 +244,8 @@ class TestMomentIntegral:
         assert abs(two_sided - 2.0 * one_sided.value.real) < 1e-9
 
     def test_alpha_parity_for_real_z(self):
-        v1 = moment_integral(0, 0.12, 0.0, 0.3)
-        v2 = moment_integral(0, -0.12, 0.0, 0.3)
+        v1 = moment_integral(0, 0.12, 0.0, 0.3).value
+        v2 = moment_integral(0, -0.12, 0.0, 0.3).value
         assert abs(v1 - v2) < 1e-8
 
     def test_two_alphas_equal_their_one_term_integrals(self):
@@ -252,7 +257,7 @@ class TestMomentIntegral:
         terms = [(1.7, 0.35, 0.0), (-0.7, 0.30, 0.0), (0.5, 0.35, 1.0), (-0.2, 0.30, 1.0)]
         for m in (0, 1):
             got = _weighted_moment(m, terms, z, settings)
-            ref = sum(c * moment_integral(m, a, lam, z, settings) for c, a, lam in terms)
+            ref = sum(c * moment_integral(m, a, lam, z, settings).value for c, a, lam in terms)
             assert abs(got.value - ref) <= sum(abs(c) for c, _, _ in terms) * tol, m
             assert got.abs_err_est <= tol and not got.at_roundoff
             assert got.panels > 0 and got.evaluations > 0

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -39,6 +40,12 @@ class TestAdaptiveGK:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             adaptive_gk(lambda x: x, 1.0, 0.0, 1e-8)
+
+    def test_keywords_are_the_panel_counts(self):
+        # the refinement wave size is fixed; no caller sets it
+        params = inspect.signature(adaptive_gk).parameters
+        keywords = [p for p in params if params[p].kind is inspect.Parameter.KEYWORD_ONLY]
+        assert keywords == ["initial_panels", "max_panels"]
 
 
 class TestTruncationPoint:

@@ -306,7 +306,7 @@ class TestMoments:
         for alpha in (0.2, 0.5):
             for m in (0, 1, 2):
                 ref = sum(
-                    c * moment_integral(m, alpha, lam, cfg.z, st_q)
+                    c * moment_integral(m, alpha, lam, cfg.z, st_q).value
                     for c, lam in zip(cfg.coefficients, cfg.shifts)
                 )
                 assert abs(moment_numeric(m, alpha, cfg, st_q) - ref) <= bound, (alpha, m)

@@ -1,6 +1,8 @@
 import cmath
+import inspect
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -141,12 +143,18 @@ class TestZeta:
         with pytest.raises(AccuracyError):
             zeta_c(0.5 + 1e7j)
         with pytest.raises(AccuracyError):
-            zeta_c(0.5 + 40j, EvalSettings(max_terms=16, em_terms=16))
+            zeta_c(0.5 + 40j, EvalSettings(max_terms=20))
 
-    def test_em_terms_above_max_terms_rejected(self):
+    def test_max_terms_below_em_floor_rejected(self):
         # no zeta point could fit such a budget
-        with pytest.raises(ConfigError, match=r"em_terms=20 exceeds max_terms=16"):
-            EvalSettings(max_terms=16)
+        with pytest.raises(ConfigError, match=r"max_terms must be >= 20 \(the Euler-Maclaurin floor\)"):
+            EvalSettings(max_terms=19)
+        assert zeta_c(2.0, EvalSettings(max_terms=20)).value != 0
+
+    def test_settings_are_the_two_knobs_callers_set(self):
+        assert [f.name for f in fields(EvalSettings)] == ["max_terms", "quad_abs_tol"]
+        with pytest.raises(ConfigError, match="quad_abs_tol"):
+            EvalSettings(quad_abs_tol=0.0)
 
     def test_conjugate_symmetry(self):
         for _ in range(30):
@@ -169,19 +177,23 @@ class TestZetaKernel:
             assert e < 1e-10, t
 
     def test_length_rule(self):
-        settings = EvalSettings()
-        assert specfun.em_length(0.5 + 1e3j, settings) <= 650
-        assert specfun.em_length(0.5 + 1j, settings) == settings.em_terms
+        assert specfun.em_length(0.5 + 1e3j) <= 650
+        assert specfun.em_length(0.5 + 1j) == specfun.EM_MIN_TERMS == 20
         # every point of the moment and scan paths up to t ~ 1.2e4 fits the cap
-        assert specfun.em_length(0.5 + 12_003.75j, settings) <= settings.max_terms
+        assert specfun.em_length(0.5 + 12_003.75j) <= EvalSettings().max_terms
+
+    def test_length_takes_the_point_alone(self):
+        assert list(inspect.signature(specfun.em_length).parameters) == ["s"]
+        assert list(inspect.signature(specfun._em_ladder.__wrapped__).parameters) == ["max_terms"]
+        assert specfun._em_ladder(10_000)[0] == 20
 
     def test_point_alone_equals_point_in_batch(self):
         settings = EvalSettings()
         rng = np.random.default_rng(7)
         ts = np.concatenate((rng.uniform(0.0, 6000.0, 1000), rng.uniform(4500.0, 5000.0, 1000)))
         s = 0.5 + 1j * ts
-        ladder = np.asarray(specfun._em_ladder(settings.em_terms, settings.max_terms))
-        idx = np.searchsorted(ladder, specfun.em_length(s, settings))
+        ladder = np.asarray(specfun._em_ladder(settings.max_terms))
+        idx = np.searchsorted(ladder, specfun.em_length(s))
         groups, sizes = np.unique(idx, return_counts=True)
         # the batch spans several ladder groups, and one group several row blocks
         assert len(groups) >= 5
@@ -199,9 +211,9 @@ class TestZetaKernel:
         # blocks the batch spans
         settings = EvalSettings()
         s = 0.5 + 1j * np.linspace(440.0, 460.0, 8)
-        ladder = specfun._em_ladder(settings.em_terms, settings.max_terms)
-        n_direct = min(n for n in ladder if n >= specfun.em_length(s, settings).max())
-        assert n_direct >= specfun.em_length(s, settings).min()  # one ladder group
+        ladder = specfun._em_ladder(settings.max_terms)
+        n_direct = min(n for n in ladder if n >= specfun.em_length(s).max())
+        assert n_direct >= specfun.em_length(s).min()  # one ladder group
         chunk = specfun._EM_CHUNK // n_direct
         block_bytes = chunk * (n_direct - 1) * 16
         s = 0.5 + 1j * np.linspace(440.0, 460.0, 2 * chunk + chunk // 2)
@@ -367,7 +379,7 @@ class TestTermBudget:
         # no Euler-Maclaurin fallback: that would need ~1800 terms here
         with pytest.raises(AccuracyError, match=r"Riemann-Siegel.*t=3000\.0 needs 21 terms"):
             specfun.eta_weighted_line(3000.0, 0.78, 0.0,
-                                      EvalSettings(max_terms=16, em_terms=16))
+                                      EvalSettings(max_terms=20))
 
     def test_reflected_point_counts_the_sum_at_one_minus_s(self):
         # the sum runs at 1 - s = 4 - 40i, which needs 31 terms; s = 2 needs 20
@@ -570,7 +582,7 @@ class TestHyp1F1:
 
     def test_divergence_error(self):
         with pytest.raises(DivergenceError):
-            hyp1f1(1.0, 0.5, 30.0, EvalSettings(max_terms=16, em_terms=16))
+            hyp1f1(1.0, 0.5, 30.0, EvalSettings(max_terms=20))
 
     def test_any_shape(self):
         a = (np.linspace(-12.0, 3.0, 12) + 1j * np.linspace(0.5, 40.0, 12)).reshape(3, 4)

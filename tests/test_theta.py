@@ -101,7 +101,7 @@ class TestThetaSeries:
     def test_divergence_guard(self):
         # cosh growth cannot be beaten within a tiny term budget
         with pytest.raises(DivergenceError):
-            theta_series(1e-4, 60.0, EvalSettings(max_terms=16, em_terms=16))
+            theta_series(1e-4, 60.0, EvalSettings(max_terms=20))
 
 
 class TestModularResiduals:
