@@ -330,10 +330,15 @@ def run(manifest: RunManifest) -> int:
     except XishiftError as exc:
         _emit_error(exc)
         return EXIT_NUMERIC
-    if manifest.output_format == "csv":
-        _write_csv(manifest.output_path, fieldnames, rows)
-    else:
-        _write_json(manifest.output_path, manifest, fieldnames, rows, passed, params)
+    try:
+        if manifest.output_format == "csv":
+            _write_csv(manifest.output_path, fieldnames, rows)
+        else:
+            _write_json(manifest.output_path, manifest, fieldnames, rows, passed, params)
+    except OSError as exc:
+        _emit_error(ConfigError(f"cannot write --out {manifest.output_path}: "
+                                f"{exc.strerror or exc}"))
+        return EXIT_CONFIG
     return EXIT_OK if passed else EXIT_TOLERANCE
 
 

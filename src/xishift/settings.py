@@ -14,6 +14,8 @@ from .errors import ConfigError, EvaluationError, SymmetryError
 # the one underflow floor, for scalar results and scan nodes alike (underflowed)
 UNDERFLOW_FLOOR = 5e-300
 EM_MIN_TERMS = 20  # the shortest Euler-Maclaurin sum (specfun.em_length): the least max_terms
+# the most nodes grid_nodes builds: the evaluators hold ~1 kB per node, so more needs > 10 GB
+MAX_GRID_NODES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,11 @@ def grid_nodes(lo: float, hi: float, step: float) -> np.ndarray:
         raise ConfigError(f"step must be positive, got {step}")
     if not lo < hi:
         raise ConfigError(f"grid needs lo < hi, got [{lo}, {hi}]")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step  # inf when the quotient overflows
+    if span + 1.0 > MAX_GRID_NODES:
+        raise ConfigError(f"grid [{lo}, {hi}] step {step} has {span + 1.0:.4g} nodes, "
+                          f"more than {MAX_GRID_NODES}")
+    n = int(math.floor(span + 1e-9)) + 1
     nodes = lo + step * np.arange(n)
     if nodes[-1] < hi - 1e-9 * step:
         nodes = np.append(nodes, hi)

@@ -3,9 +3,10 @@
 A scan walks a fixed grid t_i = t_lo + i*step, records strict sign changes
 between consecutive nodes as brackets, and reports zeros landing exactly on
 nodes as width-zero brackets.  scan_fz evaluates the grid in one call, then
-bisects all brackets in lockstep with one call per step.  A point's value
-never depends on its batch mates, so each bracket takes exactly the steps
-of scalar bisection.
+bisects all brackets in lockstep, three steps per call: each call evaluates
+the bisection tree of every open bracket three levels deep, and the signs
+walk each bracket down its tree.  A point's value never depends on its batch
+mates, so each bracket takes exactly the steps of scalar bisection.
 
 report_rows flattens a ScanReport into SCAN_FIELDS rows; the CLI's CSV and
 JSON writers are the only serialisers of scan results.
@@ -30,6 +31,7 @@ __all__ = ["ZeroBracket", "ZeroHit", "ScanReport", "scan", "bisect", "scan_fz",
            "require_resolved", "report_rows", "SCAN_FIELDS"]
 
 ON_NODE_EPS = 1e-13
+_TREE_DEPTH = 3  # bisection steps per evaluator call in scan_fz: 7 points per open bracket
 SCAN_FIELDS = ("t_lo", "t_hi", "t_zero", "f_residual", "iterations")
 
 
@@ -125,23 +127,30 @@ def scan(
 
 
 def _bisect_all(
-    brackets: Sequence[ZeroBracket], f: Callable[[np.ndarray], np.ndarray], tol: float
+    brackets: Sequence[ZeroBracket], f: Callable[[np.ndarray], np.ndarray], tol: float,
+    depth: int = _TREE_DEPTH,
 ) -> list[ZeroHit]:
-    """Bisect every bracket in lockstep, one call of the vector evaluator f per step.
+    """Bisect every bracket in lockstep, depth steps per call of the vector evaluator f.
 
-    Each call evaluates the midpoints of all brackets still open together with
-    the final midpoints of those that closed on the step before.  A bracket
-    stops at an exact zero (residual 0) or at width <= tol, where its result
-    is the final midpoint and |f| there.  f must give each point a value that
-    does not depend on its batch mates.
+    Each call evaluates the bisection tree of every open bracket depth levels
+    deep (level k holds the 2^k midpoints that k more steps can reach, each
+    0.5*(lo + hi) of its node, as one step at a time computes it) and the
+    final midpoints of brackets that closed on the last level of the call
+    before.  The signs then walk each bracket down its tree.  A bracket stops
+    at an exact zero (residual 0) or at width <= tol, where its result is the
+    final midpoint and |f| there, read one level down in the same call when
+    there is one.  The tree never reaches past step 200, where MaxIterError
+    is raised.  f must give each point a value that does not depend on its
+    batch mates; it also sees the tree points that the walk does not take.
     """
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol}")
     lo = np.array([b.t_lo for b in brackets], dtype=float)
     hi = np.array([b.t_hi for b in brackets], dtype=float)
-    f_lo = np.array([b.f_lo for b in brackets], dtype=float)
+    # lo only ever moves to a point of f_lo's sign, so that sign never changes
+    neg = np.array([b.f_lo < 0 for b in brackets], dtype=bool)
     t = lo.copy()  # on-node brackets are done: (t_lo, |f_lo|, 0)
-    residual = np.abs(f_lo)
+    residual = np.array([abs(b.f_lo) for b in brackets], dtype=float)
     iterations = np.zeros(len(brackets), dtype=int)
     live = hi > lo
     pending = np.zeros(len(brackets), dtype=bool)  # closed, residual not yet evaluated
@@ -149,23 +158,40 @@ def _bisect_all(
     while live.any() or pending.any():
         if it == 200 and live.any():
             raise MaxIterError(f"bisection did not reach width {tol:g} in 200 iterations")
-        it += 1
         li, pi = np.flatnonzero(live), np.flatnonzero(pending)
-        mid = 0.5 * (lo[li] + hi[li])
-        vals = np.asarray(f(np.concatenate((mid, t[pi]))), dtype=float)
-        fm = vals[:len(li)]
-        residual[pi] = np.abs(vals[len(li):])
-        pending[pi] = False
-        iterations[li] = it
-        same = (fm < 0) == (f_lo[li] < 0)
-        lo[li[same]], f_lo[li[same]] = mid[same], fm[same]
-        hi[li[~same]] = mid[~same]
-        exact = fm == 0.0
-        closed = exact | (hi[li] - lo[li] <= tol)
-        t[li] = np.where(exact, mid, 0.5 * (lo[li] + hi[li]))
-        residual[li[exact]] = 0.0
-        pending[li[closed & ~exact]] = True
-        live[li[closed]] = False
+        # edges[k][:, n] and [:, n + 1] bound node n of level k; its midpoint
+        # is edges[k + 1][:, 2n + 1], and its children are nodes 2n and 2n + 1
+        edges = [np.stack((lo[li], hi[li]), axis=1)]
+        for _ in range(min(depth, 200 - it)):
+            e = edges[-1]
+            split = np.empty((len(li), 2 * e.shape[1] - 1))
+            split[:, ::2], split[:, 1::2] = e, 0.5 * (e[:, :-1] + e[:, 1:])
+            edges.append(split)
+        vals = np.asarray(f(np.concatenate([e[:, 1::2].ravel() for e in edges[1:]] + [t[pi]])),
+                          dtype=float)
+        rows, node = np.arange(len(li)), np.zeros(len(li), dtype=int)
+        walking = np.ones(len(li), dtype=bool)
+        # closed on the level before: its node on this level is its final midpoint
+        waiting = np.zeros(len(li), dtype=bool)
+        node_lo, node_hi = lo[li], hi[li]
+        for k, e in enumerate(edges[1:]):
+            n = len(li) << k
+            fm, vals = vals[:n].reshape(-1, 1 << k)[rows, node], vals[n:]
+            residual[li[waiting]] = np.abs(fm[waiting])
+            iterations[li[walking]] = it + k + 1
+            mid = e[rows, 2 * node + 1]
+            exact = walking & (fm == 0.0)
+            node = np.where(walking, 2 * node + ((fm < 0) == neg[li]), node)
+            node_lo, node_hi = e[rows, node], e[rows, node + 1]
+            waiting = walking & ~exact & (node_hi - node_lo <= tol)
+            t[li] = np.where(exact, mid, np.where(waiting, 0.5 * (node_lo + node_hi), t[li]))
+            residual[li[exact]] = 0.0
+            walking &= ~(exact | waiting)
+        it += len(edges) - 1
+        live[li] = walking
+        lo[li[walking]], hi[li[walking]] = node_lo[walking], node_hi[walking]
+        residual[pi], pending[pi] = np.abs(vals), False
+        pending[li[waiting]] = True
     return [ZeroHit(float(a), float(r), int(n)) for a, r, n in zip(t, residual, iterations)]
 
 
@@ -177,7 +203,7 @@ def bisect(
     The residual is reported, not required to be small: a flat function can
     hold a wide bracket to a tiny residual or vice versa.
     """
-    (hit,) = _bisect_all([bracket], lambda ts: [f(float(t)) for t in ts], tol)
+    (hit,) = _bisect_all([bracket], lambda ts: [f(float(t)) for t in ts], tol, depth=1)
     return hit.t, hit.residual, hit.iterations
 
 

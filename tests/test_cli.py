@@ -254,6 +254,26 @@ class TestManifest:
         assert record["error"] == "ConfigError" and "step" in record["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["scan", "eval", "region"])
+    def test_grid_too_large_is_exit_3(self, subcommand, hardy_config, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [subcommand, "--t-min", "10", "--t-max", "20", "--step", "1e-300",
+                "--config", hardy_config, "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and "1e+301 nodes" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("where", ["missing dir", "directory"])
+    def test_unwritable_out_is_exit_3(self, where, fmt, hardy_config, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv" if where == "missing dir" else tmp_path
+        argv = ["scan", "--config", hardy_config, "--out", str(out), "--format", fmt,
+                "--t-min", "14", "--t-max", "14.3", "--step", "0.05"]
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and str(out) in record["message"]
+
     @pytest.mark.parametrize("argv", [
         ["scan", "--bogus", "1"],
         ["scan", "--step", "abc"],

@@ -60,6 +60,8 @@ class TestScan:
             scan(0.0, 1.0, -0.1, lambda t: t)
         with pytest.raises(ConfigError):
             scan(1.0, 0.0, 0.1, lambda t: t)
+        with pytest.raises(ConfigError, match="inf nodes"):  # the node count overflows
+            scan(10.0, 20.0, 5e-324, lambda t: t)
 
 
 class TestBisect:
@@ -88,6 +90,17 @@ class TestBisect:
         br = ZeroBracket(0.0, 1.0, -1.0, 1.0)
         with pytest.raises(MaxIterError):
             bisect(br, lambda t: 1.0 if t > 1.0 / 3.0 else -1.0, 1e-300)
+
+    def test_one_call_per_step(self):
+        # scalar f pays per call: bisect asks for one midpoint at a time
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t - math.pi
+
+        t, r, it = bisect(ZeroBracket(3.0, 4.0, 3.0 - math.pi, 4.0 - math.pi), f, 1e-10)
+        assert it == 34 and len(calls) == it + 1
 
     def test_bad_tol(self):
         with pytest.raises(ConfigError):
@@ -163,7 +176,8 @@ class TestBatchBisect:
         monkeypatch.setattr(zeroscan, "fz_line_vec", counted)
         rep = scan_fz(HARDY, 10.0, 100.0, 0.05, 1e-8)
         assert len(rep.zeros) == 29  # N(100) = 29, none below 14
-        assert len(calls) <= 60
+        # 1 grid call, then 23 steps at 3 per call; the residuals close at level 2
+        assert len(calls) <= 9
 
     def test_reality_failure_names_t(self, monkeypatch):
         def skewed(ts, *args):
@@ -173,6 +187,104 @@ class TestBatchBisect:
         monkeypatch.setattr(zeroscan, "fz_line_vec", skewed)
         with pytest.raises(SymmetryError, match=r"t=12\.5"):
             scan_fz(HARDY, 10.0, 30.0, 0.5, 1e-8)
+
+
+class TestBisectionTree:
+    """Each evaluator call covers three bisection steps of every open bracket;
+    every result must still be the one-step loop's (_reference_bisect)."""
+
+    @staticmethod
+    def check(brs, f, tol):
+        calls = []
+
+        def vec(ts):
+            calls.append(len(ts))
+            return f(np.asarray(ts))
+
+        batch = zeroscan._bisect_all(brs, vec, tol)
+        assert batch == [ZeroHit(*_reference_bisect(br, f, tol)) for br in brs]
+        return batch, calls
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        roots = np.sort(rng.uniform(0.0, 10.0, 8))
+        roots[::2] = np.round(roots[::2] * 8.0) / 8.0  # dyadic: zeros on grid and tree nodes
+        scale = 10.0 ** rng.uniform(-200.0, 0.0)  # products of values near 1e-200 underflow
+
+        def f(t):
+            v = scale
+            for r in roots:
+                v = v * (t - r)
+            return v
+
+        ts = np.arange(0.0, 10.5, float(rng.choice([0.125, 0.25, 0.5, 1.0, 2.0, 0.3])))
+        fs = f(ts)
+        brs = [ZeroBracket(a, b, fa, fb) for a, b, fa, fb in zip(ts, ts[1:], fs, fs[1:])
+               if np.sign(fa) * np.sign(fb) < 0]
+        brs += [ZeroBracket(a, a, fa, fa) for a, fa in zip(ts, fs) if fa == 0.0]
+        rng.shuffle(brs)
+        self.check(brs, f, float(rng.choice([1e-3, 1e-8, 1e-12, 2.0 ** -20])))
+
+    def test_exact_zeros_on_every_level(self):
+        # bracket k is [16k, 16k + 8] with its root at 16k + offset; from 8 wide,
+        # offset 4 is the level-1 node, 2 and 6 level 2, odd ones level 3,
+        # odd halves level 4 (the next call) and odd quarters level 5; the
+        # two irrational roots close on width 2^-28 after 31 steps, at level 1
+        offsets = np.array([4.0, 2.0, 6.0, 1.0, 3.0, 5.0, 7.0, 0.5, 7.5, 2.25,
+                            math.sqrt(2.0), math.pi + 3.0, 3.0])
+        signs = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+
+        def f(t):
+            k = np.floor(t / 16.0).astype(int)
+            return signs[k] * (t - 16.0 * k - offsets[k])
+
+        brs = [ZeroBracket(16.0 * k, 16.0 * k + 8.0, -signs[k] * off, signs[k] * (8.0 - off))
+               for k, off in enumerate(offsets[:-1])]
+        brs.insert(4, ZeroBracket(195.0, 195.0, 0.0, 0.0))  # on-node, root of the last piece
+        batch, calls = self.check(brs, f, 2.0 ** -28)
+        assert [h.iterations for h in batch] == [1, 2, 2, 3, 0, 3, 3, 3, 4, 4, 5, 31, 31]
+        assert [h.residual == 0.0 for h in batch] == [True] * 11 + [False] * 2
+        assert len(calls) == 11
+
+    @pytest.mark.parametrize("steps", range(1, 8))
+    def test_tolerance_closes_at_each_level(self, steps):
+        # bracket k is [2k, 2k + 1], whose width 2^-n after n steps is exact:
+        # tol = 2^-steps closes every bracket after exactly `steps` steps
+        fracs = np.array([math.sqrt(2.0) - 1.0, math.pi - 3.0, math.e - 2.0, 0.5 ** 0.5])
+        signs = np.array([1.0, -1.0, -1.0, 1.0])
+
+        def f(t):
+            k = np.floor(t / 2.0).astype(int)
+            return signs[k] * (t - 2.0 * k - fracs[k])
+
+        brs = [ZeroBracket(2.0 * k, 2.0 * k + 1.0, -signs[k] * fr, signs[k] * (1.0 - fr))
+               for k, fr in enumerate(fracs)]
+        brs.append(ZeroBracket(3.0, 3.0, 0.0, 0.0))  # on-node: (3, 0, 0), never evaluated
+        batch, calls = self.check(brs, f, 2.0 ** -steps)
+        assert [h.iterations for h in batch] == [steps] * len(fracs) + [0]
+        # a bracket closed at level 1 or 2 of a call reads its residual one
+        # level down; one closed at level 3 waits for the next call
+        assert len(calls) == steps // 3 + 1
+
+    def test_step_function_raises_after_exactly_200_steps(self):
+        br = ZeroBracket(0.0, 1.0, -1.0, 1.0)
+        seen = []
+
+        def f(ts):
+            seen.extend(ts)
+            return np.where(ts > 0.0, 1.0, -1.0)
+
+        # the bracket is [0, 2^-n] after n steps: 2^-200 takes exactly 200
+        assert zeroscan._bisect_all([br], f, 2.0 ** -200) == [ZeroHit(2.0 ** -201, 1.0, 200)]
+        step = lambda t: 1.0 if t > 0.0 else -1.0
+        assert _reference_bisect(br, step, 2.0 ** -200) == (2.0 ** -201, 1.0, 200)
+        seen.clear()
+        with pytest.raises(MaxIterError):
+            zeroscan._bisect_all([br], f, 2.0 ** -201)
+        assert min(seen) == 2.0 ** -200  # no point of a 201st step was evaluated
+        with pytest.raises(MaxIterError):
+            _reference_bisect(br, step, 2.0 ** -201)
 
 
 class TestScanFz:
