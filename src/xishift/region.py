@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, RegionError
+from .errors import ConfigError, ConsistencyError, RegionError
 from .settings import grid_nodes
 
 __all__ = [
@@ -34,6 +34,8 @@ __all__ = [
 SQUARE_HALF_WIDTH = math.sqrt(math.pi / 2.0)
 _BOUNDARY_BAND = 1e-12
 _LABELS = ("central_square", "lower_right", "upper_left", "boundary", "outside")
+# the most points region_grid classifies: ~13 us and ~0.5 kB each, so ~13 s and ~0.5 GB
+MAX_REGION_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,14 @@ def region_grid(
 ) -> list[tuple[complex, RegionVerdict]]:
     """Row-major classification of every grid node; the two membership tests
     must agree on each node off the 1e-9 boundary band.  grid_nodes builds
-    both axes (ConfigError on bad bounds or step)."""
-    xs = grid_nodes(x_min, x_max, step).tolist()
-    ys = grid_nodes(y_min, y_max, step).tolist()
+    both axes (ConfigError on bad bounds or step); ConfigError, before any
+    point is classified, when the grid has more than MAX_REGION_POINTS."""
+    xs = grid_nodes(x_min, x_max, step)
+    ys = grid_nodes(y_min, y_max, step)
+    if xs.size * ys.size > MAX_REGION_POINTS:
+        raise ConfigError(f"region grid step {step} has {xs.size} x {ys.size} = "
+                          f"{xs.size * ys.size} points, more than {MAX_REGION_POINTS}")
+    xs, ys = xs.tolist(), ys.tolist()
     out: list[tuple[complex, RegionVerdict]] = []
     for y in ys:
         for x in xs:

@@ -11,7 +11,10 @@ or Hardy Z direct sum runs past settings.max_terms terms: before summing, the
 kernel raises AccuracyError naming the first point that needs more, and how
 many.  A point's value never depends on which other points share the array
 with it, so results are reproducible under any partitioning and a scalar
-call equals the same point of any batch bit for bit.
+call equals the same point of any batch bit for bit.  For zeta this holds at
+any batch size: its Euler-Maclaurin tail writes every complex product as an
+explicit np.multiply, which numpy never elides into an in-place product with
+swapped operands (see _em_tail).
 
 Algorithms
 ----------
@@ -22,7 +25,8 @@ Gamma      : Lanczos rational approximation, g = 607/128 with the standard
 Zeta       : Euler-Maclaurin with Bernoulli corrections through B26 (B28
              feeds the error bound) and a direct-sum length N ~ 0.61*|s+27|
              taken from that bound, at least EM_MIN_TERMS (20); the
-             functional equation covers Re(s) < 0.
+             functional equation covers Re(s) < 0.  The direct sum runs per
+             ladder group of N, the corrections once over every point.
 Hardy Z    : Riemann-Siegel main sum of floor(sqrt(t/2pi)) terms, theta(t)
              from its Stirling series, phases reduced in longdouble, and the
              corrections C_0..C_10 from a frozen table (tests/make_rs_table.py
@@ -248,10 +252,21 @@ def _em_ladder(max_terms: int) -> tuple[int, ...]:
     return tuple(ladder)
 
 
-def _zeta_em_group(s: np.ndarray, n_direct: int) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maclaurin zeta for one group sharing direct-sum length n_direct."""
+@lru_cache(maxsize=8)
+def _em_ladder_logs(max_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """log N and the phase factor sqrt(max(log^3 N / 3, 1)) of each ladder entry
+    N, by math.log and math.sqrt, read-only: zeta_vec gathers both per point."""
+    ln_n = [math.log(n) for n in _em_ladder(max_terms)]
+    tables = np.array(ln_n), np.array([math.sqrt(max(x**3 / 3.0, 1.0)) for x in ln_n])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _em_direct(s: np.ndarray, n_direct: int) -> np.ndarray:
+    """Direct sum of n^-s over n < n_direct for one group sharing that length."""
     logn = np.log(np.arange(1, n_direct, dtype=float))
-    direct = np.zeros(s.shape, dtype=complex)
+    direct = np.empty(s.shape, dtype=complex)
     # one reused row block bounds the memory; summing each row on its own
     # (no BLAS product) keeps a point's value independent of its batch
     chunk = max(1, _EM_CHUNK // n_direct)
@@ -259,14 +274,33 @@ def _zeta_em_group(s: np.ndarray, n_direct: int) -> tuple[np.ndarray, np.ndarray
     for lo in range(0, s.size, chunk):
         x = np.multiply.outer(-s[lo:lo + chunk], logn, out=buf[:min(chunk, s.size - lo)])
         direct[lo:lo + chunk] = np.exp(x, out=x).sum(axis=1)
-    ln_n = math.log(n_direct)
-    val = direct + np.exp((1.0 - s) * ln_n) / (s - 1.0) + 0.5 * np.exp(-s * ln_n)
+    return direct
+
+
+def _em_tail(
+    s: np.ndarray, direct: np.ndarray, ln_n: np.ndarray, phase_factor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-Maclaurin zeta from each point's direct sum: the head terms, the
+    Bernoulli corrections and the error bound, with ln_n = log N and
+    phase_factor = sqrt(max(log^3 N / 3, 1)) at each point's own N.  The
+    values are summed into direct in place.
+
+    Every complex product is an explicit np.multiply in one operand order.  In
+    an operator chain numpy may run the product in place on a temporary of
+    256 KiB or more with the operands swapped, and its complex multiply is not
+    bitwise commutative, so a point's bits would depend on its batch size.
+    """
+    one_minus_s = 1.0 - s
+    val = direct  # added in the order direct + head + corrections
+    val += np.exp(one_minus_s * ln_n) / (s - 1.0)
+    val += 0.5 * np.exp(-s * ln_n)
     poch = s.copy()
     for k in range(1, _EM_K + 1):
-        val += _EM_COEF[k - 1] * poch * np.exp((1.0 - s - 2 * k) * ln_n)
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+        val += np.multiply(_EM_COEF[k - 1] * poch, np.exp((one_minus_s - 2 * k) * ln_n))
+        poch = np.multiply(np.multiply(poch, s + (2 * k - 1)), s + 2 * k)
     k_err = _EM_K + 1
-    t_next = np.abs(_EM_COEF[k_err - 1] * poch * np.exp((1.0 - s - 2 * k_err) * ln_n))
+    t_next = np.abs(np.multiply(_EM_COEF[k_err - 1] * poch,
+                                np.exp((one_minus_s - 2 * k_err) * ln_n)))
     trunc = t_next * np.abs(s + (2 * k_err - 1)) / np.maximum(s.real + (2 * k_err - 1), 1.0)
     sigma = s.real
     with np.errstate(divide="ignore"):
@@ -277,7 +311,7 @@ def _zeta_em_group(s: np.ndarray, n_direct: int) -> tuple[np.ndarray, np.ndarray
         )
     # rounding: direct-sum accumulation plus the phase error of exp(-i t ln n),
     # which accumulates roughly like an RMS random walk over the direct sum
-    phase = 1.5 * EPS * np.abs(s.imag) * math.sqrt(max(ln_n**3 / 3.0, 1.0))
+    phase = 1.5 * EPS * np.abs(s.imag) * phase_factor
     err = trunc + 4.0 * EPS * (1.0 + abs_sum) + phase
     return val, err
 
@@ -286,11 +320,13 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
     """Vectorised zeta for s != 1.  Returns (values, errors).
 
     The functional equation covers Re(s) < 0, where the sum runs at 1-s.
-    PoleError at s = 1, AccuracyError naming the first point whose direct sum
-    needs more than settings.max_terms terms, and EvaluationError naming the
-    first point whose value or error is not finite.
+    The direct sum runs once per ladder group, the Euler-Maclaurin tail once
+    over every point.  PoleError at s = 1, AccuracyError naming the first
+    point whose direct sum needs more than settings.max_terms terms, and
+    EvaluationError naming the first point whose value or error is not finite.
     """
     s = np.asarray(s, dtype=complex)
+    shape, s = s.shape, s.ravel()
     if (s == 1.0).any():
         raise PoleError("zeta has its pole at s=1")
     refl = s.real < 0.0
@@ -300,13 +336,12 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
     ladder = np.asarray(_em_ladder(settings.max_terms))
     # fmin: a nan point takes the last group and is caught as non-finite below
     idx = np.searchsorted(ladder, np.fmin(need, ladder[-1]))
-    vals = np.empty(s.shape, dtype=complex)
-    errs = np.empty(s.shape, dtype=float)
+    direct = np.empty(s.shape, dtype=complex)
     for i in np.unique(idx):
         mask = idx == i
-        v, e = _zeta_em_group(u[mask], int(ladder[i]))
-        vals[mask] = v
-        errs[mask] = e
+        direct[mask] = _em_direct(u[mask], int(ladder[i]))
+    ln_n, phase_factor = _em_ladder_logs(settings.max_terms)
+    vals, errs = _em_tail(u, direct, ln_n[idx], phase_factor[idx])
     if refl.any():
         # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
         r, zv = s[refl], vals[refl]
@@ -326,7 +361,7 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
     if not (np.isfinite(vals).all() and np.isfinite(errs).all()):
         bad = ~(np.isfinite(vals) & np.isfinite(errs))
         raise EvaluationError(f"zeta_vec: non-finite value or error at s={complex(s[bad][0])!r}")
-    return vals, errs
+    return vals.reshape(shape), errs.reshape(shape)
 
 
 def zeta_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithError:

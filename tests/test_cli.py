@@ -264,6 +264,13 @@ class TestManifest:
         assert record["error"] == "ConfigError" and "1e+301 nodes" in record["message"]
         assert not out.exists()
 
+    def test_region_over_point_cap_is_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["region", "--step", "1e-3", "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and "36012001 points" in record["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("where", ["missing dir", "directory"])
     def test_unwritable_out_is_exit_3(self, where, fmt, hardy_config, tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from xishift import classify_decomposition, classify_inequality, region_grid
+from xishift import classify_decomposition, classify_inequality, region, region_grid
 from xishift.errors import ConfigError
 from xishift.region import SQUARE_HALF_WIDTH, grid_csv_rows, region_margin
 
@@ -92,6 +92,17 @@ class TestGrid:
         assert {r[3] for r in rows} <= {
             "central_square", "lower_right", "upper_left", "boundary", "outside"
         }
+
+    def test_point_cap_refuses_before_classifying(self, monkeypatch):
+        # 6001 x 6001 points would take ~8 minutes and ~18 GB; each axis alone
+        # is well inside the grid_nodes cap
+        def refuse(z):
+            raise AssertionError(f"classified {z!r}")
+
+        monkeypatch.setattr(region, "classify_inequality", refuse)
+        with pytest.raises(ConfigError, match=r"6001 x 6001 = 36012001 points, more than 1000000"):
+            region_grid(-3.0, 3.0, -3.0, 3.0, 1e-3)
+        assert region.MAX_REGION_POINTS == 1_000_000
 
     def test_bad_params(self):
         # the axes share the eval/scan grid rule, and its ConfigError

@@ -42,11 +42,70 @@ from ._oracles import (
     ZETA_NEAR_TRIVIAL,
     ZETA_TABLE,
     ZETA_ZEROS,
+    ZETA_ZEROS_480,
+    ZETA_ZEROS_HIGH,
     alternating_zeta,
     compensated_hyp1f1,
 )
 
 RNG = np.random.default_rng(20260810)
+
+
+def _reference_em_group(s, n_direct):
+    """Euler-Maclaurin zeta for one ladder group, direct sum and tail together,
+    as the kernel computed it when the tail ran once per group.  Frozen here
+    so that the one-tail kernel can be checked against it bit for bit."""
+    logn = np.log(np.arange(1, n_direct, dtype=float))
+    direct = np.zeros(s.shape, dtype=complex)
+    chunk = max(1, specfun._EM_CHUNK // n_direct)
+    buf = np.empty((min(chunk, s.size), logn.size), dtype=complex)
+    for lo in range(0, s.size, chunk):
+        x = np.multiply.outer(-s[lo:lo + chunk], logn, out=buf[:min(chunk, s.size - lo)])
+        direct[lo:lo + chunk] = np.exp(x, out=x).sum(axis=1)
+    ln_n = math.log(n_direct)
+    val = direct + np.exp((1.0 - s) * ln_n) / (s - 1.0) + 0.5 * np.exp(-s * ln_n)
+    poch = s.copy()
+    for k in range(1, specfun._EM_K + 1):
+        val += specfun._EM_COEF[k - 1] * poch * np.exp((1.0 - s - 2 * k) * ln_n)
+        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+    k_err = specfun._EM_K + 1
+    t_next = np.abs(specfun._EM_COEF[k_err - 1] * poch * np.exp((1.0 - s - 2 * k_err) * ln_n))
+    trunc = t_next * np.abs(s + (2 * k_err - 1)) / np.maximum(s.real + (2 * k_err - 1), 1.0)
+    sigma = s.real
+    with np.errstate(divide="ignore"):
+        abs_sum = np.where(
+            np.abs(1.0 - sigma) > 0.05,
+            np.abs(np.expm1((1.0 - sigma) * ln_n)) / np.maximum(np.abs(1.0 - sigma), 1e-300),
+            ln_n * 1.1,
+        )
+    phase = 1.5 * specfun.EPS * np.abs(s.imag) * math.sqrt(max(ln_n**3 / 3.0, 1.0))
+    err = trunc + 4.0 * specfun.EPS * (1.0 + abs_sum) + phase
+    return val, err
+
+
+def _reference_zeta_vec(s, settings):
+    """zeta_vec as it was with _reference_em_group, reflection included."""
+    s = np.asarray(s, dtype=complex)
+    refl = s.real < 0.0
+    u = np.where(refl, 1.0 - s, s)
+    ladder = np.asarray(specfun._em_ladder(settings.max_terms))
+    idx = np.searchsorted(ladder, specfun.em_length(u))
+    vals = np.empty(s.shape, dtype=complex)
+    errs = np.empty(s.shape, dtype=float)
+    for i in np.unique(idx):
+        mask = idx == i
+        vals[mask], errs[mask] = _reference_em_group(u[mask], int(ladder[i]))
+    if refl.any():
+        r, zv = s[refl], vals[refl]
+        log_sin = specfun._logsin(math.pi * r / 2.0)
+        log_chi = (r * specfun.LN_2 + (r - 1.0) * specfun.LN_PI + log_sin
+                   + specfun._loggamma_vec(1.0 - r)[0])
+        vals[refl] = np.exp(log_chi) * zv
+        sin_cond = specfun.EPS * np.abs(math.pi * r / 2.0) * np.exp(-log_sin.real)
+        errs[refl] = np.abs(vals[refl]) * (
+            errs[refl] / np.maximum(np.abs(zv), 1e-300) + 1e-13 + sin_cond
+        )
+    return vals, errs
 
 
 class TestGamma:
@@ -205,6 +264,73 @@ class TestZetaKernel:
             assert v[0].tobytes() == vals[i].tobytes(), ts[i]
             assert e[0].tobytes() == errs[i].tobytes(), ts[i]
 
+
+    def test_equals_per_group_kernel_bit_for_bit(self):
+        # every ladder group here is far below numpy's 16384-element temporary
+        # elision size, where the per-group kernel's bits were batch-free
+        rng = np.random.default_rng(11)
+        settings = EvalSettings()
+        ladder = np.asarray(specfun._em_ladder(settings.max_terms))
+        ts = np.geomspace(0.5, 16_380.0, 600) * rng.choice([-1.0, 1.0], 600)
+        s = np.concatenate((
+            rng.uniform(-3.0, 4.0, 600) + 1j * ts,  # every ladder entry, reflection included
+            rng.uniform(0.95, 1.05, 40) + 1j * rng.uniform(-40.0, 40.0, 40),  # |1 - sigma| <= 0.05
+            np.array([2.0, 0.0, -2.5, 1.02, 0.5 + 14.134725j]),
+            # at a zero the sum cancels to ~1e-15, so a last-bit change in any
+            # correction term shows in the value's bits
+            0.5 + 1j * np.array(ZETA_ZEROS + ZETA_ZEROS_480 + ZETA_ZEROS_HIGH),
+        ))
+        idx = np.searchsorted(ladder, specfun.em_length(np.where(s.real < 0, 1.0 - s, s)))
+        groups, sizes = np.unique(idx, return_counts=True)
+        assert list(groups) == list(range(len(ladder))) and sizes.max() < 16_384
+        assert (s.real < 0).sum() > 100 and (np.abs(1.0 - s.real) <= 0.05).sum() > 40
+        small = EvalSettings(max_terms=300)
+        s_small = s[np.abs(s) < 400.0]
+        assert len(specfun._em_ladder(small.max_terms)) > 5
+        for points, st in ((s, settings), (s_small, small)):
+            for got, ref in zip(specfun.zeta_vec(points, st), _reference_zeta_vec(points, st)):
+                assert got.tobytes() == ref.tobytes()
+        for point in (3.0, -7.5 + 2.0j, 0.5 + 123.4j):
+            got = specfun.zeta_vec(np.asarray(point, dtype=complex))
+            ref = _reference_zeta_vec(np.array([point]), settings)
+            assert got[0].shape == got[1].shape == ()
+            assert [x.tobytes() for x in got] == [x[0].tobytes() for x in ref], point
+
+    def test_point_equals_batch_at_elision_size(self):
+        # one ladder group of 16384 points: an operator chain there may run
+        # in place on a temporary with its operands swapped, and numpy's
+        # complex multiply is not bitwise commutative; the per-group kernel
+        # gave t = 282.453392 other bits than its one-point call
+        s = 0.5 + 1j * np.linspace(0.0, 494.0, 250_001)[142_942 - 8192:142_942 + 8192]
+        ladder = np.asarray(specfun._em_ladder(EvalSettings().max_terms))
+        assert s.size == 16_384 and np.unique(np.searchsorted(ladder, specfun.em_length(s))).size == 1
+        assert s[8192] == 0.5 + 282.453392j
+        vals, errs = specfun.zeta_vec(s)
+        v, e = specfun.zeta_vec(s[8192:8193])
+        assert v[0].tobytes() == vals[8192].tobytes()
+        assert e[0].tobytes() == errs[8192].tobytes()
+
+    def test_one_tail_per_call(self, monkeypatch):
+        calls = {"direct": [], "tail": []}
+        direct, tail = specfun._em_direct, specfun._em_tail
+
+        def counted_direct(s, n_direct):
+            calls["direct"].append(n_direct)
+            return direct(s, n_direct)
+
+        def counted_tail(s, *args):
+            calls["tail"].append(s.size)
+            return tail(s, *args)
+
+        monkeypatch.setattr(specfun, "_em_direct", counted_direct)
+        monkeypatch.setattr(specfun, "_em_tail", counted_tail)
+        s = 0.5 + 1j * np.linspace(0.0, 3000.0, 500)
+        specfun.zeta_vec(s)
+        ladder = np.asarray(specfun._em_ladder(EvalSettings().max_terms))
+        groups = np.unique(np.searchsorted(ladder, specfun.em_length(s)))
+        assert len(groups) >= 5
+        assert sorted(calls["direct"]) == [int(n) for n in ladder[groups]]
+        assert calls["tail"] == [500]
 
     def test_direct_sum_holds_one_block(self):
         # one reused buffer: the peak stays near one block however many
