@@ -11,10 +11,11 @@ or Hardy Z direct sum runs past settings.max_terms terms: before summing, the
 kernel raises AccuracyError naming the first point that needs more, and how
 many.  A point's value never depends on which other points share the array
 with it, so results are reproducible under any partitioning and a scalar
-call equals the same point of any batch bit for bit.  For zeta this holds at
-any batch size: its Euler-Maclaurin tail writes every complex product as an
-explicit np.multiply, which numpy never elides into an in-place product with
-swapped operands (see _em_tail).
+call equals the same point of any batch bit for bit.  This holds for every
+kernel at any batch size: a complex product whose right operand is a
+temporary is written as an explicit np.multiply, which numpy never elides into
+an in-place product with swapped operands (see _em_corrections_rows), and the
+tables of the Euler-Maclaurin tail and of 1F1 hold a bounded number of points.
 
 Algorithms
 ----------
@@ -26,7 +27,9 @@ Zeta       : Euler-Maclaurin with Bernoulli corrections through B26 (B28
              feeds the error bound) and a direct-sum length N ~ 0.61*|s+27|
              taken from that bound, at least EM_MIN_TERMS (20); the
              functional equation covers Re(s) < 0.  The direct sum runs per
-             ladder group of N, the corrections once over every point.
+             ladder group of N, the corrections once over every point: as
+             (k, point) tables in a batch of at most _TAIL_TABLE_MAX points,
+             one correction at a time in a wider one.
 Hardy Z    : Riemann-Siegel main sum of floor(sqrt(t/2pi)) terms, theta(t)
              from its Stirling series, phases reduced in longdouble, and the
              corrections C_0..C_10 from a frozen table (tests/make_rs_table.py
@@ -38,6 +41,9 @@ Eta        : pi^(-s/2) Gamma(s/2) zeta(s) with an optional log-weight fused
 1F1        : Maclaurin series over an array of a-parameters, each stopped after
              two terms below 1e-12 of its sum; the error estimate carries the
              tail and a cancellation term (eps times the largest partial sum).
+             Terms come in tables of _HYP1F1_BLOCK rows and the stopping test
+             runs once per table, but each entry stops at the same term as a
+             test after every term would stop it.
 """
 
 from __future__ import annotations
@@ -175,15 +181,17 @@ def _loggamma_vec(s) -> tuple[np.ndarray, np.ndarray]:
         if pole.any():
             raise PoleError(f"gamma has a pole at s={s[pole][0].real:g}")
     refl = s.real < 0.0
+    has_refl = refl.any()
     step = (s.real < 0.5) & ~refl
     z = s + step  # Lanczos argument, Re(z) >= 1/2
-    z[refl] = 1.0 - s[refl]
+    if has_refl:
+        z[refl] = 1.0 - s[refl]
     shift = np.zeros(s.shape, dtype=complex)
     shift[step] = -np.log(s[step])
     t = z + (_LANCZOS_G - 0.5)
-    lg = shift + HALF_LN_2PI + (z - 0.5) * np.log(t) - t + np.log(_lanczos_sum(z))
+    lg = shift + HALF_LN_2PI + np.multiply(z - 0.5, np.log(t)) - t + np.log(_lanczos_sum(z))
     rel = np.full(s.shape, 1e-13)
-    if refl.any():
+    if has_refl:
         r = s[refl]
         lg[refl] = LN_PI - _logsin(math.pi * r) - lg[refl]
         dist = np.abs(r - np.round(r.real))
@@ -217,6 +225,13 @@ def gamma_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithE
 _EM_TARGET = 1e-16
 _EM_RATE = (2.0 / _EM_TARGET) ** (1.0 / (2 * _EM_K + 2)) / (2.0 * math.pi)
 _EM_CHUNK = 1 << 17  # entries per block of the direct sum (2 MB)
+_TAIL_TABLE_MAX = 512  # widest batch whose tail runs as tables (0.5 MB); wider ones run rows
+# the tail tables' row constants, complex so that no table product casts: 2k
+# for k = 0..K+1, the shifts m = 1..2K of the Pochhammer rows, and the
+# Bernoulli coefficients
+_EM_TWO_K = np.arange(0.0, 2 * _EM_K + 3, 2.0, dtype=complex)[:, None]
+_EM_SHIFT = np.arange(1.0, 2 * _EM_K + 1, dtype=complex)[:, None]
+_EM_COEF_COL = np.array(_EM_COEF, dtype=complex)[:, None]
 
 
 def em_length(s) -> np.ndarray:
@@ -253,11 +268,14 @@ def _em_ladder(max_terms: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=8)
-def _em_ladder_logs(max_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """log N and the phase factor sqrt(max(log^3 N / 3, 1)) of each ladder entry
-    N, by math.log and math.sqrt, read-only: zeta_vec gathers both per point."""
-    ln_n = [math.log(n) for n in _em_ladder(max_terms)]
-    tables = np.array(ln_n), np.array([math.sqrt(max(x**3 / 3.0, 1.0)) for x in ln_n])
+def _em_ladder_tables(max_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ladder as an array, and log N and the phase factor
+    sqrt(max(log^3 N / 3, 1)) of each entry N by math.log and math.sqrt,
+    read-only: zeta_vec gathers them per point."""
+    ladder = _em_ladder(max_terms)
+    ln_n = [math.log(n) for n in ladder]
+    tables = (np.array(ladder), np.array(ln_n),
+              np.array([math.sqrt(max(x**3 / 3.0, 1.0)) for x in ln_n]))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -285,35 +303,72 @@ def _em_tail(
     phase_factor = sqrt(max(log^3 N / 3, 1)) at each point's own N.  The
     values are summed into direct in place.
 
+    A batch of at most _TAIL_TABLE_MAX points runs the corrections as tables
+    (_em_corrections_table): a short batch pays per numpy call.  A wider one
+    runs them row by row over all points (_em_corrections_rows), whose
+    temporaries stay in cache; there the tables were slower.  Both do the same
+    operations on each point in the same order, so the bits agree.
+    """
+    if s.size <= _TAIL_TABLE_MAX:
+        t_next = _em_corrections_table(s, direct, ln_n)
+    else:
+        t_next = _em_corrections_rows(s, direct, ln_n)
+    k_err = _EM_K + 1
+    trunc = t_next * np.abs(s + (2 * k_err - 1)) / np.maximum(s.real + (2 * k_err - 1), 1.0)
+    one_minus_sigma = 1.0 - s.real
+    dist = np.abs(one_minus_sigma)
+    abs_sum = np.where(
+        dist > 0.05,
+        np.abs(np.expm1(one_minus_sigma * ln_n)) / np.maximum(dist, 1e-300),
+        ln_n * 1.1,
+    )
+    # rounding: direct-sum accumulation plus the phase error of exp(-i t ln n),
+    # which accumulates roughly like an RMS random walk over the direct sum
+    phase = 1.5 * EPS * np.abs(s.imag) * phase_factor
+    return direct, trunc + 4.0 * EPS * (1.0 + abs_sum) + phase
+
+
+def _em_corrections_rows(s: np.ndarray, val: np.ndarray, ln_n: np.ndarray) -> np.ndarray:
+    """Adds the head and the Bernoulli corrections of _em_tail into val, one
+    correction at a time; returns |first dropped correction|.
+
     Every complex product is an explicit np.multiply in one operand order.  In
     an operator chain numpy may run the product in place on a temporary of
     256 KiB or more with the operands swapped, and its complex multiply is not
     bitwise commutative, so a point's bits would depend on its batch size.
     """
     one_minus_s = 1.0 - s
-    val = direct  # added in the order direct + head + corrections
-    val += np.exp(one_minus_s * ln_n) / (s - 1.0)
+    val += np.exp(one_minus_s * ln_n) / (s - 1.0)  # added in the order head, corrections
     val += 0.5 * np.exp(-s * ln_n)
     poch = s.copy()
     for k in range(1, _EM_K + 1):
         val += np.multiply(_EM_COEF[k - 1] * poch, np.exp((one_minus_s - 2 * k) * ln_n))
         poch = np.multiply(np.multiply(poch, s + (2 * k - 1)), s + 2 * k)
-    k_err = _EM_K + 1
-    t_next = np.abs(np.multiply(_EM_COEF[k_err - 1] * poch,
-                                np.exp((one_minus_s - 2 * k_err) * ln_n)))
-    trunc = t_next * np.abs(s + (2 * k_err - 1)) / np.maximum(s.real + (2 * k_err - 1), 1.0)
-    sigma = s.real
-    with np.errstate(divide="ignore"):
-        abs_sum = np.where(
-            np.abs(1.0 - sigma) > 0.05,
-            np.abs(np.expm1((1.0 - sigma) * ln_n)) / np.maximum(np.abs(1.0 - sigma), 1e-300),
-            ln_n * 1.1,
-        )
-    # rounding: direct-sum accumulation plus the phase error of exp(-i t ln n),
-    # which accumulates roughly like an RMS random walk over the direct sum
-    phase = 1.5 * EPS * np.abs(s.imag) * phase_factor
-    err = trunc + 4.0 * EPS * (1.0 + abs_sum) + phase
-    return val, err
+    return np.abs(np.multiply(_EM_COEF[_EM_K] * poch,
+                              np.exp((one_minus_s - 2 * (_EM_K + 1)) * ln_n)))
+
+
+def _em_corrections_table(s: np.ndarray, val: np.ndarray, ln_n: np.ndarray) -> np.ndarray:
+    """_em_corrections_rows as (k, point) tables: one exp over every exponent
+    (1 - s - 2k) log N, the shifts s + m, the Pochhammer rows, then the
+    coefficient and exponential products as two table products, added into
+    val row by row in order.  Every complex product is an explicit np.multiply
+    whose output is none of its operands."""
+    expo = np.multiply(np.subtract(1.0 - s, _EM_TWO_K), ln_n)
+    np.exp(expo, out=expo)
+    val += expo[0] / (s - 1.0)
+    val += 0.5 * np.exp(-s * ln_n)
+    shift = np.add(s, _EM_SHIFT)
+    poch = np.empty((_EM_K + 1, s.size), dtype=complex)
+    poch[0] = s
+    for k in range(1, _EM_K + 1):
+        np.multiply(np.multiply(poch[k - 1], shift[2 * k - 2]), shift[2 * k - 1], out=poch[k])
+    # the coefficient products go into the spent shift rows, the corrections
+    # into the spent Pochhammer rows
+    corr = np.multiply(np.multiply(_EM_COEF_COL, poch, out=shift[:_EM_K + 1]), expo[1:], out=poch)
+    for row in corr[:_EM_K]:
+        val += row
+    return np.abs(corr[_EM_K])
 
 
 def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[np.ndarray, np.ndarray]:
@@ -333,14 +388,13 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
     u = np.where(refl, 1.0 - s, s) if refl.any() else s
     need = em_length(u)
     _require_budget(need, s, "zeta: Euler-Maclaurin direct sum at s", settings)
-    ladder = np.asarray(_em_ladder(settings.max_terms))
+    ladder, ln_n, phase_factor = _em_ladder_tables(settings.max_terms)
     # fmin: a nan point takes the last group and is caught as non-finite below
     idx = np.searchsorted(ladder, np.fmin(need, ladder[-1]))
     direct = np.empty(s.shape, dtype=complex)
     for i in np.unique(idx):
         mask = idx == i
         direct[mask] = _em_direct(u[mask], int(ladder[i]))
-    ln_n, phase_factor = _em_ladder_logs(settings.max_terms)
     vals, errs = _em_tail(u, direct, ln_n[idx], phase_factor[idx])
     if refl.any():
         # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
@@ -351,7 +405,7 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
         if big.any():
             raise OverflowError(f"|zeta({complex(r[big][0])})| exceeds double range "
                                 f"via functional equation")
-        vals[refl] = np.exp(log_chi) * zv
+        vals[refl] = np.multiply(np.exp(log_chi), zv)
         # the rounding of pi s/2 is amplified where the sine nears a zero
         # (the trivial zeros): EPS |pi s/2| / |sin(pi s/2)|
         sin_cond = EPS * np.abs(math.pi * r / 2.0) * np.exp(-log_sin.real)
@@ -606,8 +660,9 @@ def _hardy_z(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _eta_em(s: np.ndarray, settings: EvalSettings, log_weight) -> tuple[np.ndarray, np.ndarray]:
     """exp(log_weight) pi^(-s/2) Gamma(s/2) zeta(s) with zeta by Euler-Maclaurin."""
     zv, ze = zeta_vec(s, settings)
-    lg, g_rel = _loggamma_vec(s / 2)
-    pref = np.exp(log_weight - s / 2 * LN_PI + lg)
+    half = s / 2
+    lg, g_rel = _loggamma_vec(half)
+    pref = np.exp(log_weight - half * LN_PI + lg)
     return pref * zv, np.abs(pref) * (ze + np.abs(zv) * g_rel)
 
 
@@ -702,12 +757,17 @@ def hyp1f1(
     a: complex, b: complex, w: complex, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> ValueWithError:
     """Kummer's 1F1(a; b; w): hyp1f1_vec at one point."""
-    a = complex(a)
+    a, b, w = complex(a), complex(b), complex(w)
+    for name, x in (("a", a), ("b", b), ("w", w)):
+        require_finite(x, f"hyp1f1 parameter {name}")
     v, e = hyp1f1_vec(np.array([a]), b, w, settings)
     return checked_value(v[0], e[0], f"hyp1f1({a}; {complex(b)}; {complex(w)})")
 
 
 _HYP1F1_REL_TOL = 1e-12  # an entry stops after two terms below this share of its sum
+_HYP1F1_BLOCK = 8  # terms per stopping test
+_HYP1F1_CHUNK = 1 << 10  # points per column block of the term tables (0.7 MB)
+_HYP1F1_ROW = np.arange(_HYP1F1_BLOCK)[:, None]  # row k of a table holds term n0 + k
 
 
 def hyp1f1_vec(
@@ -718,46 +778,89 @@ def hyp1f1_vec(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised 1F1 over an array of a-parameters of any shape (fixed b and w).
 
-    Each entry's summation freezes as soon as that entry meets the stopping
-    rule, so values do not depend on fellow array members.
+    The series runs over column blocks of _HYP1F1_CHUNK points (_hyp1f1_columns).
+    Each entry stops at the same term as a term-by-term loop would, so values
+    do not depend on fellow array members.  DivergenceError counts the entries
+    still open after settings.max_terms terms.
     """
     a = np.asarray(a, dtype=complex)
     shape, a = a.shape, a.ravel()
     b, w = complex(b), complex(w)
     if _is_nonpositive_int(b):
         raise ParameterError(f"1F1 undefined for b={b} (nonpositive integer)")
-    acc = np.ones(a.shape, dtype=complex)
-    term = np.ones(a.shape, dtype=complex)
-    max_partial = np.ones(a.shape, dtype=float)
-    streak = np.zeros(a.shape, dtype=np.int8)
-    active = np.ones(a.shape, dtype=bool)
-    last_mag = np.ones(a.shape, dtype=float)
     if w == 0:
-        return acc.reshape(shape), np.zeros(shape)
-    for n in range(settings.max_terms):
-        if not active.any():
-            break
-        tn = term[active] * (a[active] + n) * (w / ((b + n) * (n + 1)))
-        term[active] = tn
-        acc[active] += tn
-        np.maximum(max_partial, np.abs(acc), out=max_partial, where=active)
-        mag = np.abs(tn)
-        last_mag[active] = mag
-        small = mag <= _HYP1F1_REL_TOL * np.maximum(np.abs(acc[active]), 1e-300)
-        streak_active = np.where(small, streak[active] + 1, 0)
-        streak[active] = streak_active
-        done = streak_active >= 2
-        if done.any():
-            idx = np.flatnonzero(active)
-            active[idx[done]] = False
-    else:
-        if active.any():
-            raise DivergenceError(
-                f"1F1 series: {int(active.sum())} points unconverged after "
-                f"{settings.max_terms} terms"
-            )
-    errs = 2.0 * last_mag + 16.0 * EPS * max_partial
-    return acc.reshape(shape), errs.reshape(shape)
+        return np.ones(shape, dtype=complex), np.zeros(shape)
+    vals = np.empty(a.shape, dtype=complex)
+    errs = np.empty(a.shape)
+    unconverged = sum(
+        _hyp1f1_columns(a[lo:lo + _HYP1F1_CHUNK], b, w, settings.max_terms,
+                        vals[lo:lo + _HYP1F1_CHUNK], errs[lo:lo + _HYP1F1_CHUNK])
+        for lo in range(0, a.size, _HYP1F1_CHUNK)
+    )
+    if unconverged:
+        raise DivergenceError(
+            f"1F1 series: {unconverged} points unconverged after {settings.max_terms} terms"
+        )
+    return vals.reshape(shape), errs.reshape(shape)
+
+
+def _hyp1f1_columns(
+    a: np.ndarray, b: complex, w: complex, max_terms: int, vals: np.ndarray, errs: np.ndarray
+) -> int:
+    """Sum 1F1(a; b; w) at the points a into the views vals and errs; returns
+    how many points are still open after max_terms terms.
+
+    Terms n come in (n, point) tables of _HYP1F1_BLOCK rows, each
+    (term * (a + n)) * (w / ((b + n)(n + 1))): two explicit np.multiply calls
+    into fresh rows in that order (complex multiply is not bitwise
+    commutative), then one np.add into the running-sum row.  Once per table a
+    point stops at the second of two consecutive terms of at most 1e-12 of its
+    sum (the streak carries across tables), and its sum, last term and largest
+    partial sum are read at that term.  Open points move on to the next table;
+    EvaluationError names the first a whose term or partial sum is not finite.
+    """
+    cols = np.arange(a.size)  # where each open point's result goes
+    term = acc = np.ones(a.size, dtype=complex)
+    max_partial = np.ones(a.size)
+    streak = np.zeros(a.size, dtype=bool)  # the open point's last term was small
+    for n0 in range(0, max_terms, _HYP1F1_BLOCK):
+        row = _HYP1F1_ROW[:max_terms - n0]
+        k_rows, p = row.size, a.size
+        a_plus_n = np.add(a, row + n0)
+        terms, sums = np.empty_like(a_plus_n), np.empty_like(a_plus_n)
+        for k in range(k_rows):
+            n = n0 + k
+            term = np.multiply(np.multiply(term, a_plus_n[k]), w / ((b + n) * (n + 1)),
+                               out=terms[k])
+            acc = np.add(acc, term, out=sums[k])
+        mags, size = np.abs(terms), np.abs(sums)
+        small = mags <= _HYP1F1_REL_TOL * np.maximum(size, 1e-300)
+        done = np.empty_like(small)  # the second small term in a row
+        np.logical_and(small[0], streak, out=done[0])
+        np.logical_and(small[1:], small[:-1], out=done[1:])
+        stop = np.where(done, row, k_rows).min(axis=0)  # k_rows: still open
+        hit = stop < k_rows
+        at = np.minimum(stop, k_rows - 1), np.arange(p)
+        # a non-finite term or sum leaves every later sum non-finite, so the
+        # stopping row (or the last row of an open point) shows it
+        finite = np.isfinite(size[at])
+        if not finite.all():
+            raise EvaluationError(f"1F1 series: non-finite term or partial sum at "
+                                  f"a={complex(a[np.argmin(finite)])!r} by term {n0 + k_rows}")
+        upto = np.maximum.reduce(size, axis=0, where=row <= stop, initial=0.0)
+        np.maximum(max_partial, upto, out=max_partial)
+        if hit.any():
+            out = cols[hit]
+            vals[out] = sums[at][hit]
+            errs[out] = 2.0 * mags[at][hit] + 16.0 * EPS * max_partial[hit]
+            if out.size == p:
+                return 0
+            keep = ~hit
+            cols, a, max_partial = cols[keep], a[keep], max_partial[keep]
+            term, acc, streak = terms[-1, keep], sums[-1, keep], small[-1, keep]
+        else:
+            streak = small[-1]
+    return cols.size
 
 
 def hyp1f1_asym_residual(

@@ -1,6 +1,7 @@
 import cmath
 import inspect
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -27,7 +28,7 @@ from xishift import (
     zeta_c,
 )
 from xishift import specfun
-from xishift.shifts import _fz_vec
+from xishift.shifts import _fz_vec, fz_line_vec
 
 from ._oracles import (
     GAMMA_FAR_LEFT,
@@ -106,6 +107,49 @@ def _reference_zeta_vec(s, settings):
             errs[refl] / np.maximum(np.abs(zv), 1e-300) + 1e-13 + sin_cond
         )
     return vals, errs
+
+
+def _reference_hyp1f1_vec(a, b, w, settings=EvalSettings()):
+    """hyp1f1_vec as it was with one stopping test per term, frozen here so that
+    the blocked kernel can be checked against it bit for bit.  Also returns how
+    many terms each entry used."""
+    a = np.asarray(a, dtype=complex)
+    shape, a = a.shape, a.ravel()
+    b, w = complex(b), complex(w)
+    acc = np.ones(a.shape, dtype=complex)
+    term = np.ones(a.shape, dtype=complex)
+    max_partial = np.ones(a.shape, dtype=float)
+    streak = np.zeros(a.shape, dtype=np.int8)
+    active = np.ones(a.shape, dtype=bool)
+    last_mag = np.ones(a.shape, dtype=float)
+    used = np.zeros(a.shape, dtype=int)
+    if w == 0:
+        return acc.reshape(shape), np.zeros(shape), used.reshape(shape)
+    for n in range(settings.max_terms):
+        if not active.any():
+            break
+        tn = term[active] * (a[active] + n) * (w / ((b + n) * (n + 1)))
+        term[active] = tn
+        acc[active] += tn
+        used[active] = n + 1
+        np.maximum(max_partial, np.abs(acc), out=max_partial, where=active)
+        mag = np.abs(tn)
+        last_mag[active] = mag
+        small = mag <= 1e-12 * np.maximum(np.abs(acc[active]), 1e-300)
+        streak_active = np.where(small, streak[active] + 1, 0)
+        streak[active] = streak_active
+        done = streak_active >= 2
+        if done.any():
+            idx = np.flatnonzero(active)
+            active[idx[done]] = False
+    else:
+        if active.any():
+            raise DivergenceError(
+                f"1F1 series: {int(active.sum())} points unconverged after "
+                f"{settings.max_terms} terms"
+            )
+    errs = 2.0 * last_mag + 16.0 * specfun.EPS * max_partial
+    return acc.reshape(shape), errs.reshape(shape), used.reshape(shape)
 
 
 class TestGamma:
@@ -310,6 +354,32 @@ class TestZetaKernel:
         assert v[0].tobytes() == vals[8192].tobytes()
         assert e[0].tobytes() == errs[8192].tobytes()
 
+    @pytest.mark.parametrize("table_max", [0, 1 << 30])
+    def test_each_tail_route_alone_equals_reference(self, monkeypatch, table_max):
+        # every batch through the row route (0), or through the tables (2^30)
+        monkeypatch.setattr(specfun, "_TAIL_TABLE_MAX", table_max)
+        self.test_equals_per_group_kernel_bit_for_bit()
+        self.test_point_equals_batch_at_elision_size()
+
+    def test_other_kernels_point_equals_batch_at_elision_size(self):
+        # 16384 points and more: any operator chain left in a kernel could run
+        # in place on a temporary with its operands swapped
+        rng = np.random.default_rng(16_384)
+        n = 16_384
+        picks = list(rng.choice(n, 200, replace=False))
+        s = rng.uniform(-6.0, 6.0, n) + 1j * rng.uniform(-300.0, 300.0, n)
+        s[np.abs(s.real - np.round(s.real)) < 1e-3] += 0.5  # clear of the poles
+        a = rng.uniform(-60.0, 60.0, n) + 1j * rng.uniform(-60.0, 60.0, n)
+        cfg = make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j)
+        line = 0.5 + 1j * rng.uniform(0.0, 200.0, n)
+        for kernel, points in ((specfun._loggamma_vec, s),
+                               (lambda x: specfun.hyp1f1_vec(x, 1.5 - 0.5j, 0.4 + 0.3j), a),
+                               (lambda x: _fz_vec(x, cfg), line)):
+            batch = kernel(points)
+            for i in picks:
+                one = kernel(points[i:i + 1])
+                assert [x[i].tobytes() for x in batch] == [x[0].tobytes() for x in one], points[i]
+
     def test_one_tail_per_call(self, monkeypatch):
         calls = {"direct": [], "tail": []}
         direct, tail = specfun._em_direct, specfun._em_tail
@@ -351,6 +421,38 @@ class TestZetaKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * block_bytes, (peak, block_bytes)
+
+
+class TestBlockedTableMemory:
+    """The tail builds tables for short batches only and 1F1 runs its tables in
+    column blocks: a 20001-point call on the line peaks at most 1.25x of what
+    the term-by-term kernels held (3.16, 2.34 and 22.1 MB for zeta, 1F1 and the
+    exhibit F_z), where one table over every point would need 19, 17 and 58 MB."""
+
+    T = np.linspace(0.0, 480.0, 20_001)
+    CFG = make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j)
+
+    @staticmethod
+    def _peak(call):
+        call()  # first-call imports and caches stay out of the trace
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_zeta(self):
+        s = 0.5 + 1j * self.T
+        assert self._peak(lambda: specfun.zeta_vec(s)) <= 1.25 * 3.16e6
+
+    def test_hyp1f1(self):
+        a = (1.0 - (0.5 + 1j * self.T)) / 2.0
+        w = self.CFG.z * self.CFG.z / 4.0
+        assert self._peak(lambda: specfun.hyp1f1_vec(a, 0.5, w)) <= 1.25 * 2.34e6
+
+    def test_fz_line(self):
+        assert self._peak(lambda: fz_line_vec(self.T, self.CFG)) <= 1.25 * 22.1e6
 
 
 class TestHardyZ:
@@ -709,6 +811,68 @@ class TestHyp1F1:
     def test_divergence_error(self):
         with pytest.raises(DivergenceError):
             hyp1f1(1.0, 0.5, 30.0, EvalSettings(max_terms=20))
+
+    def test_equals_term_by_term_kernel_bit_for_bit(self):
+        rng = np.random.default_rng(1515)
+        used = set()
+        for _ in range(40):
+            n = int(rng.choice([1, 3, 14, 42, 250]))
+            a_max = float(rng.choice([1.0, 30.0, 500.0]))
+            a = rng.uniform(-a_max, a_max, n) + 1j * rng.uniform(-a_max, a_max, n)
+            b = complex(rng.uniform(0.1, 3.0), rng.uniform(-1.0, 1.0))
+            w = cmath.rect(float(rng.choice([1e-15, 1e-6, 0.1, 1.0, 10.0])) * rng.uniform(0.5, 1.0),
+                           rng.uniform(-math.pi, math.pi))
+            ref = _reference_hyp1f1_vec(a, b, w)
+            got = specfun.hyp1f1_vec(a, b, w)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in ref[:2]], (a_max, b, w)
+            used.update(ref[2].tolist())
+        assert min(used) == 2 and max(used) > 100
+        cases = (
+            (np.array([-3.0, -3.0 + 0.5j, 0.25 - 40.0j]), 0.5, 2.5),  # polynomial termination
+            (np.array([0.3 + 0.7j, 1e3]), 0.5, 0.0),  # w = 0: the empty series
+            (np.asarray(0.25 - 51.5j), 0.5, 0.0625 + 0.015625j),  # 0-d
+            ((np.linspace(-12.0, 3.0, 12) + 1j * np.linspace(0.5, 40.0, 12)).reshape(3, 4),
+             1.5 - 0.5j, 0.0625 + 0.015625j),
+        )
+        for a, b, w in cases:
+            got, ref = specfun.hyp1f1_vec(a, b, w), _reference_hyp1f1_vec(a, b, w)
+            assert got[0].shape == got[1].shape == a.shape
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in ref[:2]], a
+
+    def test_stops_at_max_terms_as_term_by_term_kernel(self):
+        # a_last converges on the max_terms-th term exactly, a_over needs one
+        # more; 21 ends inside a table of terms, 24 on a table's last row
+        b, w = 1.5 - 0.5j, 2.0
+        for a_last, a_over, n in ((-20.1 + 0.3j, -22.0 + 0.3j, 21), (-26.1 + 0.3j, -28.2 + 0.3j, 24)):
+            assert _reference_hyp1f1_vec([a_last, a_over], b, w)[2].tolist() == [n, n + 1]
+            settings = EvalSettings(max_terms=n)
+            got = specfun.hyp1f1_vec([a_last], b, w, settings)
+            ref = _reference_hyp1f1_vec([a_last], b, w, settings)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in ref[:2]], n
+            messages = []
+            for kernel in (specfun.hyp1f1_vec, _reference_hyp1f1_vec):
+                with pytest.raises(DivergenceError) as err:
+                    kernel([a_last, a_over], b, w, settings)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1] == f"1F1 series: 1 points unconverged after {n} terms"
+
+    @pytest.mark.parametrize("a, b, w, name", [
+        (math.nan, 0.5, 0.1, "a"), (0.3, 0.5, math.nan, "w"), (0.3, math.inf, 0.1, "b"),
+    ])
+    def test_non_finite_parameter_raises_before_summing(self, a, b, w, name):
+        with pytest.raises(EvaluationError, match=f"hyp1f1 parameter {name}"):
+            hyp1f1(a, b, w)
+
+    def test_non_finite_term_raises_in_first_table(self):
+        # without the check the kernel summed all 10000 terms of each (0.3 s)
+        # and then raised a misleading DivergenceError
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b, w, bad in (([0.3, 1e308], 0.5, 0.1, "1e+308"), ([0.3, math.nan], 0.5, 0.1, "nan"),
+                                 ([0.3], 0.5, math.nan, "0.3"), ([0.3], math.inf, 0.1, "0.3")):
+                with pytest.raises(EvaluationError, match=re.escape(f"a=({bad}+0j) by term 8") + "$"):
+                    specfun.hyp1f1_vec(np.array(a), b, w)
+            with pytest.raises(EvaluationError, match="by term 8$"):
+                hyp1f1(1e308, 0.5, 0.1)
 
     def test_any_shape(self):
         a = (np.linspace(-12.0, 3.0, 12) + 1j * np.linspace(0.5, 40.0, 12)).reshape(3, 4)
