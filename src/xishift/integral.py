@@ -17,10 +17,13 @@ against an exponential weight: in tau = t/2, Xi(tau)/(1+4 tau^2) =
 -rho(tau)/8, rho is even and the two nabla terms swap under tau -> -tau, so
 the transform is c Int e^(beta tau) rho(tau) F(tau) dtau with
 c = -e^(-z^2/8)/(4 pi) and beta = -i log a.  _line_integral evaluates any
-sum of such terms in one quadrature, rho and F once per node, and truncates
-by one majorant, |tau|^(2m) exp(-rate |tau| + |z| sqrt(|tau|/2)) with
-rate = pi/4 - max |Re beta_k|: rho falls like e^(-pi |tau|/4) and F can
-grow like exp(|z| sqrt(|tau|/2)).
+sum of such terms in one quadrature, rho and F once per node.  It truncates
+each side by the majorant |tau|^(2m) exp(-rate |tau| + |z| sqrt(|tau|/2)):
+rho falls like e^(-pi |tau|/4) and F can grow like exp(|z| sqrt(|tau|/2)),
+so the right side decays at rate = pi/4 - max Re beta_k and the left at
+pi/4 + min Re beta_k.  The integrand is entire and decays exponentially, so
+the quadrature is quadrature.nested_trapezoid, whose error estimate carries
+the eta and 1F1 error bounds of every node.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import theta
 from .errors import AccuracyError, DomainError, ToleranceError, UnsupportedOrderError
-from .quadrature import adaptive_gk, truncation_point
+from .quadrature import nested_trapezoid, truncation_point
 from .region import require_inside
 from .settings import DEFAULT_SETTINGS, EvalSettings, require_finite
 from .specfun import MAX_EXP, eta_weighted_line, hyp1f1, hyp1f1_vec
@@ -56,7 +59,7 @@ class QuadratureResult:
     abs_err_est: float
     truncation_T: float
     evaluations: int
-    panels: int
+    levels: int
     at_roundoff: bool
 
 
@@ -139,12 +142,15 @@ def _line_integral(
     (b_ref = max Re beta_k) and one 1F1 call; each term then multiplies by
     exp((Re beta_k - b_ref) tau - Re beta_k lam_k) and the unit phase
     exp(i Im beta_k (tau - lam_k)).  The range covers every term's
-    [-T + lam_k, T + lam_k], T from the largest |Re beta_k|, and the
-    truncation target is shared out by sum |c_k|, so quad_abs_tol bounds the
-    weighted sum itself.  When every c_k and beta_k is real the integrand is
-    the real part alone (rho is real, so only Re F enters).  what names the
-    caller in the errors raised, also in the eta kernel's AccuracyError for
-    a node whose zeta sum exceeds the term budget.
+    [-T_lo + lam_k, T_hi + lam_k]: T_hi from the slowest decay on the right,
+    pi/4 - max Re beta_k, and T_lo from the slowest on the left,
+    pi/4 + min Re beta_k.  The truncation target is shared out by sum |c_k|,
+    so quad_abs_tol bounds the weighted sum itself.  nested_trapezoid
+    integrates it, with the eta and 1F1 error bounds as the integrand's own.
+    When every c_k and beta_k is real the integrand is the real part alone
+    (rho is real, so only Re F enters).  truncation_T is max(T_hi, T_lo).
+    what names the caller in the errors raised, also in the eta kernel's
+    AccuracyError for a node whose zeta sum exceeds the term budget.
     """
     if m not in (0, 1, 2):
         raise UnsupportedOrderError(f"moment order m={m} not supported (m <= 2)")
@@ -157,18 +163,21 @@ def _line_integral(
         raise DomainError(
             f"{what}: |Re beta| = {top:.4f} exceeds pi/4 - 0.01; decay rate too small"
         )
-    rate = math.pi / 4.0 - top
     tol = settings.quad_abs_tol
-    # |rho(t)| <= C e^(-pi t/4) with C ~ 3 beyond t = 40 (Stirling for Gamma,
-    # convexity for zeta leave no net polynomial growth); the factor 8 in the
-    # target also covers the confluent prefactors, and sum |c_k| the tails
-    # of all terms together.
-    T = truncation_point(
-        2.0 * m, rate, abs(z) / math.sqrt(2.0),
-        0.025 * tol * rate / (8.0 * float(np.sum(np.abs(cs)))), 40.0,
-    )
-    lo, hi = -T + float(lams.min()), T + float(lams.max())
+    # |rho(t)| <= C e^(-pi |t|/4) with C ~ 3 beyond |t| = 40 (Stirling for
+    # Gamma, convexity for zeta leave no net polynomial growth); the factor 8
+    # in the target also covers the confluent prefactors, and sum |c_k| the
+    # tails of all terms together.  Each side is cut at its own decay rate,
+    # and each side's tail stays below 0.025 tol.
     b_ref = float(bs.max())
+    T_hi, T_lo = (
+        truncation_point(
+            2.0 * m, rate, abs(z) / math.sqrt(2.0),
+            0.025 * tol * rate / (8.0 * float(np.sum(np.abs(cs)))), 40.0,
+        )
+        for rate in (math.pi / 4.0 - b_ref, math.pi / 4.0 + float(bs.min()))
+    )
+    lo, hi = -T_lo + float(lams.min()), T_hi + float(lams.max())
     spread = bs - b_ref
     if float(np.max(np.maximum(spread * lo, spread * hi) - bs * lams)) > MAX_EXP:
         raise DomainError(
@@ -176,13 +185,13 @@ def _line_integral(
             f"the term weights overflow"
         )
     w = z * z / 4.0
-    # real c_k and beta_k (every moment route): the sum is real, and GK
-    # refines only the real part the caller keeps
+    # real c_k and beta_k (every moment route): the sum is real, and the
+    # rule resolves only the real part the caller keeps
     real = not (np.iscomplexobj(cs) or np.iscomplexobj(betas))
 
-    def integrand(taus: np.ndarray) -> np.ndarray:
-        weighted, _ = eta_weighted_line(taus, b_ref, 0.0, settings)
-        f1, _ = hyp1f1_vec((1.0 - 2j * taus) / 4.0, 0.5, w, settings)
+    def integrand(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        weighted, w_err = eta_weighted_line(taus, b_ref, 0.0, settings)
+        f1, f_err = hyp1f1_vec((1.0 - 2j * taus) / 4.0, 0.5, w, settings)
         weight = np.zeros(taus.shape, dtype=complex)
         for c, d, b, g, lam in zip(cs, spread, bs, gs, lams):
             weight += (
@@ -190,24 +199,25 @@ def _line_integral(
                 * ((taus - lam) ** (2 * m) if m else 1.0)
             )
         values = weighted * f1 * weight
-        return values.real if real else values
+        # first-order bound on the error of values, from the eta and 1F1 bounds
+        errors = (w_err * np.abs(f1) + np.abs(weighted) * f_err) * np.abs(weight)
+        return (values.real if real else values), errors
 
     try:
-        out = adaptive_gk(
-            integrand, lo, hi, 0.9 * tol,
-            initial_panels=max(64, int(math.ceil((hi - lo) / 2.0))),
-        )
+        out = nested_trapezoid(integrand, lo, hi, 0.9 * tol)
     except AccuracyError as exc:
         raise AccuracyError(f"{what}: {exc}") from exc
-    trunc_est = 0.05 * tol
-    total_err = out.abs_err_est + trunc_est
+    # each side's tail is at most 0.025 tol
+    total_err = out.abs_err_est + 0.05 * tol
     if total_err > tol and not out.at_roundoff:
         raise ToleranceError(
             f"{what}(m={m}, betas={betas.tolist()}): achieved "
             f"{total_err:.2e} > {tol:.2e}"
         )
     require_finite(out.value, what)
-    return QuadratureResult(out.value, total_err, T, out.evaluations, out.panels, out.at_roundoff)
+    return QuadratureResult(
+        out.value, total_err, max(T_hi, T_lo), out.evaluations, out.levels, out.at_roundoff
+    )
 
 
 def _weighted_moment(

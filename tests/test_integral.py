@@ -1,6 +1,6 @@
 import cmath
-import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +22,9 @@ from xishift import (
     transform_identity_residual,
     xi_integral,
 )
-from xishift import integral, make_config, moment_limit_check, shifts
+from xishift import integral, make_config, moment_limit_check, quadrature, shifts
 from xishift.integral import _weighted_moment
-from xishift.quadrature import adaptive_gk
+from xishift.quadrature import adaptive_gk, nested_trapezoid
 from xishift.specfun import em_length, eta_line_vec, eta_weighted_line, hyp1f1_vec, xi_line_vec
 
 from ._oracles import MOMENT_HARDY_A0, TRANSFORM_SIDE_TABLE, XI_INT_HARDY
@@ -69,7 +69,7 @@ class TestKernels:
 class TestXiIntegral:
     def test_hardy_value(self):
         out = xi_integral(1.0, 0.0)
-        assert abs(out.value - XI_INT_HARDY) <= 3.0 * out.abs_err_est
+        assert abs(out.value - XI_INT_HARDY) <= out.abs_err_est
 
     def test_triple_equality_grid(self):
         for a in (1.0, 1.2, cmath.exp(0.2j)):
@@ -95,19 +95,16 @@ class TestXiIntegral:
     def test_error_honesty_20_points(self):
         for (a, z), side in TRANSFORM_SIDE_TABLE.items():
             out = xi_integral(a, z)
-            assert abs(out.value - side) <= 3.0 * out.abs_err_est, (a, z)
+            assert abs(out.value - side) <= out.abs_err_est, (a, z)
 
-    def test_roundoff_reported(self, monkeypatch):
-        # 2e-15 is below what this integrand's rounding allows: uncapped, GK
-        # refines to its 40000-panel limit and ends at the floor; the cap
-        # keeps the test short and ends the same way
-        monkeypatch.setattr(
-            integral, "adaptive_gk", functools.partial(adaptive_gk, max_panels=600)
-        )
+    def test_roundoff_reported(self):
+        # 2e-15 is below the floor that the eta and 1F1 error bounds and the
+        # rounding of the sums set for this integrand (about 6e-14): the rule
+        # stops at that plateau, well before its node cap, and says so
         tol = 2e-15
         out = xi_integral(cmath.exp(0.3j), 0.8, EvalSettings(quad_abs_tol=tol))
-        assert out.at_roundoff and out.panels == 600
-        # GK missed its 0.9 tol share; 0.05 tol is the truncation estimate
+        assert out.at_roundoff and out.evaluations < quadrature._MAX_NODES
+        # the rule missed its 0.9 tol share; 0.05 tol is the truncation estimate
         assert out.abs_err_est > 0.95 * tol
 
     def test_domain_checks(self):
@@ -144,7 +141,7 @@ class TestOneLineKernel:
             assert abs(out.value - side) < 1e-9
 
     def test_one_quadrature_one_1f1_per_eta_call(self, monkeypatch):
-        calls = {"gk": 0, "eta": 0, "1f1": 0}
+        calls = {"rule": 0, "eta": 0, "1f1": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -152,18 +149,16 @@ class TestOneLineKernel:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(integral, "adaptive_gk", counted("gk", adaptive_gk))
+        monkeypatch.setattr(integral, "nested_trapezoid", counted("rule", nested_trapezoid))
         monkeypatch.setattr(integral, "eta_weighted_line", counted("eta", eta_weighted_line))
         monkeypatch.setattr(integral, "hyp1f1_vec", counted("1f1", hyp1f1_vec))
         xi_integral(cmath.exp(0.3j), 0.4 + 0.1j)
-        assert calls["gk"] == 1
+        assert calls["rule"] == 1
         assert calls["1f1"] == calls["eta"] > 1
 
     def test_kernel_errors_name_their_caller(self, monkeypatch):
-        # GK stopped at its initial panels misses the tolerance
-        monkeypatch.setattr(
-            integral, "adaptive_gk", functools.partial(adaptive_gk, max_panels=8)
-        )
+        # a rule capped at its first levels misses the tolerance
+        monkeypatch.setattr(quadrature, "_MAX_NODES", 500)
         with pytest.raises(ToleranceError) as info:
             xi_integral(cmath.exp(0.3j), 0.8)
         assert str(info.value).startswith("xi_integral(")
@@ -177,11 +172,11 @@ class TestOneLineKernel:
         def spy(f, *args, **kwargs):
             def recorded(x):
                 out = f(x)
-                dtypes.append(out.dtype)
+                dtypes.append(out[0].dtype)
                 return out
-            return adaptive_gk(recorded, *args, **kwargs)
+            return nested_trapezoid(recorded, *args, **kwargs)
 
-        monkeypatch.setattr(integral, "adaptive_gk", spy)
+        monkeypatch.setattr(integral, "nested_trapezoid", spy)
         moment_limit_check(0, make_config([1.0, 0.5], [0.0, 1.0], 0.3 - 0.2j))
         assert dtypes and set(dtypes) == {np.dtype(float)}
         dtypes.clear()
@@ -206,11 +201,11 @@ class TestOneLineKernel:
         assert abs(capped.value - full.value) <= capped.abs_err_est + full.abs_err_est
 
     def test_kernel_refusal_names_the_caller(self):
-        # the Euler-Maclaurin sum just below the Riemann-Siegel crossover
-        # needs 302 terms
+        # the grid's left end, s = 0.5 - 40i, is the first node refused: its
+        # Euler-Maclaurin sum needs 30 terms
         hardy = make_config([1.0], [0.0], 0.0)
-        with pytest.raises(AccuracyError,
-                           match=r"^moment_limit_check: zeta: Euler-Maclaurin .* 302 terms"):
+        with pytest.raises(AccuracyError, match=r"^moment_limit_check: zeta: "
+                           r"Euler-Maclaurin .* s=\(0\.5-40j\) needs 30 terms"):
             moment_limit_check(0, hardy, EvalSettings(max_terms=20))
 
     @pytest.mark.parametrize("alpha, lam", [
@@ -260,7 +255,7 @@ class TestMomentIntegral:
             ref = sum(c * moment_integral(m, a, lam, z, settings).value for c, a, lam in terms)
             assert abs(got.value - ref) <= sum(abs(c) for c, _, _ in terms) * tol, m
             assert got.abs_err_est <= tol and not got.at_roundoff
-            assert got.panels > 0 and got.evaluations > 0
+            assert got.levels > 0 and got.evaluations > 0
 
     def test_alpha_spread_overflow(self):
         # e^((alpha_k - alpha_ref) tau) over tau ~ -1400 would overflow
@@ -276,6 +271,135 @@ class TestMomentIntegral:
             moment_integral(0, 0.1, 0.0, 0.9 + 0.9j)  # |z| > 1 for moments
         with pytest.raises(DomainError):
             moment_integral(0, 0.1, 0.0, 1.01)
+
+
+def _captured(monkeypatch, call):
+    """Run call; return the line integral's QuadratureResult with the
+    integrand, range and tolerance share the rule was given."""
+    seen = {}
+
+    def rule(f, a, b, share):
+        seen.update(f=f, a=a, b=b, share=share)
+        return nested_trapezoid(f, a, b, share)
+
+    def line(*args, **kwargs):
+        seen["result"] = line_integral(*args, **kwargs)
+        return seen["result"]
+
+    line_integral = integral._line_integral
+    monkeypatch.setattr(integral, "nested_trapezoid", rule)
+    monkeypatch.setattr(integral, "_line_integral", line)
+    call()
+    return seen
+
+
+def _trapezoid(f, a, b, n):
+    """The trapezoidal rule with n intervals on [a, b], from f's values."""
+    x = a + (b - a) * (np.arange(n + 1) / n)
+    vals = np.concatenate([f(x[i:i + 2048])[0] for i in range(0, x.size, 2048)])
+    return (b - a) / n * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+
+
+_SERIES = make_config([1.0, 0.5], [0.0, 1.0], 0.3 - 0.2j)
+_EXHIBIT = make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j)
+_HARDY = make_config([1.0], [0.0], 0.0)
+_SERIES_TOL = EvalSettings(quad_abs_tol=1e-9)
+
+
+def _series(m, alpha):
+    return lambda: shifts.moment_numeric(m, alpha, _SERIES, _SERIES_TOL)
+
+
+def _limit(m, cfg):
+    return lambda: moment_limit_check(m, cfg)
+
+
+# row: (call, trapezoid nodes, adaptive GK evaluations on the symmetric range
+# [-T + min lam, T + max lam] it was run on before the per-side truncation)
+TRAPEZOID_ROWS = {
+    "xi a=1 z=0.5": (lambda: xi_integral(1.0, 0.5), 1281, 3540),
+    "xi a=e^0.3i z=0.4+0.1i": (lambda: xi_integral(cmath.exp(0.3j), 0.4 + 0.1j), 1617, 3750),
+    "xi a=e^-0.45i z=0.5": (lambda: xi_integral(cmath.exp(-0.45j), 0.5), 2113, 5820),
+    "xi a=e^0.77i z=0.1": (lambda: xi_integral(cmath.exp(0.77j), 0.1), 35713, 38640),
+    "series alpha=0.2 m=0": (_series(0, 0.2), 1457, 3510),
+    "series alpha=0.2 m=1": (_series(1, 0.2), 1697, 3720),
+    "series alpha=0.5 m=0": (_series(0, 0.5), 2385, 7155),
+    "series alpha=0.5 m=1": (_series(1, 0.5), 2977, 6015),
+    "series alpha=0.7 m=0": (_series(0, 0.7), 7121, 11835),
+    "series alpha=0.7 m=1": (_series(1, 0.7), 9665, 12300),
+    "limit hardy m=0": (_limit(0, _HARDY), 19569, 38010),
+    "limit series m=0": (_limit(0, _SERIES), 32913, 64950),
+    "limit series m=1": (_limit(1, _SERIES), 23817, 92550),
+    "limit exhibit m=0": (_limit(0, _EXHIBIT), 43169, 82245),
+    "limit exhibit m=1": (_limit(1, _EXHIBIT), 29841, 347445),
+}
+
+
+class TestTrapezoidRows:
+    """Every critical-line integral of the benchmark and the CLI on the nested
+    trapezoidal rule: pinned node counts, and estimates that cover a finer
+    level and the independent adaptive GK value."""
+
+    @pytest.mark.parametrize("row", list(TRAPEZOID_ROWS))
+    def test_nodes_and_estimate(self, monkeypatch, row):
+        call, nodes, gk_evaluations = TRAPEZOID_ROWS[row]
+        seen = _captured(monkeypatch, call)
+        got, f, a, b = seen["result"], seen["f"], seen["a"], seen["b"]
+        n0 = math.ceil(b - a)
+        assert got.evaluations == nodes == n0 * 2 ** (got.levels - 1) + 1
+        assert nodes <= (0.25 if row == "limit exhibit m=1" else 1.1) * gk_evaluations
+        finer = _trapezoid(f, a, b, n0 * 2 ** got.levels)
+        assert abs(got.value - finer) <= got.abs_err_est
+        gk = adaptive_gk(lambda x: f(x)[0], a, b, seen["share"],
+                         initial_panels=max(64, math.ceil((b - a) / 2.0)))
+        assert abs(got.value - gk.value) <= got.abs_err_est + gk.abs_err_est
+
+    def test_exhibit_limit_estimate_covers_its_noise_plateau(self, monkeypatch):
+        # the level differences of this m = 1 limit fall to ~1e-5 and stay
+        # there (6e-5, 1.3e-5, 9e-6 at 59 681, 119 361 and 238 721 nodes):
+        # eta's error, amplified by the weights, not the step.  The summed
+        # integrand bound puts that noise in the estimate; without it the rule
+        # accepts a level whose estimate the next one breaks
+        seen = _captured(monkeypatch, _limit(1, _EXHIBIT))
+        got, f, a, b = seen["result"], seen["f"], seen["a"], seen["b"]
+        n = math.ceil(b - a) * 2 ** (got.levels - 1)
+        for finer in (2 * n, 4 * n):
+            assert abs(got.value - _trapezoid(f, a, b, finer)) <= got.abs_err_est, finer
+        assert got.at_roundoff
+
+
+class TestLevelBlocks:
+    """Each level's new nodes go to the kernels in blocks of quadrature._BLOCK."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: xi_integral(cmath.exp(0.3j), 0.4 + 0.1j),
+        lambda: _weighted_moment(1, [(1.0, 0.5, 0.0), (0.5, 0.5, 1.0)], 0.3 - 0.2j),
+    ])
+    def test_block_size_changes_no_bit(self, monkeypatch, call):
+        got = []
+        for block in (7, 2048):
+            monkeypatch.setattr(quadrature, "_BLOCK", block)
+            got.append(call())
+        assert got[0] == got[1]
+
+    @staticmethod
+    def _peak(call):
+        call()  # first-call imports and caches stay out of the trace
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_the_level(self, monkeypatch):
+        # the finest level of this transform adds 17 856 nodes: in blocks the
+        # call peaks at 2.92 MB, with the whole level in one kernel call at
+        # 8.34 MB
+        call = lambda: xi_integral(cmath.exp(0.77j), 0.1)
+        assert self._peak(call) <= 1.25 * 2.92e6
+        monkeypatch.setattr(quadrature, "_BLOCK", 1 << 30)
+        assert self._peak(call) > 1.25 * 2.92e6
 
 
 class TestSeriesSideValues:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from xishift.quadrature import adaptive_gk, truncation_point
+from xishift import quadrature
+from xishift.quadrature import adaptive_gk, nested_trapezoid, truncation_point
 
 
 class TestAdaptiveGK:
@@ -46,6 +47,61 @@ class TestAdaptiveGK:
         params = inspect.signature(adaptive_gk).parameters
         keywords = [p for p in params if params[p].kind is inspect.Parameter.KEYWORD_ONLY]
         assert keywords == ["initial_panels", "max_panels"]
+
+
+def _exact(g):
+    """An integrand with exact values: zero error bounds."""
+    return lambda x: (g(x), np.zeros(x.shape))
+
+
+class TestNestedTrapezoid:
+    def test_gaussian(self):
+        out = nested_trapezoid(_exact(lambda x: np.exp(-x * x)), -10.0, 10.0, 1e-12)
+        assert abs(out.value - math.sqrt(math.pi)) <= out.abs_err_est <= 1e-12
+        assert not out.at_roundoff
+        # level 0 has step 1; the estimate needs three levels
+        assert out.levels == 3 and out.evaluations == 4 * 20 + 1
+
+    def test_complex_oscillatory(self):
+        exact = math.sqrt(math.pi) * math.exp(-4.0)
+        out = nested_trapezoid(_exact(lambda x: np.exp(-x * x + 4j * x)), -10.0, 10.0, 1e-11)
+        assert abs(out.value - exact) <= out.abs_err_est <= 1e-11
+
+    def test_noise_terms_enter_the_estimate(self):
+        # error bounds of 1e-9 per value sum to 1e-9 * (b - a): a tol below
+        # that ends at the plateau, flagged, not at the node cap
+        g = lambda x: np.exp(-x * x)
+        noisy = lambda x: (g(x), np.full(x.shape, 1e-9))
+        out = nested_trapezoid(noisy, -10.0, 10.0, 1e-12)
+        assert out.abs_err_est >= 20.0 * 1e-9
+        assert out.at_roundoff and out.levels == 3
+        # rounding alone: h * sum |f| is ~ the integral of |f|
+        out = nested_trapezoid(_exact(lambda x: 1e8 * g(x)), -10.0, 10.0, 1e-12)
+        assert out.at_roundoff
+        assert out.abs_err_est >= np.finfo(float).eps * 1e8 * math.sqrt(math.pi)
+
+    def test_node_cap(self, monkeypatch):
+        # 1/(1+x^2) is not entire: the differences fall algebraically, and
+        # refinement runs into the cap with the estimate still above tol
+        monkeypatch.setattr(quadrature, "_MAX_NODES", 1000)
+        out = nested_trapezoid(_exact(lambda x: 1.0 / (1.0 + x * x)), -30.0, 30.0, 1e-14)
+        assert out.evaluations == 16 * 60 + 1 and out.levels == 5
+        assert out.abs_err_est > 1e-14 and not out.at_roundoff
+
+    def test_deterministic_and_block_independent(self, monkeypatch):
+        f = _exact(lambda t: np.sin(3.3 * t) * np.exp(-0.1 * t * t))
+        a = nested_trapezoid(f, -30.0, 30.0, 1e-12)
+        monkeypatch.setattr(quadrature, "_BLOCK", 5)
+        assert nested_trapezoid(f, -30.0, 30.0, 1e-12) == a
+
+    def test_bad_interval(self):
+        with pytest.raises(ValueError):
+            nested_trapezoid(_exact(lambda x: x), 1.0, 0.0, 1e-8)
+
+    def test_no_keywords(self):
+        # the block size and the node cap are module constants; no caller sets them
+        params = inspect.signature(nested_trapezoid).parameters
+        assert list(params) == ["f", "a", "b", "abs_tol"]
 
 
 class TestTruncationPoint:

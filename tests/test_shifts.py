@@ -30,7 +30,7 @@ from xishift import (
     validate_config,
 )
 from xishift import integral, shifts, specfun
-from xishift.quadrature import GKOutcome, adaptive_gk
+from xishift.quadrature import TrapezoidOutcome, nested_trapezoid, truncation_point
 from xishift.shifts import dominant_index, fz_line_vec
 
 from ._oracles import ZETA_ZEROS
@@ -316,24 +316,32 @@ class TestMoments:
 
         def counted(*args, **kwargs):
             calls.append(args[1:3])
-            return adaptive_gk(*args, **kwargs)
+            return nested_trapezoid(*args, **kwargs)
 
-        monkeypatch.setattr(integral, "adaptive_gk", counted)
+        monkeypatch.setattr(integral, "nested_trapezoid", counted)
         cfg = make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j)
-        moment_numeric(1, 0.2, cfg, EvalSettings(quad_abs_tol=1e-9))
+        tol = 1e-9
+        moment_numeric(1, 0.2, cfg, EvalSettings(quad_abs_tol=tol))
         assert len(calls) == 1
-        # the range covers every shift's own [-T + lam, T + lam]
-        lo, hi = calls[0]
-        assert hi - lo > 2.0 and lo + hi == pytest.approx(2.0)
+        # the range covers every shift's own [-T_lo + lam, T_hi + lam]; each
+        # side is cut at its own decay rate, pi/4 + alpha on the left and
+        # pi/4 - alpha on the right, with the same tail target
+        def side(rate):
+            target = 0.025 * tol * rate / (8.0 * sum(cfg.coefficients))
+            return truncation_point(2.0, rate, abs(cfg.z) / math.sqrt(2.0), target, 40.0)
+
+        t_lo, t_hi = side(math.pi / 4.0 + 0.2), side(math.pi / 4.0 - 0.2)
+        assert t_lo < t_hi
+        assert calls[0] == (-t_lo + 0.0, t_hi + 2.0)
 
         # both alpha samples of the limit check share one quadrature; the
         # count is all that is asked here, so the integral itself is skipped
         def skipped(*args, **kwargs):
             calls.append(args[1:3])
-            return GKOutcome(0j, 0.0, 0, 0, False)
+            return TrapezoidOutcome(0j, 0.0, 0, 0, False)
 
         calls.clear()
-        monkeypatch.setattr(integral, "adaptive_gk", skipped)
+        monkeypatch.setattr(integral, "nested_trapezoid", skipped)
         moment_limit_check(0, HARDY)
         assert len(calls) == 1
 
