@@ -50,7 +50,6 @@ from .specfun import (
     eta_completed,
     gamma_c,
     hyp1f1,
-    hyp1f1_asym_residual,
     rho_real,
     xi_c,
     zeta_c,

@@ -8,12 +8,11 @@ Every subcommand runs at the default settings.  Exit codes:
 0 all tolerances met, 2 a tolerance gate failed, 3 config, parse or usage
 error, 4 numeric error.
 
-Config files are flat JSON with exactly these keys:
+Config files are flat JSON with exactly these keys, all required:
 
-    {"coefficients": [1.0], "shifts": [0.0], "z_re": 0.0, "z_im": 0.0,
-     "tail_bound": 0.0}
+    {"coefficients": [1.0], "shifts": [0.0], "z_re": 0.0, "z_im": 0.0}
 
-tail_bound is optional and defaults to 0.
+They describe a finite sum; there is no key for a dropped tail.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ EXIT_TOLERANCE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
-_CONFIG_KEYS = {"coefficients", "shifts", "z_re", "z_im", "tail_bound"}
+_CONFIG_KEYS = ("coefficients", "shifts", "z_re", "z_im")
 _DECAY_DELTAS = (0.2, 0.1, 0.05, 0.02, 0.01)
 
 
@@ -65,10 +64,14 @@ class RunManifest:
             raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.m_max not in _SERIES_GATES:
+            raise ConfigError(f"m must be one of {sorted(_SERIES_GATES)}, got {self.m_max}")
         for name in ("t_min", "t_max", "step", "tol", "alpha"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        if self.tol is not None and self.tol <= 0.0:
+            raise ConfigError(f"tol must be > 0, got {self.tol}")
 
 
 def parse_config(path: str) -> shifts_mod.ShiftConfig:
@@ -82,10 +85,10 @@ def parse_config(path: str) -> shifts_mod.ShiftConfig:
         raise ParseError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw).difference(_CONFIG_KEYS)
     if unknown:
         raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
-    for key in ("coefficients", "shifts", "z_re", "z_im"):
+    for key in _CONFIG_KEYS:
         if key not in raw:
             raise ParseError(f"{path}: missing required key '{key}'")
     for key in ("coefficients", "shifts"):
@@ -96,11 +99,8 @@ def parse_config(path: str) -> shifts_mod.ShiftConfig:
     for key in ("z_re", "z_im"):
         if not isinstance(raw[key], (int, float)) or isinstance(raw[key], bool):
             raise ParseError(f"{path}: '{key}' must be a real number")
-    tail = raw.get("tail_bound", 0.0)
-    if not isinstance(tail, (int, float)) or isinstance(tail, bool):
-        raise ParseError(f"{path}: 'tail_bound' must be a real number")
     return shifts_mod.make_config(
-        raw["coefficients"], raw["shifts"], complex(raw["z_re"], raw["z_im"]), tail
+        raw["coefficients"], raw["shifts"], complex(raw["z_re"], raw["z_im"])
     )
 
 
@@ -233,7 +233,7 @@ _LIMIT_GATES = {0: 5e-3, 1: 2e-2}
 def _cmd_moments(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     rows = []
     passed = True
-    for m in range(min(man.m_max, 2) + 1):
+    for m in range(man.m_max + 1):
         numeric = shifts_mod.moment_numeric(m, man.alpha, cfg)
         assembled = shifts_mod.moment_series_rhs(m, man.alpha, cfg)
         diff = abs(numeric - assembled)

@@ -182,13 +182,16 @@ def nested_trapezoid(
         d_k^2 / d_(k-1)  +  h * sum(error bounds)  +  _ROUNDING * h * sum |f|,
 
     the geometric-convergence extrapolation plus the noise of the values
-    and the rounding of the level sums.  Refinement stops, from level 2 on,
-    when the estimate meets abs_tol, or when d_k has fallen into the noise
-    terms (the noise plateau: no further level can show more convergence).
-    A d_k that grows is not taken for the plateau; above the noise it means
-    h is not yet below the integrand's band limit.  No level is added past
-    _MAX_NODES nodes.  at_roundoff marks an estimate above abs_tol that the
-    noise terms dominate.
+    and the rounding of the level sums.  The last term does not cover the
+    rounding of the node positions, about eps |x| each, which moves each
+    value by about eps |x f'(x)|: the error bounds f returns must dominate
+    that term, as the line integrals' eta bounds do.  Refinement stops, from
+    level 2 on, when the estimate meets abs_tol, or when d_k has fallen into
+    the noise terms (the noise plateau: no further level can show more
+    convergence).  A d_k that grows is not taken for the plateau; above the
+    noise it means h is not yet below the integrand's band limit.  No level
+    is added past _MAX_NODES nodes.  at_roundoff marks an estimate above
+    abs_tol that the noise terms dominate.
     """
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")

@@ -57,13 +57,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShiftConfig:
-    """Weights c_j, shifts lam_j, the z parameter, and a bound on the dropped
-    tail of an originally infinite weight sequence."""
+    """Weights c_j, shifts lam_j and the z parameter of a finite sum."""
 
     coefficients: tuple[float, ...]
     shifts: tuple[float, ...]
     z: complex
-    tail_bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -102,8 +100,6 @@ def validate_config(cfg: ShiftConfig) -> ShiftConfig:
             raise ConfigError(f"shifts must be finite, got {lam}")
     if len(set(lams)) != len(lams):
         raise ConfigError(f"shifts must be pairwise distinct, got {lams}")
-    if not (math.isfinite(cfg.tail_bound) and cfg.tail_bound >= 0.0):
-        raise ConfigError(f"tail_bound must be finite and >= 0, got {cfg.tail_bound}")
     z = complex(cfg.z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ConfigError(f"z must be finite, got {z!r}")
@@ -121,20 +117,12 @@ def validate_config(cfg: ShiftConfig) -> ShiftConfig:
     return cfg
 
 
-def make_config(
-    coefficients, shifts, z: complex, tail_bound: float = 0.0
-) -> ShiftConfig:
+def make_config(coefficients, shifts, z: complex) -> ShiftConfig:
     """Build and validate a ShiftConfig from plain sequences."""
     return validate_config(
         ShiftConfig(tuple(float(c) for c in coefficients),
-                    tuple(float(x) for x in shifts),
-                    complex(z), float(tail_bound))
+                    tuple(float(x) for x in shifts), complex(z))
     )
-
-
-def dominant_index(cfg: ShiftConfig) -> int:
-    """Index of the unique maximal |shift|."""
-    return max(range(len(cfg.shifts)), key=lambda j: abs(cfg.shifts[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +143,6 @@ def _fz_vec(
     c = np.array(cfg.coefficients)[:, None]
     total = sum(c * ev * bracket)
     err = sum(np.abs(c) * (ee * np.abs(bracket) + np.abs(ev) * 2.0 * e_a))
-    if cfg.tail_bound:
-        err += cfg.tail_bound * (np.abs(ev) * np.abs(bracket)).max(axis=0)
     return total.reshape(s.shape), err.reshape(s.shape)
 
 

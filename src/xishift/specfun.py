@@ -14,7 +14,7 @@ with it, so results are reproducible under any partitioning and a scalar
 call equals the same point of any batch bit for bit.  This holds for every
 kernel at any batch size: a complex product whose right operand is a
 temporary is written as an explicit np.multiply, which numpy never elides into
-an in-place product with swapped operands (see _em_corrections_rows), and the
+an in-place product with swapped operands (see _em_corrections_table), and the
 tables of the Euler-Maclaurin tail and of 1F1 hold a bounded number of points.
 
 Algorithms
@@ -27,9 +27,8 @@ Zeta       : Euler-Maclaurin with Bernoulli corrections through B26 (B28
              feeds the error bound) and a direct-sum length N ~ 0.61*|s+27|
              taken from that bound, at least EM_MIN_TERMS (20); the
              functional equation covers Re(s) < 0.  The direct sum runs per
-             ladder group of N, the corrections once over every point: as
-             (k, point) tables in a batch of at most _TAIL_TABLE_MAX points,
-             one correction at a time in a wider one.
+             ladder group of N, the corrections once over every point, as
+             (k, point) tables over column blocks of _EM_TAIL_BLOCK points.
 Hardy Z    : Riemann-Siegel main sum of floor(sqrt(t/2pi)) terms, theta(t)
              from its Stirling series, phases reduced in longdouble, and the
              corrections C_0..C_10 from a frozen table (tests/make_rs_table.py
@@ -48,7 +47,6 @@ Eta        : pi^(-s/2) Gamma(s/2) zeta(s) with an optional log-weight fused
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -58,7 +56,6 @@ import numpy as np
 from .errors import (
     AccuracyError,
     DivergenceError,
-    DomainError,
     EvaluationError,
     ParameterError,
     PoleError,
@@ -81,7 +78,6 @@ __all__ = [
     "big_xi",
     "rho_real",
     "hyp1f1",
-    "hyp1f1_asym_residual",
     "eta_line_vec",
     "eta_weighted_line",
     "xi_line_vec",
@@ -225,7 +221,7 @@ def gamma_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithE
 _EM_TARGET = 1e-16
 _EM_RATE = (2.0 / _EM_TARGET) ** (1.0 / (2 * _EM_K + 2)) / (2.0 * math.pi)
 _EM_CHUNK = 1 << 17  # entries per block of the direct sum (2 MB)
-_TAIL_TABLE_MAX = 512  # widest batch whose tail runs as tables (0.5 MB); wider ones run rows
+_EM_TAIL_BLOCK = 512  # points per column block of the tail tables (0.5 MB)
 # the tail tables' row constants, complex so that no table product casts: 2k
 # for k = 0..K+1, the shifts m = 1..2K of the Pochhammer rows, and the
 # Bernoulli coefficients
@@ -303,16 +299,16 @@ def _em_tail(
     phase_factor = sqrt(max(log^3 N / 3, 1)) at each point's own N.  The
     values are summed into direct in place.
 
-    A batch of at most _TAIL_TABLE_MAX points runs the corrections as tables
-    (_em_corrections_table): a short batch pays per numpy call.  A wider one
-    runs them row by row over all points (_em_corrections_rows), whose
-    temporaries stay in cache; there the tables were slower.  Both do the same
-    operations on each point in the same order, so the bits agree.
+    The corrections run as tables (_em_corrections_table) over column blocks
+    of _EM_TAIL_BLOCK points: a short batch pays per numpy call, and the
+    blocks keep a wide one's tables in cache.  Each point sees the same
+    operations in the same order in any block, so the bits do not depend on
+    the block width.
     """
-    if s.size <= _TAIL_TABLE_MAX:
-        t_next = _em_corrections_table(s, direct, ln_n)
-    else:
-        t_next = _em_corrections_rows(s, direct, ln_n)
+    t_next = np.empty(s.shape)
+    for lo in range(0, s.size, _EM_TAIL_BLOCK):
+        cols = slice(lo, lo + _EM_TAIL_BLOCK)
+        t_next[cols] = _em_corrections_table(s[cols], direct[cols], ln_n[cols])
     k_err = _EM_K + 1
     trunc = t_next * np.abs(s + (2 * k_err - 1)) / np.maximum(s.real + (2 * k_err - 1), 1.0)
     one_minus_sigma = 1.0 - s.real
@@ -328,32 +324,19 @@ def _em_tail(
     return direct, trunc + 4.0 * EPS * (1.0 + abs_sum) + phase
 
 
-def _em_corrections_rows(s: np.ndarray, val: np.ndarray, ln_n: np.ndarray) -> np.ndarray:
-    """Adds the head and the Bernoulli corrections of _em_tail into val, one
-    correction at a time; returns |first dropped correction|.
+def _em_corrections_table(s: np.ndarray, val: np.ndarray, ln_n: np.ndarray) -> np.ndarray:
+    """Adds the head and the Bernoulli corrections of _em_tail into val;
+    returns |first dropped correction|.
 
-    Every complex product is an explicit np.multiply in one operand order.  In
-    an operator chain numpy may run the product in place on a temporary of
+    The corrections are (k, point) tables: one exp over every exponent
+    (1 - s - 2k) log N, the shifts s + m, the Pochhammer rows, then the
+    coefficient and exponential products as two table products, added into
+    val row by row in the order head, corrections.  Every complex product is
+    an explicit np.multiply whose output is none of its operands.  In an
+    operator chain numpy may run the product in place on a temporary of
     256 KiB or more with the operands swapped, and its complex multiply is not
     bitwise commutative, so a point's bits would depend on its batch size.
     """
-    one_minus_s = 1.0 - s
-    val += np.exp(one_minus_s * ln_n) / (s - 1.0)  # added in the order head, corrections
-    val += 0.5 * np.exp(-s * ln_n)
-    poch = s.copy()
-    for k in range(1, _EM_K + 1):
-        val += np.multiply(_EM_COEF[k - 1] * poch, np.exp((one_minus_s - 2 * k) * ln_n))
-        poch = np.multiply(np.multiply(poch, s + (2 * k - 1)), s + 2 * k)
-    return np.abs(np.multiply(_EM_COEF[_EM_K] * poch,
-                              np.exp((one_minus_s - 2 * (_EM_K + 1)) * ln_n)))
-
-
-def _em_corrections_table(s: np.ndarray, val: np.ndarray, ln_n: np.ndarray) -> np.ndarray:
-    """_em_corrections_rows as (k, point) tables: one exp over every exponent
-    (1 - s - 2k) log N, the shifts s + m, the Pochhammer rows, then the
-    coefficient and exponential products as two table products, added into
-    val row by row in order.  Every complex product is an explicit np.multiply
-    whose output is none of its operands."""
     expo = np.multiply(np.subtract(1.0 - s, _EM_TWO_K), ln_n)
     np.exp(expo, out=expo)
     val += expo[0] / (s - 1.0)
@@ -861,22 +844,6 @@ def _hyp1f1_columns(
         else:
             streak = small[-1]
     return cols.size
-
-
-def hyp1f1_asym_residual(
-    s: complex, z: complex, settings: EvalSettings = DEFAULT_SETTINGS
-) -> float:
-    """Normalized residual of the large-parameter cosine asymptotic of 1F1.
-
-    Returns |1F1(-s; 1/2; z^2/4) - e^(z^2/8) cos(z sqrt(s+1/4))| * |s+1/4|^(1/2),
-    which stays bounded as |s| grows.
-    """
-    s, z = complex(s), complex(z)
-    if abs(s) < 4.0:
-        raise DomainError(f"asymptotic residual needs |s| >= 4, got |s|={abs(s):.3g}")
-    f = hyp1f1(-s, 0.5, z * z / 4.0, settings).value
-    lead = cmath.exp(z * z / 8.0) * cmath.cos(z * cmath.sqrt(s + 0.25))
-    return abs(f - lead) * abs(s + 0.25) ** 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,6 @@ def _digest(
         "shifts": list(cfg.shifts),
         "z_re": cfg.z.real,
         "z_im": cfg.z.imag,
-        "tail_bound": cfg.tail_bound,
         "settings": asdict(settings),
         "t_lo": t_lo,
         "t_hi": t_hi,

@@ -30,7 +30,6 @@ class TestParseConfig:
     def test_minimal(self, hardy_config):
         cfg = parse_config(hardy_config)
         assert cfg.coefficients == (1.0,) and cfg.shifts == (0.0,) and cfg.z == 0.0
-        assert cfg.tail_bound == 0.0
 
     def test_missing_key_named(self, tmp_path):
         p = tmp_path / "c.json"
@@ -43,6 +42,16 @@ class TestParseConfig:
         p.write_text('{"coefficients": [1], "shifts": [0], "z_re": 0, "z_im": 0, "zz": 1}')
         with pytest.raises(ParseError, match="zz"):
             parse_config(str(p))
+
+    def test_tail_bound_key_is_exit_3(self, tmp_path, capsys):
+        # configs are finite sums: a key for a dropped tail is an unknown key
+        p = tmp_path / "c.json"
+        p.write_text(HARDY_JSON.replace("}", ', "tail_bound": 0.0}'))
+        out = tmp_path / "x.csv"
+        assert main(["eval", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError" and "tail_bound" in record["message"]
+        assert not out.exists()
 
     def test_bad_json_reports_line(self, tmp_path):
         p = tmp_path / "c.json"
@@ -243,6 +252,28 @@ class TestManifest:
         assert main(argv + ["--config", hardy_config, "--out", str(out)]) == EXIT_CONFIG
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError" and "finite" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m", ["-1", "3"])
+    def test_moment_order_out_of_range_is_exit_3(self, m, hardy_config, tmp_path, capsys):
+        # -1 would check nothing and pass; 3 would run m <= 2 under m_max 3
+        out = tmp_path / "out.json"
+        argv = ["moments", "--m", m, "--config", hardy_config, "--out", str(out),
+                "--format", "json"]
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and m in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "0"])
+    @pytest.mark.parametrize("subcommand", ["theta-check", "integral-check", "scan"])
+    def test_non_positive_tol_is_exit_3(self, subcommand, tol, hardy_config, tmp_path, capsys):
+        # a usage error, not a failed tolerance gate (exit 2)
+        out = tmp_path / "out.csv"
+        argv = [subcommand, "--tol", tol, "--config", hardy_config, "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and "tol must be > 0" in record["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["eval", "scan", "region"])

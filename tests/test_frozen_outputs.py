@@ -1,0 +1,44 @@
+"""Frozen CLI outputs: the SHA-256 of a few fast runs, pinned byte for byte.
+
+A change that moves any of these bytes must update the digest on purpose and
+say why; a refactor or speedup that promises identical outputs must not.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from xishift.cli import EXIT_OK, main
+
+HARDY = {"coefficients": [1.0], "shifts": [0.0], "z_re": 0.0, "z_im": 0.0}
+EXHIBIT = {"coefficients": [1.0, 0.5, 0.25], "shifts": [0.0, 1.0, 2.0],
+           "z_re": 0.5, "z_im": 0.25}
+
+# (config or None, argv, SHA-256 of the CSV written)
+FROZEN = {
+    "scan-hardy": (HARDY, ["scan", "--t-min", "10", "--t-max", "30", "--step", "0.05"],
+                   "50b421cc6b67aa4b9325fb5a14b1a7134bd661892f09233b3a73c1ab1c82c45c"),
+    "scan-exhibit": (EXHIBIT, ["scan", "--t-min", "0", "--t-max", "40", "--step", "0.02"],
+                     "d440f9400cf6c33c0f0080106023714abbaca1f3253e7fc58540e4ef4cd6b47d"),
+    "eval-exhibit": (EXHIBIT, ["eval"],
+                     "f7b1b75175627a541f7e0fbf2166b0e7fa14eb0c2b6c4ff33b45cc29fba5c4ac"),
+    "theta-check": (None, ["theta-check"],
+                    "496e97fe2032f63fd477828c81f2e56f31761dbb4a02aa66d16dd8a15db2332b"),
+    "region": (None, ["region", "--step", "0.25"],
+               "06028451037624c95a723fc25b73cdd99b51e139985c73f884f304872153d254"),
+    "limits-hardy": (HARDY, ["limits"],
+                     "8a71222245b252d17b9e7e81ffe996b9a33807723539b53fb22462105ffc0a3a"),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_output_bytes_are_frozen(name, tmp_path):
+    config, argv, digest = FROZEN[name]
+    out = tmp_path / "out.csv"
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -21,7 +21,6 @@ from xishift import (
     f_z,
     gamma_c,
     hyp1f1,
-    hyp1f1_asym_residual,
     make_config,
     rho_real,
     xi_c,
@@ -354,10 +353,10 @@ class TestZetaKernel:
         assert v[0].tobytes() == vals[8192].tobytes()
         assert e[0].tobytes() == errs[8192].tobytes()
 
-    @pytest.mark.parametrize("table_max", [0, 1 << 30])
-    def test_each_tail_route_alone_equals_reference(self, monkeypatch, table_max):
-        # every batch through the row route (0), or through the tables (2^30)
-        monkeypatch.setattr(specfun, "_TAIL_TABLE_MAX", table_max)
+    @pytest.mark.parametrize("width", [1, 1 << 30])
+    def test_tail_block_width_keeps_the_bits(self, monkeypatch, width):
+        # the tail tables one point wide (1), or one block over every point (2^30)
+        monkeypatch.setattr(specfun, "_EM_TAIL_BLOCK", width)
         self.test_equals_per_group_kernel_bit_for_bit()
         self.test_point_equals_batch_at_elision_size()
 
@@ -424,10 +423,10 @@ class TestZetaKernel:
 
 
 class TestBlockedTableMemory:
-    """The tail builds tables for short batches only and 1F1 runs its tables in
-    column blocks: a 20001-point call on the line peaks at most 1.25x of what
-    the term-by-term kernels held (3.16, 2.34 and 22.1 MB for zeta, 1F1 and the
-    exhibit F_z), where one table over every point would need 19, 17 and 58 MB."""
+    """The zeta tail and 1F1 run their tables in column blocks: a 20001-point
+    call on the line peaks at most 1.25x of what the term-by-term kernels held
+    (3.16, 2.34 and 22.1 MB for zeta, 1F1 and the exhibit F_z), where one
+    table over every point would need 19, 17 and 58 MB."""
 
     T = np.linspace(0.0, 480.0, 20_001)
     CFG = make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j)
@@ -881,25 +880,3 @@ class TestHyp1F1:
         assert vals.shape == errs.shape == (3, 4)
         assert vals.tobytes() == flat_vals.tobytes()
         assert errs.tobytes() == flat_errs.tobytes()
-
-
-class TestAsymptoticResidual:
-    def test_z_zero_collapses(self):
-        assert hyp1f1_asym_residual(10.0, 0.0) == 0.0
-
-    def test_bounded_family(self):
-        vals = [hyp1f1_asym_residual(complex(0, -t), 0.5) for t in (10.0, 20.0, 40.0)]
-        assert all(math.isfinite(v) for v in vals)
-        assert max(vals) < 5.0
-
-    def test_growth_comparison(self):
-        z = 0.3 + 0.1j
-        r25 = hyp1f1_asym_residual(25.0, z)
-        r100 = hyp1f1_asym_residual(100.0, z)
-        assert math.isfinite(r25) and r25 < 10.0 * max(r100, 0.1)
-
-    def test_domain(self):
-        from xishift import DomainError
-
-        with pytest.raises(DomainError):
-            hyp1f1_asym_residual(1.0, 0.3)
