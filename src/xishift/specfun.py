@@ -29,13 +29,15 @@ Zeta       : Euler-Maclaurin with Bernoulli corrections through B26 (B28
              functional equation covers Re(s) < 0.  The direct sum runs per
              ladder group of N, the corrections once over every point, as
              (k, point) tables over column blocks of _EM_TAIL_BLOCK points.
-Hardy Z    : Riemann-Siegel main sum of floor(sqrt(t/2pi)) terms, theta(t)
-             from its Stirling series, phases reduced in longdouble, and the
-             corrections C_0..C_10 from a frozen table (tests/make_rs_table.py
-             derives it from the Arias de Reyna expansion).
+Hardy Z    : Riemann-Siegel main sum of N = floor(sqrt(t/2pi)) terms (one
+             longdouble N, _rs_split, for the sum and the term budget),
+             theta(t) from its Stirling series, phases reduced in longdouble,
+             and the corrections C_0..C_20 from a frozen table
+             (tests/make_rs_table.py derives it from the Arias de Reyna
+             expansion and checks it).
 Eta        : pi^(-s/2) Gamma(s/2) zeta(s) with an optional log-weight fused
              into the exponent.  On the critical line at |t| >= RS_CROSSOVER
-             (495, where the Z estimate drops below the Euler-Maclaurin one)
+             (104, where the Z estimate drops below the Euler-Maclaurin one)
              it is pi^(-1/4) |Gamma(1/4 + it/2)| Z(|t|): real, no Gamma phase.
 1F1        : Maclaurin series over an array of a-parameters, each stopped after
              two terms below 1e-12 of its sum; the error estimate carries the
@@ -435,7 +437,6 @@ _RS_COEF = (
         -2.7096350821772744e-09, -7.785288654315851e-11, 2.343762601089369e-11,
         1.5830172789987521e-12, -1.211994157372379e-13, -1.4583781161108306e-14,
         2.878630525813192e-16, 8.662862902123724e-17, 8.430722727137041e-19,
-        -3.6308072230973464e-19,
     ),
     (
         0.005188542830293168, 0.00030946583880634744, -0.011335941078229373,
@@ -445,7 +446,7 @@ _RS_COEF = (
         -5.907803698206668e-09, 2.0911514859478188e-09, 1.781564958329235e-10,
         -1.6164072455353832e-11, -2.3806962496667617e-12, 5.398265295542595e-14,
         1.9750142196969516e-14, 2.3332868732882633e-16, -1.118751761004808e-16,
-        -4.164009488883767e-18, 4.446081109291883e-19,
+        -4.164009488883767e-18,
     ),
     (
         0.0013397160907194568, -0.003744215136379394, 0.0013303178919321468,
@@ -455,7 +456,7 @@ _RS_COEF = (
         9.414685081295262e-09, -9.57011621088348e-10, -1.8763137453470662e-10,
         4.4378376793233995e-12, 2.242673850561735e-12, 3.6276868657352434e-14,
         -1.7639809550821582e-14, -7.960765246786778e-16, 9.419651490589691e-17,
-        7.133103854569658e-18, -3.2899105845546245e-19,
+        7.133103854569658e-18,
     ),
     (
         0.00046483389361763383, -0.001005660736534047, 0.00024044856573725794,
@@ -465,7 +466,7 @@ _RS_COEF = (
         -2.3915824767344323e-08, -7.505214207035756e-09, 1.3312279416258429e-10,
         1.344062675422562e-10, 3.513770042430486e-12, -1.519154453370392e-12,
         -8.915417681447087e-14, 1.1195891165228536e-14, 1.0516013329914816e-15,
-        -5.1786552736466835e-17, -8.065874861916566e-18, 1.0608204530563966e-19,
+        -5.1786552736466835e-17,
     ),
     (
         -0.00011343405922868681, -0.00013851558567147984, 0.0005068306017359404,
@@ -475,7 +476,6 @@ _RS_COEF = (
         -1.2200158650611429e-09, 4.161924475909784e-09, 2.0939812749734364e-10,
         -7.083955086672488e-11, -6.023001444442243e-12, 7.454153644214176e-13,
         9.432313173635468e-14, -4.63034208562233e-15, -9.637605904062081e-16,
-        1.0449402845048073e-17, 6.93872452014127e-18, 9.733002096569541e-20,
     ),
     (
         3.369099840108094e-05, -0.00012182596819343517, 0.00021820650719505934,
@@ -485,8 +485,7 @@ _RS_COEF = (
         5.938091048879949e-08, 7.0119971278102854e-09, -1.644509235965503e-09,
         -2.413847792012177e-10, 2.588538684310006e-11, 5.11928726139503e-12,
         -2.1541595758904304e-13, -7.134227452688869e-14, 2.8785597934103785e-16,
-        6.883513880945692e-16, 1.5208914446850878e-17, -4.760198156157085e-18,
-        -2.092936377194933e-19,
+        6.883513880945692e-16,
     ),
     (
         -3.306239959139952e-05, 5.583801197167342e-05, -3.38757252127791e-05,
@@ -496,8 +495,6 @@ _RS_COEF = (
         -1.4065380576820329e-08, -5.3302209994313445e-09, 3.594283526285034e-10,
         1.609146884319826e-10, -3.4053984355486287e-12, -3.1750244960695343e-12,
         -3.862417137390637e-14, 4.237052713611464e-14, 1.5991933724677905e-15,
-        -3.939048539223848e-16, -2.4001639971157294e-17, 2.586051085421689e-18,
-        2.2700871443308316e-19,
     ),
     (
         2.4197536136117965e-06, -4.028380692676013e-06, 1.3573801583121782e-05,
@@ -507,8 +504,6 @@ _RS_COEF = (
         -5.378631444658436e-08, -1.4153446763913294e-09, 2.616924263058847e-09,
         8.632205275861301e-11, -7.863547640798744e-11, -3.981580682374462e-12,
         1.5272973816746164e-12, 1.0788522406038325e-13, -1.9808957372871652e-14,
-        -1.8541427835015355e-15, 1.7388912945712539e-16, 2.1825209026684958e-17,
-        -1.0019236998655075e-18, -1.8578745495353616e-19,
     ),
     (
         -6.884120503027345e-06, 1.3545533780523584e-05, -2.1754023152211477e-05,
@@ -517,9 +512,7 @@ _RS_COEF = (
         7.600058623543953e-07, -1.1390878442965699e-07, -6.614344745943316e-08,
         1.554004796612315e-08, 3.623234093309804e-09, -8.813175526299378e-10,
         -1.4670998190011627e-10, 2.7908712271236326e-11, 4.3686394460535956e-12,
-        -5.397389908013263e-13, -9.262633460098316e-14, 6.5431349032226816e-15,
-        1.3980829940397601e-15, -4.684257177175832e-17, -1.532698984815314e-17,
-        1.1174990187544544e-19, 1.2504120718383387e-19,
+        -5.397389908013263e-13, -9.262633460098316e-14,
     ),
     (
         -2.000102517333251e-07, 2.747875445600471e-06, -6.35390175448108e-06,
@@ -528,24 +521,102 @@ _RS_COEF = (
         7.045817097395811e-07, -2.4463828333826787e-07, -3.66481905815922e-08,
         3.3351927670915355e-08, -7.74280847239686e-10, -2.2372533367446277e-09,
         1.3484634487797551e-10, 9.524581564195606e-11, -5.1354811812690146e-12,
-        -2.77257974107068e-12, 9.021412028490195e-14, 5.664873232773137e-14,
-        -5.443966659049589e-16, -8.286994363830809e-16, -8.777077856500683e-18,
-        8.862918884245353e-18, 2.487338937487722e-19,
+        -2.77257974107068e-12, 9.021412028490195e-14,
+    ),
+    (
+        -1.0582671552008318e-06, 7.641541824271211e-07, -1.2977241298126704e-06,
+        3.0221042133950856e-06, -4.634859422067521e-06, 4.322487310100924e-06,
+        -2.125666337747384e-06, 3.879674072408941e-08, 6.07279254102943e-07,
+        -3.084718018683562e-07, 9.26190594718259e-09, 4.004880064964372e-08,
+        -9.256434303163218e-09, -2.1829326634594735e-09, 8.693189389237111e-10,
+        7.034051663150014e-11, -4.245274929996072e-11, -1.8948148947872375e-12,
+        1.3072056139695964e-12,
+    ),
+    (
+        -1.5083686683859693e-07, 8.628809567661503e-07, -1.976924981676586e-06,
+        2.8871690530139912e-06, -3.207896290838861e-06, 2.559348501315029e-06,
+        -1.1314965275392602e-06, -1.2976652791120795e-07, 5.394003423563616e-07,
+        -3.17772121357335e-07, 4.5484600223000784e-08, 3.628787915064393e-08,
+        -1.730977128795451e-08, 9.711362039695744e-12, 1.5371151983947724e-09,
+        -1.8631718765763663e-10, -7.496047746521416e-11, 1.2862198032529442e-11,
+        2.5358940108643532e-12,
+    ),
+    (
+        -1.505027293468991e-07, -4.4819367648473974e-07, 1.047835065163221e-06,
+        -1.253237848998031e-06, 9.324695547258315e-07, -2.3948214486533624e-07,
+        -3.5188944006427883e-07, 4.969799901942378e-07, -2.9283963655989494e-07,
+        6.094123119345765e-08, 2.935515669754922e-08, -2.2438514977314013e-08,
+        3.4002661794910157e-09, 1.5896126090530532e-09, -6.081661440499551e-10,
+        -3.0161562941130855e-11, 3.9605409686251285e-11,
+    ),
+    (
+        -6.348769657494896e-08, 1.4808415629049313e-07, -1.37090703628891e-07,
+        8.204633899978823e-08, -1.377854298133403e-07, 3.345815774843902e-07,
+        -4.867044091099281e-07, 4.4079072884968587e-07, -2.4257633529286666e-07,
+        5.505655337978637e-08, 2.5501301825066168e-08, -2.49644601756429e-08,
+        6.686816169552073e-09, 9.851122273345603e-10, -9.922062408098462e-10,
+        1.2196848822719358e-10, 5.359047631205249e-11,
+    ),
+    (
+        -2.1740216481004326e-08, -1.9070064935753412e-07, 3.580275127198032e-07,
+        -4.3123460459994e-07, 4.7155753602583904e-07, -4.5023292530061226e-07,
+        3.359868742710716e-07, -1.6874461588967102e-07, 3.1697645246808486e-08,
+        2.7221277166217403e-08, -2.6216737606797236e-08, 9.104687380683376e-09,
+        7.740083872188626e-11, -1.2085711985323203e-09, 3.4198371967427904e-10,
+    ),
+    (
+        -2.523282111366813e-08, 2.5845346663806095e-09, 1.0226231233241615e-07,
+        -2.090782502894382e-07, 2.741552675857383e-07, -2.6288327808685287e-07,
+        1.8349169171868824e-07, -7.85333390809463e-08, -2.1210361662076847e-09,
+        3.33744606735894e-08, -2.692857781552289e-08, 1.0388708310759101e-08,
+        -7.052526399082112e-10, -1.278243498453482e-09, 5.697794343351831e-10,
+    ),
+    (
+        -7.543669226761348e-09, -3.623795000146331e-08, 2.7841955294645682e-08,
+        2.3030905742462583e-08, -4.76688021984443e-08, 3.0106121891701826e-08,
+        7.023469744210833e-09, -3.522803156166728e-08, 3.993189768973145e-08,
+        -2.6631392086699872e-08, 1.0391712816991325e-08, -1.031007098104709e-09,
+        -1.3180299578191717e-09,
+    ),
+    (
+        -1.1214875444432193e-08, -8.292998109451756e-09, 5.2782646302697166e-08,
+        -6.608748423050654e-08, 6.317544733871494e-08, -5.998659118302835e-08,
+        5.866562181051836e-08, -5.3872024650591344e-08, 4.132344319001651e-08,
+        -2.3921557027167978e-08, 8.872060871882266e-09,
+    ),
+    (
+        -4.466096506992039e-09, 2.9412409441008944e-09, -2.077740573070501e-08,
+        4.766398118347632e-08, -6.144908053859636e-08, 5.970309195098687e-08,
+        -4.872201332271e-08, 3.3237791792910076e-08,
+    ),
+    (
+        -5.593028426633125e-09, -3.0004167792243114e-09, 1.5395479921798448e-08,
     ),
 )
 _RS_K = len(_RS_COEF) - 1
 _RS_WIDTH = max(map(len, _RS_COEF))
 # row j: the z^(2j) coefficient of every C_k, zero-padded
 _RS_TABLE = np.array([row + (0.0,) * (_RS_WIDTH - len(row)) for row in _RS_COEF]).T
+# the Horner steps, highest power first: step j runs on C_0..C_m only, C_m the
+# last with a z^(2j) term; the rows past it have not started and hold 0, so
+# skipping them changes no bit
+_RS_HORNER = tuple(
+    _RS_TABLE[j, :1 + max(k for k, row in enumerate(_RS_COEF) if len(row) > j), None]
+    for j in reversed(range(_RS_WIDTH))
+)
 # |Z - Z_K| <= _RS_TAIL a^-(K + 3/2): twice a^(-1/2) times the truncation
 # bound 3 c Gamma((K+1)/2) (2a)^-(K+1), c = 3/(sqrt(2) pi), that mpmath's
-# rszeta uses at sigma = 1/2 (Arias de Reyna 2011)
+# rszeta uses at sigma = 1/2 (Arias de Reyna 2011).  The bound is proven only
+# where 3(K+1) < 2a^2/25, i.e. t > 4948 for K = 20 (mpmath refuses below it);
+# from RS_CROSSOVER up to there the estimate is empirical, backed by
+# tests/test_specfun.py::TestHardyZ::test_vs_siegelz_and_error_honesty (409
+# mpmath values on [RS_CROSSOVER, 5000], each error at most 1/4 of it)
 _RS_TAIL = (6.0 * 3.0 / (math.sqrt(2.0) * math.pi) * math.gamma((_RS_K + 1) / 2.0)
             / 2.0 ** (_RS_K + 1))
-# lowest height at which the Z kernel's error estimate is no larger than the
-# Euler-Maclaurin zeta estimate (default settings); tests/test_specfun.py
-# recomputes it
-RS_CROSSOVER = 495.0
+# lowest whole height from which the Z kernel's error estimate is never larger
+# than the Euler-Maclaurin zeta estimate (default settings); tests/test_specfun.py
+# and `tests/make_rs_table.py check` recompute it
+RS_CROSSOVER = 104.0
 # theta(t) - (t/2) ln(t/2pi) + t/2 + pi/8 = sum_k (1 - 2^(1-2k)) |B_2k| / (4k(2k-1) t^(2k-1))
 _THETA_COEF = tuple(
     float((1 - Fraction(1, 2 ** (2 * k - 1))) * abs(_BERNOULLI[k - 1]) / (4 * k * (2 * k - 1)))
@@ -557,9 +628,15 @@ _TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
 _RS_CHUNK = 1 << 17  # (n, point) entries per block of the main sum
 
 
+def _rs_split(t) -> tuple[np.ndarray, np.ndarray]:
+    """a = sqrt(|t|/2pi) in longdouble and the main-sum length N = floor(a)."""
+    a_ld = np.sqrt(np.abs(np.asarray(t, dtype=np.longdouble)) / _TWO_PI_LD)
+    return a_ld, np.floor(a_ld)
+
+
 def rs_length(t) -> np.ndarray:
-    """Riemann-Siegel main-sum length floor(sqrt(|t|/2pi)) at height t."""
-    return np.floor(np.sqrt(np.abs(np.asarray(t, dtype=float)) / (2.0 * math.pi)))
+    """Riemann-Siegel main-sum length at height t: the N that _hardy_z sums to."""
+    return _rs_split(t)[1].astype(float)
 
 
 def _rs_corrections(p: np.ndarray) -> np.ndarray:
@@ -567,9 +644,10 @@ def _rs_corrections(p: np.ndarray) -> np.ndarray:
     z = 1.0 - 2.0 * p
     w = z * z
     ck = np.zeros((_RS_K + 1,) + p.shape)
-    for col in _RS_TABLE[::-1]:
-        ck *= w
-        ck += col[:, None]
+    for col in _RS_HORNER:
+        rows = ck[:col.shape[0]]
+        rows *= w
+        rows += col
     ck[1::2] *= z
     return ck
 
@@ -605,16 +683,19 @@ def _rs_main_sum(tl: np.ndarray, theta: np.ndarray, n_main: np.ndarray) -> np.nd
     return main
 
 
-def _hardy_z(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hardy_z(
+    t: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS
+) -> tuple[np.ndarray, np.ndarray]:
     """Hardy's Z(t) for real t > 0 by Riemann-Siegel with C_0..C_K: (values, errors).
 
     Main sum (_rs_main_sum) to N = floor(a), a = sqrt(t/2pi), with theta from
-    its Stirling series.  The error estimate is the tail bound plus the
+    its Stirling series; AccuracyError names the first t whose N exceeds
+    settings.max_terms.  The error estimate is the tail bound plus the
     rounding of the phases, of the sum and of the corrections.
     """
     tl = t.astype(np.longdouble)
-    a_ld = np.sqrt(tl / _TWO_PI_LD)
-    n_main = np.floor(a_ld)
+    a_ld, n_main = _rs_split(tl)
+    _require_budget(n_main, t, "Hardy Z: Riemann-Siegel main sum at t", settings)
     p = (a_ld - n_main).astype(float)
     a = a_ld.astype(float)
     stirling = (_THETA_COEF[0] + (_THETA_COEF[1] + _THETA_COEF[2] / t**2) / t**2) / t
@@ -626,13 +707,14 @@ def _hardy_z(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         corr = corr / a + ck[k]
     nf = n_main.astype(float)
     sign = 1.0 - 2.0 * ((nf - 1.0) % 2.0)  # (-1)^(N-1)
-    value = main + sign * corr / np.sqrt(a)
+    sqrt_a = np.sqrt(a)
+    value = main + sign * corr / sqrt_a
     # rounding: each phase is off by a few longdouble ulps of |theta| + t ln n
     # before its reduction and by a few double ulps after it; the sum by N
     # double ulps of sum_{n<=N} 2 n^(-1/2) <= 4 sqrt(N)
     phase_err = 4.0 * _LD_EPS * (np.abs(theta.astype(float)) + t * np.log(nf)) + 2.0 * EPS
     err = (_RS_TAIL * a ** -(_RS_K + 1.5) + 4.0 * np.sqrt(nf) * (phase_err + nf * EPS)
-           + 4.0 * EPS / np.sqrt(a))
+           + 4.0 * EPS / sqrt_a)
     return value, err
 
 
@@ -649,10 +731,12 @@ def _eta_em(s: np.ndarray, settings: EvalSettings, log_weight) -> tuple[np.ndarr
     return pref * zv, np.abs(pref) * (ze + np.abs(zv) * g_rel)
 
 
-def _eta_rs(t: np.ndarray, log_weight) -> tuple[np.ndarray, np.ndarray]:
+def _eta_rs(
+    t: np.ndarray, log_weight, settings: EvalSettings = DEFAULT_SETTINGS
+) -> tuple[np.ndarray, np.ndarray]:
     """exp(log_weight) eta(1/2 + it) = exp(log_weight) pi^(-1/4) |Gamma(1/4 + it/2)| Z(|t|),
     real by construction: no Gamma phase enters."""
-    zv, ze = _hardy_z(np.abs(t))
+    zv, ze = _hardy_z(np.abs(t), settings)
     lg, g_rel = _loggamma_vec(0.25 + 0.5j * t)
     pref = np.exp(log_weight + lg.real - 0.25 * LN_PI)
     return pref * zv, pref * (ze + np.abs(zv) * g_rel)
@@ -674,12 +758,10 @@ def _eta_vec(
     if rs.any():
         rs &= s.real == 0.5
         if rs.any():
-            t = s.imag[rs]
-            _require_budget(rs_length(t), t, "eta: Riemann-Siegel main sum at t", settings)
             lw = np.broadcast_to(log_weight, s.shape)
             vals = np.empty(s.shape, dtype=complex)
             errs = np.empty(s.shape)
-            vals[rs], errs[rs] = _eta_rs(t, lw[rs])
+            vals[rs], errs[rs] = _eta_rs(s.imag[rs], lw[rs], settings)
             em = ~rs
             if em.any():
                 vals[em], errs[em] = _eta_em(s[em], settings, lw[em])

@@ -22,12 +22,20 @@ Expanding e^(i delta) and collecting powers of a gives the classical (Gabcke)
 corrections C_k(z) = 2 Re sum_{2m<=k} e_m R_{k-2m}(z): C_0 = Psi(p),
 C_1 = -Psi'''(p)/(96 pi^2), and so on.  C_k has the parity of k in z, so a row
 of the table holds the coefficients of z^(k mod 2) * z^(2j), j = 0, 1, ...,
-rounded to the nearest double and cut where the dropped tail is below 1e-19.
+rounded to the nearest double.  The kernel weighs C_k by a^-k with a >= 4 (t
+above 2 pi 16 ~ 100.5, below its crossover), so row k is cut where its dropped
+tail times 4^-k is below 1e-19.
+
+K_MAX = 20 puts the kernel's crossover (specfun.RS_CROSSOVER: the lowest whole
+height from which its Z error estimate is never larger than the
+Euler-Maclaurin one) at t = 104; Gabcke's (1979) C_0..C_10 put it at 495.
 
 Usage (mpmath is a test dependency only; the library never imports it):
 
-    python tests/make_rs_table.py           # the _RS_COEF literal for specfun
-    python tests/make_rs_table.py oracles   # the siegelz and zetazero tables
+    python tests/make_rs_table.py                         # the _RS_COEF literal for specfun
+    PYTHONPATH=src python tests/make_rs_table.py check    # exit 1 unless specfun's table,
+                                                          # crossover and cut height agree
+    PYTHONPATH=src python tests/make_rs_table.py oracles  # the siegelz and zetazero tables
 """
 
 from __future__ import annotations
@@ -36,12 +44,17 @@ import math
 import sys
 
 import mpmath
+import numpy as np
 from mpmath.functions.rszeta import coef
 
-K_MAX = 10  # C_0 ... C_10, the orders of Gabcke's (1979) tables
+K_MAX = 20  # C_0 ... C_20; Gabcke's (1979) tables stop at C_10
 DPS = 80
-TAYLOR_J = 70  # F's Taylor series through degree ~2 * (TAYLOR_J + 2)
+# F's Taylor series through degree ~2 * (TAYLOR_J + 2); the K_MAX = 20 rows are
+# the same at 60, 70, 90 and 120 (and differ at 50)
+TAYLOR_J = 90
+# row k is cut where its dropped tail times A_CUT^-k is below TAIL_CUT
 TAIL_CUT = 1e-19
+A_CUT = 4.0
 
 
 def _taylor_f(mp):
@@ -118,8 +131,8 @@ def table_rows(k_max: int = K_MAX) -> tuple[tuple[float, ...], ...]:
     rows = []
     for k, poly in enumerate(correction_polys(k_max)):
         row = [float(x) for x in poly[k % 2::2]]
-        dropped = 0.0
-        while len(row) > 1 and dropped + abs(row[-1]) < TAIL_CUT:
+        dropped, cut = 0.0, TAIL_CUT * A_CUT**k
+        while len(row) > 1 and dropped + abs(row[-1]) < cut:
             dropped += abs(row.pop())
         rows.append(tuple(row))
     return tuple(rows)
@@ -135,18 +148,58 @@ def _print_table() -> None:
     print(")")
 
 
+def crossover(specfun) -> float:
+    """The lowest whole height in [40, 3000] from which specfun's Z error
+    estimate is never larger than its Euler-Maclaurin zeta estimate."""
+    ts = np.arange(40.0, 3001.0)
+    _, em = specfun.zeta_vec(0.5 + 1j * ts)
+    _, rs = specfun._hardy_z(ts)
+    lose = np.flatnonzero(rs > em)
+    return float(ts[lose[-1] + 1]) if lose.size else float(ts[0])
+
+
+def _check() -> int:
+    """0 if specfun's table and crossover are what this script derives, else 1."""
+    from xishift import specfun
+
+    rows = table_rows()
+    differ = [k for k in range(max(len(rows), len(specfun._RS_COEF)))
+              if rows[k:k + 1] != specfun._RS_COEF[k:k + 1]]
+    failed = bool(differ)
+    if differ:
+        print(f"rows {differ} of specfun._RS_COEF differ from the derived C_0..C_{K_MAX}")
+    height = crossover(specfun)
+    if height != specfun.RS_CROSSOVER:
+        print(f"specfun.RS_CROSSOVER = {specfun.RS_CROSSOVER:g}, the rule gives {height:g}")
+        failed = True
+    if specfun.RS_CROSSOVER < 2.0 * math.pi * A_CUT**2:
+        print(f"the rows are cut for a >= {A_CUT:g}, below RS_CROSSOVER = {specfun.RS_CROSSOVER:g}")
+        failed = True
+    print("mismatch" if failed else f"ok: C_0..C_{len(rows) - 1}, crossover {height:g}")
+    return int(failed)
+
+
+def siegel_heights(lo: float) -> list[float]:
+    """Oracle heights: a grid of [lo, 5000] with lo in it, each t = 2 pi n^2 there
+    (a = sqrt(t/2pi) at a whole number, where N steps) and a hair below it
+    (p -> 1), and a few heights up to 1e5."""
+    grid = [round(float(t), 4) for t in np.linspace(lo, 5000.0, 361)]
+    whole = [2.0 * math.pi * n * n for n in range(math.ceil(math.sqrt(lo / (2.0 * math.pi))), 29)]
+    below = [t * (1.0 - 1e-12) for t in whole]
+    high = [2.0 * math.pi * 900 - 1e-9, 6543.21, 10000.0, 23456.7, 50000.0, 77777.7, 100000.0]
+    return sorted(set(grid + whole + below + high))
+
+
 def _print_oracles() -> None:
+    from xishift.specfun import RS_CROSSOVER
+
     mpmath.mp.dps = 30
-    # from the kernel's crossover to 1e5, with a = sqrt(t/2pi) at and near
-    # whole numbers (p = 0 and p -> 1, where N steps)
-    heights = [495.0, 517.5, 2.0 * math.pi * 100, 650.25, 800.0, 999.5, 1234.5678,
-               2000.0, 2404.9, 3333.3, 5000.0, 2.0 * math.pi * 900 - 1e-9, 6543.21,
-               10000.0, 23456.7, 50000.0, 77777.7, 100000.0]
+    items = [f"{t!r}: {float(mpmath.siegelz(t))!r}," for t in siegel_heights(RS_CROSSOVER)]
     print("SIEGEL_Z = {")
-    for t in heights:
-        print(f"    {t!r}: {float(mpmath.siegelz(t))!r},")
+    for i in range(0, len(items), 2):
+        print("    " + " ".join(items[i:i + 2]))
     print("}")
-    lo, hi = 495.0, 860.0
+    lo, hi = RS_CROSSOVER, 860.0
     first, last = int(mpmath.nzeros(lo)) + 1, int(mpmath.nzeros(hi))
     print(f"# zeta zeros {first} .. {last}: mpmath.zetazero(n).imag, t in [{lo:g}, {hi:g}]")
     print(f"ZETA_ZEROS_FIRST_INDEX = {first}")
@@ -160,5 +213,7 @@ def _print_oracles() -> None:
 if __name__ == "__main__":
     if sys.argv[1:] == ["oracles"]:
         _print_oracles()
+    elif sys.argv[1:] == ["check"]:
+        sys.exit(_check())
     else:
         _print_table()

@@ -19,6 +19,9 @@ EXHIBIT = {"coefficients": [1.0, 0.5, 0.25], "shifts": [0.0, 1.0, 2.0],
 FROZEN = {
     "scan-hardy": (HARDY, ["scan", "--t-min", "10", "--t-max", "30", "--step", "0.05"],
                    "50b421cc6b67aa4b9325fb5a14b1a7134bd661892f09233b3a73c1ab1c82c45c"),
+    # every node above RS_CROSSOVER: the Riemann-Siegel route
+    "scan-hardy-rs": (HARDY, ["scan", "--t-min", "480", "--t-max", "490", "--step", "0.05"],
+                      "5b3db8bf405c777192045af5ee86415a1c3077be7df67f67fda5d8294841691d"),
     "scan-exhibit": (EXHIBIT, ["scan", "--t-min", "0", "--t-max", "40", "--step", "0.02"],
                      "d440f9400cf6c33c0f0080106023714abbaca1f3253e7fc58540e4ef4cd6b47d"),
     "eval-exhibit": (EXHIBIT, ["eval"],
