@@ -7,8 +7,9 @@ Weideman, SIAM Review 56, 2014).  Each level halves h and evaluates only
 the midpoints of the last one, in blocks of at most _BLOCK nodes, so the
 memory held by the integrand's kernels does not grow with the grid.  The
 level difference d_k gives the discretisation estimate d_k^2 / d_(k-1);
-the integrand's own error bound and the rounding of the sums are added to
-it, so an estimate never claims less than the values allow.
+the integrand's own error bound, the rounding of the sums and that of the
+node positions are added to it, so an estimate never claims less than the
+values allow.
 
 adaptive_gk, on embedded 7/15-point Gauss-Kronrod pairs, has no caller in
 the package; it stays as an independent reference for the tests.  Its
@@ -165,6 +166,17 @@ def _evaluate(f, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([v for v, _ in parts]), np.concatenate([e for _, e in parts])
 
 
+def _drift(x: np.ndarray, vals: np.ndarray, a: float) -> float:
+    """sum_i (2|x_i| + |a|) |f'(x_i)| over one level's nodes x, equally spaced,
+    with f' from the differences of neighbouring values: times eps, it
+    estimates how far the rounding of the node positions moves the level's
+    values."""
+    if x.size < 2:
+        return 0.0
+    scale = 2.0 * np.maximum(np.abs(x[1:]), np.abs(x[:-1])) + abs(a)
+    return float((np.abs(np.diff(vals)) * scale).sum() / (x[1] - x[0]))
+
+
 def nested_trapezoid(
     f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     a: float,
@@ -179,13 +191,15 @@ def nested_trapezoid(
     adds the midpoints of the last.  With d_k the difference between levels
     k and k-1, the estimate is
 
-        d_k^2 / d_(k-1)  +  h * sum(error bounds)  +  _ROUNDING * h * sum |f|,
+        d_k^2 / d_(k-1)  +  h * sum(error bounds)
+            +  _ROUNDING * h * sum (|f(x)| + (2|x| + |a|) |f'(x)|),
 
-    the geometric-convergence extrapolation plus the noise of the values
-    and the rounding of the level sums.  The last term does not cover the
-    rounding of the node positions, about eps |x| each, which moves each
-    value by about eps |x f'(x)|: the error bounds f returns must dominate
-    that term, as the line integrals' eta bounds do.  Refinement stops, from
+    the geometric-convergence extrapolation plus the noise of the values,
+    the rounding of the level sums and that of the node positions: each
+    node is off by at most eps (2|x| + |a|), which moves its value by that
+    times |f'(x)|.  f' comes from the differences of each level's own
+    values (_drift), so the term needs nothing of f but its values.
+    Refinement stops, from
     level 2 on, when the estimate meets abs_tol, or when d_k has fallen into
     the noise terms (the noise plateau: no further level can show more
     convergence).  A d_k that grows is not taken for the plateau; above the
@@ -197,17 +211,19 @@ def nested_trapezoid(
         raise ValueError(f"need b > a, got [{a}, {b}]")
     width = b - a
     n = math.ceil(width)
-    vals, errs = _evaluate(f, a + width * (np.arange(n + 1) / n))
+    x = a + width * (np.arange(n + 1) / n)
+    vals, errs = _evaluate(f, x)
     total = 0.5 * (vals[0] + vals[-1]) + vals[1:-1].sum()
-    mass = 0.5 * (abs(vals[0]) + abs(vals[-1])) + np.abs(vals[1:-1]).sum()
+    mass = 0.5 * (abs(vals[0]) + abs(vals[-1])) + np.abs(vals[1:-1]).sum() + _drift(x, vals, a)
     noise = errs.sum()
     value = width / n * total
     evaluations, levels = n + 1, 1
     disc, d_prev, floor = math.inf, 0.0, 0.0
     while evaluations + n <= _MAX_NODES:
-        vals, errs = _evaluate(f, a + width * ((2.0 * np.arange(n) + 1.0) / (2 * n)))
+        x = a + width * ((2.0 * np.arange(n) + 1.0) / (2 * n))
+        vals, errs = _evaluate(f, x)
         total += vals.sum()
-        mass += np.abs(vals).sum()
+        mass += np.abs(vals).sum() + _drift(x, vals, a)
         noise += errs.sum()
         evaluations += n
         levels += 1

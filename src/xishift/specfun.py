@@ -14,15 +14,17 @@ with it, so results are reproducible under any partitioning and a scalar
 call equals the same point of any batch bit for bit.  This holds for every
 kernel at any batch size: a complex product whose right operand is a
 temporary is written as an explicit np.multiply, which numpy never elides into
-an in-place product with swapped operands (see _em_corrections_table), and the
-tables of the Euler-Maclaurin tail and of 1F1 hold a bounded number of points.
+an in-place product with swapped operands (see _em_corrections_table), the
+tables of the Euler-Maclaurin tail and of 1F1 hold a bounded number of points,
+and the einsums of the Riemann-Siegel corrections never run on one column.
 
 Algorithms
 ----------
 Gamma      : Lanczos rational approximation, g = 607/128 with the standard
              15-coefficient set (Godfrey); one recurrence step for
              0 <= Re(s) < 1/2 and reflection below Re(s) = 0, with log sin
-             kept stable for large |Im s|.
+             kept stable for large |Im s|.  Every caller but the
+             Riemann-Siegel eta route uses it.
 Zeta       : Euler-Maclaurin with Bernoulli corrections through B26 (B28
              feeds the error bound) and a direct-sum length N ~ 0.61*|s+27|
              taken from that bound, at least EM_MIN_TERMS (20); the
@@ -34,11 +36,14 @@ Hardy Z    : Riemann-Siegel main sum of N = floor(sqrt(t/2pi)) terms (one
              theta(t) from its Stirling series, phases reduced in longdouble,
              and the corrections C_0..C_20 from a frozen table
              (tests/make_rs_table.py derives it from the Arias de Reyna
-             expansion and checks it).
+             expansion and checks it), summed over k from power tables and
+             two einsums: a fixed number of numpy calls per block of points.
 Eta        : pi^(-s/2) Gamma(s/2) zeta(s) with an optional log-weight fused
              into the exponent.  On the critical line at |t| >= RS_CROSSOVER
              (104, where the Z estimate drops below the Euler-Maclaurin one)
-             it is pi^(-1/4) |Gamma(1/4 + it/2)| Z(|t|): real, no Gamma phase.
+             it is pi^(-1/4) |Gamma(1/4 + it/2)| Z(|t|): real, no Gamma phase,
+             with log|Gamma| + pi|t|/4 from the real Stirling series and the
+             -pi|t|/4 joined to the log-weight in longdouble.
 1F1        : Maclaurin series over an array of a-parameters, each stopped after
              two terms below 1e-12 of its sum; the error estimate carries the
              tail and a cancellation term (eps times the largest partial sum).
@@ -595,15 +600,9 @@ _RS_COEF = (
 )
 _RS_K = len(_RS_COEF) - 1
 _RS_WIDTH = max(map(len, _RS_COEF))
-# row j: the z^(2j) coefficient of every C_k, zero-padded
-_RS_TABLE = np.array([row + (0.0,) * (_RS_WIDTH - len(row)) for row in _RS_COEF]).T
-# the Horner steps, highest power first: step j runs on C_0..C_m only, C_m the
-# last with a z^(2j) term; the rows past it have not started and hold 0, so
-# skipping them changes no bit
-_RS_HORNER = tuple(
-    _RS_TABLE[j, :1 + max(k for k, row in enumerate(_RS_COEF) if len(row) > j), None]
-    for j in reversed(range(_RS_WIDTH))
-)
+# row k: the coefficients of C_k in powers of z^2, zero-padded to _RS_WIDTH
+_RS_MATRIX = np.array([row + (0.0,) * (_RS_WIDTH - len(row)) for row in _RS_COEF])
+_RS_BLOCK = 512  # points per column block of the correction tables (0.26 MB)
 # |Z - Z_K| <= _RS_TAIL a^-(K + 3/2): twice a^(-1/2) times the truncation
 # bound 3 c Gamma((K+1)/2) (2a)^-(K+1), c = 3/(sqrt(2) pi), that mpmath's
 # rszeta uses at sigma = 1/2 (Arias de Reyna 2011).  The bound is proven only
@@ -622,9 +621,15 @@ _THETA_COEF = tuple(
     float((1 - Fraction(1, 2 ** (2 * k - 1))) * abs(_BERNOULLI[k - 1]) / (4 * k * (2 * k - 1)))
     for k in (1, 2, 3)
 )
+# Stirling's B_2k / (2k(2k-1)) for k = 1..4: with them, log|Gamma(1/4 + iy)| + pi y/2
+# misses its value by at most 32 B_10/90 |s|^-9 (the sec^10(arg(s)/2) <= 32 bound
+# of the remainder), under 1.1e-16 where y >= 40
+_STIRLING_COEF = tuple(float(_BERNOULLI[k - 1] / (2 * k * (2 * k - 1))) for k in (1, 2, 3, 4))
+_STIRLING_TAIL = 32.0 * float(_BERNOULLI[4] / 90)
 # the phases are reduced in extended precision where numpy's longdouble has it
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 _TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
+_PI_4_LD = _TWO_PI_LD / 8  # and eta's exponent log_weight - pi|t|/4 is formed there
 _RS_CHUNK = 1 << 17  # (n, point) entries per block of the main sum
 
 
@@ -640,16 +645,41 @@ def rs_length(t) -> np.ndarray:
 
 
 def _rs_corrections(p: np.ndarray) -> np.ndarray:
-    """C_0(p) ... C_K(p) as rows: Horner in z^2 for every C_k at once, z = 1 - 2p."""
+    """C_0(p) ... C_K(p) as rows, z = 1 - 2p: the powers (z^2)^j as one
+    multiply.accumulate table, one einsum with _RS_MATRIX, and the odd rows
+    times z.  einsum (never BLAS) adds each entry's terms in order of j, with
+    the same bits at any number of columns but one: a single column takes
+    another inner loop, so callers pass at least two.
+    """
     z = 1.0 - 2.0 * p
-    w = z * z
-    ck = np.zeros((_RS_K + 1,) + p.shape)
-    for col in _RS_HORNER:
-        rows = ck[:col.shape[0]]
-        rows *= w
-        rows += col
+    powers = np.empty((_RS_WIDTH, p.size))
+    powers[0] = 1.0
+    np.multiply(z, z, out=powers[1:])
+    np.multiply.accumulate(powers, out=powers)
+    ck = np.einsum("kj,jn->kn", _RS_MATRIX, powers, optimize=False)
     ck[1::2] *= z
     return ck
+
+
+def _rs_correction_sum(p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_k C_k(p) a^-k at each point, in a fixed number of numpy calls per
+    column block of _RS_BLOCK points: the C_k table, a table of the powers
+    a^-k, and one einsum over k, smallest term first.  A last block of one
+    column starts one column early (every column has the same bits in any
+    block), and a one-point call runs as two equal columns.
+    """
+    if p.size == 1:
+        return _rs_correction_sum(np.repeat(p, 2), np.repeat(a, 2))[:1]
+    total = np.empty(p.shape)
+    for lo in range(0, p.size, _RS_BLOCK):
+        cols = slice(min(lo, p.size - 2), lo + _RS_BLOCK)
+        ck = _rs_corrections(p[cols])
+        powers = np.empty(ck.shape)
+        powers[0] = 1.0
+        np.divide(1.0, a[cols], out=powers[1:])
+        np.multiply.accumulate(powers, out=powers)
+        total[cols] = np.einsum("kn,kn->n", ck[::-1], powers[::-1], optimize=False)
+    return total
 
 
 def _rs_main_sum(tl: np.ndarray, theta: np.ndarray, n_main: np.ndarray) -> np.ndarray:
@@ -701,10 +731,7 @@ def _hardy_z(
     stirling = (_THETA_COEF[0] + (_THETA_COEF[1] + _THETA_COEF[2] / t**2) / t**2) / t
     theta = tl * (np.log(a_ld) - 0.5) - _TWO_PI_LD / 16 + stirling
     main = _rs_main_sum(tl, theta, n_main)
-    ck = _rs_corrections(p)
-    corr = ck[_RS_K]
-    for k in range(_RS_K - 1, -1, -1):
-        corr = corr / a + ck[k]
+    corr = _rs_correction_sum(p, a)
     nf = n_main.astype(float)
     sign = 1.0 - 2.0 * ((nf - 1.0) % 2.0)  # (-1)^(N-1)
     sqrt_a = np.sqrt(a)
@@ -731,14 +758,46 @@ def _eta_em(s: np.ndarray, settings: EvalSettings, log_weight) -> tuple[np.ndarr
     return pref * zv, np.abs(pref) * (ze + np.abs(zv) * g_rel)
 
 
+def _log_gamma_line(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L = log|Gamma(1/4 + it/2)| + pi|t|/4 and an absolute bound on its error,
+    from the real part of Stirling's series at s = 1/4 + iy, y = |t|/2:
+
+        L = -ln(1/16 + y^2)/8 + y atan(1/(4y)) - 1/4 + ln(2pi)/2
+            + Re sum_{k=1..4} B_2k / (2k(2k-1) s^(2k-1)).
+
+    L is O(log t), so its rounding is a few eps (1 + ln(1/16 + y^2)/8); the
+    series' truncation (_STIRLING_TAIL) stays inside that term for |t| >= 80.
+    """
+    y = 0.5 * np.abs(t)
+    log_mod = np.log(y * y + 0.0625)
+    inv = np.reciprocal(y * 1j + 0.25)
+    inv_sq = np.multiply(inv, inv)
+    series = np.multiply(inv_sq, _STIRLING_COEF[3])
+    for c in _STIRLING_COEF[2:0:-1]:
+        series += c
+        series *= inv_sq
+    series += _STIRLING_COEF[0]
+    series *= inv
+    lg = y * np.arctan(0.25 / y) - 0.125 * log_mod + series.real + (HALF_LN_2PI - 0.25)
+    return lg, 4.0 * EPS * (1.0 + 0.125 * log_mod)
+
+
 def _eta_rs(
     t: np.ndarray, log_weight, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> tuple[np.ndarray, np.ndarray]:
     """exp(log_weight) eta(1/2 + it) = exp(log_weight) pi^(-1/4) |Gamma(1/4 + it/2)| Z(|t|),
-    real by construction: no Gamma phase enters."""
-    zv, ze = _hardy_z(np.abs(t), settings)
-    lg, g_rel = _loggamma_vec(0.25 + 0.5j * t)
-    pref = np.exp(log_weight + lg.real - 0.25 * LN_PI)
+    real by construction: no Gamma phase enters.
+
+    |Gamma| is exp(L - pi|t|/4) with L from _log_gamma_line; log_weight - pi|t|/4
+    is formed in longdouble, so a weight near e^(pi|t|/4) leaves an exponent
+    of O(log t) and a relative error of a few eps (1 + |exponent|).
+    """
+    abs_t = np.abs(t)
+    zv, ze = _hardy_z(abs_t, settings)
+    lg, lg_err = _log_gamma_line(abs_t)
+    expo = (log_weight - _PI_4_LD * abs_t).astype(float) + (lg - 0.25 * LN_PI)
+    pref = np.exp(expo)
+    g_rel = lg_err + EPS * (3.0 + np.abs(expo)) + _LD_EPS * (np.abs(log_weight) + abs_t)
     return pref * zv, pref * (ze + np.abs(zv) * g_rel)
 
 

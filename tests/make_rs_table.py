@@ -35,7 +35,8 @@ Usage (mpmath is a test dependency only; the library never imports it):
     python tests/make_rs_table.py                         # the _RS_COEF literal for specfun
     PYTHONPATH=src python tests/make_rs_table.py check    # exit 1 unless specfun's table,
                                                           # crossover and cut height agree
-    PYTHONPATH=src python tests/make_rs_table.py oracles  # the siegelz and zetazero tables
+    PYTHONPATH=src python tests/make_rs_table.py oracles  # the Gamma factor, siegelz and
+                                                          # zetazero tables
 """
 
 from __future__ import annotations
@@ -190,9 +191,33 @@ def siegel_heights(lo: float) -> list[float]:
     return sorted(set(grid + whole + below + high))
 
 
+def gamma_heights(lo: float) -> list[float]:
+    """Heights for the Gamma factor's oracle: lo, a geometric grid of [lo, 1e5]
+    and a few between, positive, and the negatives of a second grid inside it."""
+    grid = [round(float(t), 4) for t in np.geomspace(lo, 1e5, 21)]
+    between = [300.5, 1000.3, 4999.7]
+    below = [-round(float(t), 4) for t in np.geomspace(1.03 * lo, 0.97e5, 20)]
+    return sorted(set(grid + between + below))
+
+
+def _print_gamma_line(lo: float) -> None:
+    """log|Gamma(1/4 + it/2)| + pi|t|/4, at 40 digits: every digit of the O(log t)
+    value survives the cancellation of the two O(t) terms."""
+    with mpmath.workdps(40):
+        items = [
+            f"{t!r}: {float(mpmath.re(mpmath.loggamma(0.25 + 0.5j * mpmath.mpf(t))) + mpmath.pi * abs(t) / 4)!r},"
+            for t in gamma_heights(lo)
+        ]
+    print("GAMMA_LINE_SCALED = {")
+    for i in range(0, len(items), 2):
+        print("    " + " ".join(items[i:i + 2]))
+    print("}")
+
+
 def _print_oracles() -> None:
     from xishift.specfun import RS_CROSSOVER
 
+    _print_gamma_line(RS_CROSSOVER)
     mpmath.mp.dps = 30
     items = [f"{t!r}: {float(mpmath.siegelz(t))!r}," for t in siegel_heights(RS_CROSSOVER)]
     print("SIEGEL_Z = {")

@@ -21,7 +21,7 @@ FROZEN = {
                    "50b421cc6b67aa4b9325fb5a14b1a7134bd661892f09233b3a73c1ab1c82c45c"),
     # every node above RS_CROSSOVER: the Riemann-Siegel route
     "scan-hardy-rs": (HARDY, ["scan", "--t-min", "480", "--t-max", "490", "--step", "0.05"],
-                      "5b3db8bf405c777192045af5ee86415a1c3077be7df67f67fda5d8294841691d"),
+                      "4f28285321f07addaae43fe00e6addd03cb2fa6955d08ec23668be6f06f88155"),
     "scan-exhibit": (EXHIBIT, ["scan", "--t-min", "0", "--t-max", "40", "--step", "0.02"],
                      "d440f9400cf6c33c0f0080106023714abbaca1f3253e7fc58540e4ef4cd6b47d"),
     "eval-exhibit": (EXHIBIT, ["eval"],

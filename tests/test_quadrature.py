@@ -80,6 +80,17 @@ class TestNestedTrapezoid:
         assert out.at_roundoff
         assert out.abs_err_est >= np.finfo(float).eps * 1e8 * math.sqrt(math.pi)
 
+    @pytest.mark.parametrize("abs_tol", [1e-12, 1e-14])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_estimate_covers_rounded_node_positions(self, k, abs_tol):
+        # on [-9.3, 10] the nodes a + (b - a) j/n are rounded, each by up to a
+        # few eps |x|, which moves the value there by that times |f'(x)|; with
+        # exact values this is the largest error left, 1.7x to 4.5x an
+        # estimate of the level sums' rounding alone
+        exact = math.sqrt(math.pi) * math.exp(-k * k / 4.0)
+        out = nested_trapezoid(_exact(lambda x: np.exp(-x * x + 1j * k * x)), -9.3, 10.0, abs_tol)
+        assert abs(out.value - exact) <= out.abs_err_est
+
     def test_node_cap(self, monkeypatch):
         # 1/(1+x^2) is not entire: the differences fall algebraically, and
         # refinement runs into the cap with the estimate still above tol

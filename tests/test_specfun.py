@@ -31,6 +31,7 @@ from xishift.shifts import _fz_vec, fz_line_vec
 
 from ._oracles import (
     GAMMA_FAR_LEFT,
+    GAMMA_LINE_SCALED,
     GAMMA_QUARTER,
     GAMMA_TABLE,
     HYP1F1_TABLE,
@@ -560,19 +561,70 @@ class TestHardyZ:
                     specfun.eta_weighted_line(t, math.pi / 4, 0.0, EvalSettings(max_terms=n - 1))
         assert np.concatenate(summed).tolist() == specfun.rs_length(ts).tolist()
 
-    def test_corrections_skip_only_rows_not_started(self):
-        # the Horner steps that leave out the rows past the last C_k with a
-        # term there give the bits of the zero-padded Horner over every row
-        p = np.linspace(0.0, 1.0, 101)
+    def test_correction_sum_equals_horner_to_rounding(self):
+        # the power tables and einsums against a zero-padded Horner in z^2
+        # for every C_k and in 1/a over k: they differ by rounding only,
+        # inside the 4 eps a^(-1/2) that the Z estimate carries for the
+        # corrections (4 eps in units of the sum)
+        rng = np.random.default_rng(23)
+        p = np.concatenate((np.linspace(0.0, 1.0, 101), rng.uniform(0.0, 1.0, 1200)))
+        a = np.sqrt(rng.uniform(specfun.RS_CROSSOVER, 1e5, p.size) / (2.0 * math.pi))
         z = 1.0 - 2.0 * p
-        w = z * z
         ck = np.zeros((specfun._RS_K + 1, p.size))
-        for col in specfun._RS_TABLE[::-1]:
-            ck *= w
+        for col in specfun._RS_MATRIX.T[::-1]:
+            ck *= z * z
             ck += col[:, None]
         ck[1::2] *= z
-        assert specfun._rs_corrections(p).tobytes() == ck.tobytes()
-        assert sum(col.size for col in specfun._RS_HORNER) < specfun._RS_TABLE.size
+        horner = ck[-1]
+        for row in ck[-2::-1]:
+            horner = horner / a + row
+        got = specfun._rs_correction_sum(p, a)
+        assert np.abs(got - horner).max() <= 4.0 * specfun.EPS
+        assert np.abs(specfun._rs_corrections(p) - ck).max() <= 4.0 * specfun.EPS
+
+    def test_correction_sum_point_alone_equals_point_in_batch(self):
+        # one column takes another einsum inner loop than two or more, so a
+        # one-point call runs as two columns and a last block never holds one
+        rng = np.random.default_rng(29)
+        p = rng.uniform(0.0, 1.0, 2100)
+        a = np.sqrt(rng.uniform(specfun.RS_CROSSOVER, 5000.0, p.size) / (2.0 * math.pi))
+        batch = specfun._rs_correction_sum(p, a)
+        singles = [(i, i + 1) for i in range(0, 2100, 35)]
+        for lo, hi in singles + [(5, 7), (11, 14), (20, 27), (0, 700), (511, 513), (0, 513),
+                                 (1023, 1026), (0, 1025), (2046, 2049), (0, 2049), (3, 2100)]:
+            got = specfun._rs_correction_sum(p[lo:hi], a[lo:hi])
+            assert got.tobytes() == batch[lo:hi].tobytes(), (lo, hi)
+
+    def test_short_calls_equal_points_in_a_wide_batch(self):
+        # 1-, 2-, 3- and 7-point Riemann-Siegel calls, and points on both
+        # sides of the 512, 1024 and 2048 column boundaries of the tables
+        rng = np.random.default_rng(31)
+        ts = rng.uniform(specfun.RS_CROSSOVER, 6000.0, 2100) * rng.choice((-1.0, 1.0), 2100)
+        weight = 0.7 * np.abs(ts)
+        vals, errs = specfun._eta_rs(ts, weight)
+        batch = specfun._eta_rs(ts[:700], weight[:700])
+        assert vals[:700].tobytes() == batch[0].tobytes()
+        assert errs[:700].tobytes() == batch[1].tobytes()
+        singles = [(i, 1) for i in range(0, 2100, 70)]
+        for lo, size in singles + [(8, 2), (40, 3), (99, 7), (690, 7), (510, 4), (1022, 4),
+                                   (2046, 4), (0, 513), (7, 1025), (1, 2048), (0, 2049)]:
+            v, e = specfun._eta_rs(ts[lo:lo + size], weight[lo:lo + size])
+            assert v.tobytes() == vals[lo:lo + size].tobytes(), (lo, size)
+            assert e.tobytes() == errs[lo:lo + size].tobytes(), (lo, size)
+
+    def test_gamma_factor_vs_loggamma(self):
+        # L = log|Gamma(1/4 + it/2)| + pi|t|/4 by the real Stirling series,
+        # against frozen 40-digit mpmath values on [RS_CROSSOVER, 1e5]
+        ts = np.array(list(GAMMA_LINE_SCALED))
+        assert (ts > 0).sum() >= 20 and (ts < 0).sum() >= 20
+        assert np.abs(ts).min() == specfun.RS_CROSSOVER and np.abs(ts).max() == 1e5
+        lg, err = specfun._log_gamma_line(ts)
+        for t, got, bound in zip(ts, lg, err):
+            assert abs(got - GAMMA_LINE_SCALED[t]) <= 0.25 * bound, t
+            assert bound <= 1e-14, t
+        # the series' truncation stays inside the rounding term from |t| = 80
+        assert specfun._STIRLING_TAIL / 40.0**9 <= 4.0 * specfun.EPS
+        assert specfun.RS_CROSSOVER >= 80.0
 
     def test_c0_closed_form(self):
         # avoid p = 1/4, 3/4, where the closed form is 0/0
