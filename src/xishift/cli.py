@@ -3,7 +3,8 @@
 Subcommands cover every verification the library offers; outputs are CSV or
 JSON files that are byte-identical across repeated runs.  Every subcommand
 takes the same options, and the subcommand may stand anywhere on the command
-line; options it does not use are ignored, but a given --config is always read.
+line; options it does not use are ignored, but every option's value is
+checked and a given --config is always read.
 Every subcommand runs at the default settings.  Exit codes:
 0 all tolerances met, 2 a tolerance gate failed, 3 config, parse or usage
 error, 4 numeric error.
@@ -72,6 +73,8 @@ class RunManifest:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.tol is not None and self.tol <= 0.0:
             raise ConfigError(f"tol must be > 0, got {self.tol}")
+        if not abs(self.alpha) <= integral.ALPHA_MARGIN:
+            raise ConfigError(f"alpha must lie in [-pi/4 + 0.01, pi/4 - 0.01], got {self.alpha}")
 
 
 def parse_config(path: str) -> shifts_mod.ShiftConfig:

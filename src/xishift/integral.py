@@ -21,9 +21,11 @@ sum of such terms in one quadrature, rho and F once per node.  It truncates
 each side by the majorant |tau|^(2m) exp(-rate |tau| + |z| sqrt(|tau|/2)):
 rho falls like e^(-pi |tau|/4) and F can grow like exp(|z| sqrt(|tau|/2)),
 so the right side decays at rate = pi/4 - max Re beta_k and the left at
-pi/4 + min Re beta_k.  The integrand is entire and decays exponentially, so
-the quadrature is quadrature.nested_trapezoid, whose error estimate carries
-the eta and 1F1 error bounds of every node.
+pi/4 + min Re beta_k.  The integrand decays exponentially, and its only
+singularities are rho's simple poles at tau = +-i/2 (rho = -8 Xi/(1+4 tau^2)
+with Xi entire), so the quadrature is quadrature.nested_trapezoid with those
+two poles subtracted by their residues.  Its error estimate carries the eta
+and 1F1 error bounds of every node.
 """
 
 from __future__ import annotations
@@ -146,9 +148,14 @@ def _line_integral(
     pi/4 - max Re beta_k, and T_lo from the slowest on the left,
     pi/4 + min Re beta_k.  The truncation target is shared out by sum |c_k|,
     so quad_abs_tol bounds the weighted sum itself.  nested_trapezoid
-    integrates it, with the eta and 1F1 error bounds as the integrand's own.
+    integrates it, with the eta and 1F1 error bounds as the integrand's own
+    and the poles at tau = +-i/2 as (tau_p, residue) pairs: with g(tau) =
+    F(tau) sum_k c_k (tau-lam_k)^(2m) e^(beta_k (tau-lam_k)), the residues
+    are i g(i/2) and -i g(-i/2), from a few scalar calls and no kernel call.
     When every c_k and beta_k is real the integrand is the real part alone
-    (rho is real, so only Re F enters).  truncation_T is max(T_hi, T_lo).
+    (rho is real, so only Re F enters), and the residues passed are those of
+    Re f, (R_+ + conj R_-)/2 at i/2 and its conjugate at -i/2.
+    truncation_T is max(T_hi, T_lo).
     what names the caller in the errors raised, also in the eta kernel's
     AccuracyError for a node whose zeta sum exceeds the term budget.
     """
@@ -188,6 +195,18 @@ def _line_integral(
     # real c_k and beta_k (every moment route): the sum is real, and the
     # rule resolves only the real part the caller keeps
     real = not (np.iscomplexobj(cs) or np.iscomplexobj(betas))
+    # rho's poles at tau = i/2 (Gamma(s/2) at s = 0) and -i/2 (zeta at
+    # s = 1) have residues i and -i, and F is elementary there: F(i/2) =
+    # 1F1(1/2; 1/2; w) = e^w and F(-i/2) = 1F1(0; 1/2; w) = 1
+    def weight(tau: complex) -> complex:
+        return sum(
+            complex(c) * (tau - lam) ** (2 * m) * cmath.exp(complex(beta) * (tau - lam))
+            for c, beta, lam in zip(cs, betas, lams)
+        )
+
+    r_up, r_dn = 1j * cmath.exp(w) * weight(0.5j), -1j * weight(-0.5j)
+    if real:  # the residues of Re f, whose poles pair f's with their mirror images
+        r_up, r_dn = 0.5 * (r_up + r_dn.conjugate()), 0.5 * (r_dn + r_up.conjugate())
 
     def integrand(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         weighted, w_err = eta_weighted_line(taus, b_ref, 0.0, settings)
@@ -204,7 +223,7 @@ def _line_integral(
         return (values.real if real else values), errors
 
     try:
-        out = nested_trapezoid(integrand, lo, hi, 0.9 * tol)
+        out = nested_trapezoid(integrand, lo, hi, 0.9 * tol, ((0.5j, r_up), (-0.5j, r_dn)))
     except AccuracyError as exc:
         raise AccuracyError(f"{what}: {exc}") from exc
     # each side's tail is at most 0.025 tol

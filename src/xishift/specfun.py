@@ -249,11 +249,14 @@ def em_length(s) -> np.ndarray:
 
 
 def _require_budget(need, points, what: str, settings: EvalSettings) -> None:
-    """AccuracyError at the first point whose sum needs more than max_terms terms."""
+    """AccuracyError at the first point whose sum needs more than max_terms
+    terms; a count of 1e15 or more is shown to 4 digits, not digit by digit."""
     over = need > settings.max_terms
     if over.any():
         i = int(np.argmax(over))
-        raise AccuracyError(f"{what}={np.ravel(points)[i].item()!r} needs {np.ravel(need)[i]:.0f} "
+        count = float(np.ravel(need)[i])
+        shown = f"{count:.0f}" if count < 1e15 else f"{count:.3e}"
+        raise AccuracyError(f"{what}={np.ravel(points)[i].item()!r} needs {shown} "
                             f"terms, more than max_terms={settings.max_terms}")
 
 

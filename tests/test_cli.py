@@ -152,13 +152,15 @@ class TestSubcommands:
         assert main(["eval", "--config", "/no/file", "--out", str(out)]) == EXIT_CONFIG
 
     def test_numeric_error_is_exit_4(self, hardy_config, tmp_path, capsys):
-        # alpha past the pi/4 - 0.01 margin: the moment kernel's DomainError
-        out = tmp_path / "m.csv"
-        code = main(["moments", "--config", hardy_config, "--out", str(out),
-                     "--alpha", "0.78", "--m", "0"])
+        # a height whose Riemann-Siegel sum exceeds max_terms: the kernel's
+        # AccuracyError, its term count in four digits
+        out = tmp_path / "e.csv"
+        code = main(["eval", "--config", hardy_config, "--out", str(out),
+                     "--t-min", "1e300", "--t-max", "2e300", "--step", "1e299"])
         assert code == EXIT_NUMERIC
         record = json.loads(capsys.readouterr().err)
-        assert record["error"] == "DomainError" and "pi/4 - 0.01" in record["message"]
+        assert record["error"] == "AccuracyError"
+        assert "t=1e+300 needs 3.989e+149 terms" in record["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["theta-check", "integral-check", "region"])
@@ -252,6 +254,17 @@ class TestManifest:
         assert main(argv + ["--config", hardy_config, "--out", str(out)]) == EXIT_CONFIG
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError" and "finite" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["0.78", "0.79", "-0.79", "5"])
+    def test_alpha_past_the_margin_is_exit_3(self, alpha, hardy_config, tmp_path, capsys):
+        # the moment kernel needs |alpha| <= pi/4 - 0.01 for its decay
+        out = tmp_path / "m.csv"
+        code = main(["moments", "--config", hardy_config, "--out", str(out),
+                     "--alpha", alpha, "--m", "0"])
+        assert code == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and "alpha" in record["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("m", ["-1", "3"])

@@ -110,9 +110,62 @@ class TestNestedTrapezoid:
             nested_trapezoid(_exact(lambda x: x), 1.0, 0.0, 1e-8)
 
     def test_no_keywords(self):
-        # the block size and the node cap are module constants; no caller sets them
+        # the block size and the node cap are module constants; no caller
+        # sets them.  poles describes the integrand
         params = inspect.signature(nested_trapezoid).parameters
-        assert list(params) == ["f", "a", "b", "abs_tol"]
+        assert list(params) == ["f", "a", "b", "abs_tol", "poles"]
+
+
+def _poles_gauss(x):
+    """e^(-x^2)/(1 + 4x^2): simple poles at +-i/2, residues +-e^(1/4)/(4i)."""
+    return np.exp(-x * x) / (1.0 + 4.0 * x * x)
+
+
+_POLES_GAUSS = ((0.5j, math.exp(0.25) / 4j), (-0.5j, -math.exp(0.25) / 4j))
+
+
+class TestPoleTerms:
+    """Simple poles off the axis, subtracted from each level by their residues."""
+
+    @pytest.mark.parametrize("a, b", [(-9.0, 9.0), (-9.3, 9.1)])
+    def test_closed_form(self, a, b):
+        exact = math.pi / 2.0 * math.exp(0.25) * math.erfc(0.5)
+        out = nested_trapezoid(_exact(_poles_gauss), a, b, 1e-13, _POLES_GAUSS)
+        assert abs(out.value - exact) <= out.abs_err_est <= 1e-13
+        assert out.levels == 3
+        # without the pole terms the poles cap the convergence at e^(-pi/h)
+        assert nested_trapezoid(_exact(_poles_gauss), a, b, 1e-13).levels > 3
+
+    @pytest.mark.parametrize("a, b", [(-12.0, 12.0), (-12.3, 11.9)])
+    def test_complex_residues(self, a, b):
+        # one pole on each side, 0.4 and 0.25 off the axis, complex residues;
+        # the integral over the real line by mpmath.quad at 40 digits
+        p1, p2 = 0.3 + 0.4j, -1.1 - 0.25j
+        g = lambda x: np.exp(-x * x / 2.0 + 0.7j * x)
+        f = _exact(lambda x: g(x) * (1.0 / (x - p1) + 2.0 / (x - p2)))
+        poles = ((p1, g(p1)), (p2, 2.0 * g(p2)))
+        ref = complex(0.40738041319794044, 1.0172080229630305)
+        out = nested_trapezoid(f, a, b, 1e-12, poles)
+        assert abs(out.value - ref) <= out.abs_err_est <= 1e-12
+        assert out.levels == 3
+
+    def test_no_poles_keeps_the_plain_sums(self):
+        # with no poles the rule is the plain one: its frozen values,
+        # estimates and node counts, bit for bit
+        out = nested_trapezoid(_exact(_poles_gauss), -9.3, 9.1, 1e-13)
+        assert out.value == float.fromhex("0x1.ef2ae4e4815a7p-1")
+        assert out.abs_err_est == float.fromhex("0x1.533b57b2f97d9p-48")
+        assert (out.evaluations, out.levels) == (305, 5)
+        f = _exact(lambda x: np.exp(-x * x + 3j * x))
+        out = nested_trapezoid(f, -9.3, 10.0, 1e-12, ())
+        assert out.value == complex(float.fromhex("0x1.7e98fff2d10dcp-3"),
+                                    float.fromhex("0x1.029eb851eb852p-51"))
+        assert out.abs_err_est == float.fromhex("0x1.9cf11e1dac1dcp-47")
+        assert (out.evaluations, out.levels) == (81, 3)
+
+    def test_pole_on_the_axis(self):
+        with pytest.raises(ValueError):
+            nested_trapezoid(_exact(_poles_gauss), -9.0, 9.0, 1e-13, ((1.0, 1.0),))
 
 
 class TestTruncationPoint:

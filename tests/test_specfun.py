@@ -702,6 +702,15 @@ class TestTermBudget:
             specfun.eta_weighted_line(3000.0, 0.78, 0.0,
                                       EvalSettings(max_terms=20))
 
+    def test_huge_counts_are_shown_to_four_digits(self):
+        # counts below 1e15 keep every digit; above, 150 digits would say no more
+        with pytest.raises(AccuracyError, match=r"t=1e\+20 needs 3989422804 terms"):
+            specfun.eta_weighted_line(1e20, 0.78, 0.0, EvalSettings())
+        with pytest.raises(AccuracyError, match=r"t=1e\+300 needs 3\.989e\+149 terms"):
+            specfun.eta_weighted_line(1e300, 0.78, 0.0, EvalSettings())
+        with pytest.raises(AccuracyError, match=r"1e\+300j\) needs 6\.081e\+299 terms"):
+            specfun.zeta_vec(np.array([0.5 + 1e300j]))
+
     def test_reflected_point_counts_the_sum_at_one_minus_s(self):
         # the sum runs at 1 - s = 4 - 40i, which needs 31 terms; s = 2 needs 20
         with pytest.raises(AccuracyError, match=r"\(-3\+40j\).* 31 terms.*max_terms=30"):
