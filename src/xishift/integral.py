@@ -23,9 +23,9 @@ rho falls like e^(-pi |tau|/4) and F can grow like exp(|z| sqrt(|tau|/2)),
 so the right side decays at rate = pi/4 - max Re beta_k and the left at
 pi/4 + min Re beta_k.  The integrand decays exponentially, and its only
 singularities are rho's simple poles at tau = +-i/2 (rho = -8 Xi/(1+4 tau^2)
-with Xi entire), so the quadrature is quadrature.nested_trapezoid with those
-two poles subtracted by their residues.  Its error estimate carries the eta
-and 1F1 error bounds of every node.
+with Xi entire), so the quadrature is quadrature.nested_trapezoid on exact
+nodes j 2^(-k), those two poles subtracted by their residues.  Its error
+estimate carries the eta and 1F1 error bounds of every node.
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ decay exponentially along the real axis and are analytic in a strip about
 it, so the trapezoidal rule on a uniform grid converges geometrically in
 1/h (Trefethen and Weideman, SIAM Review 56, 2014), at a rate set by the
 nearest singularity.  Simple poles of known residue are taken off each
-level's sum in closed form, so they do not set that rate.  Each level
-halves h and evaluates only the midpoints of the last one, in blocks of at
-most _BLOCK nodes, so the memory held by the integrand's kernels does not
-grow with the grid.  The level difference d_k gives the discretisation
-estimate d_k^2 / d_(k-1); the integrand's own error bound, the rounding of
-the sums and that of the node positions are added to it, so an estimate
-never claims less than the values allow.
+level's sum in closed form, so they do not set that rate.  Each grid is
+anchored at 0 with h = 2^(-k), so its nodes are exact and shared by any
+range that holds them; each level evaluates only the odd multiples of its
+h, in blocks of at most _BLOCK nodes, so the memory held by the kernels
+does not grow with the grid.  The level difference d_k gives the estimate
+d_k^2 / d_(k-1); an end term, the integrand's own error bound and the
+rounding of the sums are added to it, so an estimate never claims less
+than the values allow.
 
 adaptive_gk, on embedded 7/15-point Gauss-Kronrod pairs, has no caller in
 the package; it stays as an independent reference for the tests.  Its
@@ -169,30 +170,27 @@ def _evaluate(f, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([v for v, _ in parts]), np.concatenate([e for _, e in parts])
 
 
-def _drift(x: np.ndarray, vals: np.ndarray, a: float) -> float:
-    """sum_i (2|x_i| + |a|) |f'(x_i)| over one level's nodes x, equally spaced,
-    with f' from the differences of neighbouring values: times eps, it
-    estimates how far the rounding of the node positions moves the level's
-    values."""
-    if x.size < 2:
-        return 0.0
-    scale = 2.0 * np.maximum(np.abs(x[1:]), np.abs(x[:-1])) + abs(a)
-    return float((np.abs(np.diff(vals)) * scale).sum() / (x[1] - x[0]))
-
-
-def _pole_terms(poles, a: float, h: float) -> complex:
-    """The share of f's simple poles (tau_p, R) in h sum_j f(a + jh), summed
-    over the whole grid, beyond the integral of f: 2 pi i R q/(1 - q) with
-    q = e^(2 pi i (tau_p - a)/h) for a pole above the real axis, and
-    -2 pi i R q'/(1 - q') with q' = e^(-2 pi i (tau_p - a)/h) for one below.
-    They come from the residues of f (pi/h) cot(pi (tau - a)/h) at the
-    poles; |q| = e^(-2 pi |Im tau_p|/h)."""
+def _pole_terms(poles, h: float) -> complex:
+    """The share of f's simple poles (tau_p, R) in h sum_j f(jh), summed over
+    the whole grid, beyond the integral of f: 2 pi i R q/(1 - q) with
+    q = e^(2 pi i tau_p/h) for a pole above the real axis, and
+    -2 pi i R q'/(1 - q') with q' = e^(-2 pi i tau_p/h) for one below.
+    They come from the residues of f (pi/h) cot(pi tau/h) at the poles;
+    |q| = e^(-2 pi |Im tau_p|/h)."""
     total = 0.0
     for tau, res in poles:
         sign = 1.0 if tau.imag > 0.0 else -1.0
-        q = cmath.exp(sign * 2j * math.pi * (tau - a) / h)
+        q = cmath.exp(sign * 2j * math.pi * tau / h)
         total += sign * 2j * math.pi * res * q / (1.0 - q)
     return total
+
+
+def _level(a: float, b: float, k: int) -> np.ndarray:
+    """The nodes level k adds on [a, b]: the integers for k = 0, the odd
+    multiples of 2^(-k) after that; each is an exact binary number."""
+    h = math.ldexp(1.0, -k)
+    first = math.ceil(a / h) | (k > 0)  # the first odd multiple past level 0
+    return np.arange(first, math.floor(b / h) + 1, 2 if k else 1) * h
 
 
 def nested_trapezoid(
@@ -202,29 +200,29 @@ def nested_trapezoid(
     abs_tol: float,
     poles: Sequence[tuple[complex, complex]] = (),
 ) -> TrapezoidOutcome:
-    """Integrate f over [a, b] by trapezoidal rules on nested uniform grids.
+    """Integrate f over [a, b] by nested trapezoidal rules anchored at 0.
 
     f maps an array of abscissae to (values, absolute error bounds); the
     values may be complex, and the bounds cover them at the nodes given.
-    Level 0 has step h = (b - a)/ceil(b - a) <= 1, and each further level
-    adds the midpoints of the last.  With d_k the difference between levels
-    k and k-1, the estimate is
+    f must fall below abs_tol at both ends of [a, b]: level k sums h f, with
+    full weights, over the multiples of h = 2^(-k) inside [a, b].  Level 0
+    is the integers there, at least two, and each further level adds the odd
+    multiples of its h.  With d_k the difference between levels k and k-1,
+    the estimate is
 
-        d_k^2 / d_(k-1)  +  h * sum(error bounds)
-            +  _ROUNDING * h * sum (|f(x)| + (2|x| + |a|) |f'(x)|),
+        d_k^2 / d_(k-1)  (d_1 at level 1)  +  h * (|f(x_first)| + |f(x_last)|)
+            +  h * sum(error bounds)  +  _ROUNDING * h * sum |f|,
 
-    the geometric-convergence extrapolation plus the noise of the values,
-    the rounding of the level sums and that of the node positions: each
-    node is off by at most eps (2|x| + |a|), which moves its value by that
-    times |f'(x)|.  f' comes from the differences of each level's own
-    values (_drift), so the term needs nothing of f but its values.
-    Refinement stops, from
-    level 2 on, when the estimate meets abs_tol, or when d_k has fallen into
-    the noise terms (the noise plateau: no further level can show more
-    convergence).  A d_k that grows is not taken for the plateau; above the
-    noise it means h is not yet below the integrand's band limit.  No level
-    is added past _MAX_NODES nodes.  at_roundoff marks an estimate above
-    abs_tol that the noise terms dominate.
+    the geometric-convergence extrapolation and the end term, |f| at the
+    level's first and last new nodes (within 2h of a and b), so that an f
+    still large at an end cannot pass as converged, plus the noise of the
+    values and the rounding of the level sums.  Refinement stops when the
+    estimate meets abs_tol, or when d_k has fallen into the noise terms (the
+    noise plateau: no further level can show more convergence).  A d_k that
+    grows is not taken for the plateau; above the noise it means h is not
+    yet below the integrand's band limit.  No level is added past _MAX_NODES
+    nodes.  at_roundoff marks an estimate above abs_tol that the noise terms
+    dominate.
 
     poles lists f's simple poles off the real axis as (tau_p, residue)
     pairs.  A pole at distance c from the axis caps the plain rule's
@@ -233,36 +231,32 @@ def nested_trapezoid(
     so the levels converge as the rest of f allows.  With no poles the
     values are the plain sums, bit for bit.
     """
-    if not b > a:
-        raise ValueError(f"need b > a, got [{a}, {b}]")
     if any(tau.imag == 0.0 for tau, _ in poles):
         raise ValueError("poles must lie off the real axis")
-    width = b - a
-    n = math.ceil(width)
-    x = a + width * (np.arange(n + 1) / n)
+    x = _level(a, b, 0)
+    if x.size < 2:
+        raise ValueError(f"need at least two integer nodes in [{a}, {b}]")
     vals, errs = _evaluate(f, x)
-    total = 0.5 * (vals[0] + vals[-1]) + vals[1:-1].sum()
-    mass = 0.5 * (abs(vals[0]) + abs(vals[-1])) + np.abs(vals[1:-1]).sum() + _drift(x, vals, a)
-    noise = errs.sum()
-    value = width / n * total - _pole_terms(poles, a, width / n)
-    evaluations, levels = n + 1, 1
+    total, mass, noise = vals.sum(), np.abs(vals).sum(), errs.sum()
+    # h = 1 cannot alias the line integrals' rho: its local frequency
+    # theta'(tau) = ln(tau/2 pi)/2 stays below 2 pi/h up to tau ~ 1.8e6
+    value = total - _pole_terms(poles, 1.0)
+    evaluations, levels = x.size, 1
     disc, d_prev, floor = math.inf, 0.0, 0.0
-    while evaluations + n <= _MAX_NODES:
-        x = a + width * ((2.0 * np.arange(n) + 1.0) / (2 * n))
+    while evaluations + (x := _level(a, b, levels)).size <= _MAX_NODES:
         vals, errs = _evaluate(f, x)
         total += vals.sum()
-        mass += np.abs(vals).sum() + _drift(x, vals, a)
+        mass += np.abs(vals).sum()
         noise += errs.sum()
-        evaluations += n
+        evaluations += x.size
+        h = math.ldexp(1.0, -levels)
         levels += 1
-        n *= 2
-        h = width / n
-        new = h * total - _pole_terms(poles, a, h)
+        new = h * total - _pole_terms(poles, h)
         d = abs(new - value)
         value = new
-        disc = d * d / d_prev if d_prev > 0.0 else d
+        disc = (d * d / d_prev if d_prev > 0.0 else d) + h * (abs(vals[0]) + abs(vals[-1]))
         floor = float(h * (noise + _ROUNDING * mass))
-        if levels >= 3 and (disc + floor <= abs_tol or d <= floor):
+        if disc + floor <= abs_tol or d <= floor:
             break
         d_prev = d
     est = float(disc + floor)

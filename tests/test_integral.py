@@ -158,7 +158,7 @@ class TestOneLineKernel:
 
     def test_kernel_errors_name_their_caller(self, monkeypatch):
         # a rule capped at its first level misses the tolerance: with the
-        # pole terms the transform's second level, 211 nodes, meets it
+        # pole terms the transform's second level, 210 nodes, meets it
         monkeypatch.setattr(quadrature, "_MAX_NODES", 200)
         with pytest.raises(ToleranceError) as info:
             xi_integral(cmath.exp(0.3j), 0.8)
@@ -313,13 +313,12 @@ def _captured(monkeypatch, call):
     return seen
 
 
-def _trapezoid(f, a, b, n, poles):
-    """The trapezoidal rule with n intervals on [a, b], from f's values, less
-    the poles' terms on its grid."""
-    x = a + (b - a) * (np.arange(n + 1) / n)
+def _trapezoid(f, a, b, h, poles):
+    """The anchored trapezoidal rule with step h on [a, b]: h times the sum of
+    f's values over the multiples of h inside [a, b], less the poles' terms."""
+    x = np.arange(math.ceil(a / h), math.floor(b / h) + 1) * h
     vals = np.concatenate([f(x[i:i + 2048])[0] for i in range(0, x.size, 2048)])
-    h = (b - a) / n
-    return h * (vals.sum() - 0.5 * (vals[0] + vals[-1])) - quadrature._pole_terms(poles, a, h)
+    return h * vals.sum() - quadrature._pole_terms(poles, h)
 
 
 _SERIES = make_config([1.0, 0.5], [0.0, 1.0], 0.3 - 0.2j)
@@ -339,57 +338,58 @@ def _limit(m, cfg):
 # row: (call, trapezoid nodes, adaptive GK evaluations on the symmetric range
 # [-T + min lam, T + max lam] it was run on before the per-side truncation)
 TRAPEZOID_ROWS = {
-    "xi a=1 z=0.5": (lambda: xi_integral(1.0, 0.5), 321, 3540),
-    "xi a=e^0.3i z=0.4+0.1i": (lambda: xi_integral(cmath.exp(0.3j), 0.4 + 0.1j), 405, 3750),
-    "xi a=e^-0.45i z=0.5": (lambda: xi_integral(cmath.exp(-0.45j), 0.5), 529, 5820),
-    "xi a=e^0.77i z=0.1": (lambda: xi_integral(cmath.exp(0.77j), 0.1), 8929, 38640),
-    "series alpha=0.2 m=0": (_series(0, 0.2), 365, 3510),
-    "series alpha=0.2 m=1": (_series(1, 0.2), 425, 3720),
-    "series alpha=0.5 m=0": (_series(0, 0.5), 597, 7155),
-    "series alpha=0.5 m=1": (_series(1, 0.5), 745, 6015),
-    "series alpha=0.7 m=0": (_series(0, 0.7), 1781, 11835),
-    "series alpha=0.7 m=1": (_series(1, 0.7), 2417, 12300),
-    "limit hardy m=0": (_limit(0, _HARDY), 9785, 38010),
-    "limit series m=0": (_limit(0, _SERIES), 16457, 64950),
-    "limit series m=1": (_limit(1, _SERIES), 23817, 92550),
-    "limit exhibit m=0": (_limit(0, _EXHIBIT), 21585, 82245),
-    "limit exhibit m=1": (_limit(1, _EXHIBIT), 29841, 347445),
+    "xi a=1 z=0.5": (lambda: xi_integral(1.0, 0.5), 161, 3540),
+    "xi a=e^0.3i z=0.4+0.1i": (lambda: xi_integral(cmath.exp(0.3j), 0.4 + 0.1j), 201, 3750),
+    "xi a=e^-0.45i z=0.5": (lambda: xi_integral(cmath.exp(-0.45j), 0.5), 264, 5820),
+    "xi a=e^0.77i z=0.1": (lambda: xi_integral(cmath.exp(0.77j), 0.1), 4464, 38640),
+    "series alpha=0.2 m=0": (_series(0, 0.2), 182, 3510),
+    "series alpha=0.2 m=1": (_series(1, 0.2), 212, 3720),
+    "series alpha=0.5 m=0": (_series(0, 0.5), 298, 7155),
+    "series alpha=0.5 m=1": (_series(1, 0.5), 371, 6015),
+    "series alpha=0.7 m=0": (_series(0, 0.7), 890, 11835),
+    "series alpha=0.7 m=1": (_series(1, 0.7), 1208, 12300),
+    "limit hardy m=0": (_limit(0, _HARDY), 4891, 38010),
+    "limit series m=0": (_limit(0, _SERIES), 8228, 64950),
+    "limit series m=1": (_limit(1, _SERIES), 11908, 92550),
+    "limit exhibit m=0": (_limit(0, _EXHIBIT), 10791, 82245),
+    "limit exhibit m=1": (_limit(1, _EXHIBIT), 14920, 347445),
 }
 
 
 class TestTrapezoidRows:
     """Every critical-line integral of the benchmark and the CLI on the nested
-    trapezoidal rule: pinned node counts, and estimates that cover a finer
-    level and the independent adaptive GK value."""
+    trapezoidal rule: pinned node counts, and estimates that cover the rule at
+    h = 1/16 and the independent adaptive GK value."""
 
     @pytest.mark.parametrize("row", list(TRAPEZOID_ROWS))
     def test_nodes_and_estimate(self, monkeypatch, row):
         call, nodes, gk_evaluations = TRAPEZOID_ROWS[row]
         seen = _captured(monkeypatch, call)
         got, f, a, b = seen["result"], seen["f"], seen["a"], seen["b"]
-        n0 = math.ceil(b - a)
-        assert got.evaluations == nodes == n0 * 2 ** (got.levels - 1) + 1
-        assert got.levels <= 3
+        # the multiples of h = 2^(1 - levels) in [a, b]
+        k = 2 ** (got.levels - 1)
+        assert got.evaluations == nodes == math.floor(b * k) - math.ceil(a * k) + 1
+        assert got.levels == 2
         assert nodes <= (0.25 if row == "limit exhibit m=1" else 1.1) * gk_evaluations
-        finer = _trapezoid(f, a, b, n0 * 2 ** got.levels, seen["poles"])
+        finer = _trapezoid(f, a, b, 1.0 / 16.0, seen["poles"])
         assert abs(got.value - finer) <= got.abs_err_est
         gk = adaptive_gk(lambda x: f(x)[0], a, b, seen["share"],
                          initial_panels=max(64, math.ceil((b - a) / 2.0)))
         assert abs(got.value - gk.value) <= got.abs_err_est + gk.abs_err_est
 
     def test_exhibit_limit_estimate_covers_its_noise_plateau(self, monkeypatch):
-        # the level differences of this m = 1 limit fall to ~1e-5 and stay
-        # near it (3.4e-5, 2.8e-6, 7.6e-6 at 59 681, 119 361 and 238 721 nodes):
-        # eta's error, amplified by the weights, not the step.  The summed
+        # the level differences of this m = 1 limit stay between 2.5e-7 and
+        # 6.6e-6 from h = 1/2 to h = 1/64 (14 920 to 477 422 nodes): eta's
+        # error, amplified by the weights, not the step.  The summed
         # integrand bound puts that noise in the estimate; without it the rule
         # accepts a level whose estimate the next one breaks
         seen = _captured(monkeypatch, _limit(1, _EXHIBIT))
         got, f, a, b = seen["result"], seen["f"], seen["a"], seen["b"]
-        n = math.ceil(b - a) * 2 ** (got.levels - 1)
-        for finer in (2 * n, 4 * n):
+        h = 2.0 ** (1 - got.levels)
+        for finer in (h / 2.0, h / 4.0):
             ref = _trapezoid(f, a, b, finer, seen["poles"])
             assert abs(got.value - ref) <= got.abs_err_est, finer
-        assert got.at_roundoff
+        assert got.at_roundoff and got.abs_err_est < 2e-3
 
 
 class TestLevelBlocks:
@@ -417,13 +417,13 @@ class TestLevelBlocks:
             tracemalloc.stop()
 
     def test_memory_does_not_grow_with_the_level(self, monkeypatch):
-        # the finest level of this transform adds 17 856 nodes: in blocks the
-        # call peaks at 2.92 MB, with the whole level in one kernel call at
-        # 8.34 MB
-        call = lambda: xi_integral(cmath.exp(0.77j), 0.1)
-        assert self._peak(call) <= 1.25 * 2.92e6
+        # the finest level of this limit check adds 7 460 nodes: in blocks the
+        # call peaks at 3.47 MB, with the whole level in one kernel call at
+        # 6.89 MB
+        call = _limit(1, _EXHIBIT)
+        assert self._peak(call) <= 1.25 * 3.47e6
         monkeypatch.setattr(quadrature, "_BLOCK", 1 << 30)
-        assert self._peak(call) > 1.25 * 2.92e6
+        assert self._peak(call) > 1.25 * 3.47e6
 
 
 class TestSeriesSideValues:

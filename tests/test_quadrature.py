@@ -1,6 +1,7 @@
 import cmath
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,7 +60,8 @@ class TestNestedTrapezoid:
         out = nested_trapezoid(_exact(lambda x: np.exp(-x * x)), -10.0, 10.0, 1e-12)
         assert abs(out.value - math.sqrt(math.pi)) <= out.abs_err_est <= 1e-12
         assert not out.at_roundoff
-        # level 0 has step 1; the estimate needs three levels
+        # level 0 is the 21 integers in [-10, 10]; the estimate needs three
+        # levels, every multiple of 1/4 in the range
         assert out.levels == 3 and out.evaluations == 4 * 20 + 1
 
     def test_complex_oscillatory(self):
@@ -83,10 +85,11 @@ class TestNestedTrapezoid:
     @pytest.mark.parametrize("abs_tol", [1e-12, 1e-14])
     @pytest.mark.parametrize("k", range(1, 7))
     def test_estimate_covers_rounded_node_positions(self, k, abs_tol):
-        # on [-9.3, 10] the nodes a + (b - a) j/n are rounded, each by up to a
-        # few eps |x|, which moves the value there by that times |f'(x)|; with
-        # exact values this is the largest error left, 1.7x to 4.5x an
-        # estimate of the level sums' rounding alone
+        # [-9.3, 10] is off the grid: a grid a + (b - a) j/n rounds its nodes
+        # by a few eps |x| each, which moved the value by that times |f'(x)|,
+        # 1.7x to 4.5x an estimate of the level sums' rounding alone.  The
+        # anchored nodes j 2^(-k) are exact, so the rounding of the sums is
+        # all that is left with exact values
         exact = math.sqrt(math.pi) * math.exp(-k * k / 4.0)
         out = nested_trapezoid(_exact(lambda x: np.exp(-x * x + 1j * k * x)), -9.3, 10.0, abs_tol)
         assert abs(out.value - exact) <= out.abs_err_est
@@ -109,6 +112,49 @@ class TestNestedTrapezoid:
         with pytest.raises(ValueError):
             nested_trapezoid(_exact(lambda x: x), 1.0, 0.0, 1e-8)
 
+    @pytest.mark.parametrize("a, b", [(0.2, 0.8), (0.2, 1.5)])
+    def test_level_zero_needs_two_integers(self, a, b):
+        with pytest.raises(ValueError, match=re.escape(f"[{a}, {b}]")):
+            nested_trapezoid(_exact(lambda x: np.exp(-x * x)), a, b, 1e-8)
+
+    def test_end_term_enters_the_estimate(self):
+        # f = 1 on [0.5, 3.5]: every level from h = 1/2 on counts both ends
+        # with full weight, so it errs by h while d_k = h and d_k^2/d_(k-1)
+        # = h/2; the end term 2h keeps the estimate above the error
+        out = nested_trapezoid(_exact(np.ones_like), 0.5, 3.5, 1e-3)
+        assert abs(out.value - 3.0) <= out.abs_err_est <= 1e-3
+        assert abs(out.value - 3.0) == 2.0 ** (1 - out.levels)
+        # e^(-x^2) is not small at 0.2: the end term falls only as h, and the
+        # rule ends at the node cap with its estimate above tol
+        exact = math.sqrt(math.pi) / 2.0 * (math.erf(2.5) - math.erf(0.2))
+        out = nested_trapezoid(_exact(lambda x: np.exp(-x * x)), 0.2, 2.5, 1e-8)
+        assert abs(out.value - exact) <= out.abs_err_est
+        assert out.abs_err_est > 1e-8 and not out.at_roundoff
+
+    def test_nodes_are_exact_and_shared(self, monkeypatch):
+        # one kernel call per level: level k's nodes x have x 2^k an integer,
+        # odd from level 1 on, and two ranges get the same bits where they
+        # overlap
+        monkeypatch.setattr(quadrature, "_BLOCK", 1 << 30)
+        levels = []
+
+        def recorded(x):
+            levels[-1].append(x.copy())
+            return np.exp(-x * x + 2j * x), np.zeros(x.shape)
+
+        for a, b in ((-9.3, 10.0), (-5.7, 12.2)):
+            levels.append([])
+            nested_trapezoid(recorded, a, b, 1e-14)
+        for calls in levels:
+            for k, x in enumerate(calls):
+                scaled = x * 2.0 ** k
+                assert np.array_equal(scaled, np.round(scaled))
+                assert k == 0 or np.all(scaled % 2 == 1)
+        for x, y in zip(*levels):
+            on_x = x[(x >= -5.7) & (x <= 10.0)]
+            on_y = y[(y >= -5.7) & (y <= 10.0)]
+            assert on_x.size and on_x.tobytes() == on_y.tobytes()
+
     def test_no_keywords(self):
         # the block size and the node cap are module constants; no caller
         # sets them.  poles describes the integrand
@@ -129,10 +175,13 @@ class TestPoleTerms:
 
     @pytest.mark.parametrize("a, b", [(-9.0, 9.0), (-9.3, 9.1)])
     def test_closed_form(self, a, b):
-        exact = math.pi / 2.0 * math.exp(0.25) * math.erfc(0.5)
+        # pi/2 e^(1/4) erfc(1/2) at 40 digits; in floats the closed form is
+        # itself 1.6e-16 off
+        exact = 0.96712413110133357252970362665396607696
         out = nested_trapezoid(_exact(_poles_gauss), a, b, 1e-13, _POLES_GAUSS)
         assert abs(out.value - exact) <= out.abs_err_est <= 1e-13
-        assert out.levels == 3
+        # the multiples of 1/4 in [a, b]
+        assert (out.evaluations, out.levels) == (math.floor(4 * b) - math.ceil(4 * a) + 1, 3)
         # without the pole terms the poles cap the convergence at e^(-pi/h)
         assert nested_trapezoid(_exact(_poles_gauss), a, b, 1e-13).levels > 3
 
@@ -147,21 +196,21 @@ class TestPoleTerms:
         ref = complex(0.40738041319794044, 1.0172080229630305)
         out = nested_trapezoid(f, a, b, 1e-12, poles)
         assert abs(out.value - ref) <= out.abs_err_est <= 1e-12
-        assert out.levels == 3
+        assert (out.evaluations, out.levels) == (97, 3)
 
     def test_no_poles_keeps_the_plain_sums(self):
         # with no poles the rule is the plain one: its frozen values,
         # estimates and node counts, bit for bit
         out = nested_trapezoid(_exact(_poles_gauss), -9.3, 9.1, 1e-13)
-        assert out.value == float.fromhex("0x1.ef2ae4e4815a7p-1")
-        assert out.abs_err_est == float.fromhex("0x1.533b57b2f97d9p-48")
-        assert (out.evaluations, out.levels) == (305, 5)
+        assert out.value == float.fromhex("0x1.ef2ae4e4815aap-1")
+        assert out.abs_err_est == float.fromhex("0x1.bcd444e6168f2p-52")
+        assert (out.evaluations, out.levels) == (294, 5)
         f = _exact(lambda x: np.exp(-x * x + 3j * x))
         out = nested_trapezoid(f, -9.3, 10.0, 1e-12, ())
-        assert out.value == complex(float.fromhex("0x1.7e98fff2d10dcp-3"),
-                                    float.fromhex("0x1.029eb851eb852p-51"))
-        assert out.abs_err_est == float.fromhex("0x1.9cf11e1dac1dcp-47")
-        assert (out.evaluations, out.levels) == (81, 3)
+        assert out.value == complex(float.fromhex("0x1.7e98fff2d10a0p-3"),
+                                    float.fromhex("0x1.fffffff1f7258p-56"))
+        assert out.abs_err_est == float.fromhex("0x1.c62770c450cd1p-52")
+        assert (out.evaluations, out.levels) == (78, 3)
 
     def test_pole_on_the_axis(self):
         with pytest.raises(ValueError):
