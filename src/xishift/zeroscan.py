@@ -3,10 +3,12 @@
 A scan walks a fixed grid t_i = t_lo + i*step, records strict sign changes
 between consecutive nodes as brackets, and reports zeros landing exactly on
 nodes as width-zero brackets.  scan_fz evaluates the grid in one call, then
-bisects all brackets in lockstep, three steps per call: each call evaluates
-the bisection tree of every open bracket three levels deep, and the signs
-walk each bracket down its tree.  A point's value never depends on its batch
-mates, so each bracket takes exactly the steps of scalar bisection.
+bisects all brackets together.  Each call evaluates, for every open bracket,
+its bisection tree three levels deep and the path that bisection would take
+if the root were where interpolation puts it; each bracket then steps along
+as long as its next midpoint has a value.  A point's value never depends on
+its batch mates, so each bracket takes exactly the steps of scalar
+bisection, and most close in two calls.
 
 report_rows flattens a ScanReport into SCAN_FIELDS rows; the CLI's CSV and
 JSON writers are the only serialisers of scan results.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -31,7 +34,7 @@ __all__ = ["ZeroBracket", "ZeroHit", "ScanReport", "scan", "bisect", "scan_fz",
            "require_resolved", "report_rows", "SCAN_FIELDS"]
 
 ON_NODE_EPS = 1e-13
-_TREE_DEPTH = 3  # bisection steps per evaluator call in scan_fz: 7 points per open bracket
+_TREE_DEPTH = 3  # bisection steps each evaluator call of scan_fz guarantees: 7 tree points
 SCAN_FIELDS = ("t_lo", "t_hi", "t_zero", "f_residual", "iterations")
 
 
@@ -92,13 +95,20 @@ def _brackets_from_values(
     below the per-node error bound when one is available, else below the
     absolute 1e-13 floor.  An absolute floor alone would misclassify genuine
     values of a function that itself decays below 1e-13.  A verdict that
-    would rest on the underflow floor alone raises (require_resolved).
+    would rest on the underflow floor alone raises (require_resolved), and
+    so do two adjacent nodes that are both zeros by their error bounds:
+    there the bound, not the function, decides the sign.
     """
     if errs is None:
         on_node = np.abs(fs) < ON_NODE_EPS
     else:
         require_resolved(ts, fs, errs)
         on_node = np.abs(fs) <= np.maximum(4.0 * errs, UNDERFLOW_FLOOR)
+        stretch = on_node[:-1] & on_node[1:]
+        if stretch.any():
+            t = float(ts[np.argmax(stretch)])
+            raise EvaluationError(f"unresolved stretch: |f| is within its error bound at "
+                                  f"consecutive nodes from t={t!r}")
     signs = np.sign(fs)
     proper = np.zeros(len(ts), dtype=bool)
     proper[:-1] = (signs[:-1] * signs[1:] < 0) & ~on_node[:-1] & ~on_node[1:]
@@ -126,73 +136,161 @@ def scan(
     return _brackets_from_values(ts, fs)
 
 
-def _bisect_all(
-    brackets: Sequence[ZeroBracket], f: Callable[[np.ndarray], np.ndarray], tol: float,
-    depth: int = _TREE_DEPTH,
-) -> list[ZeroHit]:
-    """Bisect every bracket in lockstep, depth steps per call of the vector evaluator f.
-
-    Each call evaluates the bisection tree of every open bracket depth levels
-    deep (level k holds the 2^k midpoints that k more steps can reach, each
-    0.5*(lo + hi) of its node, as one step at a time computes it) and the
-    final midpoints of brackets that closed on the last level of the call
-    before.  The signs then walk each bracket down its tree.  A bracket stops
-    at an exact zero (residual 0) or at width <= tol, where its result is the
-    final midpoint and |f| there, read one level down in the same call when
-    there is one.  The tree never reaches past step 200, where MaxIterError
-    is raised.  f must give each point a value that does not depend on its
-    batch mates; it also sees the tree points that the walk does not take.
-    """
+def _require_tol(tol: float) -> None:
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol}")
-    lo = np.array([b.t_lo for b in brackets], dtype=float)
-    hi = np.array([b.t_hi for b in brackets], dtype=float)
-    # lo only ever moves to a point of f_lo's sign, so that sign never changes
-    neg = np.array([b.f_lo < 0 for b in brackets], dtype=bool)
-    t = lo.copy()  # on-node brackets are done: (t_lo, |f_lo|, 0)
-    residual = np.array([abs(b.f_lo) for b in brackets], dtype=float)
-    iterations = np.zeros(len(brackets), dtype=int)
-    live = hi > lo
-    pending = np.zeros(len(brackets), dtype=bool)  # closed, residual not yet evaluated
-    it = 0
-    while live.any() or pending.any():
-        if it == 200 and live.any():
-            raise MaxIterError(f"bisection did not reach width {tol:g} in 200 iterations")
-        li, pi = np.flatnonzero(live), np.flatnonzero(pending)
-        # edges[k][:, n] and [:, n + 1] bound node n of level k; its midpoint
-        # is edges[k + 1][:, 2n + 1], and its children are nodes 2n and 2n + 1
-        edges = [np.stack((lo[li], hi[li]), axis=1)]
-        for _ in range(min(depth, 200 - it)):
-            e = edges[-1]
-            split = np.empty((len(li), 2 * e.shape[1] - 1))
-            split[:, ::2], split[:, 1::2] = e, 0.5 * (e[:, :-1] + e[:, 1:])
-            edges.append(split)
-        vals = np.asarray(f(np.concatenate([e[:, 1::2].ravel() for e in edges[1:]] + [t[pi]])),
-                          dtype=float)
-        rows, node = np.arange(len(li)), np.zeros(len(li), dtype=int)
-        walking = np.ones(len(li), dtype=bool)
-        # closed on the level before: its node on this level is its final midpoint
-        waiting = np.zeros(len(li), dtype=bool)
-        node_lo, node_hi = lo[li], hi[li]
-        for k, e in enumerate(edges[1:]):
-            n = len(li) << k
-            fm, vals = vals[:n].reshape(-1, 1 << k)[rows, node], vals[n:]
-            residual[li[waiting]] = np.abs(fm[waiting])
-            iterations[li[walking]] = it + k + 1
-            mid = e[rows, 2 * node + 1]
-            exact = walking & (fm == 0.0)
-            node = np.where(walking, 2 * node + ((fm < 0) == neg[li]), node)
-            node_lo, node_hi = e[rows, node], e[rows, node + 1]
-            waiting = walking & ~exact & (node_hi - node_lo <= tol)
-            t[li] = np.where(exact, mid, np.where(waiting, 0.5 * (node_lo + node_hi), t[li]))
-            residual[li[exact]] = 0.0
-            walking &= ~(exact | waiting)
-        it += len(edges) - 1
-        live[li] = walking
-        lo[li[walking]], hi[li[walking]] = node_lo[walking], node_hi[walking]
-        residual[pi], pending[pi] = np.abs(vals), False
-        pending[li[waiting]] = True
-    return [ZeroHit(float(a), float(r), int(n)) for a, r, n in zip(t, residual, iterations)]
+
+
+def _nearest_outside(
+    lo: float, hi: float, known: dict[float, float]
+) -> tuple[float, float] | None:
+    """(t, f(t)) for the known t nearest outside [lo, hi], or None if there is none."""
+    ts = sorted(known)
+    i, j = bisect_left(ts, lo), bisect_right(ts, hi)
+    left = ts[i - 1] if i else -math.inf
+    right = ts[j] if j < len(ts) else math.inf
+    c = left if lo - left <= right - hi else right
+    return (c, known[c]) if math.isfinite(c) else None
+
+
+def _tree(lo: float, hi: float, depth: int) -> list[float]:
+    """The midpoints of the bisection tree of [lo, hi], depth levels deep."""
+    if depth == 0:
+        return []
+    m = 0.5 * (lo + hi)
+    return [m, *_tree(lo, m, depth - 1), *_tree(m, hi, depth - 1)]
+
+
+def _root_estimate(
+    lo: float, hi: float, f_lo: float, f_hi: float, near: tuple[float, float] | None
+) -> float:
+    """A guess at the root in (lo, hi); it decides only which points are evaluated early.
+
+    Inverse quadratic interpolation through both ends and near, the
+    evaluated point nearest outside them, else the secant through the ends
+    (regula falsi on a bracket's first call, when near is None), else the
+    midpoint: the first of these that lies inside (lo, hi).
+    """
+    if near is not None:
+        c, f_c = near
+        # scaled to at most 1 in size, so that products of tiny values do not underflow
+        s = max(abs(f_lo), abs(f_hi), abs(f_c))
+        a, b, q = f_lo / s, f_hi / s, f_c / s
+        try:
+            r = (lo * b * q / ((a - b) * (a - q)) + hi * a * q / ((b - a) * (b - q))
+                 + c * a * b / ((q - a) * (q - b)))
+        except ZeroDivisionError:
+            r = math.nan
+        if lo < r < hi:
+            return r
+    r = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    return r if lo < r < hi else 0.5 * (lo + hi)
+
+
+class _Bisection:
+    """One bracket's scalar bisection, stepped as far as the known values of f go."""
+
+    __slots__ = ("lo", "hi", "f_lo", "f_hi", "it", "hit", "near")
+
+    def __init__(self, bracket: ZeroBracket) -> None:
+        self.lo, self.hi = float(bracket.t_lo), float(bracket.t_hi)
+        self.f_lo, self.f_hi = float(bracket.f_lo), float(bracket.f_hi)
+        self.it = 0
+        self.near: tuple[float, float] | None = None  # see _root_estimate
+        # an on-node bracket is done: (t_lo, |f_lo|, 0)
+        self.hit = None if self.lo < self.hi else ZeroHit(self.lo, abs(self.f_lo), 0)
+
+    def advance(self, value: Callable[[float], float | None], tol: float) -> None:
+        """Step while value(midpoint) is not None, until the bracket is done.
+
+        A step moves lo to the midpoint 0.5*(lo + hi) if f there has f_lo's
+        sign, else hi.  Once a step leaves width <= tol the bracket is closed,
+        and it is done with |f| at the next midpoint; it is also done at an
+        exact zero (residual 0).  MaxIterError if it is open after step 200.
+        """
+        lo, hi, f_lo, f_hi, it = self.lo, self.hi, self.f_lo, self.f_hi, self.it
+        neg = f_lo < 0
+        while True:
+            closed = it > 0 and hi - lo <= tol
+            if not closed and it == 200:
+                raise MaxIterError(f"bisection did not reach width {tol:g} in 200 iterations")
+            mid = 0.5 * (lo + hi)
+            fm = value(mid)
+            if fm is None:
+                break
+            if closed:
+                self.hit = ZeroHit(mid, abs(fm), it)
+                break
+            it += 1
+            if fm == 0.0:
+                self.hit = ZeroHit(mid, 0.0, it)
+                break
+            if (fm < 0) == neg:
+                lo, f_lo = mid, fm
+            else:
+                hi, f_hi = mid, fm
+        self.lo, self.hi, self.f_lo, self.f_hi, self.it = lo, hi, f_lo, f_hi, it
+
+    def wanted(self, tol: float) -> list[float]:
+        """The points the next evaluator call should give this bracket.
+
+        A closed bracket wants its residual point.  An open one wants its
+        bisection tree _TREE_DEPTH levels deep, which guarantees that many
+        steps, and the path bisection would take if the root were at
+        _root_estimate, through its final midpoint.  No point lies past step
+        200.  All lie inside the bracket, where the walk has not been, so
+        none was evaluated before.
+        """
+        lo, hi, it = self.lo, self.hi, self.it
+        if it > 0 and hi - lo <= tol:
+            return [0.5 * (lo + hi)]
+        points = _tree(lo, hi, min(_TREE_DEPTH, 200 - it))
+        r = _root_estimate(lo, hi, self.f_lo, self.f_hi, self.near)
+        for _ in range(it, 200):
+            m = 0.5 * (lo + hi)
+            points.append(m)
+            if m < r:
+                lo = m
+            else:
+                hi = m
+            if hi - lo <= tol:
+                points.append(0.5 * (lo + hi))
+                break
+        return list(dict.fromkeys(points))  # the path's first steps are tree points
+
+
+def _bisect_all(
+    brackets: Sequence[ZeroBracket], f: Callable[[np.ndarray], np.ndarray], tol: float
+) -> list[ZeroHit]:
+    """Bisect every bracket, each call of the vector evaluator f serving all open ones.
+
+    Each call evaluates, for every open bracket, the points _Bisection.wanted
+    names; then each bracket takes scalar bisection's steps for as long as
+    the midpoint it needs next has been evaluated.  The root estimate only
+    predicts which midpoints bisection will visit, so every step, midpoint,
+    residual and iteration count is the one-step loop's (bisect), and no
+    bracket needs more calls than with the tree alone.  f must give each
+    point a value that does not depend on its batch mates; it also sees the
+    points that the walk does not take.
+    """
+    _require_tol(tol)
+    runs = [_Bisection(b) for b in brackets]
+    live = [run for run in runs if run.hit is None]
+    while live:
+        wanted = [run.wanted(tol) for run in live]
+        vals = np.asarray(f(np.array([t for w in wanted for t in w], dtype=float)),
+                          dtype=float).tolist()
+        start = 0
+        for run, w in zip(live, wanted):
+            known = dict(zip(w, vals[start:start + len(w)]))
+            start += len(w)
+            known[run.lo], known[run.hi] = run.f_lo, run.f_hi
+            if run.near is not None:
+                known[run.near[0]] = run.near[1]
+            run.advance(known.get, tol)
+            run.near = _nearest_outside(run.lo, run.hi, known)
+        live = [run for run in live if run.hit is None]
+    return [run.hit for run in runs]
 
 
 def bisect(
@@ -200,11 +298,16 @@ def bisect(
 ) -> tuple[float, float, int]:
     """Refine a bracket to width <= tol; returns (midpoint, |f(midpoint)|, iterations).
 
-    The residual is reported, not required to be small: a flat function can
-    hold a wide bracket to a tiny residual or vice versa.
+    f is asked for one midpoint per call, iterations + 1 calls in all (the
+    last for the residual), or iterations at an exact zero.  The residual
+    is reported, not required to be small: a flat function can hold a wide
+    bracket to a tiny residual or vice versa.
     """
-    (hit,) = _bisect_all([bracket], lambda ts: [f(float(t)) for t in ts], tol, depth=1)
-    return hit.t, hit.residual, hit.iterations
+    _require_tol(tol)
+    run = _Bisection(bracket)
+    if run.hit is None:
+        run.advance(lambda t: float(f(t)), tol)
+    return run.hit.t, run.hit.residual, run.hit.iterations
 
 
 def _fz_real(

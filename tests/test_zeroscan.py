@@ -64,6 +64,22 @@ class TestScan:
             scan(10.0, 20.0, 5e-324, lambda t: t)
 
 
+class TestBracketsFromValues:
+    ts = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    errs = np.full(5, 1e-16)
+
+    def test_isolated_on_node_zero_is_a_width_zero_bracket(self):
+        fs = np.array([1.0, 1e-20, -1.0, -2.0, 1.0])
+        brs = zeroscan._brackets_from_values(self.ts, fs, self.errs)
+        assert brs == [ZeroBracket(0.5, 0.5, 1e-20, 1e-20), ZeroBracket(1.5, 2.0, -2.0, 1.0)]
+
+    def test_two_unresolved_nodes_in_a_row_raise_with_t(self):
+        # |f| <= 4 err at 0.5 and at 1.0: not two zeros, an unresolved stretch
+        fs = np.array([1.0, 1e-20, -3e-16, -2.0, 1.0])
+        with pytest.raises(EvaluationError, match=r"t=0\.5\b"):
+            zeroscan._brackets_from_values(self.ts, fs, self.errs)
+
+
 class TestBisect:
     def test_linear(self):
         br = ZeroBracket(-1.0, 2.0, -1.0, 2.0)
@@ -102,6 +118,19 @@ class TestBisect:
         t, r, it = bisect(ZeroBracket(3.0, 4.0, 3.0 - math.pi, 4.0 - math.pi), f, 1e-10)
         assert it == 34 and len(calls) == it + 1
 
+    def test_one_call_per_step_where_a_secant_is_not_exact(self):
+        # on a line a secant lands on the root, and a bisection that looked
+        # ahead along it would need no more calls; on sin it would
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.sin(t)
+
+        t, r, it = bisect(ZeroBracket(3.0, 4.0, math.sin(3.0), math.sin(4.0)), f, 1e-10)
+        assert abs(t - math.pi) < 1e-10 and it == 34 and len(calls) == it + 1
+        assert calls[-1] == t and len(set(calls)) == len(calls)
+
     def test_bad_tol(self):
         with pytest.raises(ConfigError):
             bisect(ZeroBracket(0.0, 1.0, -1.0, 1.0), lambda t: t, 0.0)
@@ -132,6 +161,27 @@ def _reference_bisect(bracket, f, tol):
             t = 0.5 * (lo + hi)
             return t, abs(f(t)), it
     raise MaxIterError("reference bisection did not converge")
+
+
+def _tree_calls(brackets, f, tol):
+    """Evaluator calls that bisecting brackets three tree levels per call takes.
+
+    Each call covers the next three points that scalar bisection evaluates
+    for every open bracket (a residual point is the midpoint one level
+    below the closing step), but no tree level past step 200.
+    """
+    most = 0
+    for br in brackets:
+        n = 0
+
+        def counted(t):
+            nonlocal n
+            n += 1
+            return f(t)
+
+        _, _, it = _reference_bisect(br, counted, tol)
+        most = max(most, -(-n // 3) + (it == 200 and n == 201))
+    return most
 
 
 class TestBatchBisect:
@@ -176,8 +226,10 @@ class TestBatchBisect:
         monkeypatch.setattr(zeroscan, "fz_line_vec", counted)
         rep = scan_fz(HARDY, 10.0, 100.0, 0.05, 1e-8)
         assert len(rep.zeros) == 29  # N(100) = 29, none below 14
-        # 1 grid call, then 23 steps at 3 per call; the residuals close at level 2
-        assert len(calls) <= 9
+        # 1 grid call; the regula falsi path of the first refinement call and
+        # the interpolated one of the second close nearly every bracket, and
+        # a tree of three levels per call alone would take 8 calls for 23 steps
+        assert len(calls) <= 3
 
     def test_reality_failure_names_t(self, monkeypatch):
         def skewed(ts, *args):
@@ -190,8 +242,10 @@ class TestBatchBisect:
 
 
 class TestBisectionTree:
-    """Each evaluator call covers three bisection steps of every open bracket;
-    every result must still be the one-step loop's (_reference_bisect)."""
+    """Each evaluator call covers at least three bisection steps of every open
+    bracket, and the path to an estimated root; every result must still be
+    the one-step loop's (_reference_bisect), in no more calls than the tree
+    alone would take (_tree_calls)."""
 
     @staticmethod
     def check(brs, f, tol):
@@ -203,6 +257,7 @@ class TestBisectionTree:
 
         batch = zeroscan._bisect_all(brs, vec, tol)
         assert batch == [ZeroHit(*_reference_bisect(br, f, tol)) for br in brs]
+        assert len(calls) <= _tree_calls(brs, f, tol)
         return batch, calls
 
     @pytest.mark.parametrize("seed", range(8))
@@ -226,6 +281,29 @@ class TestBisectionTree:
         rng.shuffle(brs)
         self.check(brs, f, float(rng.choice([1e-3, 1e-8, 1e-12, 2.0 ** -20])))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_signs_near_each_root(self, seed):
+        # within delta of a root the sign is a hash of the bits of t, so that
+        # every root estimate from values there is noise; the steps must not
+        # change, and no bracket may take more calls than the tree alone
+        rng = np.random.default_rng(seed)
+        roots = np.sort(rng.uniform(0.0, 10.0, 6))
+        delta = 10.0 ** rng.uniform(-9.0, -2.0)
+
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            v = np.prod(t[..., None] - roots, axis=-1)
+            bits = t.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)  # wraps mod 2^64
+            noise = np.where(bits >> np.uint64(63), delta, -delta)
+            return np.where(np.min(np.abs(t[..., None] - roots), axis=-1) < delta, noise, v)[()]
+
+        ts = np.arange(0.0, 10.5, float(rng.choice([0.125, 0.25, 0.3])))
+        fs = f(ts)
+        brs = [ZeroBracket(a, b, fa, fb) for a, b, fa, fb in zip(ts, ts[1:], fs, fs[1:])
+               if np.sign(fa) * np.sign(fb) < 0]
+        assert len(brs) >= 4
+        self.check(brs, f, float(rng.choice([1e-12, 1e-10, 2.0 ** -40])))
+
     def test_exact_zeros_on_every_level(self):
         # bracket k is [16k, 16k + 8] with its root at 16k + offset; from 8 wide,
         # offset 4 is the level-1 node, 2 and 6 level 2, odd ones level 3,
@@ -245,7 +323,9 @@ class TestBisectionTree:
         batch, calls = self.check(brs, f, 2.0 ** -28)
         assert [h.iterations for h in batch] == [1, 2, 2, 3, 0, 3, 3, 3, 4, 4, 5, 31, 31]
         assert [h.residual == 0.0 for h in batch] == [True] * 11 + [False] * 2
-        assert len(calls) == 11
+        # every piece is linear, so each regula falsi path runs to its root;
+        # the tree alone takes 11 calls, for the 31 steps of the last two
+        assert len(calls) == 1 and _tree_calls(brs, f, 2.0 ** -28) == 11
 
     @pytest.mark.parametrize("steps", range(1, 8))
     def test_tolerance_closes_at_each_level(self, steps):
@@ -263,26 +343,33 @@ class TestBisectionTree:
         brs.append(ZeroBracket(3.0, 3.0, 0.0, 0.0))  # on-node: (3, 0, 0), never evaluated
         batch, calls = self.check(brs, f, 2.0 ** -steps)
         assert [h.iterations for h in batch] == [steps] * len(fracs) + [0]
-        # a bracket closed at level 1 or 2 of a call reads its residual one
-        # level down; one closed at level 3 waits for the next call
-        assert len(calls) == steps // 3 + 1
+        # linear pieces: each regula falsi path ends on the residual point.
+        # With the tree alone, a bracket closed at level 1 or 2 of a call
+        # reads its residual one level down; one closed at level 3 waits
+        assert len(calls) == 1 and _tree_calls(brs, f, 2.0 ** -steps) == steps // 3 + 1
 
     def test_step_function_raises_after_exactly_200_steps(self):
         br = ZeroBracket(0.0, 1.0, -1.0, 1.0)
-        seen = []
+        seen, calls = [], []
 
-        def f(ts):
+        def counted(ts):
             seen.extend(ts)
+            calls.append(len(ts))
             return np.where(ts > 0.0, 1.0, -1.0)
 
         # the bracket is [0, 2^-n] after n steps: 2^-200 takes exactly 200
-        assert zeroscan._bisect_all([br], f, 2.0 ** -200) == [ZeroHit(2.0 ** -201, 1.0, 200)]
+        assert zeroscan._bisect_all([br], counted, 2.0 ** -200) == [ZeroHit(2.0 ** -201, 1.0, 200)]
         step = lambda t: 1.0 if t > 0.0 else -1.0
         assert _reference_bisect(br, step, 2.0 ** -200) == (2.0 ** -201, 1.0, 200)
+        # no interpolation helps here, so every call takes the tree's three
+        # steps, the 67th two; the residual point of step 200 takes a 68th
+        assert len(calls) == _tree_calls([br], step, 2.0 ** -200) == 68
         seen.clear()
+        calls.clear()
         with pytest.raises(MaxIterError):
-            zeroscan._bisect_all([br], f, 2.0 ** -201)
+            zeroscan._bisect_all([br], counted, 2.0 ** -201)
         assert min(seen) == 2.0 ** -200  # no point of a 201st step was evaluated
+        assert len(calls) == 67
         with pytest.raises(MaxIterError):
             _reference_bisect(br, step, 2.0 ** -201)
 
