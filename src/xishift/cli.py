@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -380,9 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = functools.cache(build_parser)  # once per process: parse_args leaves it unchanged
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        manifest = RunManifest(**vars(build_parser().parse_args(argv)))
+        manifest = RunManifest(**vars(_parser().parse_args(argv)))
     except (ParseError, ConfigError) as exc:
         _emit_error(exc)
         return EXIT_CONFIG

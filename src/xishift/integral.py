@@ -209,7 +209,7 @@ def _line_integral(
         r_up, r_dn = 0.5 * (r_up + r_dn.conjugate()), 0.5 * (r_dn + r_up.conjugate())
 
     def integrand(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        weighted, w_err = eta_weighted_line(taus, b_ref, 0.0, settings)
+        weighted, w_err = eta_weighted_line(taus, b_ref, settings)
         f1, f_err = hyp1f1_vec((1.0 - 2j * taus) / 4.0, 0.5, w, settings)
         weight = np.zeros(taus.shape, dtype=complex)
         for c, d, b, g, lam in zip(cs, spread, bs, gs, lams):

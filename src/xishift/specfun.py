@@ -1015,14 +1015,13 @@ def xi_line_vec(
 def eta_weighted_line(
     t: np.ndarray,
     alpha: float,
-    lam: float,
     settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """exp(alpha t) * rho(t + lam), with alpha t as the eta kernel's log-weight.
+    """exp(alpha t) * rho(t), with alpha t as the eta kernel's log-weight.
 
     rho decays like exp(-pi|t|/4) while exp(alpha t) grows; fusing the
     exponents avoids 0 * inf far out on the line.  Returns (values, errors).
     """
     t = np.asarray(t, dtype=float)
-    vals, errs = _eta_vec(0.5 + 1j * (t + lam), settings, alpha * t)
+    vals, errs = _eta_vec(0.5 + 1j * t, settings, alpha * t)
     return vals.real, errs

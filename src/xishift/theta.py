@@ -358,60 +358,55 @@ def psi1_limit_value(z: complex, lam: float, order: int) -> complex:
 # Near-axis limit expressions
 # ---------------------------------------------------------------------------
 
+def _axis_term(d: complex, z: complex, scale: float, settings: EvalSettings) -> complex:
+    """d^{-1/2} e^{-(z^2/4)(1 + i/d)} psi(1/(scale*d), i z sqrt(1 + i/d)), the
+    prefactor folded into the theta sum."""
+    x = 1.0 / (scale * d)
+    arg = 1j * z * cmath.sqrt(1.0 + 1j / d)
+    log_pref = -z * z / 4.0 * (1.0 + 1j / d) - 0.5 * cmath.log(d)
+    w = cmath.sqrt(math.pi * x) * arg
+    return _folded_theta(x, w, log_pref, settings).value
+
+
 def axis_decay_sequence(
     z: complex,
     deltas: list[float],
     settings: EvalSettings = DEFAULT_SETTINGS,
     *,
     scale: float = 4.0,
-    ray_angle: float = 0.0,
 ) -> list[float]:
     """|delta^{-1/2} e^{-(z^2/4)(1 + i/delta)} psi(1/(scale*delta), i z sqrt(1 + i/delta))|.
 
     scale=4 gives the leading expression, scale=1 its companion; both must
     decay to zero as delta -> 0 when z is inside the admissible region.
-    ray_angle tilts delta along the ray delta*e^{i*ray_angle}, |angle| < pi/2.
     """
     z = complex(z)
     require_inside(z, "axis_decay_sequence")
     if not (scale in (1.0, 4.0)):
         raise DomainError(f"scale must be 1 or 4, got {scale}")
-    if abs(ray_angle) >= math.pi / 2:
-        raise DomainError(f"|ray_angle| must be < pi/2, got {ray_angle}")
     if not all(d > 0 for d in deltas):
         raise DomainError("all deltas must be positive")
     if any(deltas[i + 1] >= deltas[i] for i in range(len(deltas) - 1)):
         raise DomainError("deltas must be strictly decreasing")
-    rot = cmath.exp(1j * ray_angle)
-    out = []
-    for d in deltas:
-        dc = d * rot
-        x = 1.0 / (scale * dc)
-        arg = 1j * z * cmath.sqrt(1.0 + 1j / dc)
-        log_pref = -z * z / 4.0 * (1.0 + 1j / dc) - 0.5 * cmath.log(dc)
-        w = cmath.sqrt(math.pi * x) * arg
-        out.append(abs(_folded_theta(x, w, log_pref, settings).value))
-    return out
+    return [abs(_axis_term(complex(d), z, scale, settings)) for d in deltas]
 
 
 def psi_at_axis_combination(
     z: complex, delta: float, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> complex:
-    """e^{-z^2/8}/2 + e^{z^2/8} psi(i + delta, z), via the even/odd split.
+    """e^{-z^2/8}/2 + e^{z^2/8} psi(i + delta, z), by the modular transformation.
 
-    Direct summation at x = i + delta loses absolute convergence as delta
-    shrinks; splitting even and odd n gives
-    psi(i + delta, z) = 2 psi(4 delta, c z) - psi(delta, c z) with
-    c = sqrt(i + delta)/sqrt(delta), which is absolutely stable.  The value
-    tends to -sinh(z^2/8) as delta -> 0 for admissible z.
+    The direct sum at x = i + delta cancels as delta shrinks.  The
+    transformation of psi1's near-axis route gives instead
+    e^{z^2/8} (T_4 - T_1) - sinh(z^2/8), T_s the signed axis_decay_sequence
+    term at scale s, which decays superexponentially as delta -> 0; so the
+    value tends to -sinh(z^2/8) for admissible z.  T_1 needs ~5.4 sqrt(delta)
+    terms: past delta ~ 3e6 the default max_terms raises DivergenceError.
     """
     z = complex(z)
     require_inside(z, "psi_at_axis_combination")
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}")
-    c = cmath.sqrt(1j + delta) / math.sqrt(delta)
-    zz = c * z
-    split = 2.0 * theta_series(4.0 * delta, zz, settings).value - theta_series(
-        delta, zz, settings
-    ).value
-    return cmath.exp(-z * z / 8.0) / 2.0 + cmath.exp(z * z / 8.0) * split
+    d = complex(delta)
+    terms = _axis_term(d, z, 4.0, settings) - _axis_term(d, z, 1.0, settings)
+    return cmath.exp(z * z / 8.0) * terms - cmath.sinh(z * z / 8.0)

@@ -1,14 +1,14 @@
 """Sign-change scanning and bisection refinement on the critical line.
 
 A scan walks a fixed grid t_i = t_lo + i*step, records strict sign changes
-between consecutive nodes as brackets, and reports zeros landing exactly on
-nodes as width-zero brackets.  scan_fz evaluates the grid in one call, then
-bisects all brackets together.  Each call evaluates, for every open bracket,
-its bisection tree three levels deep and the path that bisection would take
-if the root were where interpolation puts it; each bracket then steps along
-as long as its next midpoint has a value.  A point's value never depends on
-its batch mates, so each bracket takes exactly the steps of scalar
-bisection, and most close in two calls.
+between consecutive nodes as brackets, and reports node zeros (f exactly 0 for
+scan, within its error bound for scan_fz) as width-zero brackets.  scan_fz
+evaluates the grid in one call, then bisects all brackets together.  Each call
+evaluates, for every open bracket, its bisection tree three levels deep and
+the path that bisection would take if the root were where interpolation puts
+it; each bracket then steps along as long as its next midpoint has a value.  A
+point's value never depends on its batch mates, so each bracket takes exactly
+the steps of scalar bisection, and most close in two calls.
 
 report_rows flattens a ScanReport into SCAN_FIELDS rows; the CLI's CSV and
 JSON writers are the only serialisers of scan results.
@@ -33,7 +33,6 @@ from .shifts import ShiftConfig, fz_line_vec, validate_config
 __all__ = ["ZeroBracket", "ZeroHit", "ScanReport", "scan", "bisect", "scan_fz",
            "require_resolved", "report_rows", "SCAN_FIELDS"]
 
-ON_NODE_EPS = 1e-13
 _TREE_DEPTH = 3  # bisection steps each evaluator call of scan_fz guarantees: 7 tree points
 SCAN_FIELDS = ("t_lo", "t_hi", "t_zero", "f_residual", "iterations")
 
@@ -91,16 +90,16 @@ def _brackets_from_values(
 ) -> list[ZeroBracket]:
     """Sign-change extraction, ascending in t.
 
-    A node counts as an on-node zero when |f| is indistinguishable from zero:
-    below the per-node error bound when one is available, else below the
-    absolute 1e-13 floor.  An absolute floor alone would misclassify genuine
-    values of a function that itself decays below 1e-13.  A verdict that
-    would rest on the underflow floor alone raises (require_resolved), and
-    so do two adjacent nodes that are both zeros by their error bounds:
-    there the bound, not the function, decides the sign.
+    Without error bounds a node is an on-node zero only where f is exactly
+    0: an absolute floor would count the genuine values of a function that
+    decays below it, such as Xi high on the line, as zeros.  With bounds it
+    is one where |f| is within 4*err.  A verdict that would rest on the
+    underflow floor alone raises (require_resolved), and so do two adjacent
+    nodes that are both zeros by their error bounds: there the bound, not
+    the function, decides the sign.
     """
     if errs is None:
-        on_node = np.abs(fs) < ON_NODE_EPS
+        on_node = fs == 0.0
     else:
         require_resolved(ts, fs, errs)
         on_node = np.abs(fs) <= np.maximum(4.0 * errs, UNDERFLOW_FLOOR)
@@ -122,7 +121,8 @@ def _brackets_from_values(
 def scan(
     t_lo: float, t_hi: float, step: float, f: Callable[[float], float]
 ) -> list[ZeroBracket]:
-    """All strict sign changes of f on the grid, plus on-node zeros."""
+    """All strict sign changes of f on the grid, plus the nodes where f is exactly 0.
+    f must refuse values it cannot resolve itself, as big_xi does below underflow."""
     ts = grid_nodes(t_lo, t_hi, step)
     fs = np.empty(len(ts))
     for i, t in enumerate(ts):

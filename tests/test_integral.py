@@ -251,7 +251,7 @@ class TestMomentIntegral:
         w = complex(z) ** 2 / 4.0
 
         def integrand(ts):
-            weighted, _ = eta_weighted_line(ts, 0.0, 0.0, settings)
+            weighted, _ = eta_weighted_line(ts, 0.0, settings)
             f1, _ = hyp1f1_vec((1.0 - 2j * ts) / 4.0, 0.5, w, settings)
             return ts ** (2 * m) * weighted * f1.real
 

@@ -511,10 +511,10 @@ class TestHardyZ:
         # main sums of many lengths in one batch, on both sides of the crossover
         rng = np.random.default_rng(17)
         ts = np.concatenate((rng.uniform(0.0, 6000.0, 600), rng.uniform(480.0, 520.0, 100)))
-        vals, errs = specfun.eta_weighted_line(ts, 0.6, 0.0)
+        vals, errs = specfun.eta_weighted_line(ts, 0.6)
         assert len(np.unique(specfun.rs_length(ts[ts >= specfun.RS_CROSSOVER]))) >= 15
         for i in list(range(0, 700, 23)) + [699]:
-            v, e = specfun.eta_weighted_line(ts[i:i + 1], 0.6, 0.0)
+            v, e = specfun.eta_weighted_line(ts[i:i + 1], 0.6)
             assert v[0].tobytes() == vals[i].tobytes(), ts[i]
             assert e[0].tobytes() == errs[i].tobytes(), ts[i]
 
@@ -555,10 +555,10 @@ class TestHardyZ:
                             lambda tl, theta, n: summed.append(n.copy()) or main_sum(tl, theta, n))
         for t in ts:
             n = int(specfun.rs_length(t))
-            specfun.eta_weighted_line(t, math.pi / 4, 0.0, EvalSettings(max_terms=n))
+            specfun.eta_weighted_line(t, math.pi / 4, EvalSettings(max_terms=n))
             if n > specfun.EM_MIN_TERMS:  # EvalSettings takes no max_terms below it
                 with pytest.raises(AccuracyError, match=f"needs {n} terms"):
-                    specfun.eta_weighted_line(t, math.pi / 4, 0.0, EvalSettings(max_terms=n - 1))
+                    specfun.eta_weighted_line(t, math.pi / 4, EvalSettings(max_terms=n - 1))
         assert np.concatenate(summed).tolist() == specfun.rs_length(ts).tolist()
 
     def test_correction_sum_equals_horner_to_rounding(self):
@@ -699,15 +699,14 @@ class TestTermBudget:
     def test_riemann_siegel_has_no_fallback(self):
         # no Euler-Maclaurin fallback: that would need ~1800 terms here
         with pytest.raises(AccuracyError, match=r"Riemann-Siegel.*t=3000\.0 needs 21 terms"):
-            specfun.eta_weighted_line(3000.0, 0.78, 0.0,
-                                      EvalSettings(max_terms=20))
+            specfun.eta_weighted_line(3000.0, 0.78, EvalSettings(max_terms=20))
 
     def test_huge_counts_are_shown_to_four_digits(self):
         # counts below 1e15 keep every digit; above, 150 digits would say no more
         with pytest.raises(AccuracyError, match=r"t=1e\+20 needs 3989422804 terms"):
-            specfun.eta_weighted_line(1e20, 0.78, 0.0, EvalSettings())
+            specfun.eta_weighted_line(1e20, 0.78, EvalSettings())
         with pytest.raises(AccuracyError, match=r"t=1e\+300 needs 3\.989e\+149 terms"):
-            specfun.eta_weighted_line(1e300, 0.78, 0.0, EvalSettings())
+            specfun.eta_weighted_line(1e300, 0.78, EvalSettings())
         with pytest.raises(AccuracyError, match=r"1e\+300j\) needs 6\.081e\+299 terms"):
             specfun.zeta_vec(np.array([0.5 + 1e300j]))
 
@@ -755,7 +754,7 @@ class TestWrapperEqualsKernel:
     @pytest.mark.parametrize("wrapper, args", [
         (specfun.eta_line_vec, ()),
         (specfun.xi_line_vec, ()),
-        (specfun.eta_weighted_line, (0.1, 0.0)),
+        (specfun.eta_weighted_line, (0.1,)),
     ])
     def test_line_wrappers_take_scalars(self, wrapper, args):
         # a scalar t gives 0-d arrays with the bits of the one-point batch

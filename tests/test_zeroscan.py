@@ -22,7 +22,7 @@ from xishift import zeroscan
 from xishift.shifts import f_z_critical, fz_line_vec
 from xishift.specfun import RS_CROSSOVER
 
-from ._oracles import ZETA_ZEROS, ZETA_ZEROS_480, ZETA_ZEROS_HIGH
+from ._oracles import ZETA_ZERO_COUNTS, ZETA_ZEROS, ZETA_ZEROS_480, ZETA_ZEROS_HIGH
 
 HARDY = make_config([1.0], [0.0], 0.0)
 EXHIBIT = make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j)
@@ -41,6 +41,13 @@ class TestScan:
         assert len(brs) == 3
         for br, ref in zip(brs, ZETA_ZEROS):
             assert br.t_lo <= ref <= br.t_hi
+
+    @pytest.mark.parametrize("window", sorted(ZETA_ZERO_COUNTS), ids=lambda w: "%g-%g" % w)
+    def test_big_xi_counts_match_nzeros(self, window):
+        # |Xi| < 1e-13 at most nodes of [40, 60], and every bracket is still a sign change
+        brs = scan(*window, 0.05, big_xi)
+        assert len(brs) == ZETA_ZERO_COUNTS[window]
+        assert not any(br.is_on_node for br in brs)
 
     def test_evaluator_failure_carries_t(self):
         def bad(t):
