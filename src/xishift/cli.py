@@ -51,7 +51,6 @@ class RunManifest:
     output_path: str
     config_path: str | None = None
     output_format: str = "csv"
-    workers: int = 1
     t_min: float | None = None
     t_max: float | None = None
     step: float | None = None
@@ -64,8 +63,6 @@ class RunManifest:
             raise ConfigError(f"unknown subcommand {self.subcommand!r}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.m_max not in _SERIES_GATES:
             raise ConfigError(f"m must be one of {sorted(_SERIES_GATES)}, got {self.m_max}")
         for name in ("t_min", "t_max", "step", "tol", "alpha"):
@@ -140,9 +137,7 @@ def _cmd_scan(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     t_hi = 30.0 if man.t_max is None else man.t_max
     step = 0.02 if man.step is None else man.step
     tol = 1e-8 if man.tol is None else man.tol
-    report = zeroscan.scan_fz(cfg, t_lo, t_hi, step, tol, man.workers)
-    # workers is execution metadata, not result data: the report is identical
-    # for any worker count, so the output must not mention it
+    report = zeroscan.scan_fz(cfg, t_lo, t_hi, step, tol)
     params = {
         "t_min": t_lo, "t_max": t_hi, "step": step, "tol": tol,
         "config_digest": report.config_digest,
@@ -359,7 +354,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every subcommand; each dest is a RunManifest field."""
+    """One parser for every subcommand; main turns its dests into a RunManifest."""
     p = _Parser(
         prog="xishift",
         description="Completed-zeta / theta-transformation checks and "
@@ -385,8 +380,12 @@ _parser = functools.cache(build_parser)  # once per process: parse_args leaves i
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; --workers, kept for old command lines, is checked and dropped."""
     try:
-        manifest = RunManifest(**vars(_parser().parse_args(argv)))
+        args = vars(_parser().parse_args(argv))
+        if (workers := args.pop("workers")) < 1:
+            raise ConfigError(f"workers must be >= 1, got {workers}")
+        manifest = RunManifest(**args)
     except (ParseError, ConfigError) as exc:
         _emit_error(exc)
         return EXIT_CONFIG

@@ -151,7 +151,7 @@ def _line_integral(
     integrates it, with the eta and 1F1 error bounds as the integrand's own
     and the poles at tau = +-i/2 as (tau_p, residue) pairs: with g(tau) =
     F(tau) sum_k c_k (tau-lam_k)^(2m) e^(beta_k (tau-lam_k)), the residues
-    are i g(i/2) and -i g(-i/2), from a few scalar calls and no kernel call.
+    are i g(i/2) and -i g(-i/2), from the nodes' own weight and no kernel call.
     When every c_k and beta_k is real the integrand is the real part alone
     (rho is real, so only Re F enters), and the residues passed are those of
     Re f, (R_+ + conj R_-)/2 at i/2 and its conjugate at -i/2.
@@ -195,31 +195,31 @@ def _line_integral(
     # real c_k and beta_k (every moment route): the sum is real, and the
     # rule resolves only the real part the caller keeps
     real = not (np.iscomplexobj(cs) or np.iscomplexobj(betas))
+    # the term sum over the eta log-weight's e^(b_ref tau); at nodes and poles alike
+    def weight(taus: np.ndarray) -> np.ndarray:
+        out = np.zeros(taus.shape, dtype=complex)
+        for c, d, b, g, lam in zip(cs, spread, bs, gs, lams):
+            out += (
+                c * np.exp(d * taus - b * lam) * np.exp(1j * g * (taus - lam))
+                * ((taus - lam) ** (2 * m) if m else 1.0)
+            )
+        return out
+
     # rho's poles at tau = i/2 (Gamma(s/2) at s = 0) and -i/2 (zeta at
     # s = 1) have residues i and -i, and F is elementary there: F(i/2) =
     # 1F1(1/2; 1/2; w) = e^w and F(-i/2) = 1F1(0; 1/2; w) = 1
-    def weight(tau: complex) -> complex:
-        return sum(
-            complex(c) * (tau - lam) ** (2 * m) * cmath.exp(complex(beta) * (tau - lam))
-            for c, beta, lam in zip(cs, betas, lams)
-        )
-
-    r_up, r_dn = 1j * cmath.exp(w) * weight(0.5j), -1j * weight(-0.5j)
+    poles = np.array([0.5j, -0.5j])
+    r_up, r_dn = np.array([1j * cmath.exp(w), -1j]) * np.exp(b_ref * poles) * weight(poles)
     if real:  # the residues of Re f, whose poles pair f's with their mirror images
         r_up, r_dn = 0.5 * (r_up + r_dn.conjugate()), 0.5 * (r_dn + r_up.conjugate())
 
     def integrand(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         weighted, w_err = eta_weighted_line(taus, b_ref, settings)
         f1, f_err = hyp1f1_vec((1.0 - 2j * taus) / 4.0, 0.5, w, settings)
-        weight = np.zeros(taus.shape, dtype=complex)
-        for c, d, b, g, lam in zip(cs, spread, bs, gs, lams):
-            weight += (
-                c * np.exp(d * taus - b * lam) * np.exp(1j * g * (taus - lam))
-                * ((taus - lam) ** (2 * m) if m else 1.0)
-            )
-        values = weighted * f1 * weight
+        wt = weight(taus)
+        values = weighted * f1 * wt
         # first-order bound on the error of values, from the eta and 1F1 bounds
-        errors = (w_err * np.abs(f1) + np.abs(weighted) * f_err) * np.abs(weight)
+        errors = (w_err * np.abs(f1) + np.abs(weighted) * f_err) * np.abs(wt)
         return (values.real if real else values), errors
 
     try:

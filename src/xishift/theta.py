@@ -123,6 +123,8 @@ def _folded_theta(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
     else:
         x0, w0, p0 = x, w, log_prefactor
         exp, envelope, powers, top, slope = cmath.exp, 1.0, 0, 1.0, 0
+    if not (cmath.isfinite(x0) and cmath.isfinite(w0) and cmath.isfinite(p0)):
+        raise DomainError(f"theta sum needs finite x, w, log-prefactor; got {x0}, {w0}, {p0}")
     if x0.real <= 0:
         raise DomainError(f"theta sum needs Re(x) > 0, got Re(x)={x0.real:g}")
     decay = math.pi * x0.real
@@ -400,13 +402,15 @@ def psi_at_axis_combination(
     transformation of psi1's near-axis route gives instead
     e^{z^2/8} (T_4 - T_1) - sinh(z^2/8), T_s the signed axis_decay_sequence
     term at scale s, which decays superexponentially as delta -> 0; so the
-    value tends to -sinh(z^2/8) for admissible z.  T_1 needs ~5.4 sqrt(delta)
-    terms: past delta ~ 3e6 the default max_terms raises DivergenceError.
+    value tends to -sinh(z^2/8) for admissible z.  Both are summed as tightly
+    as psi1 sums them: T_1 needs ~6.3 sqrt(delta) terms, so past delta ~ 2.5e6
+    the default max_terms raises DivergenceError.
     """
     z = complex(z)
     require_inside(z, "psi_at_axis_combination")
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}")
     d = complex(delta)
-    terms = _axis_term(d, z, 4.0, settings) - _axis_term(d, z, 1.0, settings)
+    tight = _tightened(settings)
+    terms = _axis_term(d, z, 4.0, tight) - _axis_term(d, z, 1.0, tight)
     return cmath.exp(z * z / 8.0) * terms - cmath.sinh(z * z / 8.0)

@@ -325,17 +325,13 @@ def scan_fz(
     t_hi: float,
     step: float,
     tol: float,
-    workers: int = 1,
+    *,
     settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> ScanReport:
-    """Scan F_z(1/2+it) for sign changes and refine each bracket by bisection.
-
-    workers is validated (a positive integer) but has no effect: the scan runs
-    in the calling thread, and its report is the same for any value.
-    """
+    """Scan F_z(1/2+it) for sign changes and refine each bracket by bisection,
+    in the calling thread.  settings is keyword-only, so a call that still
+    passes a worker count in its place is a TypeError."""
     validate_config(cfg)
-    if not (isinstance(workers, int) and workers >= 1):
-        raise ConfigError(f"workers must be a positive integer, got {workers}")
     ts = grid_nodes(t_lo, t_hi, step)
     brackets = _brackets_from_values(ts, *_fz_real(ts, cfg, settings))
     zeros = _bisect_all(brackets, lambda tarr: _fz_real(tarr, cfg, settings)[0], tol)

@@ -175,7 +175,7 @@ def test_criterion_09_hardy_reduction_scan():
 def test_criterion_10_shifted_exhibit():
     start = time.time()
     step = 0.02
-    report = scan_fz(EXHIBIT, 0.0, 40.0, step, 1e-8, workers=4)
+    report = scan_fz(EXHIBIT, 0.0, 40.0, step, 1e-8)
     confirmed = 0
     for bracket in report.brackets:
         if bracket.is_on_node:
@@ -195,14 +195,14 @@ def test_criterion_10_shifted_exhibit():
 
 def test_criterion_11_determinism(tmp_path):
     start = time.time()
-    reports = [scan_fz(HARDY, 10.0, 30.0, 0.05, 1e-8, workers=w) for w in (1, 4, 8)]
+    reports = [scan_fz(HARDY, 10.0, 30.0, 0.05, 1e-8) for _ in range(3)]
     # repr is exact for every float, -0.0 included, and covers f_lo / f_hi
     same_reports = len({repr(r) for r in reports}) == 1
     cfg = tmp_path / "hardy.json"
     cfg.write_text('{"coefficients": [1.0], "shifts": [0.0], "z_re": 0.0, "z_im": 0.0}\n')
     blobs = {"csv": set(), "json": set()}
     for fmt, outputs in blobs.items():
-        # a rerun at one worker, then other worker counts
+        # a rerun at one worker, then other values of the CLI's inert --workers
         for run, workers in enumerate(("1", "1", "4", "8")):
             out = tmp_path / f"run{run}.{fmt}"
             code = main([
@@ -215,5 +215,5 @@ def test_criterion_11_determinism(tmp_path):
     ok = same_reports and same_cli
     elapsed = time.time() - start
     _report(11, ok, elapsed,
-            f"reports identical across workers: {same_reports}; "
+            f"reports identical across reruns: {same_reports}; "
             f"CLI csv and json byte-identical across reruns and workers: {same_cli}")

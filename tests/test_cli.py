@@ -230,15 +230,20 @@ class TestManifest:
         with pytest.raises(ConfigError):
             RunManifest(subcommand="eval", output_path="x", output_format="xml")
 
-    def test_bad_workers(self):
-        with pytest.raises(ConfigError):
-            RunManifest(subcommand="eval", output_path="x", workers=0)
+    def test_bad_workers(self, tmp_path, capsys):
+        # --workers has no effect, but a value below 1 is still a usage error
+        out = tmp_path / "x.csv"
+        assert main(["eval", "--out", str(out), "--workers", "0"]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and "workers" in record["message"]
+        assert not out.exists()
 
     def test_fields_are_the_parser_dests(self):
-        # the manifest is the parsed argv: no field that no option sets
+        # the manifest is the parsed argv: no field that no option sets, and
+        # workers, which main drops, is the parser's one extra dest
         dests = {a.dest for a in build_parser()._actions if a.dest != "help"}
-        assert {f.name for f in fields(RunManifest)} == dests
-        assert len(dests) == 11
+        assert {f.name for f in fields(RunManifest)} | {"workers"} == dests
+        assert len(fields(RunManifest)) == 10
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--step", "nan"],
@@ -364,10 +369,11 @@ class TestManifest:
                 "--workers", "4", "--t-min", "-1.5", "--t-max", "9", "--step", "0.25",
                 "--tol", "1e-6", "--m", "2", "--alpha", "0.3"]
         expected = RunManifest(subcommand=subcommand, output_path="o.json",
-                               config_path="c.json", output_format="json", workers=4,
+                               config_path="c.json", output_format="json",
                                t_min=-1.5, t_max=9.0, step=0.25, tol=1e-6, m_max=2,
                                alpha=0.3)
         # the subcommand may stand anywhere on the line
         for at in (0, 4, len(argv)):
-            args = build_parser().parse_args(argv[:at] + [subcommand] + argv[at:])
-            assert RunManifest(**vars(args)) == expected, at
+            args = vars(build_parser().parse_args(argv[:at] + [subcommand] + argv[at:]))
+            assert args.pop("workers") == 4
+            assert RunManifest(**args) == expected, at

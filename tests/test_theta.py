@@ -99,6 +99,16 @@ class TestThetaSeries:
         with pytest.raises(DomainError):
             psi_classical(0.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: theta_series(math.inf, 0.3),
+        lambda: psi_at_axis_combination(0.3, math.inf),
+        lambda: psi_at_axis_combination(0.3, 5e-324),  # 1/(4 delta) overflows
+    ], ids=["theta-x-inf", "axis-delta-inf", "axis-delta-subnormal"])
+    def test_non_finite_input_is_domain_error(self, call):
+        # refused before the first term, not after max_terms terms of nan
+        with pytest.raises(DomainError, match="finite"):
+            call()
+
     def test_divergence_guard(self):
         # cosh growth cannot be beaten within a tiny term budget
         with pytest.raises(DivergenceError):
@@ -320,6 +330,14 @@ class TestAxisLimits:
         assert len(PSI_AXIS_COMBINATION) == 36
         for (z, delta), ref in PSI_AXIS_COMBINATION.items():
             assert abs(psi_at_axis_combination(z, delta) - ref) <= 1e-11, (z, delta)
+
+    def test_combination_at_psi1_tolerance(self):
+        # T_4 - T_1 is summed as tightly as psi1's near-axis route sums it
+        for z in (0.6 + 0.3j, 1.2 - 0.1j, 0.5j):
+            for delta in (0.5, 2.0, 10.0, 100.0, 1000.0):
+                direct = theta_series(1j + delta, z, TIGHT).value
+                ref = cmath.exp(-z * z / 8.0) / 2.0 + cmath.exp(z * z / 8.0) * direct
+                assert abs(psi_at_axis_combination(z, delta) - ref) <= 1e-13, (z, delta)
 
     def test_combination_limit_below_the_references(self):
         for z in {z for z, _ in PSI_AXIS_COMBINATION}:

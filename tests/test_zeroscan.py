@@ -391,12 +391,13 @@ class TestScanFz:
             assert abs(h.t - ref) < 1e-6
 
     def test_worker_count_immaterial(self):
-        reps = [scan_fz(HARDY, 10.0, 30.0, 0.05, 1e-8, workers=w) for w in (1, 4, 8)]
+        # the scan has no worker count: three reruns give one report
+        reps = [scan_fz(HARDY, 10.0, 30.0, 0.05, 1e-8) for _ in range(3)]
         # repr is exact for every float, -0.0 included, and covers f_lo / f_hi
         assert len({repr(r) for r in reps}) == 1
 
     def test_exhibit_config(self):
-        rep = scan_fz(EXHIBIT, 0.0, 40.0, 0.02, 1e-8, workers=4)
+        rep = scan_fz(EXHIBIT, 0.0, 40.0, 0.02, 1e-8)
         assert len(rep.brackets) >= 5
         # dense re-evaluation at step/10: exactly one sign change per bracket
         for br in rep.brackets:
@@ -436,9 +437,10 @@ class TestScanFz:
         assert rep.brackets[0].t_lo <= z.t <= rep.brackets[0].t_hi
         assert z.residual == abs(fz_line_vec(np.array([z.t]), HARDY)[0][0])
 
-    def test_invalid_workers(self):
-        with pytest.raises(ConfigError):
-            scan_fz(HARDY, 0.0, 1.0, 0.5, 1e-8, workers=0)
+    def test_old_worker_count_is_type_error(self):
+        # settings is keyword-only, so a worker count left in its place fails
+        with pytest.raises(TypeError):
+            scan_fz(HARDY, 14.0, 14.3, 0.05, 1e-8, 4)
 
     def test_invalid_tol_without_brackets(self):
         with pytest.raises(ConfigError):
