@@ -64,7 +64,6 @@ from .theta import (
     psi1_limit_value,
     psi_at_axis_combination,
     psi_classical,
-    psi_general,
     psi_xz_transform_residual,
     series_side,
     theta_series,

@@ -194,8 +194,7 @@ def _cmd_integral_check(man: RunManifest, _cfg):
     for a in _INTEGRAL_A:
         for z in _INTEGRAL_Z:
             out = integral.xi_integral(a, z)
-            side_a = theta.series_side(a, z).value
-            side_b = theta.series_side(1.0 / a, 1j * z).value
+            side_a, side_b = theta._side_pair(a, z, DEFAULT_SETTINGS)
             resid = max(abs(out.value - side_a), abs(out.value - side_b))
             worst = max(worst, resid)
             rows.append({
@@ -354,25 +353,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every subcommand; main turns its dests into a RunManifest."""
+    """One parser for every subcommand; an option left off sets no dest, so
+    main's RunManifest holds every default."""
     p = _Parser(
         prog="xishift",
         description="Completed-zeta / theta-transformation checks and "
                     "critical-line zero scans for shifted Xi-type combinations.",
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument("subcommand", choices=SUBCOMMANDS)
-    p.add_argument("--config", dest="config_path", default=None,
+    p.add_argument("--config", dest="config_path",
                    help="path to a shift-config JSON file")
     p.add_argument("--out", dest="output_path", required=True)
-    p.add_argument("--format", dest="output_format", choices=("csv", "json"),
-                   default="csv")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--t-min", dest="t_min", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--m", dest="m_max", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=0.2)
+    p.add_argument("--format", dest="output_format", choices=("csv", "json"))
+    p.add_argument("--workers", type=int)
+    p.add_argument("--t-min", dest="t_min", type=float)
+    p.add_argument("--t-max", dest="t_max", type=float)
+    p.add_argument("--step", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--m", dest="m_max", type=int)
+    p.add_argument("--alpha", type=float)
     return p
 
 
@@ -383,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command line; --workers, kept for old command lines, is checked and dropped."""
     try:
         args = vars(_parser().parse_args(argv))
-        if (workers := args.pop("workers")) < 1:
+        if (workers := args.pop("workers", 1)) < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         manifest = RunManifest(**args)
     except (ParseError, ConfigError) as exc:

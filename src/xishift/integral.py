@@ -121,11 +121,10 @@ def xi_integral(
 def transform_identity_residual(
     a: complex, z: complex, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> float:
-    """max over both theta-series sides of |integral - side|."""
-    a, z = complex(a), complex(z)
+    """max over both theta-series sides of |integral - side|, the sides summed
+    at the residual checks' tolerance so that their truncation stays out."""
     integral = xi_integral(a, z, settings).value
-    side_a = theta.series_side(a, z, settings).value
-    side_b = theta.series_side(1.0 / a, 1j * z, settings).value
+    side_a, side_b = theta._side_pair(a, z, settings)
     return max(abs(integral - side_a), abs(integral - side_b))
 
 
@@ -143,10 +142,11 @@ def _line_integral(
     evaluated once per node: one eta call with the real log-weight b_ref*tau
     (b_ref = max Re beta_k) and one 1F1 call; each term then multiplies by
     exp((Re beta_k - b_ref) tau - Re beta_k lam_k) and the unit phase
-    exp(i Im beta_k (tau - lam_k)).  The range covers every term's
-    [-T_lo + lam_k, T_hi + lam_k]: T_hi from the slowest decay on the right,
-    pi/4 - max Re beta_k, and T_lo from the slowest on the left,
-    pi/4 + min Re beta_k.  The truncation target is shared out by sum |c_k|,
+    exp(i Im beta_k (tau - lam_k)).  rho's mass sits at tau = 0 whatever the
+    shifts, so the range holds [-T_lo, T_hi] and every [-T_lo + lam_k,
+    T_hi + lam_k]: T_hi from the slowest decay on the right, pi/4 - max Re
+    beta_k, and T_lo from the slowest on the left, pi/4 + min Re beta_k.  The
+    truncation target is shared out by sum |c_k| max(1, e^(-Re beta_k lam_k)),
     so quad_abs_tol bounds the weighted sum itself.  nested_trapezoid
     integrates it, with the eta and 1F1 error bounds as the integrand's own
     and the poles at tau = +-i/2 as (tau_p, residue) pairs: with g(tau) =
@@ -173,18 +173,18 @@ def _line_integral(
     tol = settings.quad_abs_tol
     # |rho(t)| <= C e^(-pi |t|/4) with C ~ 3 beyond |t| = 40 (Stirling for
     # Gamma, convexity for zeta leave no net polynomial growth); the factor 8
-    # in the target also covers the confluent prefactors, and sum |c_k| the
-    # tails of all terms together.  Each side is cut at its own decay rate,
-    # and each side's tail stays below 0.025 tol.
+    # in the target also covers the confluent prefactors, and c_sum the tails
+    # of all terms together (a weight past MAX_EXP fails the check below).
+    # Each side is cut at its own decay rate, its tail below 0.025 tol.
     b_ref = float(bs.max())
+    c_sum = float(np.sum(np.abs(cs) * np.exp(np.clip(-bs * lams, 0.0, MAX_EXP))))
     T_hi, T_lo = (
         truncation_point(
-            2.0 * m, rate, abs(z) / math.sqrt(2.0),
-            0.025 * tol * rate / (8.0 * float(np.sum(np.abs(cs)))), 40.0,
+            2.0 * m, rate, abs(z) / math.sqrt(2.0), 0.025 * tol * rate / (8.0 * c_sum), 40.0,
         )
         for rate in (math.pi / 4.0 - b_ref, math.pi / 4.0 + float(bs.min()))
     )
-    lo, hi = -T_lo + float(lams.min()), T_hi + float(lams.max())
+    lo, hi = -T_lo + min(float(lams.min()), 0.0), T_hi + max(float(lams.max()), 0.0)
     spread = bs - b_ref
     if float(np.max(np.maximum(spread * lo, spread * hi) - bs * lams)) > MAX_EXP:
         raise DomainError(

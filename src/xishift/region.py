@@ -33,7 +33,6 @@ __all__ = [
 
 SQUARE_HALF_WIDTH = math.sqrt(math.pi / 2.0)
 _BOUNDARY_BAND = 1e-12
-_LABELS = ("central_square", "lower_right", "upper_left", "boundary", "outside")
 # the most points region_grid classifies: ~13 us and ~0.5 kB each, so ~13 s and ~0.5 GB
 MAX_REGION_POINTS = 1_000_000
 

@@ -842,19 +842,28 @@ def eta_completed(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> Valu
     return checked_value(v[0], e[0], f"eta_completed({s})")
 
 
+def _xi_vec(s: np.ndarray, settings: EvalSettings) -> tuple[np.ndarray, np.ndarray]:
+    """xi = (1/2) s (s-1) eta off s = 0, 1; the bound adds the product's rounding."""
+    ev, ee = _eta_vec(s, settings)
+    ev *= 0.5 * s * (s - 1.0)  # in place: 0-d input keeps 0-d arrays
+    ee *= 0.5 * np.abs(s) * np.abs(s - 1.0)
+    ee += 4 * EPS * np.abs(ev)
+    return ev, ee
+
+
 def xi_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithError:
     """Entire xi: (1/2) s (s-1) eta(s), with the removable points patched.
 
-    Inside discs of radius 1e-8 around s=0 and s=1 the exact limit 1/2 is
-    returned; the reported error covers the neglected variation.
+    A non-finite s raises EvaluationError.  Inside discs of radius 1e-8
+    around s=0 and s=1 the exact limit 1/2 is returned; the reported error
+    covers the neglected variation.
     """
     s = complex(s)
+    require_finite(s, "xi_c argument")
     if abs(s) <= 1e-8 or abs(s - 1.0) <= 1e-8:
         return ValueWithError(0.5 + 0.0j, 2e-8)
-    ev, ee = _eta_vec(np.array([s]), settings)
-    value = 0.5 * s * (s - 1.0) * ev[0]
-    err = 0.5 * abs(s) * abs(s - 1.0) * ee[0] + 4 * EPS * abs(value)
-    return checked_value(value, err, f"xi_c({s})")
+    v, e = _xi_vec(np.array([s]), settings)
+    return checked_value(v[0], e[0], f"xi_c({s})")
 
 
 def _real_part_checked(v: ValueWithError, what: str) -> float:
@@ -864,15 +873,11 @@ def _real_part_checked(v: ValueWithError, what: str) -> float:
 
 def big_xi(t: float, settings: EvalSettings = DEFAULT_SETTINGS) -> float:
     """Xi(t) = xi(1/2 + i t); real and even for real t."""
-    if not math.isfinite(t):
-        raise PoleError(f"big_xi requires finite t, got {t}")
     return _real_part_checked(xi_c(complex(0.5, t), settings), f"big_xi({t})")
 
 
 def rho_real(t: float, settings: EvalSettings = DEFAULT_SETTINGS) -> float:
     """eta(1/2 + i t); real-valued and even for real t."""
-    if not math.isfinite(t):
-        raise PoleError(f"rho_real requires finite t, got {t}")
     return _real_part_checked(eta_completed(complex(0.5, t), settings), f"rho_real({t})")
 
 
@@ -1005,10 +1010,7 @@ def xi_line_vec(
     tau: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> tuple[np.ndarray, np.ndarray]:
     """Xi(tau) = xi(1/2 + i tau) on a real grid.  Returns (values, errors)."""
-    s = 0.5 + 1j * np.asarray(tau, dtype=float)
-    ev, ee = _eta_vec(s, settings)
-    ev *= 0.5 * s * (s - 1.0)  # in place: 0-d input keeps 0-d arrays
-    ee *= 0.5 * np.abs(s) * np.abs(s - 1.0)
+    ev, ee = _xi_vec(0.5 + 1j * np.asarray(tau, dtype=float), settings)
     return ev.real, ee
 
 

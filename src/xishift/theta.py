@@ -33,7 +33,6 @@ __all__ = [
     "ThetaEval",
     "theta_series",
     "psi_classical",
-    "psi_general",
     "series_side",
     "jacobi_residual",
     "general_theta_residual",
@@ -188,13 +187,6 @@ def psi_classical(x: float, settings: EvalSettings = DEFAULT_SETTINGS) -> ThetaE
     return theta_series(complex(x), 0.0, settings)
 
 
-def psi_general(
-    x: complex, z: complex, settings: EvalSettings = DEFAULT_SETTINGS
-) -> ThetaEval:
-    """The two-parameter theta sum; reduces to psi_classical at z = 0."""
-    return theta_series(x, z, settings)
-
-
 def series_side(
     a: complex, z: complex, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> ValueWithError:
@@ -223,6 +215,14 @@ def _tightened(settings: EvalSettings) -> EvalSettings:
     return replace(settings, quad_abs_tol=max(settings.quad_abs_tol * 1e-4, 1e-15))
 
 
+def _side_pair(a: complex, z: complex, settings: EvalSettings) -> tuple[complex, complex]:
+    """Both sides of the transformation, series_side(a, z) and its partner
+    series_side(1/a, i z), summed at the residual checks' tolerance."""
+    a, z = complex(a), complex(z)
+    tight = _tightened(settings)
+    return series_side(a, z, tight).value, series_side(1.0 / a, 1j * z, tight).value
+
+
 def jacobi_residual(x: float, settings: EvalSettings = DEFAULT_SETTINGS) -> float:
     """|sqrt(x)(2 psi(x) + 1) - (2 psi(1/x) + 1)| for real x > 0."""
     if not x > 0:
@@ -237,10 +237,7 @@ def general_theta_residual(
     a: complex, z: complex, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> float:
     """Absolute residual of the generalized transformation at b = 1/a."""
-    a, z = complex(a), complex(z)
-    tight = _tightened(settings)
-    side_a = series_side(a, z, tight).value
-    side_b = series_side(1.0 / a, 1j * z, tight).value
+    side_a, side_b = _side_pair(a, z, settings)
     return abs(side_a - side_b)
 
 

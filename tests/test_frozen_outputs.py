@@ -15,6 +15,8 @@ HARDY = {"coefficients": [1.0], "shifts": [0.0], "z_re": 0.0, "z_im": 0.0}
 EXHIBIT = {"coefficients": [1.0, 0.5, 0.25], "shifts": [0.0, 1.0, 2.0],
            "z_re": 0.5, "z_im": 0.25}
 SERIES = {"coefficients": [1.0, 0.5], "shifts": [0.0, 1.0], "z_re": 0.3, "z_im": -0.2}
+# every shift far from rho's mass at tau = 0
+FAR = {"coefficients": [1.0, 0.5], "shifts": [25.0, 30.0], "z_re": 0.3, "z_im": -0.2}
 
 # (config or None, argv, SHA-256 of the CSV written)
 FROZEN = {
@@ -33,15 +35,19 @@ FROZEN = {
                "06028451037624c95a723fc25b73cdd99b51e139985c73f884f304872153d254"),
     "limits-hardy": (HARDY, ["limits"],
                      "8a71222245b252d17b9e7e81ffe996b9a33807723539b53fb22462105ffc0a3a"),
-    # the critical-line integrals: nodes and pole residues of one weight
+    # the critical-line integrals: nodes and pole residues of one weight; the
+    # theta sides summed at the residual checks' tolerance
     "integral-check": (None, ["integral-check"],
-                       "66faca6898c368942e61d1aeae62e6988565e0751f8695b9c4e4235c1650ce5b"),
+                       "c9e3a2e6077d8854bcbe55c9c43b34ddad708c7cc1c7fd8e4923c26a98434d17"),
     "moments-hardy-m1": (HARDY, ["moments", "--m", "1"],
                          "134fc44b9f01e38ed8d88b97725b6678a932183df54065840c5c253923e1739e"),
     "moments-series-m0": (SERIES, ["moments", "--m", "0"],
                           "ab0457d1fc8cc3fed1cc94c99df3c3c19a107d6b19217e78289967aa2a75ad36"),
     "limits-exhibit": (EXHIBIT, ["limits"],
                        "3484f4bcefdb7f09cb200b19b5a15b2304fc4540a04cad1e53556599329bf527"),
+    # the line integrals' range holds tau = 0 as well as the shifted ends
+    "moments-far-m1": (FAR, ["moments", "--m", "1"],
+                       "bf4d01f54c22fb2de1306f44dc2e2d03390cc3d42f02259867c0e52dbab8cb7c"),
 }
 
 

@@ -120,6 +120,15 @@ class TestXiIntegral:
             xi_integral(1.0, 1.2 + 1.2j)  # inside the region but |z| > 1.5
 
 
+class TestTransformIdentityResidual:
+    @pytest.mark.parametrize("a, z", [
+        (1.0, -1.0 + 0.8j), (0.6, 0.9j), (cmath.exp(0.2j), 0.4 + 0.1j),
+    ])
+    def test_sides_summed_tightly(self, a, z):
+        # sides summed at the plain theta tail left ~2e-11 of truncation here
+        assert transform_identity_residual(a, z) <= 1e-12
+
+
 class TestOneLineKernel:
     """xi_integral runs as one term of the moment kernel, in tau = t/2."""
 
@@ -276,6 +285,19 @@ class TestMomentIntegral:
             assert abs(got.value - ref) <= sum(abs(c) for c, _, _ in terms) * tol, m
             assert got.abs_err_est <= tol and not got.at_roundoff
             assert got.levels > 0 and got.evaluations > 0
+
+    @pytest.mark.parametrize("z", [0.0, 0.3 - 0.2j])
+    @pytest.mark.parametrize("lam", [2.0, 20.0, -20.0, 30.0, -30.0, 40.0])
+    @pytest.mark.parametrize("alpha", [0.2, -0.3, 0.6])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_far_shift_keeps_rho_mass(self, m, alpha, lam, z):
+        # rho's mass sits at tau = 0 whatever the shift, and each term weighs
+        # e^(-alpha lam) on rho's scale: a range cut around the shift alone
+        # missed it, past its estimate or with ToleranceError
+        got = moment_integral(m, alpha, lam, z)
+        ref = shifts.moment_series_rhs(m, alpha, make_config([1.0], [lam], z))
+        assert abs(got.value - ref) <= got.abs_err_est
+        assert got.evaluations < 1000
 
     def test_alpha_spread_overflow(self):
         # e^((alpha_k - alpha_ref) tau) over tau ~ -1400 would overflow

@@ -842,6 +842,23 @@ class TestXiFamily:
         with pytest.raises(EvaluationError, match="1000"):
             xi_c(0.5 + 1000j)
 
+    @pytest.mark.parametrize("call, arg", [
+        (xi_c, complex(0.5, math.inf)), (xi_c, math.nan),
+        (big_xi, math.inf), (big_xi, math.nan),
+        (rho_real, math.inf), (rho_real, math.nan),
+    ])
+    def test_non_finite_argument(self, call, arg):
+        # refused at entry, as eta_completed and zeta_c refuse it
+        with pytest.raises(EvaluationError, match="argument: non-finite"):
+            call(arg)
+
+    @pytest.mark.parametrize("t", [14.0, 50.0, 150.0])
+    def test_line_path_is_xi_c(self, t):
+        # one factor and one bound: the product's rounding is in both
+        v, e = specfun.xi_line_vec(np.array([t]))
+        got = xi_c(complex(0.5, t))
+        assert v[0] == got.value.real and e[0] == got.abs_err_est
+
     def test_big_xi_underflow_raises(self):
         with pytest.raises(EvaluationError, match="1000"):
             big_xi(1000.0)

@@ -21,7 +21,6 @@ from xishift import (
     psi1_limit_value,
     psi_at_axis_combination,
     psi_classical,
-    psi_general,
     psi_xz_transform_residual,
     series_side,
     theta,
@@ -95,7 +94,7 @@ class TestThetaSeries:
         with pytest.raises(DomainError):
             theta_series(-1.0, 0.0)
         with pytest.raises(DomainError):
-            psi_general(complex(0.0, 2.0), 0.1)
+            theta_series(complex(0.0, 2.0), 0.1)
         with pytest.raises(DomainError):
             psi_classical(0.0)
 
