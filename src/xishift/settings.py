@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ class EvalSettings:
 DEFAULT_SETTINGS = EvalSettings()
 
 
-@dataclass(frozen=True)
-class ValueWithError:
+class ValueWithError(NamedTuple):
     """A computed complex value together with an upper estimate of its error."""
 
     value: complex

@@ -13,15 +13,18 @@ and a geometric tail bound.
 An optional log-prefactor is folded into the exponents, which keeps the
 near-axis limit expressions finite even when the prefactor alone would
 overflow and the theta sum alone would underflow.  One kernel,
-_folded_theta, sums every series here, on numbers or on Taylor jets in alpha
-(psi1's derivatives).
+_folded_theta, sums every series here: numbers in a scalar loop, and Taylor
+jets in alpha (psi1's derivatives) in a jet loop under the same truncation
+rule.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,19 +80,24 @@ def _j_log(a):
 
 
 def _j_exp(a):
-    a = a.tolist()
-    e = [cmath.exp(a[0])]
-    for k in range(1, _JET_LEN):
-        e.append(sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
-    return np.array(e)
+    """e = exp(a) by e' = a' e: e_k = (sum_{j=1..k} j a_j e_{k-j}) / k, unrolled
+    for _JET_LEN = 5.  Each sum starts from the integer 0 and divides by the
+    integer k, as sum() and the loop form did, so no bit moves."""
+    a0, a1, a2, a3, a4 = a.tolist()
+    b1, b2, b3, b4 = 1 * a1, 2 * a2, 3 * a3, 4 * a4
+    e0 = cmath.exp(a0)
+    e1 = (0 + b1 * e0) / 1
+    e2 = (0 + b1 * e1 + b2 * e0) / 2
+    e3 = (0 + b1 * e2 + b2 * e1 + b3 * e0) / 3
+    e4 = (0 + b1 * e3 + b2 * e2 + b3 * e1 + b4 * e0) / 4
+    return np.array([e0, e1, e2, e3, e4])
 
 
 # ---------------------------------------------------------------------------
 # The theta kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThetaEval:
+class ThetaEval(NamedTuple):
     """A truncated theta sum: value, terms actually used, and a tail bound
     (for a jet sum: the jet, and a bound on each coefficient)."""
 
@@ -98,34 +106,107 @@ class ThetaEval:
     abs_err_est: float | np.ndarray
 
 
+_EPS = 2.3e-16  # the rounding unit of the noise term
+
+
+def _require_theta_domain(x0: complex, w0: complex, p0: complex) -> None:
+    if not (cmath.isfinite(x0) and cmath.isfinite(w0) and cmath.isfinite(p0)):
+        raise DomainError(f"theta sum needs finite x, w, log-prefactor; got {x0}, {w0}, {p0}")
+    if x0.real <= 0:
+        raise DomainError(f"theta sum needs Re(x) > 0, got Re(x)={x0.real:g}")
+
+
+def _overflow(n: int, x0: complex, w0: complex) -> DivergenceError:
+    return DivergenceError(
+        f"theta term n={n} overflows: cosh growth beats the Gaussian "
+        f"factor at x={x0!r}, w={w0!r}"
+    )
+
+
+def _missed(x0: complex, w0: complex, settings: EvalSettings, tail: float) -> DivergenceError:
+    return DivergenceError(
+        f"theta sum at x={x0!r}, w={w0!r} missed tolerance {settings.quad_abs_tol:g} after "
+        f"{settings.max_terms} terms (tail bound {tail:g})"
+    )
+
+
 def _folded_theta(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
     """exp(log_prefactor) * sum_{n>=1} exp(-pi n^2 x) cos(n w), the prefactor
     folded into every term.
 
     x, w and log_prefactor are each a complex scalar or a jet; with any jet
-    among them the result is the jet of the sum.  The n-th exponent
-    h = log_prefactor - pi n^2 x +- i n w then has |h_j| <= n^2 a_j for j >= 1,
+    among them the result is the jet of the sum (_folded_theta_jet).  Term n
+    is (exp(h+) + exp(h-))/2, h+- = log_prefactor - pi n^2 x +- i n w; the sum
+    stops once the geometric tail bound on the term sizes
+    exp(Re log_prefactor - pi n^2 Re x + n |Im w|) is below the tolerance,
+    and the estimate adds each term's rounding.
+    """
+    if np.ndarray in (type(x), type(w), type(log_prefactor)):
+        return _folded_theta_jet(x, w, log_prefactor, settings)
+    _require_theta_domain(x, w, log_prefactor)
+    decay = math.pi * x.real
+    grow = abs(w.imag)
+    p_re = log_prefactor.real
+    flat = w == 0  # then h+ = h- up to the signs of zeros: one exponential serves both
+    exp = cmath.exp
+    acc = 0.0 + 0.0j
+    noise = 0.0  # rounding: |term| * (phase size of its exponent) * eps
+    tol = settings.quad_abs_tol
+    n = 0
+    tail = math.inf
+    while n < settings.max_terms:
+        n += 1
+        base = log_prefactor - math.pi * n * n * x
+        if flat:
+            if base.real > _EXP_GUARD:
+                raise _overflow(n, x, w)
+            t = exp(base)
+            acc += 0.5 * (t + t)
+            size = abs(t) * (2.0 + 0.5 * abs(base.imag))
+            noise += 0.5 * _EPS * (size + size)
+        else:
+            inw = 1j * n * w
+            h_plus = base + inw
+            h_minus = base - inw
+            if h_plus.real > _EXP_GUARD or h_minus.real > _EXP_GUARD:
+                raise _overflow(n, x, w)
+            t_plus = exp(h_plus)
+            t_minus = exp(h_minus)
+            acc += 0.5 * (t_plus + t_minus)
+            noise += 0.5 * _EPS * (
+                abs(t_plus) * (2.0 + 0.5 * abs(h_plus.imag))
+                + abs(t_minus) * (2.0 + 0.5 * abs(h_minus.imag))
+            )
+        ratio = -decay * (2 * n + 3) + grow
+        if ratio < -1e-3:  # geometric tail bound applies
+            r = math.exp(ratio)
+            mu_next = p_re - decay * (n + 1) * (n + 1) + grow * (n + 1)
+            tail = math.exp(min(mu_next, _EXP_GUARD)) / (1.0 - r)
+            if tail <= tol:
+                break
+    else:
+        raise _missed(x, w, settings, tail)
+    require_finite(acc, "theta sum")
+    return ThetaEval(acc, n, tail + noise)
+
+
+def _folded_theta_jet(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
+    """_folded_theta on jets: the same terms and tail rule, jet by jet.
+
+    The n-th exponent h has |h_j| <= n^2 a_j for j >= 1,
     a_j = |log_prefactor_j| + pi |x_j| + |w_j|, so coefficient k of exp(h) is
     at most |exp(h_0)| n^(2k) E_k with E the jet of exp(a) (a_0 = 0).  This
     derivative factor grows from term n to n + 1 by at most e^(8/n), so the
     scalar geometric tail bound carries over to every coefficient.
     """
-    jet = np.ndarray in (type(x), type(w), type(log_prefactor))
-    if jet:
-        x, w, log_prefactor = (_j_lift(v) for v in (x, w, log_prefactor))
-        x0, w0, p0 = x[0], w[0], log_prefactor[0]
-        a = np.abs(log_prefactor) + math.pi * np.abs(x) + np.abs(w)
-        a[0] = 0.0
-        envelope, powers = _j_exp(a).real, 2 * np.arange(_JET_LEN)
-        # n^(2k) E_k <= n^slope top
-        exp, top, slope = _j_exp, float(envelope.max()), 2.0 * (_JET_LEN - 1)
-    else:
-        x0, w0, p0 = x, w, log_prefactor
-        exp, envelope, powers, top, slope = cmath.exp, 1.0, 0, 1.0, 0
-    if not (cmath.isfinite(x0) and cmath.isfinite(w0) and cmath.isfinite(p0)):
-        raise DomainError(f"theta sum needs finite x, w, log-prefactor; got {x0}, {w0}, {p0}")
-    if x0.real <= 0:
-        raise DomainError(f"theta sum needs Re(x) > 0, got Re(x)={x0.real:g}")
+    x, w, log_prefactor = (_j_lift(v) for v in (x, w, log_prefactor))
+    x0, w0, p0 = x[0], w[0], log_prefactor[0]
+    _require_theta_domain(x0, w0, p0)
+    a = np.abs(log_prefactor) + math.pi * np.abs(x) + np.abs(w)
+    a[0] = 0.0
+    envelope, powers = _j_exp(a).real, 2 * np.arange(_JET_LEN)
+    # n^(2k) E_k <= n^slope top
+    top, slope = float(envelope.max()), 2.0 * (_JET_LEN - 1)
     decay = math.pi * x0.real
     grow = abs(w0.imag)
     p_re = p0.real
@@ -134,26 +215,21 @@ def _folded_theta(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
     tol = settings.quad_abs_tol
     n = 0
     tail = math.inf  # the tail of the leading sizes; times the factor below
-    eps = 2.3e-16
     while n < settings.max_terms:
         n += 1
         base = log_prefactor - math.pi * n * n * x
         inw = 1j * n * w
         e_plus = base + inw
         e_minus = base - inw
-        h_plus, h_minus = (e_plus[0], e_minus[0]) if jet else (e_plus, e_minus)
+        h_plus, h_minus = e_plus[0], e_minus[0]
         if h_plus.real > _EXP_GUARD or h_minus.real > _EXP_GUARD:
-            raise DivergenceError(
-                f"theta term n={n} overflows: cosh growth beats the Gaussian "
-                f"factor at x={x0!r}, w={w0!r}"
-            )
-        t_plus = exp(e_plus)
-        t_minus = exp(e_minus)
+            raise _overflow(n, x0, w0)
+        t_plus = _j_exp(e_plus)
+        t_minus = _j_exp(e_minus)
         acc += 0.5 * (t_plus + t_minus)
-        l_plus, l_minus = (t_plus[0], t_minus[0]) if jet else (t_plus, t_minus)
-        noise += 0.5 * eps * (
-            abs(l_plus) * (2.0 + 0.5 * abs(h_plus.imag))
-            + abs(l_minus) * (2.0 + 0.5 * abs(h_minus.imag))
+        noise += 0.5 * _EPS * (
+            abs(t_plus[0]) * (2.0 + 0.5 * abs(h_plus.imag))
+            + abs(t_minus[0]) * (2.0 + 0.5 * abs(h_minus.imag))
         ) * n ** powers
         ratio = -decay * (2 * n + 3) + grow + slope / (n + 1)
         if ratio < -1e-3:  # geometric tail bound applies
@@ -163,11 +239,8 @@ def _folded_theta(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
             if tail * (n + 1) ** slope * top <= tol:
                 break
     else:
-        raise DivergenceError(
-            f"theta sum at x={x0!r}, w={w0!r} missed tolerance {tol:g} after "
-            f"{settings.max_terms} terms (tail bound {tail:g})"
-        )
-    require_finite(acc.sum() if jet else acc, "theta sum")  # a jet: all coefficients
+        raise _missed(x0, w0, settings, tail)
+    require_finite(acc.sum(), "theta sum")  # all coefficients
     err = (tail * (n + 1) ** powers + noise) * envelope
     return ThetaEval(acc, n, err)
 
@@ -209,9 +282,11 @@ def series_side(
     return ValueWithError(value, err)
 
 
+@lru_cache(maxsize=8)
 def _tightened(settings: EvalSettings) -> EvalSettings:
     """Residual checks sum both sides far below the comparison tolerance so
-    the reported residual measures the identity, not the truncation."""
+    the reported residual measures the identity, not the truncation.  One
+    frozen result per input, as specfun._em_ladder keeps its ladders."""
     return replace(settings, quad_abs_tol=max(settings.quad_abs_tol * 1e-4, 1e-15))
 
 

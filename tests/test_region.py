@@ -1,11 +1,14 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from xishift import classify_decomposition, classify_inequality, region, region_grid
-from xishift.errors import ConfigError
+from xishift.errors import ConfigError, DomainError, RegionError
+from xishift.region import require_inside
 from xishift.region import SQUARE_HALF_WIDTH, grid_csv_rows, region_margin
 
 C = SQUARE_HALF_WIDTH
@@ -46,6 +49,41 @@ class TestMembership:
     def test_vertices_not_inside(self):
         for z in (complex(C, C), complex(C, -C), complex(-C, C), complex(-C, -C)):
             assert not classify_inequality(z).inside, z
+
+
+class TestUnboundedInput:
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                                   complex(0.3, -math.inf), complex(math.inf, math.nan)],
+                             ids=["nan", "inf", "minus-inf-imag", "inf-nan"])
+    def test_non_finite_z_is_domain_error(self, z):
+        # nan gave ConsistencyError from one classifier and "outside" from the other
+        for classify in (classify_inequality, classify_decomposition):
+            with pytest.raises(DomainError, match="finite z"):
+                classify(z)
+        with pytest.raises(DomainError):
+            require_inside(z, "test")
+
+    @pytest.mark.parametrize("z, inside, label, margin", [
+        (complex(1e308, -1e308), True, "lower_right", math.inf),  # was margin nan
+        (complex(-1e308, 1e308), True, "upper_left", math.inf),
+        (complex(1e200, -1e200), True, "lower_right", math.inf),
+        (complex(1e308, 1e308), False, "outside", -math.inf),
+        # x y overflows but the slack does not: it was +inf, and a ConsistencyError
+        (complex(1.7e308, -1.1), False, "outside", -2.079558712986415e307),
+    ], ids=["lower-right", "upper-left", "lower-right-1e200", "outside", "product-only"])
+    def test_overflowing_slack_keeps_its_sign(self, z, inside, label, margin):
+        for classify in (classify_inequality, classify_decomposition):
+            assert classify(z) == (inside, label, margin), classify
+        if not inside:
+            with pytest.raises(RegionError):
+                require_inside(z, "test")
+
+    def test_finite_z_never_has_a_nan_margin(self):
+        mags = 10.0 ** RNG.uniform(150.0, 308.0, size=(2_000, 2))
+        signs = RNG.choice([-1.0, 1.0], size=(2_000, 2))
+        for x, y in mags * signs:
+            v1, v2 = classify_inequality(complex(x, y)), classify_decomposition(complex(x, y))
+            assert not math.isnan(v1.margin) and v1 == v2, (x, y)
 
 
 class TestEquivalence:
@@ -94,7 +132,7 @@ class TestGrid:
         }
 
     def test_point_cap_refuses_before_classifying(self, monkeypatch):
-        # 6001 x 6001 points would take ~8 minutes and ~18 GB; each axis alone
+        # 6001 x 6001 points would take ~2 minutes and ~7 GB; each axis alone
         # is well inside the grid_nodes cap
         def refuse(z):
             raise AssertionError(f"classified {z!r}")

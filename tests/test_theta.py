@@ -12,6 +12,7 @@ from xishift import (
     RegionError,
     UnsupportedOrderError,
     axis_decay_sequence,
+    classify_inequality,
     general_theta_residual,
     jacobi_residual,
     make_config,
@@ -112,6 +113,64 @@ class TestThetaSeries:
         # cosh growth cannot be beaten within a tiny term budget
         with pytest.raises(DivergenceError):
             theta_series(1e-4, 60.0, EvalSettings(max_terms=20))
+
+
+def _reference_stop(x, w, p, tol, slope):
+    """The kernel's truncation rule, written out once: the term count and the
+    tail bound at which a sum of the leading sizes stops; slope is 0 for a
+    scalar and 2 (_JET_LEN - 1) for a constant jet, whose envelope is 1."""
+    decay, grow = math.pi * x.real, abs(w.imag)
+    n = 0
+    while True:
+        n += 1
+        ratio = -decay * (2 * n + 3) + grow + slope / (n + 1)
+        if ratio < -1e-3:
+            mu_next = p.real - decay * (n + 1) * (n + 1) + grow * (n + 1)
+            tail = math.exp(min(mu_next, theta._EXP_GUARD)) / (1.0 - math.exp(ratio))
+            if tail * (n + 1) ** slope <= tol:
+                return n, tail
+
+
+class TestScalarAndJetLoops:
+    """_folded_theta sums scalars in one loop and jets in another, under one
+    tail rule and one noise term; on a constant jet the two must agree."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-15], ids=["truncation", "rounding"])
+    def test_constant_jet_leads_with_the_scalar_sum(self, tol):
+        rng = np.random.default_rng(2600)
+        settings = EvalSettings(quad_abs_tol=tol)
+        for i in range(100):
+            x = complex(math.exp(rng.uniform(-2.0, 1.0)), rng.uniform(-1.0, 1.0))
+            w = complex(rng.normal(), rng.normal()) if i % 4 else 0j  # w = 0: one exponential
+            p = complex(rng.uniform(-1.0, 5.0), rng.normal())  # large sums: rounding shows
+            scalar = theta._folded_theta(x, w, p, settings)
+            jet = theta._folded_theta(*(theta._j_lift(v) for v in (x, w, p)), settings)
+            gap = abs(jet.value[0] - scalar.value)
+            assert gap <= jet.abs_err_est[0] + scalar.abs_err_est, (x, w, p)
+            # each loop stops where the one rule says, and adds its rounding
+            # term (below 1e-11 here) to that tail
+            for got, err, slope in ((scalar, scalar.abs_err_est, 0),
+                                    (jet, jet.abs_err_est[0], 2 * (theta._JET_LEN - 1))):
+                n, tail = _reference_stop(x, w, p, tol, slope)
+                assert got.terms_used == n and tail <= err <= tail + 1e-11, (x, w, p, slope)
+            # both tails lie in [0, tol]; the rounding terms of the leading
+            # sizes agree but for the jet's extra terms, each below tol
+            drift = abs(jet.abs_err_est[0] - scalar.abs_err_est)
+            assert drift <= tol + 1e-6 * scalar.abs_err_est, (x, w, p)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record, fields", [
+        (lambda: theta_series(0.9, 0.2), ("value", "terms_used", "abs_err_est")),
+        (lambda: series_side(1.1, 0.3), ("value", "abs_err_est")),
+        (lambda: classify_inequality(0.3 + 0.2j), ("inside", "component_label", "margin")),
+    ], ids=["ThetaEval", "ValueWithError", "RegionVerdict"])
+    def test_immutable_named_tuples(self, record, fields):
+        got = record()
+        assert type(got)._fields == fields
+        with pytest.raises(AttributeError):
+            setattr(got, fields[0], 0.0)
+        assert got == tuple(got) == tuple(getattr(got, f) for f in fields)
 
 
 class TestModularResiduals:
