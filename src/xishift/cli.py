@@ -47,6 +47,9 @@ _DECAY_DELTAS = (0.2, 0.1, 0.05, 0.02, 0.01)
 
 @dataclass(frozen=True)
 class RunManifest:
+    """One checked command line: an option left off (None) takes its
+    subcommand's default from _COMMANDS, the table of defaults."""
+
     subcommand: str
     output_path: str
     config_path: str | None = None
@@ -61,11 +64,15 @@ class RunManifest:
     def __post_init__(self) -> None:
         if self.subcommand not in SUBCOMMANDS:
             raise ConfigError(f"unknown subcommand {self.subcommand!r}")
+        _, needs_config, defaults = _COMMANDS[self.subcommand]
+        for name, default in zip(_DEFAULTED, defaults):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
         if self.m_max not in _SERIES_GATES:
             raise ConfigError(f"m must be one of {sorted(_SERIES_GATES)}, got {self.m_max}")
-        for name in ("t_min", "t_max", "step", "tol", "alpha"):
+        for name in (*_DEFAULTED, "alpha"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
@@ -73,6 +80,8 @@ class RunManifest:
             raise ConfigError(f"tol must be > 0, got {self.tol}")
         if not abs(self.alpha) <= integral.ALPHA_MARGIN:
             raise ConfigError(f"alpha must lie in [-pi/4 + 0.01, pi/4 - 0.01], got {self.alpha}")
+        if needs_config and self.config_path is None:
+            raise ConfigError(f"subcommand {self.subcommand!r} requires --config")
 
 
 def parse_config(path: str) -> shifts_mod.ShiftConfig:
@@ -81,7 +90,11 @@ def parse_config(path: str) -> shifts_mod.ShiftConfig:
     if not p.is_file():
         raise ParseError(f"config file not found: {path}")
     try:
-        raw = json.loads(p.read_text())
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read as UTF-8 text: {exc}") from exc
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -116,10 +129,7 @@ def _fmt(v):
 
 
 def _cmd_eval(man: RunManifest, cfg: shifts_mod.ShiftConfig):
-    t_lo = 0.0 if man.t_min is None else man.t_min
-    t_hi = 40.0 if man.t_max is None else man.t_max
-    step = 0.5 if man.step is None else man.step
-    ts = grid_nodes(t_lo, t_hi, step)
+    ts = grid_nodes(man.t_min, man.t_max, man.step)
     re, im, err = shifts_mod.fz_line_vec(ts, cfg)
     zeroscan.require_resolved(ts, re, err)
     rows = [
@@ -128,18 +138,14 @@ def _cmd_eval(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     ]
     passed = bool(np.all(np.abs(im) <= reality_bound(re, im)))
     return ["t", "f", "im_residual", "abs_err_est"], rows, passed, {
-        "t_min": t_lo, "t_max": t_hi, "step": step,
+        "t_min": man.t_min, "t_max": man.t_max, "step": man.step,
     }
 
 
 def _cmd_scan(man: RunManifest, cfg: shifts_mod.ShiftConfig):
-    t_lo = 10.0 if man.t_min is None else man.t_min
-    t_hi = 30.0 if man.t_max is None else man.t_max
-    step = 0.02 if man.step is None else man.step
-    tol = 1e-8 if man.tol is None else man.tol
-    report = zeroscan.scan_fz(cfg, t_lo, t_hi, step, tol)
+    report = zeroscan.scan_fz(cfg, man.t_min, man.t_max, man.step, man.tol)
     params = {
-        "t_min": t_lo, "t_max": t_hi, "step": step, "tol": tol,
+        "t_min": man.t_min, "t_max": man.t_max, "step": man.step, "tol": man.tol,
         "config_digest": report.config_digest,
         "settings": asdict(DEFAULT_SETTINGS),
     }
@@ -153,7 +159,6 @@ _THETA_X_SWEEP = (0.5, 2.0, 1.5, 0.9 + 0.3j, 0.8 + 0.1j, 1.1 - 0.2j)
 
 
 def _cmd_theta_check(man: RunManifest, _cfg):
-    gate_general = 1e-9 if man.tol is None else man.tol
     rows = []
     worst_jacobi = 0.0
     for i in range(50):
@@ -177,8 +182,8 @@ def _cmd_theta_check(man: RunManifest, _cfg):
             x_c = complex(x)
             rows.append({"check": "xz_transform", "p_re": x_c.real, "p_im": x_c.imag,
                          "z_re": complex(z).real, "z_im": complex(z).imag, "residual": r})
-    passed = worst_jacobi < 1e-12 and worst_general < gate_general
-    params = {"gate_jacobi": 1e-12, "gate_general": gate_general,
+    passed = worst_jacobi < 1e-12 and worst_general < man.tol
+    params = {"gate_jacobi": 1e-12, "gate_general": man.tol,
               "worst_jacobi": worst_jacobi, "worst_general": worst_general}
     return ["check", "p_re", "p_im", "z_re", "z_im", "residual"], rows, passed, params
 
@@ -188,7 +193,6 @@ _INTEGRAL_Z = (0.0, 0.4 + 0.1j, 0.5 - 0.2j)
 
 
 def _cmd_integral_check(man: RunManifest, _cfg):
-    gate = 1e-6 if man.tol is None else man.tol
     rows = []
     worst = 0.0
     for a in _INTEGRAL_A:
@@ -205,22 +209,20 @@ def _cmd_integral_check(man: RunManifest, _cfg):
                 "side_b_re": side_b.real, "side_b_im": side_b.imag,
                 "residual": resid,
             })
-    params = {"gate": gate, "worst": worst}
+    params = {"gate": man.tol, "worst": worst}
     fields = ["a_re", "a_im", "z_re", "z_im", "integral_re", "integral_im",
               "side_a_re", "side_a_im", "side_b_re", "side_b_im", "residual"]
-    return fields, rows, worst < gate, params
+    return fields, rows, worst < man.tol, params
 
 
 def _cmd_region(man: RunManifest, _cfg):
-    lo = -3.0 if man.t_min is None else man.t_min
-    hi = 3.0 if man.t_max is None else man.t_max
-    step = 0.05 if man.step is None else man.step
-    grid = region.region_grid(lo, hi, lo, hi, step)
+    grid = region.region_grid(man.t_min, man.t_max, man.t_min, man.t_max, man.step)
     rows = [
         {"x": x, "y": y, "inside": inside, "label": label, "margin": margin}
         for x, y, inside, label, margin in region.grid_csv_rows(grid)
     ]
-    params = {"x_min": lo, "x_max": hi, "y_min": lo, "y_max": hi, "step": step}
+    params = {"x_min": man.t_min, "x_max": man.t_max, "y_min": man.t_min, "y_max": man.t_max,
+              "step": man.step}
     return ["x", "y", "inside", "label", "margin"], rows, True, params
 
 
@@ -281,17 +283,19 @@ def _cmd_limits(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     return fields, rows, passed, {"deltas": list(_DECAY_DELTAS)}
 
 
-_DISPATCH = {
-    "eval": _cmd_eval,
-    "scan": _cmd_scan,
-    "theta-check": _cmd_theta_check,
-    "integral-check": _cmd_integral_check,
-    "region": _cmd_region,
-    "moments": _cmd_moments,
-    "limits": _cmd_limits,
+# the one home of each subcommand's function, --config need and defaults of
+# _DEFAULTED (None where it ignores the option), in --help order
+_DEFAULTED = ("t_min", "t_max", "step", "tol")
+_COMMANDS = {
+    "eval": (_cmd_eval, True, (0.0, 40.0, 0.5, None)),
+    "scan": (_cmd_scan, True, (10.0, 30.0, 0.02, 1e-8)),
+    "theta-check": (_cmd_theta_check, False, (None, None, None, 1e-9)),
+    "integral-check": (_cmd_integral_check, False, (None, None, None, 1e-6)),
+    "region": (_cmd_region, False, (-3.0, 3.0, 0.05, None)),
+    "moments": (_cmd_moments, True, (None,) * 4),
+    "limits": (_cmd_limits, True, (None,) * 4),
 }
-SUBCOMMANDS = tuple(_DISPATCH)
-_NEEDS_CONFIG = {_cmd_eval, _cmd_scan, _cmd_moments, _cmd_limits}
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
@@ -316,12 +320,9 @@ def _write_json(path: str, man: RunManifest, fieldnames, rows, passed, params) -
 def run(manifest: RunManifest) -> int:
     """Execute one subcommand; returns the exit code of the contract."""
     try:
-        command = _DISPATCH[manifest.subcommand]
-        if manifest.config_path is None and command in _NEEDS_CONFIG:
-            raise ConfigError(f"subcommand {manifest.subcommand!r} requires --config")
         # a given config is read and validated even where the subcommand ignores it
         cfg = None if manifest.config_path is None else parse_config(manifest.config_path)
-        fieldnames, rows, passed, params = command(manifest, cfg)
+        fieldnames, rows, passed, params = _COMMANDS[manifest.subcommand][0](manifest, cfg)
     except (ParseError, ConfigError) as exc:
         _emit_error(exc)
         return EXIT_CONFIG
@@ -354,7 +355,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """One parser for every subcommand; an option left off sets no dest, so
-    main's RunManifest holds every default."""
+    its default comes from _COMMANDS through main's RunManifest."""
     p = _Parser(
         prog="xishift",
         description="Completed-zeta / theta-transformation checks and "

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, PoleError
+from .errors import ConfigError, DegenerateError, DomainError, PoleError
 from .integral import _weighted_moment
 from .region import classify_inequality
 from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, checked_value, require_real
@@ -57,11 +57,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShiftConfig:
-    """Weights c_j, shifts lam_j and the z parameter of a finite sum."""
+    """Weights c_j, shifts lam_j and the z parameter of a finite sum; checked on construction."""
 
     coefficients: tuple[float, ...]
     shifts: tuple[float, ...]
     z: complex
+
+    def __post_init__(self) -> None:
+        validate_config(self)
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,8 @@ class MomentParams:
 
 
 def validate_config(cfg: ShiftConfig) -> ShiftConfig:
-    """Check the standing hypotheses; returns cfg unchanged if they hold."""
+    """Check the standing hypotheses; returns cfg unchanged if they hold.
+    ShiftConfig runs it on construction, so every config in use has passed it."""
     cs, lams = cfg.coefficients, cfg.shifts
     if len(cs) == 0:
         raise ConfigError("at least one coefficient is required")
@@ -118,11 +122,9 @@ def validate_config(cfg: ShiftConfig) -> ShiftConfig:
 
 
 def make_config(coefficients, shifts, z: complex) -> ShiftConfig:
-    """Build and validate a ShiftConfig from plain sequences."""
-    return validate_config(
-        ShiftConfig(tuple(float(c) for c in coefficients),
-                    tuple(float(x) for x in shifts), complex(z))
-    )
+    """Build a ShiftConfig (which validates itself) from plain sequences."""
+    return ShiftConfig(tuple(float(c) for c in coefficients),
+                       tuple(float(x) for x in shifts), complex(z))
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +176,12 @@ def fz_line_vec(
 def f_z_critical(
     t: float, cfg: ShiftConfig, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> float:
-    """F_z(1/2 + i t) as a real number; SymmetryError if reality fails."""
-    re, im, _ = fz_line_vec(np.array([float(t)]), cfg, settings)
-    require_real(re, im, lambda _: f"f_z_critical(t={t})")
-    return float(re[0])
+    """F_z(1/2 + i t) as a real number; SymmetryError if reality fails, and
+    EvaluationError where the value underflowed, as f_z(1/2 + i t) does."""
+    re, im, err = fz_line_vec(np.array([float(t)]), cfg, settings)
+    context = f"f_z_critical(t={t})"
+    require_real(re, im, lambda _: context)
+    return checked_value(re[0], err[0], context).value.real
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +190,8 @@ def f_z_critical(
 
 def polar_shift(lam: float) -> PolarShift:
     """r e^(i theta) = i/2 - lam with r = sqrt(1/4 + lam^2), theta in (0, pi)."""
+    if not math.isfinite(lam):
+        raise DomainError(f"polar_shift needs a finite shift, got {lam}")
     return PolarShift(math.hypot(0.5, lam), math.atan2(0.5, -lam))
 
 
@@ -196,11 +202,13 @@ def moment_params(z: complex) -> MomentParams:
     the arccos alone would lose the sign of v.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"moment_params needs a finite z, got {z!r}")
     sz = cmath.exp(z * z / 8.0) * cmath.sinh(z * z / 8.0)
     u = 1.0 + sz.real
     v = sz.imag
     w = math.hypot(u, v)
-    if w < 1e-14:
+    if not w >= 1e-14:  # nan too: an overflowed z^2 leaves no modulus
         raise DegenerateError(f"moment modulus w degenerates at z = {z!r}")
     beta = math.atan2(v, u) % (2.0 * math.pi)
     if beta >= 2.0 * math.pi:  # a tiny negative atan2 can round up to 2 pi

@@ -371,10 +371,14 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
     The direct sum runs once per ladder group, the Euler-Maclaurin tail once
     over every point.  PoleError at s = 1, AccuracyError naming the first
     point whose direct sum needs more than settings.max_terms terms, and
-    EvaluationError naming the first point whose value or error is not finite.
+    EvaluationError naming the first non-finite point (refused before any
+    arithmetic) or the first point whose value or error is not finite.
     """
     s = np.asarray(s, dtype=complex)
     shape, s = s.shape, s.ravel()
+    finite = np.isfinite(s)
+    if not finite.all():
+        raise EvaluationError(f"zeta_vec argument: non-finite s={complex(s[~finite][0])!r}")
     if (s == 1.0).any():
         raise PoleError("zeta has its pole at s=1")
     refl = s.real < 0.0
@@ -382,8 +386,7 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
     need = em_length(u)
     _require_budget(need, s, "zeta: Euler-Maclaurin direct sum at s", settings)
     ladder, ln_n, phase_factor = _em_ladder_tables(settings.max_terms)
-    # fmin: a nan point takes the last group and is caught as non-finite below
-    idx = np.searchsorted(ladder, np.fmin(need, ladder[-1]))
+    idx = np.searchsorted(ladder, need)
     direct = np.empty(s.shape, dtype=complex)
     for i in np.unique(idx):
         mask = idx == i

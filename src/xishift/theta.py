@@ -398,10 +398,16 @@ def _psi1_shifted(base: np.ndarray, alpha: float, lam: float, order: int) -> com
     return require_finite(complex(value), "psi1_alpha_derivative")
 
 
+def _require_finite_point(z: complex, lam: float, name: str) -> None:
+    if not (cmath.isfinite(z) and math.isfinite(lam)):
+        raise DomainError(f"{name} needs finite z and shift, got z={z!r}, lam={lam!r}")
+
+
 def psi1(
     alpha: float, z: complex, lam: float, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> complex:
     """e^{(i/2 - lam) alpha} ( e^{-z^2/8}/2 + e^{z^2/8} psi(e^{2 i alpha}, z) )."""
+    _require_finite_point(z, lam, "psi1")
     return _psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, 0)
 
 
@@ -416,6 +422,7 @@ def psi1_alpha_derivative(
     needs z inside the admissible region near pi/4, and conj z near -pi/4
     (RegionError otherwise).
     """
+    _require_finite_point(z, lam, "psi1_alpha_derivative")
     return _psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, order)
 
 
@@ -424,6 +431,7 @@ def psi1_limit_value(z: complex, lam: float, order: int) -> complex:
     if order % 2 != 0:
         raise UnsupportedOrderError("the boundary limit is stated for even orders")
     z = complex(z)
+    _require_finite_point(z, lam, "psi1_limit_value")
     c = 0.5j - lam
     return -(c**order) * cmath.exp(math.pi / 4.0 * c) * cmath.sinh(z * z / 8.0)
 

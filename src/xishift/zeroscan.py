@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, EvaluationError, MaxIterError, XishiftError
 from .settings import (DEFAULT_SETTINGS, UNDERFLOW_FLOOR, EvalSettings, grid_nodes,
                        require_real, underflowed)
-from .shifts import ShiftConfig, fz_line_vec, validate_config
+from .shifts import ShiftConfig, fz_line_vec
 
 __all__ = ["ZeroBracket", "ZeroHit", "ScanReport", "scan", "bisect", "scan_fz",
            "require_resolved", "report_rows", "SCAN_FIELDS"]
@@ -331,7 +331,6 @@ def scan_fz(
     """Scan F_z(1/2+it) for sign changes and refine each bracket by bisection,
     in the calling thread.  settings is keyword-only, so a call that still
     passes a worker count in its place is a TypeError."""
-    validate_config(cfg)
     ts = grid_nodes(t_lo, t_hi, step)
     brackets = _brackets_from_values(ts, *_fz_real(ts, cfg, settings))
     zeros = _bisect_all(brackets, lambda tarr: _fz_real(tarr, cfg, settings)[0], tol)

@@ -71,9 +71,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="region"):
             parse_config(str(p))
 
-    def test_missing_file(self):
+    def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="not found"):
             parse_config("/nonexistent/path.json")
+        with pytest.raises(ParseError, match="not found"):  # a directory
+            parse_config(str(tmp_path))
+
+    def test_non_utf8_file_is_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe")
+        out = tmp_path / "o.csv"
+        assert main(["scan", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError" and str(p) in record["message"]
+        assert "UTF-8" in record["message"]
+        assert not out.exists()
+
+    def test_top_level_must_be_object(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text("[]")
+        with pytest.raises(ParseError, match="top level must be an object"):
+            parse_config(str(p))
+
+    def test_z_must_be_a_number(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(HARDY_JSON.replace('"z_re": 0.0', '"z_re": "0"'))
+        with pytest.raises(ParseError, match="'z_re' must be a real number"):
+            parse_config(str(p))
 
 
 class TestSubcommands:
@@ -229,6 +253,45 @@ class TestManifest:
     def test_bad_format(self):
         with pytest.raises(ConfigError):
             RunManifest(subcommand="eval", output_path="x", output_format="xml")
+
+    @pytest.mark.parametrize("subcommand, defaults", [
+        ("eval", (0.0, 40.0, 0.5, None)),
+        ("scan", (10.0, 30.0, 0.02, 1e-8)),
+        ("theta-check", (None, None, None, 1e-9)),
+        ("integral-check", (None, None, None, 1e-6)),
+        ("region", (-3.0, 3.0, 0.05, None)),
+        ("moments", (None, None, None, None)),
+        ("limits", (None, None, None, None)),
+    ])
+    def test_omitted_options_take_the_subcommand_defaults(self, subcommand, defaults):
+        man = RunManifest(subcommand=subcommand, output_path="o", config_path="c")
+        assert (man.t_min, man.t_max, man.step, man.tol) == defaults
+        # a given value is kept
+        given = RunManifest(subcommand=subcommand, output_path="o", config_path="c",
+                            t_min=-1.5, t_max=9.0, step=0.25, tol=1e-6)
+        assert (given.t_min, given.t_max, given.step, given.tol) == (-1.5, 9.0, 0.25, 1e-6)
+
+    @pytest.mark.parametrize("subcommand, needs", [
+        ("eval", True), ("scan", True), ("theta-check", False), ("integral-check", False),
+        ("region", False), ("moments", True), ("limits", True),
+    ])
+    def test_config_requirement(self, subcommand, needs):
+        if needs:
+            with pytest.raises(ConfigError, match=f"'{subcommand}' requires --config"):
+                RunManifest(subcommand=subcommand, output_path="o")
+        else:
+            assert RunManifest(subcommand=subcommand, output_path="o").config_path is None
+
+    def test_missing_config_is_the_last_check(self, tmp_path, capsys):
+        # a bad value is reported before a missing --config
+        out = tmp_path / "x.csv"
+        assert main(["eval", "--out", str(out), "--tol", "-1"]) == EXIT_CONFIG
+        assert "tol must be > 0" in json.loads(capsys.readouterr().err)["message"]
+        assert main(["eval", "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "ConfigError",
+                          "message": "subcommand 'eval' requires --config"}
+        assert not out.exists()
 
     def test_bad_workers(self, tmp_path, capsys):
         # --workers has no effect, but a value below 1 is still a usage error

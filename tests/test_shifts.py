@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from xishift import (
     ConfigError,
     DegenerateError,
+    DomainError,
     EvalSettings,
     EvaluationError,
     PoleError,
@@ -63,6 +64,19 @@ class TestConfig:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(ShiftConfig((1.0,), (0.0, 1.0), 0.0))
+
+    @pytest.mark.parametrize("coefficients, shift_list, z, match", [
+        ((1.0, 0.0, 0.5), (0.0, 0.0, 1.0), 0j, "nonzero"),  # and a repeated shift
+        ((1.0,), (0.0,), 2 + 2j, "admissible region"),
+        ((1.0, 1.0), (-1.0, 1.0), 0.3, "exactly one entry"),
+        ((), (), 0j, "at least one coefficient"),
+        ((1.0,), (math.inf,), 0j, "shifts must be finite"),
+        ((1.0,), (0.0,), complex(math.nan, 0.0), "z must be finite"),
+    ])
+    def test_direct_construction_validates(self, coefficients, shift_list, z, match):
+        # every route takes a ShiftConfig, so the record refuses what make_config refuses
+        with pytest.raises(ConfigError, match=match):
+            ShiftConfig(coefficients, shift_list, z)
 
 
 class TestFz:
@@ -186,6 +200,17 @@ class TestCriticalLine:
             re, im, _ = fz_line_vec(ts, cfg)
             assert np.all(np.abs(im) <= 1e-9 * (1.0 + np.hypot(re, im))), cfg
 
+    def test_underflow_raises(self):
+        # the Hardy value underflows past t ~ 873; f_z refuses it there, and so must the line
+        with pytest.raises(EvaluationError, match=r"f_z_critical\(t=950\.0\).*underflowed"):
+            f_z_critical(950.0, HARDY)
+
+    def test_resolved_values_are_the_line_kernel(self):
+        ts = np.array([0.0, 14.0, 104.5, 500.0, 869.5])
+        for cfg in (HARDY, TWO_TERM):
+            re, _, _ = fz_line_vec(ts, cfg)
+            assert [f_z_critical(t, cfg) for t in ts] == list(re)
+
     def test_reality_failure_names_t(self, monkeypatch):
         def skewed(t, cfg, settings):
             re, im, err = fz_line_vec(t, cfg, settings)
@@ -248,6 +273,21 @@ class TestPolarAndParams:
         z = math.sqrt(2.0 * math.pi) * (1.0 + 1.0j)  # e^(z^2/4) = -1
         with pytest.raises(DegenerateError):
             moment_params(z)
+
+    def test_overflowed_square_is_degenerate(self):
+        # z^2/8 overflows to a nan modulus, which no comparison with 1e-14 catches
+        with pytest.raises(DegenerateError):
+            moment_params(1e200 + 1e200j)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.3, math.inf)])
+    def test_moment_params_non_finite_z(self, z):
+        with pytest.raises(DomainError, match="finite z"):
+            moment_params(z)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_polar_non_finite_shift(self, lam):
+        with pytest.raises(DomainError, match="finite shift"):
+            polar_shift(lam)
 
 
 class TestMoments:

@@ -677,6 +677,17 @@ class TestZetaVecDomain:
             with pytest.raises(AccuracyError, match=r"1e\+19"):
                 specfun.eta_line_vec(np.array([1e19]))
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.5, math.inf)])
+    def test_non_finite_argument_refused_first(self, bad):
+        # refused before any arithmetic: a RuntimeWarning fails the suite
+        with pytest.raises(EvaluationError, match="zeta_vec argument: non-finite"):
+            specfun.zeta_vec(np.array([2.0, bad]))
+
+    def test_reflection_overflow(self):
+        # the functional-equation factor passes double range far left of 0
+        with pytest.raises(OverflowError, match="exceeds double range"):
+            zeta_c(-300.5)
+
 
 class TestTermBudget:
     """Each direct-sum kernel refuses a point whose sum needs more than

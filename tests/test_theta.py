@@ -114,6 +114,12 @@ class TestThetaSeries:
         with pytest.raises(DivergenceError):
             theta_series(1e-4, 60.0, EvalSettings(max_terms=20))
 
+    def test_term_overflow(self):
+        # the growth n |Im w| of the first term already passes the exponent
+        # range, so the sum is refused before exp overflows
+        with pytest.raises(DivergenceError, match="overflows"):
+            theta_series(1.0, 500j)
+
 
 def _reference_stop(x, w, p, tol, slope):
     """The kernel's truncation rule, written out once: the term count and the
@@ -310,6 +316,22 @@ class TestPsi1:
             psi1_alpha_derivative(0.1, 0.0, 0.0, 5)
         with pytest.raises(UnsupportedOrderError):
             psi1_limit_value(0.4, 0.0, 3)
+
+    @pytest.mark.parametrize("z, lam", [(0.3, math.inf), (0.3, math.nan),
+                                        (complex(math.inf, 0.0), 0.0), (complex(0.3, math.nan), 0.0)])
+    def test_non_finite_point_refused(self, z, lam):
+        # refused at entry, before any arithmetic on the bad value
+        with pytest.raises(DomainError, match="psi1 needs finite"):
+            psi1(0.2, z, lam)
+        with pytest.raises(DomainError, match="psi1_alpha_derivative needs finite"):
+            psi1_alpha_derivative(0.2, z, lam, 2)
+        with pytest.raises(DomainError, match="psi1_limit_value needs finite"):
+            psi1_limit_value(z, lam, 0)
+
+    def test_jet_term_overflow(self):
+        # the jet sum's first term passes the exponent range, as in theta_series(1.0, 500j)
+        with pytest.raises(DivergenceError, match="overflows"):
+            psi1_alpha_derivative(0.0, 400j, 0.0, 2)
 
 
 class TestOneJetSumPerAlpha:

@@ -19,6 +19,7 @@ from xishift import (
     scan_fz,
 )
 from xishift import zeroscan
+from xishift.settings import grid_nodes
 from xishift.shifts import f_z_critical, fz_line_vec
 from xishift.specfun import RS_CROSSOVER
 
@@ -69,6 +70,10 @@ class TestScan:
             scan(1.0, 0.0, 0.1, lambda t: t)
         with pytest.raises(ConfigError, match="inf nodes"):  # the node count overflows
             scan(10.0, 20.0, 5e-324, lambda t: t)
+
+    def test_grid_ends_at_hi(self):
+        # a step that does not divide the span still ends the grid at hi
+        assert list(grid_nodes(0.0, 1.03, 0.25)) == [0.0, 0.25, 0.5, 0.75, 1.0, 1.03]
 
 
 class TestBracketsFromValues:
