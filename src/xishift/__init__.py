@@ -6,7 +6,6 @@ from .errors import (
     AccuracyError,
     ConfigError,
     ConsistencyError,
-    DegenerateError,
     DivergenceError,
     DomainError,
     EvaluationError,
@@ -31,8 +30,6 @@ from .integral import (
 from .region import RegionVerdict, classify_decomposition, classify_inequality, region_grid
 from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError
 from .shifts import (
-    MomentParams,
-    PolarShift,
     ShiftConfig,
     f_z,
     f_z_critical,
@@ -40,9 +37,7 @@ from .shifts import (
     moment_closed_form,
     moment_limit_check,
     moment_numeric,
-    moment_params,
     moment_series_rhs,
-    polar_shift,
     validate_config,
 )
 from .specfun import (

@@ -43,10 +43,6 @@ class RegionError(XishiftError):
     """A z argument lies outside the admissible region in the z-plane."""
 
 
-class DegenerateError(XishiftError):
-    """A derived quantity degenerated (for example a vanishing modulus)."""
-
-
 class ConsistencyError(XishiftError):
     """Two supposedly equivalent computations disagree (internal error)."""
 

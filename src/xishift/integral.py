@@ -178,13 +178,20 @@ def _line_integral(
     # Each side is cut at its own decay rate, its tail below 0.025 tol.
     b_ref = float(bs.max())
     c_sum = float(np.sum(np.abs(cs) * np.exp(np.clip(-bs * lams, 0.0, MAX_EXP))))
+    rates = (math.pi / 4.0 - b_ref, math.pi / 4.0 + float(bs.min()))
     T_hi, T_lo = (
         truncation_point(
             2.0 * m, rate, abs(z) / math.sqrt(2.0), 0.025 * tol * rate / (8.0 * c_sum), 40.0,
         )
-        for rate in (math.pi / 4.0 - b_ref, math.pi / 4.0 + float(bs.min()))
+        for rate in rates
     )
-    lo, hi = -T_lo + min(float(lams.min()), 0.0), T_hi + max(float(lams.max()), 0.0)
+    # a term widens its side to its shifted end only where its weight at
+    # tau = 0, |lam_k|^(2m) e^(-Re beta_k lam_k), is above that side's target
+    # (compared in logs, as the target underflows where c_sum is huge)
+    ends = [0.0] + [lam for b, lam in zip(bs.tolist(), lams.tolist())
+                    if 2 * m * math.log(abs(lam) or 1.0) - b * lam + math.log(c_sum)
+                    > math.log(0.025 * tol * rates[lam < 0] / 8.0)]
+    lo, hi = -T_lo + min(ends), T_hi + max(ends)
     spread = bs - b_ref
     if float(np.max(np.maximum(spread * lo, spread * hi) - bs * lams)) > MAX_EXP:
         raise DomainError(

@@ -9,17 +9,23 @@ For a finite list of nonzero weights c_j and distinct real shifts lam_j,
 first at every s and each bracket is 2 Re of one 1F1.  One kernel evaluates
 every shift and point of a call with one eta call and one 1F1 call; f_z and
 fz_line_vec wrap it.  On the critical line eta reduces to the real function
-rho, so F_z is real there.  The moment side computes both routes of the
-limit identity
+rho, so F_z is real there.  The moment side computes both sides of the
+identity, for alpha in (-pi/4, pi/4),
 
-    lim_{alpha->pi/4} Int t^(2m) e^(alpha t) F_z(1/2+it)/2 dt
-        = -4 pi w_z sum_j c_j e^(-pi lam_j/4) r_j^(2m) cos(pi/8 + beta_z + 2m theta_j)
+    Int t^(2m) e^(alpha t) F_z(1/2+it)/2 dt
+        = 4 pi sum_j c_j Re d^(2m)/d alpha^(2m) [ e^((i/2 - lam_j) alpha) B(alpha) ],
+    B = e^(z^2/8) (e^(-z^2/8)/2 + e^(z^2/8) psi(e^(2 i alpha), z)) - 1,
 
-with r_j e^(i theta_j) = i/2 - lam_j and (w_z, beta_z) the polar form of
-1 + e^(z^2/8) sinh(z^2/8).  The numeric side is linear in the shifted
-integrand, so moment_numeric integrates all shifts in one quadrature, and
-moment_limit_check all shifts at both alpha samples, its extrapolation folded
-into the term coefficients.
+the right side written once (_analytic_side).  As alpha -> pi/4 the
+derivatives of B vanish and B tends to -(1 + e^(z^2/4))/2, so the same sum
+at pi/4 is the closed form of the limit, in the paper's polar notation
+
+    -4 pi w_z sum_j c_j e^(-pi lam_j/4) r_j^(2m) cos(pi/8 + beta_z + 2m theta_j)
+
+with r_j e^(i theta_j) = i/2 - lam_j and w_z e^(i beta_z) = -B(pi/4).  The
+numeric side is linear in the shifted integrand, so moment_numeric integrates
+all shifts in one quadrature, and moment_limit_check all shifts at both alpha
+samples, its extrapolation folded into the term coefficients.
 """
 
 from __future__ import annotations
@@ -30,24 +36,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, DomainError, PoleError
+from .errors import ConfigError, PoleError
 from .integral import _weighted_moment
 from .region import classify_inequality
 from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, checked_value, require_real
 from .specfun import _eta_vec, hyp1f1_vec
-from .theta import _psi1_base_jet, _psi1_shifted
+from .theta import _psi1_base_jet, _psi1_boundary, _psi1_shifted
 
 __all__ = [
     "ShiftConfig",
-    "PolarShift",
-    "MomentParams",
     "validate_config",
     "make_config",
     "f_z",
     "f_z_critical",
     "fz_line_vec",
-    "polar_shift",
-    "moment_params",
     "moment_closed_form",
     "moment_numeric",
     "moment_series_rhs",
@@ -65,25 +67,6 @@ class ShiftConfig:
 
     def __post_init__(self) -> None:
         validate_config(self)
-
-
-@dataclass(frozen=True)
-class PolarShift:
-    """Polar form r e^(i theta) = i/2 - lam; theta always lies in (0, pi)."""
-
-    r: float
-    theta: float
-
-
-@dataclass(frozen=True)
-class MomentParams:
-    """u = 1 + Re(e^(z^2/8) sinh(z^2/8)), v its imaginary part, w = |u + iv|,
-    beta = atan2(v, u) normalized to [0, 2pi)."""
-
-    u: float
-    v: float
-    w: float
-    beta: float
 
 
 def validate_config(cfg: ShiftConfig) -> ShiftConfig:
@@ -185,52 +168,27 @@ def f_z_critical(
 
 
 # ---------------------------------------------------------------------------
-# Polar / moment bookkeeping
+# The moment identity
 # ---------------------------------------------------------------------------
 
-def polar_shift(lam: float) -> PolarShift:
-    """r e^(i theta) = i/2 - lam with r = sqrt(1/4 + lam^2), theta in (0, pi)."""
-    if not math.isfinite(lam):
-        raise DomainError(f"polar_shift needs a finite shift, got {lam}")
-    return PolarShift(math.hypot(0.5, lam), math.atan2(0.5, -lam))
-
-
-def moment_params(z: complex) -> MomentParams:
-    """The four reals (u, v, w, beta) entering the closed-form moments.
-
-    beta uses atan2 rather than arccos so that w e^(i beta) = u + i v exactly;
-    the arccos alone would lose the sign of v.
-    """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"moment_params needs a finite z, got {z!r}")
-    sz = cmath.exp(z * z / 8.0) * cmath.sinh(z * z / 8.0)
-    u = 1.0 + sz.real
-    v = sz.imag
-    w = math.hypot(u, v)
-    if not w >= 1e-14:  # nan too: an overflowed z^2 leaves no modulus
-        raise DegenerateError(f"moment modulus w degenerates at z = {z!r}")
-    beta = math.atan2(v, u) % (2.0 * math.pi)
-    if beta >= 2.0 * math.pi:  # a tiny negative atan2 can round up to 2 pi
-        beta = 0.0
-    return MomentParams(u, v, w, beta)
+def _analytic_side(cfg: ShiftConfig, derivative) -> float:
+    """4 pi sum_j c_j Re derivative(lam_j), derivative(lam) being
+    d^(2m)/d alpha^(2m) [e^((i/2 - lam) alpha) B(alpha)]: the analytic side of
+    the moment identity."""
+    return 4.0 * math.pi * sum(
+        c * derivative(lam).real for c, lam in zip(cfg.coefficients, cfg.shifts)
+    )
 
 
 def moment_closed_form(m: int, cfg: ShiftConfig) -> float:
-    """-4 pi w_z sum_j c_j e^(-pi lam_j/4) r_j^(2m) cos(pi/8 + beta_z + 2m theta_j)."""
+    """The analytic side at alpha = pi/4, for every m >= 0: there B's
+    derivatives vanish and B = -(1 + e^(z^2/4))/2, so each shift contributes
+    (i/2 - lam_j)^(2m) e^((i/2 - lam_j) pi/4) B."""
     if m < 0:
         raise ConfigError(f"moment order must be >= 0, got {m}")
-    params = moment_params(cfg.z)
-    total = 0.0
-    for c, lam in zip(cfg.coefficients, cfg.shifts):
-        ps = polar_shift(lam)
-        total += (
-            c
-            * math.exp(-math.pi * lam / 4.0)
-            * ps.r ** (2 * m)
-            * math.cos(math.pi / 8.0 + params.beta + 2 * m * ps.theta)
-        )
-    return -4.0 * math.pi * params.w * total
+    z = complex(cfg.z)
+    b_lim = lambda: -(1.0 + cmath.exp(z * z / 4.0)) / 2.0  # noqa: E731 (run under the guard)
+    return _analytic_side(cfg, lambda lam: _psi1_boundary(lam, 2 * m, b_lim, "moment_closed_form"))
 
 
 def moment_numeric(
@@ -244,27 +202,12 @@ def moment_numeric(
 def moment_series_rhs(
     m: int, alpha: float, cfg: ShiftConfig, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> float:
-    """The assembled analytic side of the moment identity at finite alpha:
-
-        sum_j c_j [ -4 pi e^(-alpha lam_j) r_j^(2m) cos(alpha/2 + 2m theta_j)
-                    + 4 pi Re( e^(z^2/8) d^(2m)/d alpha^(2m) psi1 ) ].
-    """
+    """The analytic side of the moment identity at alpha in (-pi/4, pi/4),
+    from one Taylor jet of B for all shifts."""
     z = complex(cfg.z)
-    ez8 = cmath.exp(z * z / 8.0)
-    base = _psi1_base_jet(alpha, z, settings)  # one theta jet for all shifts
-    total = 0.0
-    for c, lam in zip(cfg.coefficients, cfg.shifts):
-        ps = polar_shift(lam)
-        deriv = _psi1_shifted(base, alpha, lam, 2 * m)
-        total += c * (
-            -4.0
-            * math.pi
-            * math.exp(-alpha * lam)
-            * ps.r ** (2 * m)
-            * math.cos(alpha / 2.0 + 2 * m * ps.theta)
-            + 4.0 * math.pi * (ez8 * deriv).real
-        )
-    return total
+    b = cmath.exp(z * z / 8.0) * _psi1_base_jet(alpha, z, settings)
+    b[0] -= 1.0
+    return _analytic_side(cfg, lambda lam: _psi1_shifted(b, alpha, lam, 2 * m))
 
 
 _LIMIT_KS = (1.9, 2.0)

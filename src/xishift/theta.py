@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, UnsupportedOrderError
+from .errors import DivergenceError, DomainError, EvaluationError, UnsupportedOrderError
 from .region import require_inside
 from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, require_finite
 
@@ -393,9 +393,26 @@ def _psi1_shifted(base: np.ndarray, alpha: float, lam: float, order: int) -> com
     """order-th alpha-derivative of psi1 = e^{(i/2 - lam) alpha} * base, by Leibniz."""
     if not 0 <= order < _JET_LEN:
         raise UnsupportedOrderError(f"alpha-derivative order {order} not supported (max 4)")
-    shift = _j_exp((0.5j - lam) * _j_var(alpha))
+    try:
+        shift = _j_exp((0.5j - lam) * _j_var(alpha))
+    except OverflowError:
+        raise EvaluationError(f"psi1 at lam={lam!r}: e^((i/2 - lam) alpha) overflows "
+                              f"at alpha={alpha!r}") from None
     value = math.factorial(order) * sum(shift[order - k] * base[k] for k in range(order + 1))
-    return require_finite(complex(value), "psi1_alpha_derivative")
+    return require_finite(complex(value), f"psi1_alpha_derivative at lam={lam!r}")
+
+
+def _psi1_boundary(lam: float, order: int, limit, context: str) -> complex:
+    """The order-th alpha-derivative of e^{(i/2 - lam) alpha} B at alpha = pi/4,
+    where B tends to limit() and its derivatives to 0:
+    (i/2 - lam)^order e^{(i/2 - lam) pi/4} limit().  An overflow in it, or a
+    value that is not finite, is an EvaluationError naming context and lam."""
+    c = 0.5j - lam
+    try:
+        value = c**order * cmath.exp(math.pi / 4.0 * c) * limit()
+    except (OverflowError, ValueError) as exc:  # cmath's range and domain errors
+        raise EvaluationError(f"{context} at lam={lam!r}: {exc}") from None
+    return require_finite(value, f"{context} at lam={lam!r}")
 
 
 def _require_finite_point(z: complex, lam: float, name: str) -> None:
@@ -432,8 +449,8 @@ def psi1_limit_value(z: complex, lam: float, order: int) -> complex:
         raise UnsupportedOrderError("the boundary limit is stated for even orders")
     z = complex(z)
     _require_finite_point(z, lam, "psi1_limit_value")
-    c = 0.5j - lam
-    return -(c**order) * cmath.exp(math.pi / 4.0 * c) * cmath.sinh(z * z / 8.0)
+    return _psi1_boundary(lam, order, lambda: -cmath.sinh(z * z / 8.0),
+                          f"psi1_limit_value(z={z!r})")
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,15 @@ pi/4 - 10^-3 the transformed one, and -0.78 its mirror image.
 
 Usage (mpmath is a test dependency only; the library never imports it):
 
-    python tests/make_psi1_table.py       # the PSI1_JETS literal for _oracles
+    python tests/make_psi1_table.py         # the PSI1_JETS literal for _oracles
+    python tests/make_psi1_table.py check   # exit 1 unless _oracles.PSI1_JETS is
+                                            # what this script derives
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 
@@ -79,5 +82,21 @@ def _print_table() -> None:
     print("}")
 
 
+def _check() -> int:
+    """0 if _oracles.PSI1_JETS holds exactly the jets this script derives, else 1."""
+    from _oracles import PSI1_JETS
+
+    derived = table()
+    differ = [key for key in derived.keys() | PSI1_JETS.keys()
+              if derived.get(key) != PSI1_JETS.get(key)]
+    for key in differ:
+        print(f"PSI1_JETS{key!r} differs from the derived jet")
+    print("mismatch" if differ else f"ok: {len(derived)} jets, orders 0..{ORDER}")
+    return int(bool(differ))
+
+
 if __name__ == "__main__":
-    _print_table()
+    if sys.argv[1:] == ["check"]:
+        sys.exit(_check())
+    else:
+        _print_table()

@@ -187,6 +187,17 @@ class TestSubcommands:
         assert "t=1e+300 needs 3.989e+149 terms" in record["message"]
         assert not out.exists()
 
+    def test_limits_overflow_is_exit_4(self, tmp_path, capsys):
+        # e^(-pi lam/4) at lam = -1e5 is past the float range: a traceback and exit 1 before
+        config = tmp_path / "huge.json"
+        config.write_text('{"coefficients": [1.0], "shifts": [-1e5], "z_re": 0.3, "z_im": 0.0}')
+        out = tmp_path / "limits.csv"
+        assert main(["limits", "--config", str(config), "--out", str(out)]) == EXIT_NUMERIC
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "EvaluationError"
+        assert "psi1_limit_value" in record["message"] and "lam=-100000.0" in record["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["theta-check", "integral-check", "region"])
     def test_unused_missing_config_is_exit_3(self, subcommand, tmp_path, capsys):
         # a given --config is read even where the subcommand does not use it

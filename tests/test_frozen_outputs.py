@@ -40,14 +40,14 @@ FROZEN = {
     "integral-check": (None, ["integral-check"],
                        "c9e3a2e6077d8854bcbe55c9c43b34ddad708c7cc1c7fd8e4923c26a98434d17"),
     "moments-hardy-m1": (HARDY, ["moments", "--m", "1"],
-                         "134fc44b9f01e38ed8d88b97725b6678a932183df54065840c5c253923e1739e"),
+                         "026bfb9b3463e224a4adb380e26ef2f36a5b6fd1170e3c559fca3e2e4ac7c098"),
     "moments-series-m0": (SERIES, ["moments", "--m", "0"],
-                          "ab0457d1fc8cc3fed1cc94c99df3c3c19a107d6b19217e78289967aa2a75ad36"),
+                          "1e1a22bc571c51187f17ff4de8a3c0bf957f4353940d78ee7fac88c625f3d67d"),
     "limits-exhibit": (EXHIBIT, ["limits"],
                        "3484f4bcefdb7f09cb200b19b5a15b2304fc4540a04cad1e53556599329bf527"),
     # the line integrals' range holds tau = 0 as well as the shifted ends
     "moments-far-m1": (FAR, ["moments", "--m", "1"],
-                       "bf4d01f54c22fb2de1306f44dc2e2d03390cc3d42f02259867c0e52dbab8cb7c"),
+                       "b6c252753a946a0a19da1e829e2d3f21eeea72ab4ccebb0399c09c1672de24ff"),
 }
 
 

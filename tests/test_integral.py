@@ -97,6 +97,21 @@ class TestXiIntegral:
             out = xi_integral(a, z)
             assert abs(out.value - side) <= out.abs_err_est, (a, z)
 
+    @pytest.mark.parametrize("a, z", [(1.3, 0.0), (0.8, 0.3 - 0.2j), (cmath.exp(0.3j), 0.4 + 0.1j)])
+    def test_docstring_formula(self, a, z):
+        # (1/pi) Int_0^T Xi(t/2)/(1+t^2) nabla(a, z, (1+it)/2) dt by Gauss-Kronrod,
+        # Xi(t/2) ~ e^(-pi t/8) against nabla's e^(|arg a| t/2) leaving e^-40 at T
+        T = 40.0 / (math.pi / 8.0 - abs(cmath.phase(a)) / 2.0)
+
+        def f(ts):
+            xi, _ = xi_line_vec(ts / 2.0)
+            nab = np.array([nabla(a, z, (1.0 + 1j * t) / 2.0) for t in ts])
+            return xi / (1.0 + ts * ts) * nab / math.pi
+
+        gk = adaptive_gk(f, 0.0, T, 1e-12)
+        out = xi_integral(a, z)
+        assert abs(gk.value - out.value) <= gk.abs_err_est + out.abs_err_est
+
     def test_roundoff_reported(self):
         # 2e-15 is below the floor that the eta and 1F1 error bounds and the
         # rounding of the sums set for this integrand (about 6e-14): the rule
@@ -298,6 +313,13 @@ class TestMomentIntegral:
         ref = shifts.moment_series_rhs(m, alpha, make_config([1.0], [lam], z))
         assert abs(got.value - ref) <= got.abs_err_est
         assert got.evaluations < 1000
+
+    def test_negligible_far_shift_keeps_the_range(self):
+        # e^(-0.2 * 5000) at tau = 0 is far below the tail target, so the term
+        # does not stretch the range to its shifted end (10 187 nodes did)
+        got = moment_integral(0, 0.2, 5000.0, 0.3 - 0.2j)
+        assert got.evaluations <= 300
+        assert abs(got.value) <= got.abs_err_est
 
     def test_alpha_spread_overflow(self):
         # e^((alpha_k - alpha_ref) tau) over tau ~ -1400 would overflow

@@ -2,15 +2,12 @@ import cmath
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings
-from hypothesis import strategies as st
 
 from xishift import (
     ConfigError,
-    DegenerateError,
-    DomainError,
     EvalSettings,
     EvaluationError,
     PoleError,
@@ -25,9 +22,8 @@ from xishift import (
     moment_integral,
     moment_limit_check,
     moment_numeric,
-    moment_params,
     moment_series_rhs,
-    polar_shift,
+    psi1_alpha_derivative,
     validate_config,
 )
 from xishift import integral, shifts, specfun
@@ -39,6 +35,38 @@ from ._oracles import ZETA_ZEROS
 RNG = np.random.default_rng(99)
 HARDY = make_config([1.0], [0.0], 0.0)
 TWO_TERM = make_config([1.0, 0.5], [0.0, 1.0], 0.3 + 0.1j)
+# the CLI's configs and two with shifts on both sides of 0
+MOMENT_CONFIGS = {
+    "hardy": HARDY,
+    "exhibit": make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j),
+    "series": make_config([1.0, 0.5], [0.0, 1.0], 0.3 - 0.2j),
+    "far": make_config([1.0, 0.5], [25.0, 30.0], 0.3 - 0.2j),
+    "shifts -3, 0.5": make_config([1.0, -0.7], [-3.0, 0.5], 0.4 + 0.1j),
+    "shifts -40, 10": make_config([0.3, 2.0], [-40.0, 10.0], -0.2 + 0.3j),
+}
+
+
+def _polar(lam):
+    """The paper's r e^(i theta) = i/2 - lam, theta in (0, pi)."""
+    return mpmath.hypot(0.5, lam), mpmath.atan2(0.5, -lam)
+
+
+def _paper_closed_form(m: int, cfg) -> float:
+    """The paper's polar form of the moment limit, at 30 digits:
+
+        -4 pi w_z sum_j c_j e^(-pi lam_j/4) r_j^(2m) cos(pi/8 + beta_z + 2m theta_j),
+
+    w_z e^(i beta_z) = 1 + e^(z^2/8) sinh(z^2/8)."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(cfg.z)
+        u_iv = 1 + mpmath.exp(z * z / 8) * mpmath.sinh(z * z / 8)
+        w, beta = abs(u_iv), mpmath.arg(u_iv)
+        total = 0
+        for c, lam in zip(cfg.coefficients, cfg.shifts):
+            r, theta = _polar(lam)
+            total += (c * mpmath.exp(-mpmath.pi * lam / 4) * r ** (2 * m)
+                      * mpmath.cos(mpmath.pi / 8 + beta + 2 * m * theta))
+        return float(-4 * mpmath.pi * w * total)
 
 
 class TestConfig:
@@ -232,64 +260,6 @@ class TestCriticalLine:
         assert abs(f_z_critical(t, cfg) - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
-class TestPolarAndParams:
-    def test_polar_examples(self):
-        ps = polar_shift(0.0)
-        assert ps.r == pytest.approx(0.5) and ps.theta == pytest.approx(math.pi / 2)
-        ps = polar_shift(0.5)
-        assert ps.r == pytest.approx(math.sqrt(2) / 2) and ps.theta == pytest.approx(3 * math.pi / 4)
-        ps = polar_shift(-0.5)
-        assert ps.theta == pytest.approx(math.pi / 4)
-
-    @hyp_settings(max_examples=200, deadline=None)
-    @given(st.floats(-10, 10))
-    def test_polar_round_trip(self, lam):
-        ps = polar_shift(lam)
-        back = ps.r * cmath.exp(1j * ps.theta)
-        assert abs(back - (0.5j - lam)) < 1e-14 * (1.0 + abs(lam))
-        assert 0.0 < ps.theta < math.pi
-
-    def test_moment_params_examples(self):
-        p = moment_params(0.0)
-        assert (p.u, p.v, p.w, p.beta) == (1.0, 0.0, 1.0, 0.0)
-        p = moment_params(1.0)
-        assert p.v == 0.0 and p.beta == 0.0
-        assert p.u == pytest.approx(1.0 + math.exp(0.125) * math.sinh(0.125))
-
-    @hyp_settings(max_examples=200, deadline=None)
-    @given(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2))
-    def test_moment_params_consistency(self, x, y):
-        z = complex(x, y)
-        try:
-            p = moment_params(z)
-        except DegenerateError:
-            return
-        assert abs(p.w - math.hypot(p.u, p.v)) < 1e-14
-        assert abs(p.w * math.cos(p.beta) - p.u) < 5e-14
-        assert abs(p.w * math.sin(p.beta) - p.v) < 5e-14
-        assert 0.0 <= p.beta < 2.0 * math.pi
-
-    def test_degenerate_w(self):
-        z = math.sqrt(2.0 * math.pi) * (1.0 + 1.0j)  # e^(z^2/4) = -1
-        with pytest.raises(DegenerateError):
-            moment_params(z)
-
-    def test_overflowed_square_is_degenerate(self):
-        # z^2/8 overflows to a nan modulus, which no comparison with 1e-14 catches
-        with pytest.raises(DegenerateError):
-            moment_params(1e200 + 1e200j)
-
-    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.3, math.inf)])
-    def test_moment_params_non_finite_z(self, z):
-        with pytest.raises(DomainError, match="finite z"):
-            moment_params(z)
-
-    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
-    def test_polar_non_finite_shift(self, lam):
-        with pytest.raises(DomainError, match="finite shift"):
-            polar_shift(lam)
-
-
 class TestMoments:
     def test_closed_form_hardy(self):
         got = moment_closed_form(0, HARDY)
@@ -297,27 +267,16 @@ class TestMoments:
 
     def test_closed_form_real_z_prefactor(self):
         # for real z the closed form factorizes into (1 + e^(z^2/8) sinh(z^2/8))
-        # times the z = 0 cosine sum
+        # times the z = 0 sum
         cfg = make_config([1.0, 0.5], [0.0, 1.0], 0.7)
         m = 1
         pref = 1.0 + math.exp(0.7**2 / 8.0) * math.sinh(0.7**2 / 8.0)
-        base = sum(
-            c * math.exp(-math.pi * lam / 4.0) * polar_shift(lam).r ** (2 * m)
-            * math.cos(math.pi / 8.0 + 2 * m * polar_shift(lam).theta)
-            for c, lam in zip(cfg.coefficients, cfg.shifts)
-        )
-        assert abs(moment_closed_form(m, cfg) - pref * (-4.0 * math.pi) * base) < 1e-12
+        base = _paper_closed_form(m, make_config(cfg.coefficients, cfg.shifts, 0.0))
+        assert abs(moment_closed_form(m, cfg) - pref * base) < 1e-12
 
     def test_closed_form_assembled_complex_z(self):
         cfg = make_config([1.0, 0.5], [0.0, 1.0], 0.3 + 0.1j)
-        p = moment_params(cfg.z)
-        total = 0.0
-        for c, lam in zip(cfg.coefficients, cfg.shifts):
-            ps = polar_shift(lam)
-            total += c * math.exp(-math.pi * lam / 4.0) * ps.r ** 2 * math.cos(
-                math.pi / 8.0 + p.beta + 2.0 * ps.theta
-            )
-        assert moment_closed_form(1, cfg) == pytest.approx(-4.0 * math.pi * p.w * total)
+        assert moment_closed_form(1, cfg) == pytest.approx(_paper_closed_form(1, cfg))
 
     def test_series_identity_two_term(self):
         st_q = EvalSettings(quad_abs_tol=1e-9)
@@ -381,3 +340,47 @@ class TestMoments:
         v1 = moment_numeric(0, 0.1, cfg1, st_q)
         v2 = moment_numeric(0, 0.1, cfg2, st_q)
         assert abs(v2 - 2.0 * v1) <= 1e-12 * (1.0 + abs(v2))
+
+
+class TestOneAnalyticSide:
+    """The closed form is the analytic side of the moment identity at pi/4."""
+
+    @pytest.mark.parametrize("name", MOMENT_CONFIGS)
+    def test_closed_form_is_the_polar_form(self, name):
+        cfg = MOMENT_CONFIGS[name]
+        for m in range(6):
+            got, ref = moment_closed_form(m, cfg), _paper_closed_form(m, cfg)
+            assert abs(got - ref) <= 1e-13 * (1.0 + abs(got)), (m, got, ref)
+
+    def test_vanishing_polar_modulus(self):
+        # z = sqrt(2 pi)(1 - i) is admissible and e^(z^2/4) = -1 there, so
+        # w_z = 0 and the limit vanishes up to the rounding of z^2
+        cfg = make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], math.sqrt(2.0 * math.pi) * (1 - 1j))
+        for m in range(6):
+            assert abs(moment_closed_form(m, cfg)) <= 1e-12, m
+
+    @pytest.mark.parametrize("alpha", [0.2, -0.3, 0.6, math.pi / 4 - 0.01])
+    def test_series_side_is_the_two_part_form(self, alpha):
+        # the paper's series side: the polar term plus 4 pi Re(e^(z^2/8) psi1^(2m))
+        for name, cfg in MOMENT_CONFIGS.items():
+            ez8 = cmath.exp(cfg.z * cfg.z / 8.0)
+            for m in range(3):
+                ref = 0.0
+                for c, lam in zip(cfg.coefficients, cfg.shifts):
+                    r, theta = math.hypot(0.5, lam), math.atan2(0.5, -lam)
+                    deriv = psi1_alpha_derivative(alpha, cfg.z, lam, 2 * m)
+                    ref += c * (
+                        -4.0 * math.pi * math.exp(-alpha * lam) * r ** (2 * m)
+                        * math.cos(alpha / 2.0 + 2 * m * theta)
+                        + 4.0 * math.pi * (ez8 * deriv).real
+                    )
+                got = moment_series_rhs(m, alpha, cfg)
+                assert abs(got - ref) <= 1e-14 * abs(ref), (name, m, got, ref)
+
+    def test_overflow_is_typed(self):
+        # e^(-pi lam/4) past the float range: a bare OverflowError before
+        with pytest.raises(EvaluationError, match=r"moment_closed_form at lam=-100000\.0"):
+            moment_closed_form(0, make_config([1.0], [-1e5], 0.3))
+        # z = 1e200 (1 - i) is admissible, and z^2 overflows
+        with pytest.raises(EvaluationError, match=r"moment_closed_form at lam=0\.0"):
+            moment_closed_form(0, make_config([1.0], [0.0], 1e200 - 1e200j))

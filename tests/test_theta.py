@@ -9,6 +9,7 @@ from xishift import (
     DivergenceError,
     DomainError,
     EvalSettings,
+    EvaluationError,
     RegionError,
     UnsupportedOrderError,
     axis_decay_sequence,
@@ -327,6 +328,16 @@ class TestPsi1:
             psi1_alpha_derivative(0.2, z, lam, 2)
         with pytest.raises(DomainError, match="psi1_limit_value needs finite"):
             psi1_limit_value(z, lam, 0)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: psi1_limit_value(1e150, 0.0, 0), r"psi1_limit_value\(z=.*\) at lam=0\.0"),
+        (lambda: psi1(0.2, 0.3, -1e5), r"psi1 at lam=-100000\.0"),
+        (lambda: psi1_limit_value(0.3, 1e300, 4), r"psi1_limit_value\(z=.*\) at lam=1e\+300"),
+    ], ids=["limit-huge-z", "psi1-huge-shift", "limit-nan"])
+    def test_overflow_is_typed(self, call, match):
+        # the first two raised a bare OverflowError, the last returned nan+nanj
+        with pytest.raises(EvaluationError, match=match):
+            call()
 
     def test_jet_term_overflow(self):
         # the jet sum's first term passes the exponent range, as in theta_series(1.0, 500j)
