@@ -217,10 +217,8 @@ def _cmd_integral_check(man: RunManifest, _cfg):
 
 def _cmd_region(man: RunManifest, _cfg):
     grid = region.region_grid(man.t_min, man.t_max, man.t_min, man.t_max, man.step)
-    rows = [
-        {"x": x, "y": y, "inside": inside, "label": label, "margin": margin}
-        for x, y, inside, label, margin in region.grid_csv_rows(grid)
-    ]
+    rows = [{"x": z.real, "y": z.imag, "inside": int(v.inside), "label": v.component_label,
+             "margin": v.margin} for z, v in grid]
     params = {"x_min": man.t_min, "x_max": man.t_max, "y_min": man.t_min, "y_max": man.t_max,
               "step": man.step}
     return ["x", "y", "inside", "label", "margin"], rows, True, params

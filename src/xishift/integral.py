@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 ALPHA_MARGIN = math.pi / 4 - 0.01
+_TAIL_FLOOR = 40.0  # the line integrals' least truncation point, where their tail bound starts
 
 
 @dataclass(frozen=True)
@@ -143,11 +144,11 @@ def _line_integral(
     (b_ref = max Re beta_k) and one 1F1 call; each term then multiplies by
     exp((Re beta_k - b_ref) tau - Re beta_k lam_k) and the unit phase
     exp(i Im beta_k (tau - lam_k)).  rho's mass sits at tau = 0 whatever the
-    shifts, so the range holds [-T_lo, T_hi] and every [-T_lo + lam_k,
-    T_hi + lam_k]: T_hi from the slowest decay on the right, pi/4 - max Re
-    beta_k, and T_lo from the slowest on the left, pi/4 + min Re beta_k.  The
-    truncation target is shared out by sum |c_k| max(1, e^(-Re beta_k lam_k)),
-    so quad_abs_tol bounds the weighted sum itself.  nested_trapezoid
+    shifts, so the range is [-T_lo, T_hi]: T_hi from the slowest decay on the
+    right, pi/4 - max Re beta_k, and T_lo from the slowest on the left, pi/4 +
+    min Re beta_k.  Each shift joins its term's weight: the truncation target
+    is shared out by sum |c_k| max(1, e^(-Re beta_k lam_k) (1 + |lam_k|/40)^(2m)),
+    so quad_abs_tol bounds the weighted sum on both sides.  nested_trapezoid
     integrates it, with the eta and 1F1 error bounds as the integrand's own
     and the poles at tau = +-i/2 as (tau_p, residue) pairs: with g(tau) =
     F(tau) sum_k c_k (tau-lam_k)^(2m) e^(beta_k (tau-lam_k)), the residues
@@ -171,33 +172,23 @@ def _line_integral(
             f"{what}: |Re beta| = {top:.4f} exceeds pi/4 - 0.01; decay rate too small"
         )
     tol = settings.quad_abs_tol
-    # |rho(t)| <= C e^(-pi |t|/4) with C ~ 3 beyond |t| = 40 (Stirling for
-    # Gamma, convexity for zeta leave no net polynomial growth); the factor 8
-    # in the target also covers the confluent prefactors, and c_sum the tails
-    # of all terms together (a weight past MAX_EXP fails the check below).
-    # Each side is cut at its own decay rate, its tail below 0.025 tol.
-    b_ref = float(bs.max())
-    c_sum = float(np.sum(np.abs(cs) * np.exp(np.clip(-bs * lams, 0.0, MAX_EXP))))
-    rates = (math.pi / 4.0 - b_ref, math.pi / 4.0 + float(bs.min()))
+    # |rho(t)| <= C e^(-pi |t|/4) with C ~ 3 beyond |t| = _TAIL_FLOOR (Stirling
+    # for Gamma, convexity for zeta leave no net polynomial growth), and there
+    # |tau - lam_k| <= |tau| (1 + |lam_k|/_TAIL_FLOOR); the factor 8 in the target
+    # covers the confluent prefactors, and c_sum the tails of all terms (a weight
+    # past MAX_EXP fails the check below).  Each side's tail is below 0.025 tol.
+    b_ref, share = float(bs.max()), 0.025 * tol
+    log_wts = 2 * m * np.log1p(np.abs(lams) / _TAIL_FLOOR) - bs * lams
+    c_sum = float(np.sum(np.abs(cs) * np.exp(np.clip(log_wts, 0.0, MAX_EXP))))
     T_hi, T_lo = (
-        truncation_point(
-            2.0 * m, rate, abs(z) / math.sqrt(2.0), 0.025 * tol * rate / (8.0 * c_sum), 40.0,
-        )
-        for rate in rates
+        truncation_point(2.0 * m, rate, abs(z) / math.sqrt(2.0), share * rate / (8.0 * c_sum),
+                         _TAIL_FLOOR)
+        for rate in (math.pi / 4.0 - b_ref, math.pi / 4.0 + float(bs.min()))
     )
-    # a term widens its side to its shifted end only where its weight at
-    # tau = 0, |lam_k|^(2m) e^(-Re beta_k lam_k), is above that side's target
-    # (compared in logs, as the target underflows where c_sum is huge)
-    ends = [0.0] + [lam for b, lam in zip(bs.tolist(), lams.tolist())
-                    if 2 * m * math.log(abs(lam) or 1.0) - b * lam + math.log(c_sum)
-                    > math.log(0.025 * tol * rates[lam < 0] / 8.0)]
-    lo, hi = -T_lo + min(ends), T_hi + max(ends)
     spread = bs - b_ref
-    if float(np.max(np.maximum(spread * lo, spread * hi) - bs * lams)) > MAX_EXP:
-        raise DomainError(
-            f"{what}: rates spread {-spread.min():.4f} over tau in [{lo:.0f}, {hi:.0f}]; "
-            f"the term weights overflow"
-        )
+    if float(np.max(np.maximum(-spread * T_lo, spread * T_hi) + log_wts)) > MAX_EXP:
+        raise DomainError(f"{what}: rates spread {-spread.min():.4f} over tau in "
+                          f"[{-T_lo:.0f}, {T_hi:.0f}]; the term weights overflow")
     w = z * z / 4.0
     # real c_k and beta_k (every moment route): the sum is real, and the
     # rule resolves only the real part the caller keeps
@@ -230,7 +221,7 @@ def _line_integral(
         return (values.real if real else values), errors
 
     try:
-        out = nested_trapezoid(integrand, lo, hi, 0.9 * tol, ((0.5j, r_up), (-0.5j, r_dn)))
+        out = nested_trapezoid(integrand, -T_lo, T_hi, 0.9 * tol, ((0.5j, r_up), (-0.5j, r_dn)))
     except AccuracyError as exc:
         raise AccuracyError(f"{what}: {exc}") from exc
     # each side's tail is at most 0.025 tol

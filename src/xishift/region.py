@@ -29,7 +29,6 @@ __all__ = [
     "classify_decomposition",
     "require_inside",
     "region_grid",
-    "grid_csv_rows",
 ]
 
 SQUARE_HALF_WIDTH = math.sqrt(math.pi / 2.0)
@@ -142,9 +141,3 @@ def region_grid(
                 )
             out.append((z, v1))
     return out
-
-
-def grid_csv_rows(grid: list[tuple[complex, RegionVerdict]]):
-    """Rows (x, y, inside, label, margin) for the grid CSV export."""
-    for z, v in grid:
-        yield (z.real, z.imag, 1 if v.inside else 0, v.component_label, v.margin)

@@ -389,15 +389,26 @@ def _psi1_base_jet(alpha: float, z: complex, settings: EvalSettings) -> np.ndarr
     return base
 
 
+def _shift_underflows(lam: float, alpha: float) -> bool:
+    """Whether e^{(i/2 - lam) alpha}, of modulus e^{-lam alpha}, is 0 in floats."""
+    return math.exp(min(0.0, -lam * alpha)) == 0.0
+
+
+def _shift_out_of_range(context: str, lam: float, how: str, alpha: str) -> EvaluationError:
+    return EvaluationError(f"{context} at lam={lam!r}: e^((i/2 - lam) alpha) {how} "
+                           f"at alpha={alpha}")
+
+
 def _psi1_shifted(base: np.ndarray, alpha: float, lam: float, order: int) -> complex:
     """order-th alpha-derivative of psi1 = e^{(i/2 - lam) alpha} * base, by Leibniz."""
     if not 0 <= order < _JET_LEN:
         raise UnsupportedOrderError(f"alpha-derivative order {order} not supported (max 4)")
+    if _shift_underflows(lam, alpha):
+        raise _shift_out_of_range("psi1", lam, "underflows", repr(alpha))
     try:
         shift = _j_exp((0.5j - lam) * _j_var(alpha))
     except OverflowError:
-        raise EvaluationError(f"psi1 at lam={lam!r}: e^((i/2 - lam) alpha) overflows "
-                              f"at alpha={alpha!r}") from None
+        raise _shift_out_of_range("psi1", lam, "overflows", repr(alpha)) from None
     value = math.factorial(order) * sum(shift[order - k] * base[k] for k in range(order + 1))
     return require_finite(complex(value), f"psi1_alpha_derivative at lam={lam!r}")
 
@@ -405,8 +416,10 @@ def _psi1_shifted(base: np.ndarray, alpha: float, lam: float, order: int) -> com
 def _psi1_boundary(lam: float, order: int, limit, context: str) -> complex:
     """The order-th alpha-derivative of e^{(i/2 - lam) alpha} B at alpha = pi/4,
     where B tends to limit() and its derivatives to 0:
-    (i/2 - lam)^order e^{(i/2 - lam) pi/4} limit().  An overflow in it, or a
-    value that is not finite, is an EvaluationError naming context and lam."""
+    (i/2 - lam)^order e^{(i/2 - lam) pi/4} limit().  An over- or underflow in it,
+    or a value that is not finite, is an EvaluationError naming context and lam."""
+    if _shift_underflows(lam, math.pi / 4.0):
+        raise _shift_out_of_range(context, lam, "underflows", "pi/4")
     c = 0.5j - lam
     try:
         value = c**order * cmath.exp(math.pi / 4.0 * c) * limit()

@@ -198,6 +198,23 @@ class TestSubcommands:
         assert "psi1_limit_value" in record["message"] and "lam=-100000.0" in record["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand, match", [
+        ("moments", "psi1 at lam=100000.0: e^((i/2 - lam) alpha) underflows at alpha=0.2"),
+        ("limits", "psi1_limit_value(z=(0.3+0j)) at lam=100000.0: e^((i/2 - lam) alpha) "
+                   "underflows at alpha=pi/4"),
+    ])
+    def test_analytic_underflow_is_exit_4(self, subcommand, match, tmp_path, capsys):
+        # e^(-lam alpha) at lam = 1e5 is below the float range: no row of zeros
+        # may pass for a value
+        config = tmp_path / "far.json"
+        config.write_text('{"coefficients": [1.0], "shifts": [1e5], "z_re": 0.3, "z_im": 0.0}')
+        out = tmp_path / "out.csv"
+        code = main([subcommand, "--m", "1", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "EvaluationError", "message": match}
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["theta-check", "integral-check", "region"])
     def test_unused_missing_config_is_exit_3(self, subcommand, tmp_path, capsys):
         # a given --config is read even where the subcommand does not use it

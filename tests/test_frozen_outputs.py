@@ -17,6 +17,8 @@ EXHIBIT = {"coefficients": [1.0, 0.5, 0.25], "shifts": [0.0, 1.0, 2.0],
 SERIES = {"coefficients": [1.0, 0.5], "shifts": [0.0, 1.0], "z_re": 0.3, "z_im": -0.2}
 # every shift far from rho's mass at tau = 0
 FAR = {"coefficients": [1.0, 0.5], "shifts": [25.0, 30.0], "z_re": 0.3, "z_im": -0.2}
+# every shift below it
+NEG = {"coefficients": [1.0, 0.5], "shifts": [-3.0, -6.0], "z_re": 0.3, "z_im": -0.2}
 
 # (config or None, argv, SHA-256 of the CSV written)
 FROZEN = {
@@ -42,12 +44,15 @@ FROZEN = {
     "moments-hardy-m1": (HARDY, ["moments", "--m", "1"],
                          "026bfb9b3463e224a4adb380e26ef2f36a5b6fd1170e3c559fca3e2e4ac7c098"),
     "moments-series-m0": (SERIES, ["moments", "--m", "0"],
-                          "1e1a22bc571c51187f17ff4de8a3c0bf957f4353940d78ee7fac88c625f3d67d"),
+                          "4f73435e85c5e9933a4a557d81313c095469704bce3694392ec0544a68f6c33f"),
     "limits-exhibit": (EXHIBIT, ["limits"],
                        "3484f4bcefdb7f09cb200b19b5a15b2304fc4540a04cad1e53556599329bf527"),
-    # the line integrals' range holds tau = 0 as well as the shifted ends
+    # shifts above and below rho's mass at tau = 0: the line integrals'
+    # range stays [-T_lo, T_hi], each shift only in its term's weight
     "moments-far-m1": (FAR, ["moments", "--m", "1"],
-                       "b6c252753a946a0a19da1e829e2d3f21eeea72ab4ccebb0399c09c1672de24ff"),
+                       "31f3a034c3f7232b8c0d36c2bb33b31e919063c9a92ee8979e0f2f13fe9e3aa5"),
+    "moments-neg-m1": (NEG, ["moments", "--m", "1"],
+                       "b9089d4ff744a749085abf3261d5f6a2be9c66c92174d0200a5c4646b8fb1c27"),
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from xishift import classify_decomposition, classify_inequality, region, region_grid
 from xishift.errors import ConfigError, DomainError, RegionError
 from xishift.region import require_inside
-from xishift.region import SQUARE_HALF_WIDTH, grid_csv_rows, region_margin
+from xishift.region import SQUARE_HALF_WIDTH, region_margin
 
 C = SQUARE_HALF_WIDTH
 RNG = np.random.default_rng(55)
@@ -121,15 +121,6 @@ class TestGrid:
         grid = dict(region_grid(-2.0, 2.0, -2.0, 2.0, 0.5))
         for z, v in grid.items():
             assert grid[-z].inside == v.inside
-
-    def test_csv_rows(self):
-        grid = region_grid(-1.0, 1.0, -1.0, 1.0, 1.0)
-        rows = list(grid_csv_rows(grid))
-        assert rows[0][:2] == (-1.0, -1.0)
-        assert all(len(r) == 5 for r in rows)
-        assert {r[3] for r in rows} <= {
-            "central_square", "lower_right", "upper_left", "boundary", "outside"
-        }
 
     def test_point_cap_refuses_before_classifying(self, monkeypatch):
         # 6001 x 6001 points would take ~2 minutes and ~7 GB; each axis alone

@@ -311,16 +311,18 @@ class TestMoments:
         tol = 1e-9
         moment_numeric(1, 0.2, cfg, EvalSettings(quad_abs_tol=tol))
         assert len(calls) == 1
-        # the range covers every shift's own [-T_lo + lam, T_hi + lam]; each
-        # side is cut at its own decay rate, pi/4 + alpha on the left and
-        # pi/4 - alpha on the right, with the same tail target
+        # the range is [-T_lo, T_hi] whatever the shifts; each side is cut at
+        # its own decay rate, pi/4 + alpha on the left and pi/4 - alpha on the
+        # right, with the same tail target.  Every shift's weight factor
+        # e^(-alpha lam) (1 + lam/40)^(2m) is below 1 here, so the target
+        # divides by sum |c_k|
         def side(rate):
             target = 0.025 * tol * rate / (8.0 * sum(cfg.coefficients))
             return truncation_point(2.0, rate, abs(cfg.z) / math.sqrt(2.0), target, 40.0)
 
         t_lo, t_hi = side(math.pi / 4.0 + 0.2), side(math.pi / 4.0 - 0.2)
         assert t_lo < t_hi
-        assert calls[0] == (-t_lo + 0.0, t_hi + 2.0)
+        assert calls[0] == (-t_lo, t_hi)
 
         # both alpha samples of the limit check share one quadrature; the
         # count is all that is asked here, so the integral itself is skipped
@@ -384,3 +386,23 @@ class TestOneAnalyticSide:
         # z = 1e200 (1 - i) is admissible, and z^2 overflows
         with pytest.raises(EvaluationError, match=r"moment_closed_form at lam=0\.0"):
             moment_closed_form(0, make_config([1.0], [0.0], 1e200 - 1e200j))
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda cfg: moment_series_rhs(1, 0.2, cfg), r"^psi1 at lam=100000\.0: .* underflows "
+                                                      r"at alpha=0\.2$"),
+        (lambda cfg: moment_closed_form(1, cfg), r"^moment_closed_form at lam=100000\.0: .* "
+                                                 r"underflows at alpha=pi/4$"),
+    ], ids=["series", "closed-form"])
+    def test_underflow_of_every_term_is_typed(self, call, match):
+        # e^(-lam alpha) is below the float range for the one shift
+        with pytest.raises(EvaluationError, match=match):
+            call(make_config([1.0], [1e5], 0.3))
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.6, None])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_underflowed_term_adds_nothing(self, m, alpha):
+        # alpha None is the closed form, at pi/4
+        side = ((lambda cfg: moment_closed_form(m, cfg)) if alpha is None
+                else (lambda cfg: moment_series_rhs(m, alpha, cfg)))
+        base = side(make_config([1.0], [0.0], 0.3))
+        assert side(make_config([1.0, 0.5], [0.0, 1e5], 0.3)) == base != 0.0

@@ -339,6 +339,18 @@ class TestPsi1:
         with pytest.raises(EvaluationError, match=match):
             call()
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: psi1(0.2, 0.3, 1e5), r"^psi1 at lam=100000\.0: .* underflows at alpha=0\.2$"),
+        (lambda: psi1_alpha_derivative(0.2, 0.3, 1e5, 2),
+         r"^psi1 at lam=100000\.0: .* underflows at alpha=0\.2$"),
+        (lambda: psi1_limit_value(0.3, 1e5, 0),
+         r"^psi1_limit_value\(z=.*\) at lam=100000\.0: .* underflows at alpha=pi/4$"),
+    ], ids=["psi1", "psi1-derivative", "limit"])
+    def test_underflow_is_typed(self, call, match):
+        # e^(-lam alpha) is below the float range, so the value would be a bare 0
+        with pytest.raises(EvaluationError, match=match):
+            call()
+
     def test_jet_term_overflow(self):
         # the jet sum's first term passes the exponent range, as in theta_series(1.0, 500j)
         with pytest.raises(DivergenceError, match="overflows"):
