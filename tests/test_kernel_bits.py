@@ -1,11 +1,12 @@
-"""Frozen bits of the theta kernel: one SHA-256 over a seeded sample.
+"""Frozen bits of the theta kernel: one SHA-256 per case family of a seeded sample.
 
 The sample covers the public theta sums and residuals, psi1's base jet on
 its direct, near-axis and mirrored routes, the near-axis combination, and
 complex x with z = +-0 +-0i.  Each case hashes the raw float bits of its
 value, terms used and error estimate, or the type and message of the error
-it raises.  A speedup that promises identical results must leave the digest
-as it is.
+it raises.  A speedup that promises identical results must leave every
+digest as it is; a change that moves one route on purpose re-pins only that
+route's family and shows that the others held.
 """
 
 import hashlib
@@ -25,7 +26,19 @@ from xishift import (
 from xishift.errors import XishiftError
 from xishift.theta import _psi1_base_jet
 
-DIGEST = "7532f1139c66d40d9b2b7784fc818f1f401fb1c17f56b5b28d5f8a80c4abc7aa"
+DIGESTS = {
+    "theta": "dcf7590becf2add0255be064a94f55acbd781769440dcabfb02faa16865758d3",
+    "zero-z": "c71f20b4d706b4ecfaf8c003836208a4ee25aade5d29595b1e2211ad852ac444",
+    "side": "327bf3e4374551cb54f0c3ff2b32fbb5c06f92fd35b4b6d85a087ee4b2248bb4",
+    "jacobi": "8076f46ef44fdfc13b95b99b8ee788a71eed5d81b4fd830a630751bc8c936511",
+    "general": "cb78100effe549d8094d228ccf9debe8944f695754a1c723f348f853140dfdbe",
+    "xz": "bdb73364d25eb8bf5ed74202caf3dbf9e28d28466640449e7443d63fa3442d08",
+    "jet direct": "f608bdb0afb771cd003a4d99c2db4144841ca0d46359cfc517bcb2e4af7d352a",
+    "jet near-axis": "3025d834e59d5e7161fdb5d4d68781260cb2892a391c74e63ed8aa044f775056",
+    "jet mirrored": "6bfdb1d33525abdf6a0ecd0171bb5c568c725fea6b1ccc4d0a71ab5b859a3151",
+    "axis": "e4f0498d361f21d853f350efe7801ecb904bf1aba23d86f2dbe9bd170089cab9",
+    "refused": "2c73d4733dbee559921eb062e6ec3517888808ef00f8e412de6aa1b6b5100b2c",
+}
 
 SETTINGS = (
     EvalSettings(),
@@ -113,16 +126,26 @@ def _cases():
         yield f"refused {i}", call
 
 
-def kernel_digest() -> str:
-    h = hashlib.sha256()
+def _family(label: str) -> str:
+    """The case family of a label: its first word, or two for psi1's jet routes."""
+    words = label.split(" ", 2)
+    return " ".join(words[:2]) if words[0] == "jet" else words[0]
+
+
+def kernel_digests() -> dict[str, str]:
+    hashes = {}
     for label, thunk in _cases():
+        h = hashes.setdefault(_family(label), hashlib.sha256())
         h.update(label.encode())
         try:
             h.update(_encode(thunk()))
         except XishiftError as e:
             h.update(f"{type(e).__name__}: {e}".encode())
-    return h.hexdigest()
+    return {family: h.hexdigest() for family, h in hashes.items()}
 
 
 def test_kernel_bits_are_frozen():
-    assert kernel_digest() == DIGEST
+    got = kernel_digests()
+    assert got.keys() == DIGESTS.keys()
+    moved = [family for family in DIGESTS if got[family] != DIGESTS[family]]
+    assert not moved, f"digests moved: {moved}"
