@@ -252,13 +252,18 @@ def _cmd_moments(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     return fields, rows, passed, {"alpha": man.alpha, "m_max": man.m_max}
 
 
+def _decays(seq, target: float) -> bool:
+    """Strictly decreasing, and the last entry below target."""
+    return all(b < a for a, b in zip(seq, seq[1:])) and seq[-1] < target
+
+
 def _cmd_limits(man: RunManifest, cfg: shifts_mod.ShiftConfig):
     rows = []
     passed = True
     z = cfg.z
-    for scale, name in ((4.0, "quarter"), (1.0, "unit")):
-        seq = theta.axis_decay_sequence(z, list(_DECAY_DELTAS), scale=scale)
-        ok = all(b < a for a, b in zip(seq, seq[1:])) and seq[-1] < 1e-8
+    pairs = theta.axis_decay_sequence(z, list(_DECAY_DELTAS))
+    for name, seq in zip(("quarter", "unit"), zip(*pairs)):
+        ok = _decays(seq, 1e-8)
         passed &= ok
         for d, v in zip(_DECAY_DELTAS, seq):
             rows.append({"check": f"axis_decay_{name}", "shift": 0.0,
@@ -271,7 +276,7 @@ def _cmd_limits(man: RunManifest, cfg: shifts_mod.ShiftConfig):
             lim = theta.psi1_limit_value(z, lam, 2 * m)
             res = [abs(theta._psi1_shifted(base, alpha, lam, 2 * m) - lim)
                    for alpha, base in zip(alphas, bases)]
-            ok = res[0] > res[1] > res[2] and res[2] < 1e-2
+            ok = _decays(res, 1e-2)
             passed &= ok
             for k, v in zip((1, 2, 3), res):
                 rows.append({"check": "psi1_limit", "shift": lam, "order": 2 * m,

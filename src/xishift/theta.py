@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -339,12 +340,9 @@ def psi_xz_transform_residual(
 # e^{(i/2 - lam) alpha}.  Away from the boundary the series is summed directly
 # at x = e^{2 i alpha}.  Near alpha = pi/4, x approaches i and the direct
 # series loses ~16 digits to cancellation and phase rounding, so there the
-# even/odd split combined with the modular transformation is used:
-#
-#   psi(i+d, z) = -1/2 + d^{-1/2} e^{-(z^2/4)(1+i/d)} *
-#                 [ psi(1/(4d), i z sqrt(1+i/d)) - psi(1/d, i z sqrt(1+i/d)) ]
-#
-# whose terms are superexponentially small, with no cancellation at all.
+# even/odd split combined with the modular transformation gives
+# psi(i + d, z) = -1/2 + T_4 - T_1 (_axis_pair), whose terms are
+# superexponentially small, with no cancellation at all.
 # Near alpha = -pi/4 the same route runs on the mirror image, since
 # B(alpha; z) = conj B(-alpha; conj z).
 
@@ -377,16 +375,27 @@ def _psi1_base_jet(alpha: float, z: complex, settings: EvalSettings) -> np.ndarr
     eps_b = math.pi / 4.0 - alpha
     d = x.copy()
     d[0] = complex(math.sin(2.0 * eps_b), -2.0 * math.sin(eps_b) ** 2)
+    quarter, unit = _axis_pair(d, 1j * var, z, tight)
+    base = ez8 * (quarter - unit)
+    base[0] -= cmath.sinh(z * z / 8.0)
+    return base
+
+
+def _axis_pair(d: np.ndarray, log_root: np.ndarray, z: complex,
+               settings: EvalSettings) -> tuple[np.ndarray, np.ndarray]:
+    """The jets (T_4, T_1) of the transformed terms at x = i + d,
+
+        T_s = d^{-1/2} e^{-(z^2/4)(1 + i/d)} psi(1/(s d), i z sqrt(1 + i/d)),
+
+    given the jets of d and of log sqrt(i + d); the prefactor is folded into
+    each theta sum and sqrt(1 + i/d) sqrt(1/d) = sqrt(i + d)/d."""
     log_d = _j_log(d)
     inv = _j_exp(-log_d)
     log_pref = -0.25j * z * z * inv - 0.5 * log_d
     log_pref[0] -= z * z / 4.0
-    w = 0.5j * SQRT_PI * z * _j_exp(1j * var - log_d)  # sqrt(i + d)/d = e^{i alpha}/d
-    quarter = _folded_theta(inv / 4.0, w, log_pref, tight).value
-    unit = _folded_theta(inv, 2.0 * w, log_pref, tight).value
-    base = ez8 * (quarter - unit)
-    base[0] -= cmath.sinh(z * z / 8.0)
-    return base
+    w = 0.5j * SQRT_PI * z * _j_exp(log_root - log_d)
+    return (_folded_theta(inv / 4.0, w, log_pref, settings).value,
+            _folded_theta(inv, 2.0 * w, log_pref, settings).value)
 
 
 def _shift_underflows(lam: float, alpha: float) -> bool:
@@ -470,57 +479,41 @@ def psi1_limit_value(z: complex, lam: float, order: int) -> complex:
 # Near-axis limit expressions
 # ---------------------------------------------------------------------------
 
-def _axis_term(d: complex, z: complex, scale: float, settings: EvalSettings) -> complex:
-    """d^{-1/2} e^{-(z^2/4)(1 + i/d)} psi(1/(scale*d), i z sqrt(1 + i/d)), the
-    prefactor folded into the theta sum."""
-    x = 1.0 / (scale * d)
-    arg = 1j * z * cmath.sqrt(1.0 + 1j / d)
-    log_pref = -z * z / 4.0 * (1.0 + 1j / d) - 0.5 * cmath.log(d)
-    w = cmath.sqrt(math.pi * x) * arg
-    return _folded_theta(x, w, log_pref, settings).value
+def _axis_terms(z: complex, delta: float, settings: EvalSettings) -> tuple[complex, complex]:
+    """(T_4, T_1) at real delta > 0: _axis_pair on constant jets, summed as
+    tightly as psi1 sums them."""
+    if not sys.float_info.min <= delta < math.inf:  # 1/delta overflows below
+        raise DomainError(f"near-axis terms need a finite delta > 0 with 1/delta finite, "
+                          f"got delta={delta!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python scalars do, for tiny delta
+        pair = _axis_pair(_j_lift(complex(delta)), _j_lift(0.5 * cmath.log(1j + delta)), z,
+                          _tightened(settings))
+    return complex(pair[0][0]), complex(pair[1][0])
 
 
-def axis_decay_sequence(
-    z: complex,
-    deltas: list[float],
-    settings: EvalSettings = DEFAULT_SETTINGS,
-    *,
-    scale: float = 4.0,
-) -> list[float]:
-    """|delta^{-1/2} e^{-(z^2/4)(1 + i/delta)} psi(1/(scale*delta), i z sqrt(1 + i/delta))|.
-
-    scale=4 gives the leading expression, scale=1 its companion; both must
-    decay to zero as delta -> 0 when z is inside the admissible region.
-    """
+def axis_decay_sequence(z: complex, deltas: list[float],
+                        settings: EvalSettings = DEFAULT_SETTINGS) -> list[tuple[float, float]]:
+    """(|T_4|, |T_1|) for each delta, T_s as in _axis_pair at d = delta; both
+    decay to zero as delta -> 0 when z is inside the admissible region."""
     z = complex(z)
     require_inside(z, "axis_decay_sequence")
-    if not (scale in (1.0, 4.0)):
-        raise DomainError(f"scale must be 1 or 4, got {scale}")
-    if not all(d > 0 for d in deltas):
-        raise DomainError("all deltas must be positive")
     if any(deltas[i + 1] >= deltas[i] for i in range(len(deltas) - 1)):
         raise DomainError("deltas must be strictly decreasing")
-    return [abs(_axis_term(complex(d), z, scale, settings)) for d in deltas]
+    return [tuple(abs(t) for t in _axis_terms(z, d, settings)) for d in deltas]
 
 
-def psi_at_axis_combination(
-    z: complex, delta: float, settings: EvalSettings = DEFAULT_SETTINGS
-) -> complex:
+def psi_at_axis_combination(z: complex, delta: float,
+                            settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
     """e^{-z^2/8}/2 + e^{z^2/8} psi(i + delta, z), by the modular transformation.
 
-    The direct sum at x = i + delta cancels as delta shrinks.  The
-    transformation of psi1's near-axis route gives instead
-    e^{z^2/8} (T_4 - T_1) - sinh(z^2/8), T_s the signed axis_decay_sequence
-    term at scale s, which decays superexponentially as delta -> 0; so the
-    value tends to -sinh(z^2/8) for admissible z.  Both are summed as tightly
-    as psi1 sums them: T_1 needs ~6.3 sqrt(delta) terms, so past delta ~ 2.5e6
+    The direct sum at x = i + delta cancels as delta shrinks.  psi1's
+    near-axis route gives instead e^{z^2/8} (T_4 - T_1) - sinh(z^2/8), with
+    the terms of axis_decay_sequence, which decay superexponentially as
+    delta -> 0; so the value tends to -sinh(z^2/8) for admissible z.  Under
+    the jet tail rule T_1 needs ~12 sqrt(delta) terms, so past delta ~ 7e5
     the default max_terms raises DivergenceError.
     """
     z = complex(z)
     require_inside(z, "psi_at_axis_combination")
-    if not delta > 0:
-        raise DomainError(f"delta must be positive, got {delta}")
-    d = complex(delta)
-    tight = _tightened(settings)
-    terms = _axis_term(d, z, 4.0, tight) - _axis_term(d, z, 1.0, tight)
-    return cmath.exp(z * z / 8.0) * terms - cmath.sinh(z * z / 8.0)
+    quarter, unit = _axis_terms(z, delta, settings)
+    return cmath.exp(z * z / 8.0) * (quarter - unit) - cmath.sinh(z * z / 8.0)

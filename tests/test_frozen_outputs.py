@@ -36,7 +36,7 @@ FROZEN = {
     "region": (None, ["region", "--step", "0.25"],
                "06028451037624c95a723fc25b73cdd99b51e139985c73f884f304872153d254"),
     "limits-hardy": (HARDY, ["limits"],
-                     "8a71222245b252d17b9e7e81ffe996b9a33807723539b53fb22462105ffc0a3a"),
+                     "2b22f17f1a1b8b1472fa70187ef9786bbbf36b9a9177b89b966dae97f4609a61"),
     # the critical-line integrals: nodes and pole residues of one weight; the
     # theta sides summed at the residual checks' tolerance
     "integral-check": (None, ["integral-check"],
@@ -46,7 +46,7 @@ FROZEN = {
     "moments-series-m0": (SERIES, ["moments", "--m", "0"],
                           "4f73435e85c5e9933a4a557d81313c095469704bce3694392ec0544a68f6c33f"),
     "limits-exhibit": (EXHIBIT, ["limits"],
-                       "3484f4bcefdb7f09cb200b19b5a15b2304fc4540a04cad1e53556599329bf527"),
+                       "bd3dead2e62a0b5b08aeb4b093b49e1aea4666bf053d5c6647d215c093558b35"),
     # shifts above and below rho's mass at tau = 0: the line integrals'
     # range stays [-T_lo, T_hi], each shift only in its term's weight
     "moments-far-m1": (FAR, ["moments", "--m", "1"],

@@ -393,24 +393,26 @@ class TestOneJetSumPerAlpha:
                                         "z_re": 0.4, "z_im": 0.1}))
             calls.clear()
             assert main(["limits", "--config", str(path), "--out", str(tmp_path / "l.csv")]) == 0
-            # alpha = pi/4 - 10^-k: k = 1 direct, k = 2 and 3 transformed
-            assert len(calls) == 5, shifts
+            # alpha = pi/4 - 10^-k: k = 1 direct, k = 2 and 3 transformed;
+            # then T_4 and T_1 at each of the five axis deltas
+            assert len(calls) == 5 + 2 * 5, shifts
 
 
 class TestAxisLimits:
     def test_decay_sequences(self):
         for z in (0.0, 0.5 + 0.2j, 1.0 + 0.5j):
-            for scale in (4.0, 1.0):
-                seq = axis_decay_sequence(z, DELTAS, scale=scale)
-                assert all(b < a for a, b in zip(seq, seq[1:])), (z, scale, seq)
+            pairs = axis_decay_sequence(z, DELTAS)
+            assert len(pairs) == len(DELTAS)
+            for seq in zip(*pairs):  # |T_4|, then |T_1|
+                assert all(b < a for a, b in zip(seq, seq[1:])), (z, seq)
                 assert seq[-1] < 1e-8
 
     def test_z_zero_specialization(self):
         # pure Gaussian tail: sqrt(1/d) e^(-pi/(4d)) = 6.7e-7 at d=0.05,
         # dead below 1e-12 one grid point later
-        seq = axis_decay_sequence(0.0, DELTAS)
-        assert abs(seq[2] - math.sqrt(20.0) * math.exp(-5 * math.pi)) < 1e-12
-        assert seq[3] < 1e-12
+        quarter = [t4 for t4, _ in axis_decay_sequence(0.0, DELTAS)]
+        assert abs(quarter[2] - math.sqrt(20.0) * math.exp(-5 * math.pi)) < 1e-12
+        assert quarter[3] < 1e-12
 
     def test_region_and_domain_errors(self):
         with pytest.raises(RegionError):
@@ -418,7 +420,9 @@ class TestAxisLimits:
         with pytest.raises(DomainError):
             axis_decay_sequence(0.0, [0.1, 0.2])  # not decreasing
         with pytest.raises(DomainError):
-            axis_decay_sequence(0.0, DELTAS, scale=2.0)
+            axis_decay_sequence(0.0, [0.1, -0.2])  # not positive
+        with pytest.raises(TypeError):
+            axis_decay_sequence(0.0, DELTAS, scale=4.0)  # one call gives both terms
 
     def test_combination_near_axis(self):
         got = psi_at_axis_combination(0.0, 0.01)
