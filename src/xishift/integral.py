@@ -176,7 +176,7 @@ def _line_integral(
     # for Gamma, convexity for zeta leave no net polynomial growth), and there
     # |tau - lam_k| <= |tau| (1 + |lam_k|/_TAIL_FLOOR); the factor 8 in the target
     # covers the confluent prefactors, and c_sum the tails of all terms (a weight
-    # past MAX_EXP fails the check below).  Each side's tail is below 0.025 tol.
+    # past MAX_EXP fails the check below).  Each side's tail is below share = 0.025 tol.
     b_ref, share = float(bs.max()), 0.025 * tol
     log_wts = 2 * m * np.log1p(np.abs(lams) / _TAIL_FLOOR) - bs * lams
     c_sum = float(np.sum(np.abs(cs) * np.exp(np.clip(log_wts, 0.0, MAX_EXP))))
@@ -224,8 +224,7 @@ def _line_integral(
         out = nested_trapezoid(integrand, -T_lo, T_hi, 0.9 * tol, ((0.5j, r_up), (-0.5j, r_dn)))
     except AccuracyError as exc:
         raise AccuracyError(f"{what}: {exc}") from exc
-    # each side's tail is at most 0.025 tol
-    total_err = out.abs_err_est + 0.05 * tol
+    total_err = out.abs_err_est + 2 * share
     if total_err > tol and not out.at_roundoff:
         raise ToleranceError(
             f"{what}(m={m}, betas={betas.tolist()}): achieved "

@@ -41,7 +41,7 @@ from .integral import _weighted_moment
 from .region import classify_inequality
 from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, checked_value, require_real
 from .specfun import _eta_vec, hyp1f1_vec
-from .theta import _psi1_base_jet, _psi1_boundary, _psi1_shifted, _shift_underflows
+from .theta import _below_range, _in_range, _psi1_base_jet, _psi1_boundary, _psi1_shifted
 
 __all__ = [
     "ShiftConfig",
@@ -171,14 +171,18 @@ def f_z_critical(
 # The moment identity
 # ---------------------------------------------------------------------------
 
-def _analytic_side(cfg: ShiftConfig, alpha: float, derivative) -> float:
+def _analytic_side(cfg: ShiftConfig, alpha: float, derivative, context: str) -> float:
     """4 pi sum_j c_j Re derivative(lam_j), derivative(lam) being
     d^(2m)/d alpha^(2m) [e^((i/2 - lam) alpha) B(alpha)]: the analytic side of
-    the moment identity.  A term whose shift factor underflowed at alpha adds
-    nothing; where every term's did, derivative raises its EvaluationError."""
-    terms = list(zip(cfg.coefficients, cfg.shifts))
-    kept = [(c, lam) for c, lam in terms if not _shift_underflows(lam, alpha)] or terms
-    return 4.0 * math.pi * sum(c * derivative(lam).real for c, lam in kept)
+    the moment identity.  A term below the normal float range at alpha (its
+    shift factor or its value) adds nothing; where every term is, the side is
+    an EvaluationError naming context and the first shift."""
+    terms = [(c, lam, derivative(lam)) for c, lam in zip(cfg.coefficients, cfg.shifts)]
+    kept = [c * v.real for c, lam, v in terms if not _below_range(lam, alpha, v)]
+    if not kept:  # every term is below the range: refused as the first one is
+        _, lam, value = terms[0]
+        _in_range(value, lam, alpha, context)
+    return 4.0 * math.pi * sum(kept)
 
 
 def moment_closed_form(m: int, cfg: ShiftConfig) -> float:
@@ -190,7 +194,8 @@ def moment_closed_form(m: int, cfg: ShiftConfig) -> float:
     z = complex(cfg.z)
     b_lim = lambda: -(1.0 + cmath.exp(z * z / 4.0)) / 2.0  # noqa: E731 (run under the guard)
     return _analytic_side(cfg, math.pi / 4.0,
-                          lambda lam: _psi1_boundary(lam, 2 * m, b_lim, "moment_closed_form"))
+                          lambda lam: _psi1_boundary(lam, 2 * m, b_lim, "moment_closed_form"),
+                          "moment_closed_form")
 
 
 def moment_numeric(
@@ -209,7 +214,7 @@ def moment_series_rhs(
     z = complex(cfg.z)
     b = cmath.exp(z * z / 8.0) * _psi1_base_jet(alpha, z, settings)
     b[0] -= 1.0
-    return _analytic_side(cfg, alpha, lambda lam: _psi1_shifted(b, alpha, lam, 2 * m))
+    return _analytic_side(cfg, alpha, lambda lam: _psi1_shifted(b, alpha, lam, 2 * m), "psi1")
 
 
 _LIMIT_KS = (1.9, 2.0)

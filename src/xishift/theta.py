@@ -399,25 +399,42 @@ def _axis_pair(d: np.ndarray, log_root: np.ndarray, z: complex,
 
 
 def _shift_underflows(lam: float, alpha: float) -> bool:
-    """Whether e^{(i/2 - lam) alpha}, of modulus e^{-lam alpha}, is 0 in floats."""
-    return math.exp(min(0.0, -lam * alpha)) == 0.0
+    """Whether e^{(i/2 - lam) alpha}, of modulus e^{-lam alpha}, is below the
+    normal float range, where it has lost digits."""
+    return math.exp(min(0.0, -lam * alpha)) < sys.float_info.min
 
 
-def _shift_out_of_range(context: str, lam: float, how: str, alpha: str) -> EvaluationError:
-    return EvaluationError(f"{context} at lam={lam!r}: e^((i/2 - lam) alpha) {how} "
-                           f"at alpha={alpha}")
+def _below_range(lam: float, alpha: float, value: complex) -> bool:
+    """Whether a psi1 term at alpha has lost digits below the normal float
+    range, in its shift factor or in its value; an exact 0 (a vanishing
+    limit) has not."""
+    return _shift_underflows(lam, alpha) or 0.0 < abs(value) < sys.float_info.min
+
+
+def _out_of_range(context: str, lam: float, what: str, alpha: float) -> EvaluationError:
+    at = "pi/4" if alpha == math.pi / 4.0 else repr(alpha)
+    return EvaluationError(f"{context} at lam={lam!r}: {what} at alpha={at}")
+
+
+def _in_range(value: complex, lam: float, alpha: float, context: str) -> complex:
+    """value, or an EvaluationError naming context and lam where _below_range."""
+    if _shift_underflows(lam, alpha):
+        raise _out_of_range(context, lam, "e^((i/2 - lam) alpha) underflows", alpha)
+    if _below_range(lam, alpha, value):
+        raise _out_of_range(context, lam, f"the value {value!r} underflows", alpha)
+    return value
 
 
 def _psi1_shifted(base: np.ndarray, alpha: float, lam: float, order: int) -> complex:
-    """order-th alpha-derivative of psi1 = e^{(i/2 - lam) alpha} * base, by Leibniz."""
+    """order-th alpha-derivative of psi1 = e^{(i/2 - lam) alpha} * base, by
+    Leibniz; an overflow is an EvaluationError, an underflow is left to
+    _in_range."""
     if not 0 <= order < _JET_LEN:
         raise UnsupportedOrderError(f"alpha-derivative order {order} not supported (max 4)")
-    if _shift_underflows(lam, alpha):
-        raise _shift_out_of_range("psi1", lam, "underflows", repr(alpha))
     try:
         shift = _j_exp((0.5j - lam) * _j_var(alpha))
     except OverflowError:
-        raise _shift_out_of_range("psi1", lam, "overflows", repr(alpha)) from None
+        raise _out_of_range("psi1", lam, "e^((i/2 - lam) alpha) overflows", alpha) from None
     value = math.factorial(order) * sum(shift[order - k] * base[k] for k in range(order + 1))
     return require_finite(complex(value), f"psi1_alpha_derivative at lam={lam!r}")
 
@@ -425,10 +442,9 @@ def _psi1_shifted(base: np.ndarray, alpha: float, lam: float, order: int) -> com
 def _psi1_boundary(lam: float, order: int, limit, context: str) -> complex:
     """The order-th alpha-derivative of e^{(i/2 - lam) alpha} B at alpha = pi/4,
     where B tends to limit() and its derivatives to 0:
-    (i/2 - lam)^order e^{(i/2 - lam) pi/4} limit().  An over- or underflow in it,
-    or a value that is not finite, is an EvaluationError naming context and lam."""
-    if _shift_underflows(lam, math.pi / 4.0):
-        raise _shift_out_of_range(context, lam, "underflows", "pi/4")
+    (i/2 - lam)^order e^{(i/2 - lam) pi/4} limit().  An overflow in it, or a
+    value that is not finite, is an EvaluationError naming context and lam;
+    an underflow is left to _in_range."""
     c = 0.5j - lam
     try:
         value = c**order * cmath.exp(math.pi / 4.0 * c) * limit()
@@ -447,7 +463,8 @@ def psi1(
 ) -> complex:
     """e^{(i/2 - lam) alpha} ( e^{-z^2/8}/2 + e^{z^2/8} psi(e^{2 i alpha}, z) )."""
     _require_finite_point(z, lam, "psi1")
-    return _psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, 0)
+    return _in_range(_psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, 0),
+                     lam, alpha, "psi1")
 
 
 def psi1_alpha_derivative(
@@ -462,7 +479,8 @@ def psi1_alpha_derivative(
     (RegionError otherwise).
     """
     _require_finite_point(z, lam, "psi1_alpha_derivative")
-    return _psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, order)
+    return _in_range(_psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, order),
+                     lam, alpha, "psi1")
 
 
 def psi1_limit_value(z: complex, lam: float, order: int) -> complex:
@@ -471,8 +489,9 @@ def psi1_limit_value(z: complex, lam: float, order: int) -> complex:
         raise UnsupportedOrderError("the boundary limit is stated for even orders")
     z = complex(z)
     _require_finite_point(z, lam, "psi1_limit_value")
-    return _psi1_boundary(lam, order, lambda: -cmath.sinh(z * z / 8.0),
-                          f"psi1_limit_value(z={z!r})")
+    context = f"psi1_limit_value(z={z!r})"
+    value = _psi1_boundary(lam, order, lambda: -cmath.sinh(z * z / 8.0), context)
+    return _in_range(value, lam, math.pi / 4.0, context)
 
 
 # ---------------------------------------------------------------------------

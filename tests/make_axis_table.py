@@ -10,8 +10,8 @@ T_s is summed at 40 digits from that definition: the prefactor and the cosine
 are evaluated apart, as the library never does, and the sum runs until the
 log-majorant of the next term is 110 below the largest term's.  The sample is
 z in {0.5+0.2i, 1+0.5i, 0.6+0.3i, 1.2-0.1i} x delta in {2, 0.2, 0.05, 0.01,
-10^-3}; terms below the double range are stored as their nearest double, 0
-included.
+10^-3}.  Each term is stored as its nearest double, which is 0 for four
+terms below the double range.
 
 Usage (mpmath is a test dependency only; the library never imports it):
 
@@ -60,7 +60,10 @@ def table():
 def _print_table() -> None:
     print("AXIS_TERMS = {")
     for key, (t4, t1) in table().items():
-        print(f"    {key!r}: ({t4!r}, {t1!r}),")
+        print(f"    {key!r}: (")
+        print(f"        {t4!r},")
+        print(f"        {t1!r},")
+        print("    ),")
     print("}")
 
 

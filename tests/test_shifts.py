@@ -398,6 +398,25 @@ class TestOneAnalyticSide:
         with pytest.raises(EvaluationError, match=match):
             call(make_config([1.0], [1e5], 0.3))
 
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_term_below_the_float_floor_adds_nothing(self, m):
+        # at alpha = 0.2, lam = 3540 has a normal shift factor e^(-708) but
+        # an order-0 value of 1.7e-308; at pi/4, lam = 902 has a subnormal
+        # shift factor e^(-708.4).  Each is dropped beside a term in range,
+        # and refused alone only where it is itself below the range
+        for side, lam, what in (
+            (lambda cfg: moment_series_rhs(m, 0.2, cfg), 3540.0, "the value" if m == 0 else None),
+            (lambda cfg: moment_closed_form(m, cfg), 902.0, r"e\^\(\(i/2 - lam\) alpha\)"),
+        ):
+            base = side(make_config([1.0], [0.0], 0.3))
+            assert side(make_config([1.0, 1.0], [0.0, lam], 0.3)) == base != 0.0
+            alone = make_config([1.0], [lam], 0.3)
+            if what is None:
+                assert 0.0 < abs(side(alone)) < 1e-290
+            else:
+                with pytest.raises(EvaluationError, match=rf"at lam={lam!r}: {what}.* underflows"):
+                    side(alone)
+
     @pytest.mark.parametrize("alpha", [0.2, 0.6, None])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_underflowed_term_adds_nothing(self, m, alpha):

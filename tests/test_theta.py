@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,7 +31,9 @@ from xishift import (
 )
 from xishift.cli import main
 
+from . import make_psi1_table
 from ._oracles import (
+    AXIS_TERMS,
     PSI1_000,
     PSI1_JETS,
     PSI_AXIS_COMBINATION,
@@ -351,6 +354,29 @@ class TestPsi1:
         with pytest.raises(EvaluationError, match=match):
             call()
 
+    @pytest.mark.parametrize("lam", [3000.0, 3540.0, 3700.0])
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_values_near_the_float_floor(self, order, lam):
+        # e^(-lam alpha) = e^(-600), e^(-708), e^(-740): a value whose shift
+        # factor or itself is below the normal range is refused, naming the
+        # shift; every value returned holds 12 digits of a 40-digit sum
+        alpha, z = 0.2, 0.3
+        if (order, lam) in {(0, 3540.0), (0, 3700.0), (2, 3700.0)}:
+            with pytest.raises(EvaluationError, match=rf"^psi1 at lam={lam!r}: .* underflows"):
+                psi1_alpha_derivative(alpha, z, lam, order)
+            return
+        mp = mpmath.mp
+        with mp.workdps(40):
+            terms = make_psi1_table._terms(mp, alpha, z)
+            derivs = mp.diffs(lambda a: make_psi1_table.psi1_mp(mp, a, mp.mpc(z), lam, terms),
+                              mp.mpf(alpha), order)
+            ref = complex(list(derivs)[order])
+        got = psi1_alpha_derivative(alpha, z, lam, order)
+        assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
+
+    def test_value_above_the_float_floor_keeps_its_bits(self):
+        assert psi1(0.2, 0.3, 3000.0) == complex(1.352782764065938e-261, 1.074308638702249e-263)
+
     def test_jet_term_overflow(self):
         # the jet sum's first term passes the exponent range, as in theta_series(1.0, 500j)
         with pytest.raises(DivergenceError, match="overflows"):
@@ -414,6 +440,22 @@ class TestAxisLimits:
         assert abs(quarter[2] - math.sqrt(20.0) * math.exp(-5 * math.pi)) < 1e-12
         assert quarter[3] < 1e-12
 
+    def test_terms_match_references(self):
+        # 40-digit sums of the definition (tests/make_axis_table.py), signed
+        # and as moduli; below 1e-300 a term nears the end of the float range
+        assert len(AXIS_TERMS) == 20
+        compared = 0
+        deltas = sorted({delta for _, delta in AXIS_TERMS}, reverse=True)
+        for z in {z for z, _ in AXIS_TERMS}:
+            for delta, moduli in zip(deltas, axis_decay_sequence(z, deltas)):
+                signed = theta._axis_terms(z, delta, EvalSettings())
+                for got, size, ref in zip(signed, moduli, AXIS_TERMS[z, delta]):
+                    if abs(ref) >= 1e-300:
+                        assert abs(got - ref) <= 1e-12 * abs(ref), (z, delta)
+                        assert abs(size - abs(ref)) <= 1e-12 * abs(ref), (z, delta)
+                        compared += 1
+        assert compared == 36
+
     def test_region_and_domain_errors(self):
         with pytest.raises(RegionError):
             axis_decay_sequence(2.0 + 2.0j, DELTAS)
@@ -445,6 +487,16 @@ class TestAxisLimits:
                 direct = theta_series(1j + delta, z, TIGHT).value
                 ref = cmath.exp(-z * z / 8.0) / 2.0 + cmath.exp(z * z / 8.0) * direct
                 assert abs(psi_at_axis_combination(z, delta) - ref) <= 1e-13, (z, delta)
+
+    def test_combination_far_from_the_axis(self):
+        # the jet tail rule stops T_1 near delta = 7e5 (README): 1e5 is still
+        # summed, 1e8 is refused by the term budget, not returned
+        for z in (0.6 + 0.3j, 1.2 - 0.1j):
+            direct = theta_series(1j + 1e5, z, TIGHT).value
+            ref = cmath.exp(-z * z / 8.0) / 2.0 + cmath.exp(z * z / 8.0) * direct
+            assert abs(psi_at_axis_combination(z, 1e5) - ref) <= 1e-13, z
+            with pytest.raises(DivergenceError, match="missed tolerance"):
+                psi_at_axis_combination(z, 1e8)
 
     def test_combination_limit_below_the_references(self):
         for z in {z for z, _ in PSI_AXIS_COMBINATION}:
