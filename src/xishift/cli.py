@@ -276,11 +276,12 @@ def _cmd_limits(man: RunManifest, cfg: shifts_mod.ShiftConfig):
             lim = theta.psi1_limit_value(z, lam, 2 * m)
             res = [abs(theta._psi1_shifted(base, alpha, lam, 2 * m) - lim)
                    for alpha, base in zip(alphas, bases)]
-            ok = _decays(res, 1e-2)
+            target = 1e-2 * max(1.0, abs(lim))  # relative: the limits grow like e^(-pi lam/4)
+            ok = _decays(res, target)
             passed &= ok
             for k, v in zip((1, 2, 3), res):
                 rows.append({"check": "psi1_limit", "shift": lam, "order": 2 * m,
-                             "param": float(k), "value": v, "target": 1e-2,
+                             "param": float(k), "value": v, "target": target,
                              "ok": int(ok)})
     fields = ["check", "shift", "order", "param", "value", "target", "ok"]
     return fields, rows, passed, {"deltas": list(_DECAY_DELTAS)}

@@ -24,8 +24,9 @@ at pi/4 is the closed form of the limit, in the paper's polar notation
 
 with r_j e^(i theta_j) = i/2 - lam_j and w_z e^(i beta_z) = -B(pi/4).  The
 numeric side is linear in the shifted integrand, so moment_numeric integrates
-all shifts in one quadrature, and moment_limit_check all shifts at both alpha
-samples, its extrapolation folded into the term coefficients.
+all shifts in one quadrature.  moment_limit_check takes the paper's limit step
+in its two parts: the identity at the quadrature's alpha margin, and the
+analytic side's limit at pi/4.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, PoleError
-from .integral import _weighted_moment
+from .integral import ALPHA_MARGIN, _weighted_moment
 from .region import classify_inequality
-from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, checked_value, require_real
+from .settings import (DEFAULT_SETTINGS, EvalSettings, ValueWithError, checked_value,
+                       require_finite, require_real)
 from .specfun import _eta_vec, hyp1f1_vec
 from .theta import _below_range, _in_range, _psi1_base_jet, _psi1_boundary, _psi1_shifted
 
@@ -175,14 +177,14 @@ def _analytic_side(cfg: ShiftConfig, alpha: float, derivative, context: str) -> 
     """4 pi sum_j c_j Re derivative(lam_j), derivative(lam) being
     d^(2m)/d alpha^(2m) [e^((i/2 - lam) alpha) B(alpha)]: the analytic side of
     the moment identity.  A term below the normal float range at alpha (its
-    shift factor or its value) adds nothing; where every term is, the side is
-    an EvaluationError naming context and the first shift."""
+    shift factor or its value) adds nothing; where every term is, or the sum
+    overflows, the side is an EvaluationError naming context (and the shift)."""
     terms = [(c, lam, derivative(lam)) for c, lam in zip(cfg.coefficients, cfg.shifts)]
     kept = [c * v.real for c, lam, v in terms if not _below_range(lam, alpha, v)]
     if not kept:  # every term is below the range: refused as the first one is
         _, lam, value = terms[0]
         _in_range(value, lam, alpha, context)
-    return 4.0 * math.pi * sum(kept)
+    return require_finite(4.0 * math.pi * sum(kept), context)
 
 
 def moment_closed_form(m: int, cfg: ShiftConfig) -> float:
@@ -217,36 +219,27 @@ def moment_series_rhs(
     return _analytic_side(cfg, alpha, lambda lam: _psi1_shifted(b, alpha, lam, 2 * m), "psi1")
 
 
-_LIMIT_KS = (1.9, 2.0)
+_LIMIT_KS = (3.0, 3.25, 3.5)
 
 
 def moment_limit_check(
     m: int, cfg: ShiftConfig, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> float:
-    """Relative discrepancy between the extrapolated numeric moment limit and
-    the closed form.
-
-    The limit is approached along alpha_k = pi/4 - 10^(-k) with k in
-    {1.9, 2.0} and linear extrapolation in 10^(-k).  Samples farther from
-    the boundary sit inside a superexponential transient (it decays like
-    exp(-c/(pi/4 - alpha))) and would poison the extrapolation, while
-    k > 2 violates the quadrature's alpha margin; both samples therefore
-    live on [1.9, 2].  The quadrature tolerance is floored at the rounding
-    floor of these heavily cancelling oscillatory integrals.
-    """
+    """The paper's limit step over 1 + |closed form|: the larger of the
+    identity at alpha = ALPHA_MARGIN, |numeric - analytic side|, and the
+    analytic limit, |the analytic side at pi/4 - 10^(-k), k in _LIMIT_KS,
+    extrapolated quadratically to pi/4, minus the closed form|.  The numeric
+    side's tolerance is floored at the rounding floor of these heavily
+    cancelling oscillatory integrals."""
     if m not in (0, 1):
         raise ConfigError(f"limit check supports m in {{0, 1}}, got {m}")
     floor = 1e-5 if m == 0 else 1e-4
     eff = replace(settings, quad_abs_tol=max(settings.quad_abs_tol, floor))
-    eps1, eps2 = (10.0**-k for k in _LIMIT_KS)
-    # extrapolated value (1+r) v(alpha_2) - r v(alpha_1), folded into the
-    # coefficients of one quadrature
-    r = eps2 / (eps1 - eps2)
-    terms = [
-        (coef * c, math.pi / 4.0 - eps, lam)
-        for coef, eps in ((1.0 + r, eps2), (-r, eps1))
-        for c, lam in zip(cfg.coefficients, cfg.shifts)
-    ]
-    extrap = _weighted_moment(m, terms, cfg.z, eff, "moment_limit_check").value
+    terms = [(c, ALPHA_MARGIN, lam) for c, lam in zip(cfg.coefficients, cfg.shifts)]
+    numeric = _weighted_moment(m, terms, cfg.z, eff, "moment_limit_check").value
+    identity = abs(numeric - moment_series_rhs(m, ALPHA_MARGIN, cfg, settings))
+    eps = [10.0**-k for k in _LIMIT_KS]  # the Lagrange polynomial in eps, at eps = 0
+    limit = sum(moment_series_rhs(m, math.pi / 4.0 - e, cfg, settings)
+                * math.prod(f / (f - e) for f in eps if f != e) for e in eps)
     closed = moment_closed_form(m, cfg)
-    return abs(extrap - closed) / (1.0 + abs(closed))
+    return max(identity, abs(limit - closed)) / (1.0 + abs(closed))

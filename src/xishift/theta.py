@@ -381,19 +381,23 @@ def _psi1_base_jet(alpha: float, z: complex, settings: EvalSettings) -> np.ndarr
     return base
 
 
-def _axis_pair(d: np.ndarray, log_root: np.ndarray, z: complex,
-               settings: EvalSettings) -> tuple[np.ndarray, np.ndarray]:
-    """The jets (T_4, T_1) of the transformed terms at x = i + d,
+def _axis_pair(d, log_root, z: complex, settings: EvalSettings):
+    """(T_4, T_1), the transformed terms at x = i + d,
 
         T_s = d^{-1/2} e^{-(z^2/4)(1 + i/d)} psi(1/(s d), i z sqrt(1 + i/d)),
 
-    given the jets of d and of log sqrt(i + d); the prefactor is folded into
-    each theta sum and sqrt(1 + i/d) sqrt(1/d) = sqrt(i + d)/d."""
-    log_d = _j_log(d)
-    inv = _j_exp(-log_d)
+    given d and log sqrt(i + d), both numbers or both jets; the prefactor is
+    folded into each theta sum and sqrt(1 + i/d) sqrt(1/d) = sqrt(i + d)/d."""
+    jet = isinstance(d, np.ndarray)
+    log, exp = (_j_log, _j_exp) if jet else (cmath.log, cmath.exp)
+    log_d = log(d)
+    inv = exp(-log_d)
     log_pref = -0.25j * z * z * inv - 0.5 * log_d
-    log_pref[0] -= z * z / 4.0
-    w = 0.5j * SQRT_PI * z * _j_exp(log_root - log_d)
+    if jet:
+        log_pref[0] -= z * z / 4.0
+    else:
+        log_pref -= z * z / 4.0
+    w = 0.5j * SQRT_PI * z * exp(log_root - log_d)
     return (_folded_theta(inv / 4.0, w, log_pref, settings).value,
             _folded_theta(inv, 2.0 * w, log_pref, settings).value)
 
@@ -431,10 +435,12 @@ def _psi1_shifted(base: np.ndarray, alpha: float, lam: float, order: int) -> com
     _in_range."""
     if not 0 <= order < _JET_LEN:
         raise UnsupportedOrderError(f"alpha-derivative order {order} not supported (max 4)")
-    try:
-        shift = _j_exp((0.5j - lam) * _j_var(alpha))
+    try:  # cmath raises where the value overflows; a derivative goes to inf
+        shift = _j_exp((0.5j - lam) * _j_var(alpha))[:order + 1]
     except OverflowError:
-        raise _out_of_range("psi1", lam, "e^((i/2 - lam) alpha) overflows", alpha) from None
+        shift = np.array([math.inf])
+    if not np.isfinite(shift).all():  # refused before the sum computes on it
+        raise _out_of_range("psi1", lam, "e^((i/2 - lam) alpha) or a derivative overflows", alpha)
     value = math.factorial(order) * sum(shift[order - k] * base[k] for k in range(order + 1))
     return require_finite(complex(value), f"psi1_alpha_derivative at lam={lam!r}")
 
@@ -499,15 +505,12 @@ def psi1_limit_value(z: complex, lam: float, order: int) -> complex:
 # ---------------------------------------------------------------------------
 
 def _axis_terms(z: complex, delta: float, settings: EvalSettings) -> tuple[complex, complex]:
-    """(T_4, T_1) at real delta > 0: _axis_pair on constant jets, summed as
+    """(T_4, T_1) at real delta > 0: _axis_pair on numbers, summed as
     tightly as psi1 sums them."""
     if not sys.float_info.min <= delta < math.inf:  # 1/delta overflows below
         raise DomainError(f"near-axis terms need a finite delta > 0 with 1/delta finite, "
                           f"got delta={delta!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python scalars do, for tiny delta
-        pair = _axis_pair(_j_lift(complex(delta)), _j_lift(0.5 * cmath.log(1j + delta)), z,
-                          _tightened(settings))
-    return complex(pair[0][0]), complex(pair[1][0])
+    return _axis_pair(complex(delta), 0.5 * cmath.log(1j + delta), z, _tightened(settings))
 
 
 def axis_decay_sequence(z: complex, deltas: list[float],
@@ -528,9 +531,9 @@ def psi_at_axis_combination(z: complex, delta: float,
     The direct sum at x = i + delta cancels as delta shrinks.  psi1's
     near-axis route gives instead e^{z^2/8} (T_4 - T_1) - sinh(z^2/8), with
     the terms of axis_decay_sequence, which decay superexponentially as
-    delta -> 0; so the value tends to -sinh(z^2/8) for admissible z.  Under
-    the jet tail rule T_1 needs ~12 sqrt(delta) terms, so past delta ~ 7e5
-    the default max_terms raises DivergenceError.
+    delta -> 0; so the value tends to -sinh(z^2/8) for admissible z.  T_4
+    needs ~6.5 sqrt(delta) terms, so past delta ~ 2.1e6 the default
+    max_terms raises DivergenceError.
     """
     z = complex(z)
     require_inside(z, "psi_at_axis_combination")

@@ -17,6 +17,14 @@ from xishift.cli import (
 )
 
 HARDY_JSON = '{"coefficients": [1.0], "shifts": [0.0], "z_re": 0.0, "z_im": 0.0}\n'
+EXHIBIT = {"coefficients": [1.0, 0.5, 0.25], "shifts": [0.0, 1.0, 2.0],
+           "z_re": 0.5, "z_im": 0.25}
+
+
+def _two_term(shifts):
+    """The series config's weights and z, at the given one or two shifts."""
+    return {"coefficients": [1.0, 0.5][:len(shifts)], "shifts": shifts,
+            "z_re": 0.3, "z_im": -0.2}
 
 
 @pytest.fixture
@@ -169,6 +177,39 @@ class TestSubcommands:
         assert kinds == {"series", "limit"}
         for r in rows:
             assert r["discrepancy"] < r["gate"]
+
+    @pytest.mark.parametrize("config, m", [
+        (EXHIBIT, "2"), (_two_term([0.0, 1.0]), "2"),
+        (_two_term([-10.0, -12.0]), "1"), (_two_term([-10.0, -12.0]), "2"),
+        (_two_term([-25.0, -30.0]), "1"), (_two_term([-25.0, -30.0]), "2"),
+    ], ids=["exhibit-m2", "series-m2", "neg10-m1", "neg10-m2", "neg25-m1", "neg25-m2"])
+    def test_moments_limit_rows_pass(self, tmp_path, config, m):
+        # every row, limit rows included, meets its gate
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "moments.json"
+        code = main(["moments", "--config", str(path), "--out", str(out),
+                     "--format", "json", "--m", m])
+        assert code == EXIT_OK
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["kind"] for r in rows].count("limit") == 2
+        for r in rows:
+            assert r["discrepancy"] < r["gate"], r
+
+    @pytest.mark.parametrize("shifts, code", [
+        ([-3.0, -6.0], EXIT_OK), ([-4.0], EXIT_OK), ([-10.0, -12.0], EXIT_TOLERANCE),
+    ], ids=["neg", "neg4", "neg10"])
+    def test_limits_target_is_relative(self, tmp_path, shifts, code):
+        # the psi1 limits grow like e^(-pi lam/4); at lam = -12 the k = 3
+        # residual is still 1.2e-2 of the limit, so that config fails
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(_two_term(shifts)))
+        out = tmp_path / "limits.json"
+        assert main(["limits", "--config", str(config), "--out", str(out),
+                     "--format", "json"]) == code
+        for r in json.loads(out.read_text())["rows"]:
+            if r["check"] == "psi1_limit":
+                assert r["target"] >= 1e-2
 
     def test_missing_config_is_exit_3(self, tmp_path):
         out = tmp_path / "x.csv"

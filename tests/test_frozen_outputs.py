@@ -36,23 +36,26 @@ FROZEN = {
     "region": (None, ["region", "--step", "0.25"],
                "06028451037624c95a723fc25b73cdd99b51e139985c73f884f304872153d254"),
     "limits-hardy": (HARDY, ["limits"],
-                     "2b22f17f1a1b8b1472fa70187ef9786bbbf36b9a9177b89b966dae97f4609a61"),
+                     "b2b1bebbb6f7eeede76fe531eaef2ad875f60bb4d916473cfe5709bc8e2ece6f"),
     # the critical-line integrals: nodes and pole residues of one weight; the
     # theta sides summed at the residual checks' tolerance
     "integral-check": (None, ["integral-check"],
                        "c9e3a2e6077d8854bcbe55c9c43b34ddad708c7cc1c7fd8e4923c26a98434d17"),
     "moments-hardy-m1": (HARDY, ["moments", "--m", "1"],
-                         "026bfb9b3463e224a4adb380e26ef2f36a5b6fd1170e3c559fca3e2e4ac7c098"),
+                         "670a9f5853217d224c3006d94cc03c780156262676d94064052191b24ccd53d2"),
     "moments-series-m0": (SERIES, ["moments", "--m", "0"],
-                          "4f73435e85c5e9933a4a557d81313c095469704bce3694392ec0544a68f6c33f"),
+                          "9c38efaf6459fc642b3fd53893718ec93785ae045eac13dffda5c1fbb7b112e2"),
     "limits-exhibit": (EXHIBIT, ["limits"],
-                       "bd3dead2e62a0b5b08aeb4b093b49e1aea4666bf053d5c6647d215c093558b35"),
+                       "3a89eb5aadc39dd722775242c6fbd53056987534ab107ef28392c4377380d2e3"),
     # shifts above and below rho's mass at tau = 0: the line integrals'
     # range stays [-T_lo, T_hi], each shift only in its term's weight
     "moments-far-m1": (FAR, ["moments", "--m", "1"],
-                       "31f3a034c3f7232b8c0d36c2bb33b31e919063c9a92ee8979e0f2f13fe9e3aa5"),
+                       "78ebd0b4e8682fb2bd356ab17b045a8a34826ee5b4da9361545c81e3140d09b9"),
     "moments-neg-m1": (NEG, ["moments", "--m", "1"],
-                       "b9089d4ff744a749085abf3261d5f6a2be9c66c92174d0200a5c4646b8fb1c27"),
+                       "574dc36f74df466ad1e2d37c15ad9a61694e22c1163a8021b27cefc09524ed4e"),
+    # psi1 limits that grow like e^(-pi lam/4), judged against a relative target
+    "limits-neg": (NEG, ["limits"],
+                   "0c8bfca8724595f5391dae7c97cd3e07e2c9247b3a854782cb3b9e93851fa077"),
 }
 
 

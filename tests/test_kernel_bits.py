@@ -36,7 +36,7 @@ DIGESTS = {
     "jet direct": "f608bdb0afb771cd003a4d99c2db4144841ca0d46359cfc517bcb2e4af7d352a",
     "jet near-axis": "3025d834e59d5e7161fdb5d4d68781260cb2892a391c74e63ed8aa044f775056",
     "jet mirrored": "6bfdb1d33525abdf6a0ecd0171bb5c568c725fea6b1ccc4d0a71ab5b859a3151",
-    "axis": "385d685d0944c3443c4e80de3beadc5bbcf72085fff1867c2fa1d8edd5d95118",
+    "axis": "15112f9d46a38b4fb2a6a5b2d11b74468bff34d6a53014b159ca8cd2231979b2",
     "refused": "e692aa3f28c322f85852a380ac2b4ec93981742e97e873bd3a5529ee2d38c2e9",
 }
 

@@ -27,6 +27,7 @@ from xishift import (
     validate_config,
 )
 from xishift import integral, shifts, specfun
+from xishift.cli import _LIMIT_GATES
 from xishift.quadrature import TrapezoidOutcome, nested_trapezoid, truncation_point
 from xishift.shifts import fz_line_vec
 
@@ -324,7 +325,7 @@ class TestMoments:
         assert t_lo < t_hi
         assert calls[0] == (-t_lo, t_hi)
 
-        # both alpha samples of the limit check share one quadrature; the
+        # the limit check's numeric side is one quadrature of all shifts; the
         # count is all that is asked here, so the integral itself is skipped
         def skipped(*args, **kwargs):
             calls.append(args[1:3])
@@ -342,6 +343,43 @@ class TestMoments:
         v1 = moment_numeric(0, 0.1, cfg1, st_q)
         v2 = moment_numeric(0, 0.1, cfg2, st_q)
         assert abs(v2 - 2.0 * v1) <= 1e-12 * (1.0 + abs(v2))
+
+
+# configs whose limit rows failed their gates when the limit was a numeric
+# extrapolation from alpha = pi/4 - 10^-1.9 and pi/4 - 10^-2
+LIMIT_CONFIGS = {
+    "exhibit": MOMENT_CONFIGS["exhibit"],
+    "series": MOMENT_CONFIGS["series"],
+    "real z": make_config([1.0, 0.5], [0.0, 1.0], 0.5),
+    "shifts -10, -12": make_config([1.0, 0.5], [-10.0, -12.0], 0.3 - 0.2j),
+    "shifts -25, -30": make_config([1.0, 0.5], [-25.0, -30.0], 0.3 - 0.2j),
+}
+
+
+class TestLimitCheck:
+    """moment_limit_check: the identity at the margin and the analytic limit."""
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("name", LIMIT_CONFIGS)
+    def test_below_gate_with_identity_inside_its_estimate(self, monkeypatch, name, m):
+        cfg = LIMIT_CONFIGS[name]
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(integral._weighted_moment(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(shifts, "_weighted_moment", spy)
+        rel = moment_limit_check(m, cfg)
+        assert rel < _LIMIT_GATES[m]
+        (numeric,) = seen
+        identity = abs(numeric.value - moment_series_rhs(m, integral.ALPHA_MARGIN, cfg))
+        assert identity <= numeric.abs_err_est
+        assert identity <= rel * (1.0 + abs(moment_closed_form(m, cfg)))
+
+    def test_order_outside_the_check(self):
+        with pytest.raises(ConfigError):
+            moment_limit_check(2, HARDY)
 
 
 class TestOneAnalyticSide:
@@ -416,6 +454,19 @@ class TestOneAnalyticSide:
             else:
                 with pytest.raises(EvaluationError, match=rf"at lam={lam!r}: {what}.* underflows"):
                     side(alone)
+
+    def test_overflowing_shift_derivative_is_typed(self):
+        # at lam = -1e150 the shift factor's fourth derivative overflows: it
+        # is refused before the Leibniz sum computes on it
+        cfg = make_config([1.0, 0.5], [-1e150, -5e149], 0.3)
+        with pytest.raises(EvaluationError, match=r"^psi1 at lam=-1e\+150: .* or a "
+                                                  r"derivative overflows at alpha=0\.0$"):
+            moment_series_rhs(2, 0.0, cfg)
+
+    def test_overflowing_sum_is_typed(self):
+        # every term finite, 4 pi times their sum past the float range
+        with pytest.raises(EvaluationError, match="^psi1: non-finite value"):
+            moment_series_rhs(2, 0.0, make_config([1.0], [-1e77], 0.3))
 
     @pytest.mark.parametrize("alpha", [0.2, 0.6, None])
     @pytest.mark.parametrize("m", [0, 1, 2])

@@ -390,13 +390,13 @@ class TestOneJetSumPerAlpha:
     SHIFTS = ([0.0], [0.0, 1.0, 2.0])
 
     @staticmethod
-    def _count_jet_sums(monkeypatch) -> list:
+    def _count_sums(monkeypatch) -> list:
+        """Whether each theta sum of the kernel summed a jet, in call order."""
         calls = []
         kernel = theta._folded_theta
 
         def spy(x, w, log_pref, settings):
-            if isinstance(x, np.ndarray):
-                calls.append(x[0])
+            calls.append(isinstance(x, np.ndarray))
             return kernel(x, w, log_pref, settings)
 
         monkeypatch.setattr(theta, "_folded_theta", spy)
@@ -404,24 +404,24 @@ class TestOneJetSumPerAlpha:
 
     @pytest.mark.parametrize("alpha, sums", [(0.2, 1), (math.pi / 4 - 0.01, 2)])
     def test_moment_series_rhs(self, monkeypatch, alpha, sums):
-        calls = self._count_jet_sums(monkeypatch)
+        calls = self._count_sums(monkeypatch)
         for shifts in self.SHIFTS:
             cfg = make_config([1.0] * len(shifts), shifts, 0.4 + 0.1j)
             calls.clear()
             moment_series_rhs(1, alpha, cfg)
-            assert len(calls) == sums, shifts
+            assert calls == [True] * sums, shifts
 
     def test_limits_subcommand(self, monkeypatch, tmp_path):
-        calls = self._count_jet_sums(monkeypatch)
+        calls = self._count_sums(monkeypatch)
         for shifts in self.SHIFTS:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps({"coefficients": [1.0] * len(shifts), "shifts": shifts,
                                         "z_re": 0.4, "z_im": 0.1}))
             calls.clear()
             assert main(["limits", "--config", str(path), "--out", str(tmp_path / "l.csv")]) == 0
-            # alpha = pi/4 - 10^-k: k = 1 direct, k = 2 and 3 transformed;
-            # then T_4 and T_1 at each of the five axis deltas
-            assert len(calls) == 5 + 2 * 5, shifts
+            # T_4 and T_1 as numbers at each of the five axis deltas; then the
+            # jets at alpha = pi/4 - 10^-k: k = 1 direct, k = 2 and 3 transformed
+            assert calls == [False] * (2 * 5) + [True] * 5, shifts
 
 
 class TestAxisLimits:
@@ -489,7 +489,7 @@ class TestAxisLimits:
                 assert abs(psi_at_axis_combination(z, delta) - ref) <= 1e-13, (z, delta)
 
     def test_combination_far_from_the_axis(self):
-        # the jet tail rule stops T_1 near delta = 7e5 (README): 1e5 is still
+        # the term budget stops T_4 near delta = 2.1e6 (README): 1e5 is still
         # summed, 1e8 is refused by the term budget, not returned
         for z in (0.6 + 0.3j, 1.2 - 0.1j):
             direct = theta_series(1j + 1e5, z, TIGHT).value
