@@ -9,10 +9,12 @@ level's sum in closed form, so they do not set that rate.  Each grid is
 anchored at 0 with h = 2^(-k), so its nodes are exact and shared by any
 range that holds them; each level evaluates only the odd multiples of its
 h, in blocks of at most _BLOCK nodes, so the memory held by the kernels
-does not grow with the grid.  The level difference d_k gives the estimate
-d_k^2 / d_(k-1); an end term, the integrand's own error bound and the
-rounding of the sums are added to it, so an estimate never claims less
-than the values allow.
+does not grow with the grid.  The rule never stops before level 1, so
+levels 0 and 1 go to the kernels together, and each level's sums are then
+taken over its own share of the values.  The level difference d_k gives
+the estimate d_k^2 / d_(k-1); an end term, the integrand's own error bound
+and the rounding of the sums are added to it, so an estimate never claims
+less than the values allow.
 
 adaptive_gk, on embedded 7/15-point Gauss-Kronrod pairs, has no caller in
 the package; it stays as an independent reference for the tests.  Its
@@ -207,8 +209,9 @@ def nested_trapezoid(
     f must fall below abs_tol at both ends of [a, b]: level k sums h f, with
     full weights, over the multiples of h = 2^(-k) inside [a, b].  Level 0
     is the integers there, at least two, and each further level adds the odd
-    multiples of its h.  With d_k the difference between levels k and k-1,
-    the estimate is
+    multiples of its h; levels 0 and 1 share one evaluation of f (in blocks
+    of _BLOCK nodes), unless level 1 would pass _MAX_NODES.  With d_k the
+    difference between levels k and k-1, the estimate is
 
         d_k^2 / d_(k-1)  (d_1 at level 1)  +  h * (|f(x_first)| + |f(x_last)|)
             +  h * sum(error bounds)  +  _ROUNDING * h * sum |f|,
@@ -236,15 +239,22 @@ def nested_trapezoid(
     x = _level(a, b, 0)
     if x.size < 2:
         raise ValueError(f"need at least two integer nodes in [{a}, {b}]")
+    # the rule never stops before level 1, so levels 0 and 1 share one
+    # kernel call, unless level 1 would pass the node cap
+    n = x.size
+    if n + (x1 := _level(a, b, 1)).size <= _MAX_NODES:
+        x = np.concatenate([x, x1])
     vals, errs = _evaluate(f, x)
+    ahead = vals[n:], errs[n:]
+    vals, errs = vals[:n], errs[:n]
     total, mass, noise = vals.sum(), np.abs(vals).sum(), errs.sum()
     # h = 1 cannot alias the line integrals' rho: its local frequency
     # theta'(tau) = ln(tau/2 pi)/2 stays below 2 pi/h up to tau ~ 1.8e6
     value = total - _pole_terms(poles, 1.0)
-    evaluations, levels = x.size, 1
+    evaluations, levels = n, 1
     disc, d_prev, floor = math.inf, 0.0, 0.0
     while evaluations + (x := _level(a, b, levels)).size <= _MAX_NODES:
-        vals, errs = _evaluate(f, x)
+        vals, errs = ahead if levels == 1 else _evaluate(f, x)
         total += vals.sum()
         mass += np.abs(vals).sum()
         noise += errs.sum()

@@ -99,8 +99,9 @@ def require_real(re, im, name: Callable[[int], str]) -> None:
 def checked_value(value: complex, err: float, context: str) -> ValueWithError:
     """A scalar result that is finite and not lost to underflow; context names
     the point in the EvaluationError raised otherwise."""
+    value = complex(value)  # a numpy scalar would print as np.complex128(...)
     require_finite(value, context)
     if underflowed(value, err):
         raise EvaluationError(f"{context}: value and error bound underflowed "
                               f"to below {UNDERFLOW_FLOOR:g}")
-    return ValueWithError(complex(value), float(err))
+    return ValueWithError(value, float(err))

@@ -28,9 +28,10 @@ Gamma      : Lanczos rational approximation, g = 607/128 with the standard
 Zeta       : Euler-Maclaurin with Bernoulli corrections through B26 (B28
              feeds the error bound) and a direct-sum length N ~ 0.61*|s+27|
              taken from that bound, at least EM_MIN_TERMS (20); the
-             functional equation covers Re(s) < 0.  The direct sum runs per
-             ladder group of N, the corrections once over every point, as
-             (k, point) tables over column blocks of _EM_TAIL_BLOCK points.
+             functional equation covers Re(s) < 0 with |s| >= 1/2.  The
+             direct sum runs per ladder group of N, the corrections once
+             over every point, as (k, point) tables over column blocks of
+             _EM_TAIL_BLOCK points.
 Hardy Z    : Riemann-Siegel main sum of N = floor(sqrt(t/2pi)) terms (one
              longdouble N, _rs_split, for the sum and the term budget),
              theta(t) from its Stirling series, phases reduced in longdouble,
@@ -367,7 +368,8 @@ def _em_corrections_table(s: np.ndarray, val: np.ndarray, ln_n: np.ndarray) -> n
 def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised zeta for s != 1.  Returns (values, errors).
 
-    The functional equation covers Re(s) < 0, where the sum runs at 1-s.
+    The functional equation covers Re(s) < 0 with |s| >= 1/2, where the sum
+    runs at 1-s; nearer 0, 1-s would round onto the pole, and the sum runs at s.
     The direct sum runs once per ladder group, the Euler-Maclaurin tail once
     over every point.  PoleError at s = 1, AccuracyError naming the first
     point whose direct sum needs more than settings.max_terms terms, and
@@ -381,7 +383,7 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
         raise EvaluationError(f"zeta_vec argument: non-finite s={complex(s[~finite][0])!r}")
     if (s == 1.0).any():
         raise PoleError("zeta has its pole at s=1")
-    refl = s.real < 0.0
+    refl = (s.real < 0.0) & (np.abs(s) >= 0.5)
     u = np.where(refl, 1.0 - s, s) if refl.any() else s
     need = em_length(u)
     _require_budget(need, s, "zeta: Euler-Maclaurin direct sum at s", settings)
@@ -841,7 +843,8 @@ def eta_completed(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> Valu
     require_finite(s, "eta_completed argument")
     if s == 0 or s == 1:
         raise PoleError(f"completed zeta has a pole at s={s}")
-    v, e = _eta_vec(np.array([s]), settings)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked_value refuses it
+        v, e = _eta_vec(np.array([s]), settings)
     return checked_value(v[0], e[0], f"eta_completed({s})")
 
 
@@ -865,7 +868,8 @@ def xi_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithErro
     require_finite(s, "xi_c argument")
     if abs(s) <= 1e-8 or abs(s - 1.0) <= 1e-8:
         return ValueWithError(0.5 + 0.0j, 2e-8)
-    v, e = _xi_vec(np.array([s]), settings)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked_value refuses it
+        v, e = _xi_vec(np.array([s]), settings)
     return checked_value(v[0], e[0], f"xi_c({s})")
 
 
@@ -927,11 +931,13 @@ def hyp1f1_vec(
         return np.ones(shape, dtype=complex), np.zeros(shape)
     vals = np.empty(a.shape, dtype=complex)
     errs = np.empty(a.shape)
-    unconverged = sum(
-        _hyp1f1_columns(a[lo:lo + _HYP1F1_CHUNK], b, w, settings.max_terms,
-                        vals[lo:lo + _HYP1F1_CHUNK], errs[lo:lo + _HYP1F1_CHUNK])
-        for lo in range(0, a.size, _HYP1F1_CHUNK)
-    )
+    # a term that overflows is refused by _hyp1f1_columns' finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        unconverged = sum(
+            _hyp1f1_columns(a[lo:lo + _HYP1F1_CHUNK], b, w, settings.max_terms,
+                            vals[lo:lo + _HYP1F1_CHUNK], errs[lo:lo + _HYP1F1_CHUNK])
+            for lo in range(0, a.size, _HYP1F1_CHUNK)
+        )
     if unconverged:
         raise DivergenceError(
             f"1F1 series: {unconverged} points unconverged after {settings.max_terms} terms"

@@ -182,6 +182,8 @@ def _folded_theta(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
         if ratio < -1e-3:  # geometric tail bound applies
             r = math.exp(ratio)
             mu_next = p_re - decay * (n + 1) * (n + 1) + grow * (n + 1)
+            if mu_next != mu_next:  # -inf + inf: both products overflowed
+                mu_next = p_re + (n + 1) * (grow - decay * (n + 1))
             tail = math.exp(min(mu_next, _EXP_GUARD)) / (1.0 - r)
             if tail <= tol:
                 break
@@ -441,7 +443,8 @@ def _psi1_shifted(base: np.ndarray, alpha: float, lam: float, order: int) -> com
         shift = np.array([math.inf])
     if not np.isfinite(shift).all():  # refused before the sum computes on it
         raise _out_of_range("psi1", lam, "e^((i/2 - lam) alpha) or a derivative overflows", alpha)
-    value = math.factorial(order) * sum(shift[order - k] * base[k] for k in range(order + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        value = math.factorial(order) * sum(shift[order - k] * base[k] for k in range(order + 1))
     return require_finite(complex(value), f"psi1_alpha_derivative at lam={lam!r}")
 
 

@@ -178,7 +178,8 @@ class TestOneLineKernel:
         monkeypatch.setattr(integral, "hyp1f1_vec", counted("1f1", hyp1f1_vec))
         xi_integral(cmath.exp(0.3j), 0.4 + 0.1j)
         assert calls["rule"] == 1
-        assert calls["1f1"] == calls["eta"] > 1
+        # the rule stops at level 1, and levels 0 and 1 share one call
+        assert calls["1f1"] == calls["eta"] == 1
 
     def test_kernel_errors_name_their_caller(self, monkeypatch):
         # a rule capped at its first level misses the tolerance: with the

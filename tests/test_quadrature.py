@@ -132,9 +132,9 @@ class TestNestedTrapezoid:
         assert out.abs_err_est > 1e-8 and not out.at_roundoff
 
     def test_nodes_are_exact_and_shared(self, monkeypatch):
-        # one kernel call per level: level k's nodes x have x 2^k an integer,
-        # odd from level 1 on, and two ranges get the same bits where they
-        # overlap
+        # one kernel call per level, levels 0 and 1 sharing the first: level
+        # k's nodes x have x 2^k an integer, odd from level 1 on, and two
+        # ranges get the same bits where they overlap
         monkeypatch.setattr(quadrature, "_BLOCK", 1 << 30)
         levels = []
 
@@ -145,6 +145,10 @@ class TestNestedTrapezoid:
         for a, b in ((-9.3, 10.0), (-5.7, 12.2)):
             levels.append([])
             nested_trapezoid(recorded, a, b, 1e-14)
+            # the first call is level 0, the integers in [a, b], then level 1
+            first, n = levels[-1][0], math.floor(b) - math.ceil(a) + 1
+            levels[-1][:1] = [first[:n], first[n:]]
+            assert len(levels[-1]) > 2
         for calls in levels:
             for k, x in enumerate(calls):
                 scaled = x * 2.0 ** k
@@ -155,11 +159,73 @@ class TestNestedTrapezoid:
             on_y = y[(y >= -5.7) & (y <= 10.0)]
             assert on_x.size and on_x.tobytes() == on_y.tobytes()
 
+    def test_levels_zero_and_one_share_each_block(self, monkeypatch):
+        # a rule that stops at level 1 makes one call per block of _BLOCK
+        # nodes over both levels: 6001 integers and 6000 halves
+        sizes = []
+
+        def recorded(x):
+            sizes.append(x.size)
+            return np.exp(-x * x), np.zeros(x.shape)
+
+        out = nested_trapezoid(recorded, -3000.0, 3000.0, 1e-3)
+        assert (out.levels, out.evaluations) == (2, 12_001)
+        assert sizes == [2048] * 5 + [12_001 - 5 * 2048]
+        # a cap that level 1 would pass leaves level 0 to run alone
+        sizes.clear()
+        monkeypatch.setattr(quadrature, "_MAX_NODES", 12_000)
+        out = nested_trapezoid(recorded, -3000.0, 3000.0, 1e-3)
+        assert (out.levels, out.evaluations) == (1, 6001)
+        assert sizes == [2048, 2048, 6001 - 2 * 2048]
+
     def test_no_keywords(self):
         # the block size and the node cap are module constants; no caller
         # sets them.  poles describes the integrand
         params = inspect.signature(nested_trapezoid).parameters
         assert list(params) == ["f", "a", "b", "abs_tol", "poles"]
+
+
+def _reference_nested_trapezoid(f, a, b, abs_tol, poles=()):
+    """nested_trapezoid as it was with one kernel call per level."""
+    if any(tau.imag == 0.0 for tau, _ in poles):
+        raise ValueError("poles must lie off the real axis")
+    x = quadrature._level(a, b, 0)
+    if x.size < 2:
+        raise ValueError(f"need at least two integer nodes in [{a}, {b}]")
+    vals, errs = quadrature._evaluate(f, x)
+    total, mass, noise = vals.sum(), np.abs(vals).sum(), errs.sum()
+    value = total - quadrature._pole_terms(poles, 1.0)
+    evaluations, levels = x.size, 1
+    disc, d_prev, floor = math.inf, 0.0, 0.0
+    while evaluations + (x := quadrature._level(a, b, levels)).size <= quadrature._MAX_NODES:
+        vals, errs = quadrature._evaluate(f, x)
+        total += vals.sum()
+        mass += np.abs(vals).sum()
+        noise += errs.sum()
+        evaluations += x.size
+        h = math.ldexp(1.0, -levels)
+        levels += 1
+        new = h * total - quadrature._pole_terms(poles, h)
+        d = abs(new - value)
+        value = new
+        disc = (d * d / d_prev if d_prev > 0.0 else d) + h * (abs(vals[0]) + abs(vals[-1]))
+        floor = float(h * (noise + quadrature._ROUNDING * mass))
+        if disc + floor <= abs_tol or d <= floor:
+            break
+        d_prev = d
+    est = float(disc + floor)
+    return quadrature.TrapezoidOutcome(
+        value=complex(value),
+        abs_err_est=est,
+        evaluations=evaluations,
+        levels=levels,
+        at_roundoff=bool(est > abs_tol and disc <= floor),
+    )
+
+
+def _bits(out):
+    return (out.value.real.hex(), out.value.imag.hex(), out.abs_err_est.hex(),
+            out.evaluations, out.levels, out.at_roundoff)
 
 
 def _poles_gauss(x):
@@ -215,6 +281,53 @@ class TestPoleTerms:
     def test_pole_on_the_axis(self):
         with pytest.raises(ValueError):
             nested_trapezoid(_exact(_poles_gauss), -9.0, 9.0, 1e-13, ((1.0, 1.0),))
+
+
+def _noisy(g):
+    """An integrand whose error bounds vary from node to node: a level that
+    sums another level's bounds shows in the estimate's bits."""
+    return lambda x: (g(x), 1e-13 * np.abs(np.sin(7.0 * x)) * np.exp(-0.01 * x * x))
+
+
+_CASES = {
+    "gauss": (_exact(lambda x: np.exp(-x * x)), -10.0, 10.0, 1e-12, ()),
+    "oscillatory off grid": (_exact(lambda x: np.exp(-x * x + 4j * x)), -9.3, 10.0, 1e-11, ()),
+    "sin gauss": (_exact(lambda t: np.sin(3.3 * t) * np.exp(-0.1 * t * t)), -30.0, 30.0, 1e-12, ()),
+    "noisy to the plateau": (_noisy(lambda x: np.exp(-x * x / 3.0 + 1j * x)), -17.6, 15.1, 1e-16, ()),
+    "wide, stops at level 1": (_noisy(lambda x: np.exp(-1e-6 * x * x)), -6999.5, 7001.3, 1e-2, ()),
+    "algebraic to the cap": (_exact(lambda x: 1.0 / (1.0 + x * x)), -30.0, 30.0, 1e-14, ()),
+    "end term": (_exact(np.ones_like), 0.5, 3.5, 1e-3, ()),
+    "poles": (_exact(_poles_gauss), -9.3, 9.1, 1e-13, _POLES_GAUSS),
+    "poles on the integers": (_noisy(_poles_gauss), -9.0, 9.0, 1e-13, _POLES_GAUSS),
+}
+
+
+class TestSharedFirstCall:
+    """Levels 0 and 1 share one kernel call; every sum still runs over the
+    same nodes in the same order as the rule with one call per level."""
+
+    @pytest.mark.parametrize("block", [5, quadrature._BLOCK])
+    @pytest.mark.parametrize("case", list(_CASES))
+    def test_bits_of_one_call_per_level(self, monkeypatch, case, block):
+        f, a, b, tol, poles = _CASES[case]
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        if case == "algebraic to the cap":
+            monkeypatch.setattr(quadrature, "_MAX_NODES", 1000)
+        got = nested_trapezoid(f, a, b, tol, poles)
+        assert _bits(got) == _bits(_reference_nested_trapezoid(f, a, b, tol, poles))
+
+    @pytest.mark.parametrize("cap", [20, 21, 40, 41])
+    @pytest.mark.parametrize("block", [5, quadrature._BLOCK])
+    def test_bits_when_level_one_does_not_fit(self, monkeypatch, cap, block):
+        # [-10, 10] has 21 integers and 20 halves: below 41 nodes level 0
+        # runs alone and the rule stops there, with an infinite estimate
+        f, a, b, tol, poles = _CASES["gauss"]
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        monkeypatch.setattr(quadrature, "_MAX_NODES", cap)
+        got = nested_trapezoid(f, a, b, tol, poles)
+        assert _bits(got) == _bits(_reference_nested_trapezoid(f, a, b, tol, poles))
+        assert got.levels == (2 if cap == 41 else 1)
+        assert (got.abs_err_est == math.inf) == (cap < 41)
 
 
 class TestTruncationPoint:

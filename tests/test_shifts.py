@@ -468,6 +468,13 @@ class TestOneAnalyticSide:
         with pytest.raises(EvaluationError, match="^psi1: non-finite value"):
             moment_series_rhs(2, 0.0, make_config([1.0], [-1e77], 0.3))
 
+    def test_overflowing_leibniz_product_is_typed_without_a_warning(self):
+        # the shift jet is finite, one of its products with the base jet is
+        # not: numpy warned of the overflow before the refusal
+        with pytest.raises(EvaluationError, match=r"^psi1_alpha_derivative at lam=-1\.5e\+77: "
+                                                  r"non-finite value \(-inf"):
+            moment_series_rhs(2, 0.0, make_config([1.0], [-1.5e77], 0.3))
+
     @pytest.mark.parametrize("alpha", [0.2, 0.6, None])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_underflowed_term_adds_nothing(self, m, alpha):

@@ -683,6 +683,17 @@ class TestZetaVecDomain:
         with pytest.raises(EvaluationError, match="zeta_vec argument: non-finite"):
             specfun.zeta_vec(np.array([2.0, bad]))
 
+    @pytest.mark.parametrize("s", [-1e-300, -1e-17, -1e-12, -1e-8, -1e-4, -0.3, -0.5 - 0.1j])
+    def test_left_of_zero_vs_mpmath(self, s):
+        # the functional equation rounded 1 - s onto the pole: -1e-12 was
+        # 4.4e-5 off with a bound of 5e-14, and from about -1e-17 on the
+        # kernel divided by zero; within |s| < 1/2 the sum runs at s
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(mpmath.mpc(s)))
+        got = zeta_c(s)
+        assert abs(got.value - ref) <= got.abs_err_est <= 1e-13, s
+
     def test_reflection_overflow(self):
         # the functional-equation factor passes double range far left of 0
         with pytest.raises(OverflowError, match="exceeds double range"):
@@ -806,6 +817,16 @@ class TestEta:
     def test_underflow_raises(self):
         with pytest.raises(EvaluationError, match="1000"):
             eta_completed(0.5 + 1000j)
+
+    @pytest.mark.parametrize("call, message", [
+        (eta_completed, "eta_completed((1000+0j)): non-finite value (inf+nanj)"),
+        (xi_c, "xi_c((1000+0j)): non-finite value (nan+nanj)"),
+    ])
+    def test_overflow_refused_without_a_warning(self, call, message):
+        # Gamma(500) passes the float range: refused as a typed error that
+        # prints Python complexes, with no RuntimeWarning before it
+        with pytest.raises(EvaluationError, match=re.escape(message) + "$"):
+            call(1000.0)
 
     def test_conjugate_symmetry(self):
         s = 0.7 + 9.3j
@@ -1002,6 +1023,12 @@ class TestHyp1F1:
                     specfun.hyp1f1_vec(np.array(a), b, w)
             with pytest.raises(EvaluationError, match="by term 8$"):
                 hyp1f1(1e308, 0.5, 0.1)
+
+    def test_overflowing_term_refused_without_a_warning(self):
+        # |w| = 1.4e150: the third term passes the float range, and numpy
+        # warned before the finiteness check refused it
+        with pytest.raises(EvaluationError, match=re.escape("a=(0.25+1j) by term 8") + "$"):
+            hyp1f1(0.25 + 1j, 0.5, 1e150 * (1 + 1j))
 
     def test_any_shape(self):
         a = (np.linspace(-12.0, 3.0, 12) + 1j * np.linspace(0.5, 40.0, 12)).reshape(3, 4)

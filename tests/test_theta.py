@@ -504,6 +504,26 @@ class TestAxisLimits:
                 got = psi_at_axis_combination(z, delta)
                 assert abs(got + cmath.sinh(z * z / 8.0)) <= 1e-12, (z, delta)
 
+    @pytest.mark.parametrize("delta", [2.3e-308, 1e-300, 2.2250738585072014e-308])
+    def test_combination_at_the_smallest_deltas(self, monkeypatch, delta):
+        # x = 1/(4 delta) nears the float limit: pi x (n + 1)^2 and
+        # |Im w| (n + 1) both overflowed, the tail exponent was -inf + inf =
+        # nan, and the sum ran all max_terms terms into a DivergenceError
+        # ("tail bound nan").  Both terms are exactly 0 after one term
+        z = -0.8 + 0.9j
+        used = []
+        folded = theta._folded_theta
+
+        def counted(*args):
+            out = folded(*args)
+            used.append(out.terms_used)
+            return out
+
+        monkeypatch.setattr(theta, "_folded_theta", counted)
+        assert psi_at_axis_combination(z, delta) == -cmath.sinh(z * z / 8.0)
+        assert axis_decay_sequence(z, [delta]) == [(0.0, 0.0)]
+        assert used == [1, 1, 1, 1]
+
     def test_split_identity_matches_direct_sum(self):
         z, delta = 0.3 + 0.1j, 0.2
         direct = theta_series(1j + delta, z, TIGHT).value
