@@ -7,10 +7,10 @@ For a finite list of nonzero weights c_j and distinct real shifts lam_j,
 
 1F1 has real b = 1/2, so the second confluent factor is the conjugate of the
 first at every s and each bracket is 2 Re of one 1F1.  One kernel evaluates
-every shift and point of a call with one eta call and one 1F1 call; f_z and
-fz_line_vec wrap it.  On the critical line eta reduces to the real function
-rho, so F_z is real there.  The moment side computes both sides of the
-identity, for alpha in (-pi/4, pi/4),
+each distinct shifted point of a call once, with one eta call and one 1F1
+call; f_z and fz_line_vec wrap it.  On the critical line eta reduces to the
+real function rho, so F_z is real there.  The moment side computes both
+sides of the identity, for alpha in (-pi/4, pi/4),
 
     Int t^(2m) e^(alpha t) F_z(1/2+it)/2 dt
         = 4 pi sum_j c_j Re d^(2m)/d alpha^(2m) [ e^((i/2 - lam_j) alpha) B(alpha) ],
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, PoleError
+from .errors import ConfigError, EvaluationError, PoleError
 from .integral import ALPHA_MARGIN, _weighted_moment
 from .region import classify_inequality
 from .settings import (DEFAULT_SETTINGS, EvalSettings, ValueWithError, checked_value,
@@ -119,13 +119,24 @@ def make_config(coefficients, shifts, z: complex) -> ShiftConfig:
 def _fz_vec(
     s: np.ndarray, cfg: ShiftConfig, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """F_z at an array of points: (values, errors).  Every s + i lam_j goes
-    through one eta call and one 1F1 call; the builtin sum adds the shift rows
-    in order (np.sum would pair them), so no point depends on its batch."""
+    """F_z at an array of points: (values, errors).  Each distinct s + i lam_j
+    goes through one eta call and one 1F1 call and is gathered back into the
+    (shift, point) table; rows overlap where shifts differ by multiples of a
+    grid's step.  The distinct points keep the order of their first
+    appearance, so a kernel's refusal names the table's first failing point.
+    The builtin sum adds the shift rows in order (np.sum would pair them), so
+    no point depends on its batch.  A per-point eta log-weight would have to
+    join the dedup key, or be applied after the gather."""
     s = np.asarray(s, dtype=complex)
-    s_j = s.ravel() + 1j * np.array(cfg.shifts)[:, None]  # (shift, point) table
-    ev, ee = (x.reshape(s_j.shape) for x in _eta_vec(s_j.ravel(), settings))
+    table = s.ravel() + 1j * np.array(cfg.shifts)[:, None]  # (shift, point)
+    s_j, gather = table.ravel(), slice(None)
+    if len(cfg.shifts) > 1:  # one row cannot repeat a point
+        _, first, back = np.unique(s_j, return_index=True, return_inverse=True)
+        keep = np.sort(first)
+        s_j, gather = s_j[keep], np.searchsorted(keep, first[back])
+    ev, ee = _eta_vec(s_j, settings)
     f_a, e_a = hyp1f1_vec((1.0 - s_j) / 2.0, 0.5, cfg.z * cfg.z / 4.0, settings)
+    ev, ee, f_a, e_a = (x[gather].reshape(table.shape) for x in (ev, ee, f_a, e_a))
     bracket = 2.0 * f_a.real
     c = np.array(cfg.coefficients)[:, None]
     total = sum(c * ev * bracket)
@@ -139,6 +150,7 @@ def f_z(
     """F_z at a general complex point.  The poles s + i lam_j in {0, 1} lie off
     the critical line, so only this entry checks for them."""
     s = complex(s)
+    require_finite(s, "f_z argument")
     for lam in cfg.shifts:
         if s + 1j * lam in (0, 1):
             raise PoleError(f"shifted argument s + i*{lam:g} hits a pole of eta")
@@ -152,9 +164,14 @@ def fz_line_vec(
     """F_z(1/2 + i t) on a real grid: (real part, imaginary residue, error).
 
     The bracket is real, so the residue comes from eta alone and measures how
-    well the kernel preserves the reality symmetry.
+    well the kernel preserves the reality symmetry.  A non-finite t is
+    refused before any arithmetic.
     """
-    total, err = _fz_vec(0.5 + 1j * np.asarray(t, dtype=float), cfg, settings)
+    t = np.asarray(t, dtype=float)
+    bad = ~np.isfinite(t)
+    if bad.any():
+        raise EvaluationError(f"fz_line_vec argument: non-finite t={float(t[bad][0])!r}")
+    total, err = _fz_vec(0.5 + 1j * t, cfg, settings)
     return total.real, total.imag, err
 
 

@@ -203,7 +203,8 @@ def _folded_theta_jet(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
     scalar geometric tail bound carries over to every coefficient.
     """
     x, w, log_prefactor = (_j_lift(v) for v in (x, w, log_prefactor))
-    x0, w0, p0 = x[0], w[0], log_prefactor[0]
+    # Python complexes, so that errors print as the scalar loop's do
+    x0, w0, p0 = complex(x[0]), complex(w[0]), complex(log_prefactor[0])
     _require_theta_domain(x0, w0, p0)
     a = np.abs(log_prefactor) + math.pi * np.abs(x) + np.abs(w)
     a[0] = 0.0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from xishift import (
+    AccuracyError,
     ConfigError,
     EvalSettings,
     EvaluationError,
@@ -29,6 +30,7 @@ from xishift import (
 from xishift import integral, shifts, specfun
 from xishift.cli import _LIMIT_GATES
 from xishift.quadrature import TrapezoidOutcome, nested_trapezoid, truncation_point
+from xishift.settings import grid_nodes
 from xishift.shifts import fz_line_vec
 
 from ._oracles import ZETA_ZEROS
@@ -169,10 +171,11 @@ class TestFz:
 
 
 def _count_calls(monkeypatch, fn, counts: dict, key: str) -> None:
-    """Count calls of fn through every xishift module attribute bound to it."""
+    """Record in counts[key] the number of points of each call of fn, through
+    every xishift module attribute bound to it."""
 
     def counted(*args, **kwargs):
-        counts[key] += 1
+        counts[key].append(np.size(args[0]))
         return fn(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -182,14 +185,27 @@ def _count_calls(monkeypatch, fn, counts: dict, key: str) -> None:
                     monkeypatch.setattr(mod, attr, counted)
 
 
+class _UniqueCounter:
+    """numpy as shifts sees it, counting the calls of np.unique."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        if name == "unique":
+            self.calls += 1
+        return getattr(np, name)
+
+
 class TestOneKernel:
-    """f_z and fz_line_vec are one kernel: every shift and point of a call
-    through one eta call and one 1F1 call."""
+    """f_z and fz_line_vec are one kernel: each distinct shifted point of a
+    call through one eta call and one 1F1 call."""
 
     EXHIBIT = make_config([1.0, 0.5, 0.25], [0.0, 1.0, 2.0], 0.5 + 0.25j)
+    OVERLAPPING = grid_nodes(0.0, 40.0, 0.5)  # the shifts are multiples of the step
 
     def _counts(self, monkeypatch) -> dict:
-        counts = {"eta": 0, "1f1": 0}
+        counts = {"eta": [], "1f1": []}
         _count_calls(monkeypatch, specfun._eta_vec, counts, "eta")
         _count_calls(monkeypatch, specfun.hyp1f1_vec, counts, "1f1")
         return counts
@@ -197,12 +213,37 @@ class TestOneKernel:
     def test_line_call_counts(self, monkeypatch):
         counts = self._counts(monkeypatch)
         fz_line_vec(np.linspace(0.0, 60.0, 7), self.EXHIBIT)
-        assert counts == {"eta": 1, "1f1": 1}
+        assert counts == {"eta": [21], "1f1": [21]}
 
     def test_general_point_call_counts(self, monkeypatch):
         counts = self._counts(monkeypatch)
         f_z(0.3 + 7.0j, self.EXHIBIT)
-        assert counts == {"eta": 1, "1f1": 1}
+        assert counts == {"eta": [3], "1f1": [3]}
+
+    def test_each_distinct_shifted_point_once(self, monkeypatch):
+        # 81 nodes in 3 rows: rows 1 and 2 add the 2 and 4 points past t = 40
+        counts = self._counts(monkeypatch)
+        fz_line_vec(self.OVERLAPPING, self.EXHIBIT)
+        assert counts == {"eta": [85], "1f1": [85]}
+
+    def test_overlapping_rows_keep_the_bits(self):
+        got = fz_line_vec(self.OVERLAPPING, self.EXHIBIT)
+        alone = [fz_line_vec(np.array([t]), self.EXHIBIT) for t in self.OVERLAPPING]
+        for part, column in zip(got, zip(*alone)):
+            assert part.tobytes() == np.concatenate(column).tobytes()
+
+    def test_refusal_names_the_first_failing_point_in_table_order(self):
+        # 3000 and 5000 both fail; sorted, 3000 would be named, but 5000 leads the table
+        with pytest.raises(AccuracyError, match=r"at t=5000\.0 needs 28 terms"):
+            fz_line_vec(np.array([5000.0, 3000.0, 10.0]), self.EXHIBIT, EvalSettings(max_terms=20))
+
+    def test_single_shift_runs_no_dedup(self, monkeypatch):
+        counter = _UniqueCounter()
+        monkeypatch.setattr(shifts, "np", counter)
+        fz_line_vec(self.OVERLAPPING, HARDY)
+        assert counter.calls == 0
+        fz_line_vec(self.OVERLAPPING, self.EXHIBIT)
+        assert counter.calls == 1
 
     def test_line_is_the_kernel_on_the_line(self):
         ts = np.array([0.0, 3.7, 14.0, 100.3, 600.0])
@@ -210,6 +251,25 @@ class TestOneKernel:
         for t, r, i, e in zip(ts, re, im, err):
             got = f_z(complex(0.5, t), self.EXHIBIT)
             assert (got.value, got.abs_err_est) == (complex(r, i), e), t
+
+
+class TestNonFiniteArgument:
+    """Refused before any arithmetic (no RuntimeWarning under tier-1's
+    filter), naming the argument as it was passed."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: f_z_critical(math.inf, TWO_TERM), r"fz_line_vec argument: non-finite t=inf$"),
+        (lambda: f_z_critical(math.nan, TWO_TERM), r"fz_line_vec argument: non-finite t=nan$"),
+        (lambda: fz_line_vec(np.array([1.0, -math.inf, math.nan]), TWO_TERM),
+         r"fz_line_vec argument: non-finite t=-inf$"),
+        (lambda: f_z(complex(0.5, -math.inf), TWO_TERM),
+         r"f_z argument: non-finite value \(0\.5-infj\)$"),
+        (lambda: f_z(complex(math.nan, 1.0), HARDY),
+         r"f_z argument: non-finite value \(nan\+1j\)$"),
+    ], ids=["critical inf", "critical nan", "line -inf", "general -inf", "general nan"])
+    def test_refused(self, call, match):
+        with pytest.raises(EvaluationError, match=match):
+            call()
 
 
 class TestCriticalLine:

@@ -13,6 +13,7 @@ from xishift import (
     EvaluationError,
     RegionError,
     UnsupportedOrderError,
+    XishiftError,
     axis_decay_sequence,
     classify_inequality,
     general_theta_residual,
@@ -167,6 +168,21 @@ class TestScalarAndJetLoops:
             # sizes agree but for the jet's extra terms, each below tol
             drift = abs(jet.abs_err_est[0] - scalar.abs_err_est)
             assert drift <= tol + 1e-6 * scalar.abs_err_est, (x, w, p)
+
+    @pytest.mark.parametrize("x, w, max_terms", [
+        (0.001 + 0j, 5000j, 10_000),  # term 1 overflows
+        (1e-8 + 0j, 0.5 + 0.1j, 20),  # no tail bound in 20 terms: both report inf
+        (complex(math.inf, 0.0), 1j, 10_000),  # outside the domain
+    ], ids=["overflow", "missed", "domain"])
+    def test_refusals_print_as_the_scalar_loop(self, x, w, max_terms):
+        settings = EvalSettings(max_terms=max_terms)
+        messages = []
+        for args in ((x, w, 0j), tuple(theta._j_lift(v) for v in (x, w, 0j))):
+            with pytest.raises(XishiftError) as info:
+                theta._folded_theta(*args, settings)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "np." not in messages[1]
 
 
 class TestRecords:
