@@ -13,6 +13,7 @@ from .errors import (
     ParameterError,
     ParseError,
     PoleError,
+    RangeOverflowError,
     RegionError,
     SymmetryError,
     ToleranceError,

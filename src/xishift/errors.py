@@ -2,8 +2,9 @@
 
 Every library-raised error derives from XishiftError so callers (and the CLI,
 which maps failures onto its exit-code contract) can distinguish library
-failures from programming errors.  Gamma overflow reuses the builtin
-OverflowError because that is what it is.
+failures from programming errors.  A result past the double range raises
+RangeOverflowError, which is also a builtin OverflowError, so code that
+catches either one catches it.
 """
 
 
@@ -53,6 +54,10 @@ class ToleranceError(XishiftError):
 
 class EvaluationError(XishiftError):
     """An evaluator failed at a specific point; the message carries the point."""
+
+
+class RangeOverflowError(XishiftError, OverflowError):
+    """A result's magnitude exceeds the double range (gamma, zeta's reflection)."""
 
 
 class MaxIterError(XishiftError):

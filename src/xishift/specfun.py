@@ -67,6 +67,7 @@ from .errors import (
     EvaluationError,
     ParameterError,
     PoleError,
+    RangeOverflowError,
 )
 from .settings import (
     DEFAULT_SETTINGS,
@@ -215,7 +216,7 @@ def gamma_c(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> ValueWithE
     require_finite(s, "gamma_c argument")
     lg, rel = _loggamma_vec(np.array([s]))
     if lg[0].real > MAX_EXP:
-        raise OverflowError(f"|gamma({s})| exceeds double range (log={lg[0].real:.1f})")
+        raise RangeOverflowError(f"|gamma({s})| exceeds double range (log={lg[0].real:.1f})")
     value = np.exp(lg[0])
     return checked_value(value, abs(value) * rel[0], f"gamma_c({s})")
 
@@ -401,8 +402,8 @@ def zeta_vec(s: np.ndarray, settings: EvalSettings = DEFAULT_SETTINGS) -> tuple[
         log_chi = r * LN_2 + (r - 1.0) * LN_PI + log_sin + _loggamma_vec(1.0 - r)[0]
         big = log_chi.real > MAX_EXP
         if big.any():
-            raise OverflowError(f"|zeta({complex(r[big][0])})| exceeds double range "
-                                f"via functional equation")
+            raise RangeOverflowError(f"|zeta({complex(r[big][0])})| exceeds double range "
+                                     f"via functional equation")
         vals[refl] = np.multiply(np.exp(log_chi), zv)
         # the rounding of pi s/2 is amplified where the sine nears a zero
         # (the trivial zeros): EPS |pi s/2| / |sin(pi s/2)|
@@ -817,13 +818,19 @@ def _eta_vec(
     The log-weight enters the exponent first: a weight exp(alpha t) that grows
     while eta decays like exp(-pi|t|/4) on the line never meets it as 0 * inf.
     Points on the critical line at |t| >= RS_CROSSOVER take the Hardy Z
-    kernel; every other point takes Euler-Maclaurin zeta.  Each kernel
-    refuses a point whose sum needs more than settings.max_terms terms.
+    kernel; every other point takes Euler-Maclaurin zeta.  A 1-D batch whose
+    points all take Hardy Z goes to it whole, with no masks, gathers or
+    scatters: each point's value is its own, so the bits are the masked
+    route's.  Each kernel refuses a point whose sum needs more than
+    settings.max_terms terms.
     """
     s = np.asarray(s, dtype=complex)
     rs = np.abs(s.imag) >= RS_CROSSOVER
     if rs.any():
         rs &= s.real == 0.5
+        if s.ndim == 1 and rs.all():
+            vals, errs = _eta_rs(s.imag, log_weight, settings)
+            return vals.astype(complex), errs
         if rs.any():
             lw = np.broadcast_to(log_weight, s.shape)
             vals = np.empty(s.shape, dtype=complex)

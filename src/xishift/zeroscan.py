@@ -3,12 +3,14 @@
 A scan walks a fixed grid t_i = t_lo + i*step, records strict sign changes
 between consecutive nodes as brackets, and reports node zeros (f exactly 0 for
 scan, within its error bound for scan_fz) as width-zero brackets.  scan_fz
-evaluates the grid in one call, then bisects all brackets together.  Each call
-evaluates, for every open bracket, its bisection tree three levels deep and
-the path that bisection would take if the root were where interpolation puts
-it; each bracket then steps along as long as its next midpoint has a value.  A
-point's value never depends on its batch mates, so each bracket takes exactly
-the steps of scalar bisection, and most close in two calls.
+evaluates the grid in one call, then bisects all brackets together.  A
+bracket's first call evaluates only the path that bisection would take if
+the root were where inverse quadratic interpolation through its ends and a
+neighbouring grid node puts it; each later call evaluates its bisection tree
+three levels deep and the path to a new estimate.  Each bracket then steps
+along as long as its next midpoint has a value.  A point's value never
+depends on its batch mates, so each bracket takes exactly the steps of
+scalar bisection, and most close in two calls.
 
 report_rows flattens a ScanReport into SCAN_FIELDS rows; the CLI's CSV and
 JSON writers are the only serialisers of scan results.
@@ -166,10 +168,11 @@ def _root_estimate(
 ) -> float:
     """A guess at the root in (lo, hi); it decides only which points are evaluated early.
 
-    Inverse quadratic interpolation through both ends and near, the
-    evaluated point nearest outside them, else the secant through the ends
-    (regula falsi on a bracket's first call, when near is None), else the
-    midpoint: the first of these that lies inside (lo, hi).
+    Inverse quadratic interpolation through both ends and near, a known
+    point outside them (a grid neighbour on a bracket's first call, then the
+    evaluated point nearest outside), else the secant through the ends
+    (regula falsi when near is None, or when two of the three values are
+    equal), else the midpoint: the first of these that lies inside (lo, hi).
     """
     if near is not None:
         c, f_c = near
@@ -234,17 +237,19 @@ class _Bisection:
     def wanted(self, tol: float) -> list[float]:
         """The points the next evaluator call should give this bracket.
 
-        A closed bracket wants its residual point.  An open one wants its
-        bisection tree _TREE_DEPTH levels deep, which guarantees that many
-        steps, and the path bisection would take if the root were at
-        _root_estimate, through its final midpoint.  No point lies past step
-        200.  All lie inside the bracket, where the walk has not been, so
-        none was evaluated before.
+        A closed bracket wants its residual point.  An open one wants the
+        path bisection would take if the root were at _root_estimate,
+        through its final midpoint, which guarantees one step.  Unless it is
+        a seeded first call (it = 0 with a grid neighbour as near), it also
+        wants its bisection tree _TREE_DEPTH levels deep, which guarantees
+        that many steps.  No point lies past step 200.  All lie inside the
+        bracket, where the walk has not been, so none was evaluated before.
         """
         lo, hi, it = self.lo, self.hi, self.it
         if it > 0 and hi - lo <= tol:
             return [0.5 * (lo + hi)]
-        points = _tree(lo, hi, min(_TREE_DEPTH, 200 - it))
+        seeded = it == 0 and self.near is not None
+        points = [] if seeded else _tree(lo, hi, min(_TREE_DEPTH, 200 - it))
         r = _root_estimate(lo, hi, self.f_lo, self.f_hi, self.near)
         for _ in range(it, 200):
             m = 0.5 * (lo + hi)
@@ -260,7 +265,10 @@ class _Bisection:
 
 
 def _bisect_all(
-    brackets: Sequence[ZeroBracket], f: Callable[[np.ndarray], np.ndarray], tol: float
+    brackets: Sequence[ZeroBracket],
+    f: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+    grid: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[ZeroHit]:
     """Bisect every bracket, each call of the vector evaluator f serving all open ones.
 
@@ -268,14 +276,27 @@ def _bisect_all(
     names; then each bracket takes scalar bisection's steps for as long as
     the midpoint it needs next has been evaluated.  The root estimate only
     predicts which midpoints bisection will visit, so every step, midpoint,
-    residual and iteration count is the one-step loop's (bisect), and no
-    bracket needs more calls than with the tree alone.  f must give each
-    point a value that does not depend on its batch mates; it also sees the
-    points that the walk does not take.
+    residual and iteration count is the one-step loop's (bisect).  f must
+    give each point a value that does not depend on its batch mates; it also
+    sees the points that the walk does not take.
+
+    grid, the (nodes, values) the brackets were read from, seeds each proper
+    bracket [t_i, t_i+1] with whichever of nodes i-1 and i+2 has the smaller
+    |f|.  A seeded bracket's first call evaluates the estimated path alone,
+    one step guaranteed, so it needs at most one call more than with the tree
+    alone; an unseeded bracket needs no more.
     """
     _require_tol(tol)
     runs = [_Bisection(b) for b in brackets]
     live = [run for run in runs if run.hit is None]
+    if grid is not None:
+        ts, fs = (np.asarray(x, dtype=float).tolist() for x in grid)
+        for run in live:
+            i = bisect_left(ts, run.lo)
+            outer = [j for j in (i - 1, i + 2) if 0 <= j < len(ts)]
+            if outer:
+                j = min(outer, key=lambda k: abs(fs[k]))
+                run.near = (ts[j], fs[j])
     while live:
         wanted = [run.wanted(tol) for run in live]
         vals = np.asarray(f(np.array([t for w in wanted for t in w], dtype=float)),
@@ -332,8 +353,10 @@ def scan_fz(
     in the calling thread.  settings is keyword-only, so a call that still
     passes a worker count in its place is a TypeError."""
     ts = grid_nodes(t_lo, t_hi, step)
-    brackets = _brackets_from_values(ts, *_fz_real(ts, cfg, settings))
-    zeros = _bisect_all(brackets, lambda tarr: _fz_real(tarr, cfg, settings)[0], tol)
+    fs, errs = _fz_real(ts, cfg, settings)
+    brackets = _brackets_from_values(ts, fs, errs)
+    zeros = _bisect_all(brackets, lambda tarr: _fz_real(tarr, cfg, settings)[0], tol,
+                        (ts, fs))
     return ScanReport(
         brackets=tuple(brackets),
         zeros=tuple(zeros),

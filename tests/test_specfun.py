@@ -16,6 +16,8 @@ from xishift import (
     EvaluationError,
     ParameterError,
     PoleError,
+    RangeOverflowError,
+    XishiftError,
     big_xi,
     eta_completed,
     f_z,
@@ -194,6 +196,16 @@ class TestGamma:
     def test_overflow(self):
         with pytest.raises(OverflowError):
             gamma_c(200.0)
+
+    @pytest.mark.parametrize("call", [lambda: gamma_c(200.0), lambda: zeta_c(-300.5)],
+                             ids=["gamma", "zeta-reflection"])
+    def test_overflow_is_a_library_error(self, call):
+        # typed, so the CLI's `except XishiftError` takes it, and still an
+        # OverflowError for callers that catch the builtin
+        with pytest.raises(XishiftError, match="exceeds double range") as info:
+            call()
+        assert type(info.value) is RangeOverflowError
+        assert isinstance(info.value, OverflowError)
 
     def test_far_left_vs_mpmath(self):
         # reflection, not a capped recurrence, reaches these points
@@ -455,6 +467,20 @@ class TestBlockedTableMemory:
         assert self._peak(lambda: fz_line_vec(self.T, self.CFG)) <= 1.25 * 22.1e6
 
 
+def _spy_weight_gathers(monkeypatch) -> list[bool]:
+    """Per _eta_rs call, whether its log-weight came as an array: a scalar
+    weight that the masked route broadcasts and gathers does."""
+    seen = []
+    rs = specfun._eta_rs
+
+    def spy(t, log_weight, settings):
+        seen.append(isinstance(log_weight, np.ndarray))
+        return rs(t, log_weight, settings)
+
+    monkeypatch.setattr(specfun, "_eta_rs", spy)
+    return seen
+
+
 class TestHardyZ:
     """The Riemann-Siegel Z kernel the eta kernel runs on the critical line
     at |t| >= RS_CROSSOVER, against frozen mpmath values and against the
@@ -506,6 +532,34 @@ class TestHardyZ:
         assert vals[[0, 3]].tobytes() == v_em.tobytes()
         assert errs[[0, 3]].tobytes() == e_em.tobytes()
         assert (vals[1:3].imag == 0.0).all()
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["scalar-weight", "array-weight"])
+    def test_all_z_batch_equals_masked_route(self, monkeypatch, weighted):
+        # a 1-D batch of Z points goes to _eta_rs whole; the same points
+        # inside a batch with an Euler-Maclaurin point take the masks
+        seen = _spy_weight_gathers(monkeypatch)
+        ts = np.array([specfun.RS_CROSSOVER, 250.5, -600.25, 3000.0, 1e4 / 3.0])
+        mixed = np.append(ts, 50.0)
+        weight = (0.6 * ts, 0.6 * mixed) if weighted else (0.25, 0.25)
+        vals, errs = specfun._eta_vec(0.5 + 1j * ts, EvalSettings(), weight[0])
+        v_mix, e_mix = specfun._eta_vec(0.5 + 1j * mixed, EvalSettings(), weight[1])
+        assert vals.dtype == v_mix.dtype == complex
+        assert vals.tobytes() == v_mix[:-1].tobytes()
+        assert errs.tobytes() == e_mix[:-1].tobytes()
+        # the direct route passes the weight on as given, the masked one gathers it
+        assert seen == [weighted, True]
+
+    def test_other_shapes_keep_the_masked_route(self, monkeypatch):
+        seen = _spy_weight_gathers(monkeypatch)
+        s = 0.5 + 1j * np.array([[200.0, 300.5], [-450.0, 1000.25]])
+        flat_v, flat_e = specfun._eta_vec(s.ravel())
+        vals, errs = specfun._eta_vec(s)
+        point_v, point_e = specfun._eta_vec(s[0, 1])
+        assert seen == [False, True, True]
+        assert vals.shape == errs.shape == (2, 2) and point_v.shape == point_e.shape == ()
+        assert vals.tobytes() == flat_v.tobytes() and errs.tobytes() == flat_e.tobytes()
+        assert point_v.tobytes() == flat_v[1].tobytes()
+        assert point_e.tobytes() == flat_e[1].tobytes()
 
     def test_point_alone_equals_point_in_batch(self):
         # main sums of many lengths in one batch, on both sides of the crossover

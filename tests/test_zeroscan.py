@@ -238,10 +238,29 @@ class TestBatchBisect:
         monkeypatch.setattr(zeroscan, "fz_line_vec", counted)
         rep = scan_fz(HARDY, 10.0, 100.0, 0.05, 1e-8)
         assert len(rep.zeros) == 29  # N(100) = 29, none below 14
-        # 1 grid call; the regula falsi path of the first refinement call and
-        # the interpolated one of the second close nearly every bracket, and
-        # a tree of three levels per call alone would take 8 calls for 23 steps
+        # 1 grid call; the path interpolated through a grid neighbour on the
+        # first refinement call and through the nearest evaluated point on the
+        # second close every bracket, where a tree of three levels per call
+        # alone would take 8 calls for 23 steps
         assert len(calls) <= 3
+
+    def test_refinement_counts_on_hardy_windows(self, monkeypatch):
+        # eight 10-wide windows (the benchmark's Hardy scan shape): evaluator
+        # calls and points after each grid call, pinned
+        calls = []
+
+        def counted(ts, *args):
+            calls.append(len(ts))
+            return fz_line_vec(ts, *args)
+
+        monkeypatch.setattr(zeroscan, "fz_line_vec", counted)
+        per_window = []
+        for lo in (10.0, 120.0, 230.0, 340.0, 450.0, 560.0, 670.0, 780.0):
+            calls.clear()
+            scan_fz(HARDY, lo, lo + 10.0, 0.05, 1e-8)
+            per_window.append(calls[1:])
+        assert [len(c) for c in per_window] == [2, 2, 2, 2, 2, 3, 2, 3]
+        assert sum(map(sum, per_window)) == 2047
 
     def test_reality_failure_names_t(self, monkeypatch):
         def skewed(ts, *args):
@@ -260,16 +279,18 @@ class TestBisectionTree:
     alone would take (_tree_calls)."""
 
     @staticmethod
-    def check(brs, f, tol):
+    def check(brs, f, tol, grid=None):
+        """A grid seed may cost one call more: a seeded first call takes the
+        estimated path alone, which guarantees one step, not three."""
         calls = []
 
         def vec(ts):
             calls.append(len(ts))
             return f(np.asarray(ts))
 
-        batch = zeroscan._bisect_all(brs, vec, tol)
+        batch = zeroscan._bisect_all(brs, vec, tol, grid)
         assert batch == [ZeroHit(*_reference_bisect(br, f, tol)) for br in brs]
-        assert len(calls) <= _tree_calls(brs, f, tol)
+        assert len(calls) <= _tree_calls(brs, f, tol) + (grid is not None)
         return batch, calls
 
     @pytest.mark.parametrize("seed", range(8))
@@ -293,11 +314,10 @@ class TestBisectionTree:
         rng.shuffle(brs)
         self.check(brs, f, float(rng.choice([1e-3, 1e-8, 1e-12, 2.0 ** -20])))
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_signs_near_each_root(self, seed):
-        # within delta of a root the sign is a hash of the bits of t, so that
-        # every root estimate from values there is noise; the steps must not
-        # change, and no bracket may take more calls than the tree alone
+    @staticmethod
+    def noisy_signs(seed):
+        """(grid, f, tol): within delta of a root the sign of f is a hash of
+        the bits of t, so that every root estimate from values there is noise."""
         rng = np.random.default_rng(seed)
         roots = np.sort(rng.uniform(0.0, 10.0, 6))
         delta = 10.0 ** rng.uniform(-9.0, -2.0)
@@ -310,11 +330,27 @@ class TestBisectionTree:
             return np.where(np.min(np.abs(t[..., None] - roots), axis=-1) < delta, noise, v)[()]
 
         ts = np.arange(0.0, 10.5, float(rng.choice([0.125, 0.25, 0.3])))
+        return ts, f, float(rng.choice([1e-12, 1e-10, 2.0 ** -40]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_signs_near_each_root(self, seed):
+        # the steps must not change, and no bracket may take more calls than
+        # the tree alone
+        ts, f, tol = self.noisy_signs(seed)
         fs = f(ts)
         brs = [ZeroBracket(a, b, fa, fb) for a, b, fa, fb in zip(ts, ts[1:], fs, fs[1:])
                if np.sign(fa) * np.sign(fb) < 0]
         assert len(brs) >= 4
-        self.check(brs, f, float(rng.choice([1e-12, 1e-10, 2.0 ** -40])))
+        self.check(brs, f, tol)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_signs_near_each_root_seeded(self, seed):
+        # noise at the nodes next to a bracket makes a noisy seed as well
+        ts, f, tol = self.noisy_signs(seed)
+        fs = f(ts)
+        brs = zeroscan._brackets_from_values(ts, fs)
+        assert len(brs) >= 4
+        self.check(brs, f, tol, (ts, fs))
 
     def test_exact_zeros_on_every_level(self):
         # bracket k is [16k, 16k + 8] with its root at 16k + offset; from 8 wide,
@@ -384,6 +420,90 @@ class TestBisectionTree:
         assert len(calls) == 67
         with pytest.raises(MaxIterError):
             _reference_bisect(br, step, 2.0 ** -201)
+
+
+class TestGridSeed:
+    """Each proper grid bracket [t_i, t_i+1] starts from whichever of nodes
+    i-1 and i+2 has the smaller |f|.  The seed moves only the first call's
+    root estimate, so every result is still the one-step loop's."""
+
+    @staticmethod
+    def run(monkeypatch, ts, f, tol):
+        """(brackets, evaluator call sizes, first) for the brackets of f on the
+        grid ts; first maps each bracket's (t_lo, t_hi) to the near and the
+        estimate of its first call."""
+        first = {}
+        estimate = zeroscan._root_estimate
+
+        def recorded(lo, hi, f_lo, f_hi, near):
+            r = estimate(lo, hi, f_lo, f_hi, near)
+            first.setdefault((lo, hi), (near, r))
+            return r
+
+        monkeypatch.setattr(zeroscan, "_root_estimate", recorded)
+        fs = f(ts)
+        brs = zeroscan._brackets_from_values(ts, fs)
+        _, calls = TestBisectionTree.check(brs, f, tol, (ts, fs))
+        return brs, calls, first
+
+    @staticmethod
+    def secant(br):
+        return br.t_lo + (br.t_hi - br.t_lo) * (br.f_lo / (br.f_lo - br.f_hi))
+
+    def test_brackets_at_the_grid_ends_have_one_neighbour(self, monkeypatch):
+        f = lambda t: (t - 0.3) * (t - 1.6) * (t - 2.7)
+        ts = np.arange(4.0)
+        brs, _, first = self.run(monkeypatch, ts, f, 1e-10)
+        assert [(br.t_lo, br.t_hi) for br in brs] == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+        # only node 2, both (|f(3)| < |f(0)|), only node 1
+        assert [first[br.t_lo, br.t_hi][0] for br in brs] == [
+            (2.0, f(2.0)), (3.0, f(3.0)), (1.0, f(1.0))]
+
+    def test_two_node_grid_has_no_seed(self, monkeypatch):
+        f = lambda t: t - 1.0 / 3.0
+        brs, calls, first = self.run(monkeypatch, np.array([0.0, 1.0]), f, 1e-10)
+        near, r = first[0.0, 1.0]
+        # unseeded: regula falsi with the tree, no call beyond the tree's count
+        assert near is None and r == self.secant(brs[0])
+        assert len(calls) <= _tree_calls(brs, f, 1e-10)
+
+    def test_neighbour_on_a_node_zero(self, monkeypatch):
+        # nodes 1 and 4 are zeros, and both neighbour the bracket [2, 3]:
+        # interpolation through a zero puts the root on it, outside
+        f = lambda t: (t - 1.0) * (t - 2.5) * (t - 4.0)
+        brs, _, first = self.run(monkeypatch, np.arange(6.0), f, 1e-10)
+        assert [br.is_on_node for br in brs] == [True, False, True]
+        near, r = first[2.0, 3.0]
+        assert near == (1.0, 0.0) and r == self.secant(brs[1])
+
+    def test_neighbour_value_equal_to_an_end_value(self, monkeypatch):
+        # f(0) == f(2) exactly: the interpolation divides by zero
+        f = lambda t: (t - 1.0) ** 2 - 0.5625
+        brs, _, first = self.run(monkeypatch, np.arange(3.0), f, 1e-10)
+        assert len(brs) == 2
+        for br, c in zip(brs, (2.0, 0.0)):
+            near, r = first[br.t_lo, br.t_hi]
+            assert near == (c, 0.4375) and r == self.secant(br)
+
+    def test_estimate_outside_the_bracket_falls_back_to_the_secant(self, monkeypatch):
+        # f(0) lies between f(1) and f(2) in value, so the inverse parabola
+        # through the three puts the root left of node 1
+        f = lambda t: 1.45 * t * t - 2.35 * t - 0.1
+        brs, _, first = self.run(monkeypatch, np.arange(3.0), f, 1e-10)
+        assert [(br.t_lo, br.t_hi) for br in brs] == [(1.0, 2.0)]
+        near, r = first[1.0, 2.0]
+        assert near == (0.0, f(0.0)) and len({near[1], brs[0].f_lo, brs[0].f_hi}) == 3
+        assert r == self.secant(brs[0])
+
+    def test_seeded_first_call_evaluates_the_path_alone(self, monkeypatch):
+        # on a line the interpolation is exact, so the path is the walk: the
+        # one call holds the steps and the residual point, no tree point
+        f = lambda t: t - 1.3
+        brs, calls, first = self.run(monkeypatch, np.arange(4.0), f, 1e-10)
+        near, r = first[1.0, 2.0]
+        assert near == (0.0, -1.3) and abs(r - 1.3) < 1e-15
+        _, _, it = _reference_bisect(brs[0], f, 1e-10)
+        assert calls == [it + 1]
 
 
 class TestScanFz:
