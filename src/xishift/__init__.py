@@ -39,7 +39,6 @@ from .shifts import (
     moment_limit_check,
     moment_numeric,
     moment_series_rhs,
-    validate_config,
 )
 from .specfun import (
     big_xi,

@@ -37,7 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import theta
-from .errors import AccuracyError, DomainError, ToleranceError, UnsupportedOrderError
+from .errors import (AccuracyError, DomainError, RangeOverflowError, ToleranceError,
+                     UnsupportedOrderError)
 from .quadrature import nested_trapezoid, truncation_point
 from .region import require_inside
 from .settings import DEFAULT_SETTINGS, EvalSettings, require_finite
@@ -74,7 +75,10 @@ def mu(
     if x == 0:
         raise DomainError("mu needs x != 0 for the principal power")
     f = hyp1f1((1.0 - s) / 2.0, 0.5, z * z / 4.0, settings).value
-    value = cmath.exp((0.5 - s) * cmath.log(x)) * cmath.exp(-z * z / 8.0) * f
+    try:
+        value = cmath.exp((0.5 - s) * cmath.log(x)) * cmath.exp(-z * z / 8.0) * f
+    except OverflowError:  # cmath's range error
+        raise RangeOverflowError(f"mu(x={x!r}, z={z!r}, s={s!r}) exceeds double range") from None
     return require_finite(value, "mu")
 
 

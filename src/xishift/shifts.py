@@ -47,7 +47,6 @@ from .theta import _below_range, _in_range, _psi1_base_jet, _psi1_boundary, _psi
 
 __all__ = [
     "ShiftConfig",
-    "validate_config",
     "make_config",
     "f_z",
     "f_z_critical",
@@ -68,42 +67,30 @@ class ShiftConfig:
     z: complex
 
     def __post_init__(self) -> None:
-        validate_config(self)
-
-
-def validate_config(cfg: ShiftConfig) -> ShiftConfig:
-    """Check the standing hypotheses; returns cfg unchanged if they hold.
-    ShiftConfig runs it on construction, so every config in use has passed it."""
-    cs, lams = cfg.coefficients, cfg.shifts
-    if len(cs) == 0:
-        raise ConfigError("at least one coefficient is required")
-    if len(cs) != len(lams):
-        raise ConfigError(
-            f"{len(cs)} coefficients but {len(lams)} shifts; lengths must match"
-        )
-    for c in cs:
-        if not math.isfinite(c) or c == 0.0:
-            raise ConfigError(f"coefficients must be finite and nonzero, got {c}")
-    for lam in lams:
-        if not math.isfinite(lam):
-            raise ConfigError(f"shifts must be finite, got {lam}")
-    if len(set(lams)) != len(lams):
-        raise ConfigError(f"shifts must be pairwise distinct, got {lams}")
-    z = complex(cfg.z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ConfigError(f"z must be finite, got {z!r}")
-    verdict = classify_inequality(z)
-    if not verdict.inside:
-        raise ConfigError(
-            f"z = {z!r} is {verdict.component_label} of the admissible region "
-            f"(margin {verdict.margin:.3e})"
-        )
-    max_abs = max(abs(lam) for lam in lams)
-    if sum(1 for lam in lams if abs(lam) == max_abs) != 1:
-        raise ConfigError(
-            f"the maximal |shift| {max_abs:g} must be attained by exactly one entry"
-        )
-    return cfg
+        cs, lams = self.coefficients, self.shifts
+        if len(cs) == 0:
+            raise ConfigError("at least one coefficient is required")
+        if len(cs) != len(lams):
+            raise ConfigError(f"{len(cs)} coefficients but {len(lams)} shifts; lengths must match")
+        for c in cs:
+            if not math.isfinite(c) or c == 0.0:
+                raise ConfigError(f"coefficients must be finite and nonzero, got {c}")
+        for lam in lams:
+            if not math.isfinite(lam):
+                raise ConfigError(f"shifts must be finite, got {lam}")
+        if len(set(lams)) != len(lams):
+            raise ConfigError(f"shifts must be pairwise distinct, got {lams}")
+        z = complex(self.z)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ConfigError(f"z must be finite, got {z!r}")
+        verdict = classify_inequality(z)
+        if not verdict.inside:
+            raise ConfigError(f"z = {z!r} is {verdict.component_label} of the admissible region "
+                              f"(margin {verdict.margin:.3e})")
+        max_abs = max(abs(lam) for lam in lams)
+        if sum(1 for lam in lams if abs(lam) == max_abs) != 1:
+            raise ConfigError(f"the maximal |shift| {max_abs:g} must be attained by "
+                              "exactly one entry")
 
 
 def make_config(coefficients, shifts, z: complex) -> ShiftConfig:
@@ -154,7 +141,8 @@ def f_z(
     for lam in cfg.shifts:
         if s + 1j * lam in (0, 1):
             raise PoleError(f"shifted argument s + i*{lam:g} hits a pole of eta")
-    v, e = _fz_vec(np.array([s]), cfg, settings)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked_value refuses it
+        v, e = _fz_vec(np.array([s]), cfg, settings)
     return checked_value(v[0], e[0], f"f_z({s})")
 
 
@@ -190,17 +178,18 @@ def f_z_critical(
 # The moment identity
 # ---------------------------------------------------------------------------
 
-def _analytic_side(cfg: ShiftConfig, alpha: float, derivative, context: str) -> float:
+def _analytic_side(cfg: ShiftConfig, alpha: float, order: int, derivative, context: str) -> float:
     """4 pi sum_j c_j Re derivative(lam_j), derivative(lam) being
-    d^(2m)/d alpha^(2m) [e^((i/2 - lam) alpha) B(alpha)]: the analytic side of
-    the moment identity.  A term below the normal float range at alpha (its
-    shift factor or its value) adds nothing; where every term is, or the sum
-    overflows, the side is an EvaluationError naming context (and the shift)."""
+    d^order/d alpha^order [e^((i/2 - lam) alpha) B(alpha)], order = 2m: the
+    analytic side of the moment identity.  A term below the normal float range
+    at alpha (its shift factor or its value) adds nothing; where every term
+    is, or the sum overflows, the side is an EvaluationError naming context
+    (and the shift)."""
     terms = [(c, lam, derivative(lam)) for c, lam in zip(cfg.coefficients, cfg.shifts)]
-    kept = [c * v.real for c, lam, v in terms if not _below_range(lam, alpha, v)]
+    kept = [c * v.real for c, lam, v in terms if not _below_range(lam, alpha, order, v)]
     if not kept:  # every term is below the range: refused as the first one is
         _, lam, value = terms[0]
-        _in_range(value, lam, alpha, context)
+        _in_range(value, lam, alpha, order, context)
     return require_finite(4.0 * math.pi * sum(kept), context)
 
 
@@ -212,7 +201,7 @@ def moment_closed_form(m: int, cfg: ShiftConfig) -> float:
         raise ConfigError(f"moment order must be >= 0, got {m}")
     z = complex(cfg.z)
     b_lim = lambda: -(1.0 + cmath.exp(z * z / 4.0)) / 2.0  # noqa: E731 (run under the guard)
-    return _analytic_side(cfg, math.pi / 4.0,
+    return _analytic_side(cfg, math.pi / 4.0, 2 * m,
                           lambda lam: _psi1_boundary(lam, 2 * m, b_lim, "moment_closed_form"),
                           "moment_closed_form")
 
@@ -233,7 +222,8 @@ def moment_series_rhs(
     z = complex(cfg.z)
     b = cmath.exp(z * z / 8.0) * _psi1_base_jet(alpha, z, settings)
     b[0] -= 1.0
-    return _analytic_side(cfg, alpha, lambda lam: _psi1_shifted(b, alpha, lam, 2 * m), "psi1")
+    return _analytic_side(cfg, alpha, 2 * m, lambda lam: _psi1_shifted(b, alpha, lam, 2 * m),
+                          "psi1")
 
 
 _LIMIT_KS = (3.0, 3.25, 3.5)

@@ -263,24 +263,15 @@ def _require_budget(need, points, what: str, settings: EvalSettings) -> None:
 
 
 @lru_cache(maxsize=8)
-def _em_ladder(max_terms: int) -> tuple[int, ...]:
-    """Fixed ladder of direct-sum lengths, EM_MIN_TERMS up to max_terms.
-
-    Each point picks the smallest ladder entry covering its own em_length,
-    so its value is independent of array grouping.
-    """
+def _em_ladder_tables(max_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed ladder of direct-sum lengths, EM_MIN_TERMS up to max_terms,
+    each entry 1.25 times the last, and log N and the phase factor
+    sqrt(max(log^3 N / 3, 1)) of each entry N by math.log and math.sqrt,
+    read-only.  Each point picks the smallest entry covering its own
+    em_length, so its value is independent of array grouping."""
     ladder = [EM_MIN_TERMS]
     while ladder[-1] < max_terms:
         ladder.append(min(max_terms, math.ceil(ladder[-1] * 1.25)))
-    return tuple(ladder)
-
-
-@lru_cache(maxsize=8)
-def _em_ladder_tables(max_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ladder as an array, and log N and the phase factor
-    sqrt(max(log^3 N / 3, 1)) of each entry N by math.log and math.sqrt,
-    read-only: zeta_vec gathers them per point."""
-    ladder = _em_ladder(max_terms)
     ln_n = [math.log(n) for n in ladder]
     tables = (np.array(ladder), np.array(ln_n),
               np.array([math.sqrt(max(x**3 / 3.0, 1.0)) for x in ln_n]))

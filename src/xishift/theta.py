@@ -65,13 +65,6 @@ def _j_var(alpha: float) -> np.ndarray:
     return np.array([alpha, 1.0] + [0.0] * (_JET_LEN - 2), dtype=complex)
 
 
-def _j_lift(v) -> np.ndarray:
-    """A jet as is; a scalar as the jet of a constant."""
-    if isinstance(v, np.ndarray):
-        return v
-    return np.array([v] + [0j] * (_JET_LEN - 1))
-
-
 def _j_log(a):
     out = np.zeros(_JET_LEN, dtype=complex)
     out[0] = cmath.log(a[0])
@@ -135,14 +128,14 @@ def _folded_theta(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
     """exp(log_prefactor) * sum_{n>=1} exp(-pi n^2 x) cos(n w), the prefactor
     folded into every term.
 
-    x, w and log_prefactor are each a complex scalar or a jet; with any jet
-    among them the result is the jet of the sum (_folded_theta_jet).  Term n
+    x, w and log_prefactor are all complex numbers, or all jets; for jets the
+    result is the jet of the sum (_folded_theta_jet).  Term n
     is (exp(h+) + exp(h-))/2, h+- = log_prefactor - pi n^2 x +- i n w; the sum
     stops once the geometric tail bound on the term sizes
     exp(Re log_prefactor - pi n^2 Re x + n |Im w|) is below the tolerance,
     and the estimate adds each term's rounding.
     """
-    if np.ndarray in (type(x), type(w), type(log_prefactor)):
+    if isinstance(x, np.ndarray):
         return _folded_theta_jet(x, w, log_prefactor, settings)
     _require_theta_domain(x, w, log_prefactor)
     decay = math.pi * x.real
@@ -202,7 +195,6 @@ def _folded_theta_jet(x, w, log_prefactor, settings: EvalSettings) -> ThetaEval:
     derivative factor grows from term n to n + 1 by at most e^(8/n), so the
     scalar geometric tail bound carries over to every coefficient.
     """
-    x, w, log_prefactor = (_j_lift(v) for v in (x, w, log_prefactor))
     # Python complexes, so that errors print as the scalar loop's do
     x0, w0, p0 = complex(x[0]), complex(w[0]), complex(log_prefactor[0])
     _require_theta_domain(x0, w0, p0)
@@ -290,7 +282,7 @@ def series_side(
 def _tightened(settings: EvalSettings) -> EvalSettings:
     """Residual checks sum both sides far below the comparison tolerance so
     the reported residual measures the identity, not the truncation.  One
-    frozen result per input, as specfun._em_ladder keeps its ladders."""
+    frozen result per input, as specfun._em_ladder_tables keeps its ladders."""
     return replace(settings, quad_abs_tol=max(settings.quad_abs_tol * 1e-4, 1e-15))
 
 
@@ -369,7 +361,8 @@ def _psi1_base_jet(alpha: float, z: complex, settings: EvalSettings) -> np.ndarr
     var = _j_var(alpha)
     x = _j_exp(2j * var)
     if not near_axis:
-        base = ez8 * _folded_theta(x, SQRT_PI * z * _j_exp(1j * var), 0j, tight).value
+        w = SQRT_PI * z * _j_exp(1j * var)
+        base = ez8 * _folded_theta(x, w, np.zeros_like(x), tight).value
         base[0] += cmath.exp(-z * z / 8.0) / 2.0
         return base
     require_inside(z, f"psi1 at alpha={alpha:g}")
@@ -405,17 +398,22 @@ def _axis_pair(d, log_root, z: complex, settings: EvalSettings):
             _folded_theta(inv, 2.0 * w, log_pref, settings).value)
 
 
-def _shift_underflows(lam: float, alpha: float) -> bool:
+def _shift_underflows(lam: float, alpha: float, order: int) -> bool:
     """Whether e^{(i/2 - lam) alpha}, of modulus e^{-lam alpha}, is below the
-    normal float range, where it has lost digits."""
-    return math.exp(min(0.0, -lam * alpha)) < sys.float_info.min
+    normal float range, where it has lost digits; at alpha = pi/4 also the
+    boundary factor (i/2 - lam)^order e^{(i/2 - lam) pi/4}, by its logarithm:
+    the power alone can underflow to an exact 0."""
+    log_size = -lam * alpha
+    if alpha == math.pi / 4.0:
+        log_size = min(log_size, log_size + order * math.log(abs(0.5j - lam)))
+    return math.exp(min(0.0, log_size)) < sys.float_info.min
 
 
-def _below_range(lam: float, alpha: float, value: complex) -> bool:
-    """Whether a psi1 term at alpha has lost digits below the normal float
-    range, in its shift factor or in its value; an exact 0 (a vanishing
-    limit) has not."""
-    return _shift_underflows(lam, alpha) or 0.0 < abs(value) < sys.float_info.min
+def _below_range(lam: float, alpha: float, order: int, value: complex) -> bool:
+    """Whether an order-th psi1 derivative at alpha has lost digits below the
+    normal float range, in its shift factor or in its value; an exact 0 (a
+    vanishing limit) has not."""
+    return _shift_underflows(lam, alpha, order) or 0.0 < abs(value) < sys.float_info.min
 
 
 def _out_of_range(context: str, lam: float, what: str, alpha: float) -> EvaluationError:
@@ -423,11 +421,11 @@ def _out_of_range(context: str, lam: float, what: str, alpha: float) -> Evaluati
     return EvaluationError(f"{context} at lam={lam!r}: {what} at alpha={at}")
 
 
-def _in_range(value: complex, lam: float, alpha: float, context: str) -> complex:
+def _in_range(value: complex, lam: float, alpha: float, order: int, context: str) -> complex:
     """value, or an EvaluationError naming context and lam where _below_range."""
-    if _shift_underflows(lam, alpha):
+    if _shift_underflows(lam, alpha, 0):
         raise _out_of_range(context, lam, "e^((i/2 - lam) alpha) underflows", alpha)
-    if _below_range(lam, alpha, value):
+    if _below_range(lam, alpha, order, value):
         raise _out_of_range(context, lam, f"the value {value!r} underflows", alpha)
     return value
 
@@ -474,7 +472,7 @@ def psi1(
     """e^{(i/2 - lam) alpha} ( e^{-z^2/8}/2 + e^{z^2/8} psi(e^{2 i alpha}, z) )."""
     _require_finite_point(z, lam, "psi1")
     return _in_range(_psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, 0),
-                     lam, alpha, "psi1")
+                     lam, alpha, 0, "psi1")
 
 
 def psi1_alpha_derivative(
@@ -490,7 +488,7 @@ def psi1_alpha_derivative(
     """
     _require_finite_point(z, lam, "psi1_alpha_derivative")
     return _in_range(_psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, order),
-                     lam, alpha, "psi1")
+                     lam, alpha, order, "psi1")
 
 
 def psi1_limit_value(z: complex, lam: float, order: int) -> complex:
@@ -501,7 +499,7 @@ def psi1_limit_value(z: complex, lam: float, order: int) -> complex:
     _require_finite_point(z, lam, "psi1_limit_value")
     context = f"psi1_limit_value(z={z!r})"
     value = _psi1_boundary(lam, order, lambda: -cmath.sinh(z * z / 8.0), context)
-    return _in_range(value, lam, math.pi / 4.0, context)
+    return _in_range(value, lam, math.pi / 4.0, order, context)
 
 
 # ---------------------------------------------------------------------------

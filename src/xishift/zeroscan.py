@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -147,10 +147,12 @@ def _nearest_outside(
     lo: float, hi: float, known: dict[float, float]
 ) -> tuple[float, float] | None:
     """(t, f(t)) for the known t nearest outside [lo, hi], or None if there is none."""
-    ts = sorted(known)
-    i, j = bisect_left(ts, lo), bisect_right(ts, hi)
-    left = ts[i - 1] if i else -math.inf
-    right = ts[j] if j < len(ts) else math.inf
+    left, right = -math.inf, math.inf
+    for t in known:
+        if left < t < lo:
+            left = t
+        elif hi < t < right:
+            right = t
     c = left if lo - left <= right - hi else right
     return (c, known[c]) if math.isfinite(c) else None
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from xishift import (
     DomainError,
     EvalSettings,
     QuadratureResult,
+    RangeOverflowError,
     RegionError,
     ToleranceError,
     UnsupportedOrderError,
@@ -50,6 +52,15 @@ class TestKernels:
     def test_mu_needs_nonzero_x(self):
         with pytest.raises(DomainError):
             mu(0.0, 0.1, 0.5)
+
+    @pytest.mark.parametrize("x, s", [(1e-300, 1000.0), (1e300, -1000.0)])
+    def test_power_past_the_range_is_typed(self, x, s):
+        # x^(1/2 - s) overflows: a bare OverflowError from cmath.exp before
+        match = rf"^mu\(x={re.escape(repr(complex(x)))}, z=\(0\.3\+0j\), s=.* exceeds double range$"
+        with pytest.raises(RangeOverflowError, match=match):
+            mu(x, 0.3, s)
+        with pytest.raises(RangeOverflowError, match=match):
+            nabla(x, 0.3, s)
 
     def test_nabla_symmetry(self):
         x, z, s = 1.3, 0.2 + 0.1j, 0.25 + 4.0j

@@ -95,13 +95,13 @@ class TestEquivalence:
             if abs(v1.margin) > 1e-9:
                 assert v1.inside == v2.inside, z
 
-    @hyp_settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp_settings(max_examples=300, deadline=None)
     @given(st.floats(-4, 4), st.floats(-4, 4))
     def test_antipodal_symmetry(self, x, y):
         z = complex(x, y)
         assert classify_inequality(z).inside == classify_inequality(-z).inside
 
-    @hyp_settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp_settings(max_examples=300, deadline=None)
     @given(st.floats(-4, 4), st.floats(-4, 4))
     def test_margin_matches_definition(self, x, y):
         z = complex(x, y)

@@ -25,7 +25,6 @@ from xishift import (
     moment_numeric,
     moment_series_rhs,
     psi1_alpha_derivative,
-    validate_config,
 )
 from xishift import integral, shifts, specfun
 from xishift.cli import _LIMIT_GATES
@@ -74,7 +73,7 @@ def _paper_closed_form(m: int, cfg) -> float:
 
 class TestConfig:
     def test_hardy_is_valid(self):
-        assert validate_config(HARDY) is HARDY
+        assert ShiftConfig(HARDY.coefficients, HARDY.shifts, HARDY.z) == HARDY
 
     def test_duplicate_shifts_rejected(self):
         with pytest.raises(ConfigError):
@@ -94,7 +93,7 @@ class TestConfig:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            validate_config(ShiftConfig((1.0,), (0.0, 1.0), 0.0))
+            ShiftConfig((1.0,), (0.0, 1.0), 0.0)
 
     @pytest.mark.parametrize("coefficients, shift_list, z, match", [
         ((1.0, 0.0, 0.5), (0.0, 0.0, 1.0), 0j, "nonzero"),  # and a repeated shift
@@ -157,6 +156,12 @@ class TestFz:
     def test_underflow_raises(self):
         with pytest.raises(EvaluationError, match="1000"):
             f_z(0.5 + 1000j, HARDY)
+
+    def test_overflow_is_refused_without_a_warning(self):
+        # eta's prefactor overflows at s = 1000: numpy warned in exp and in
+        # the products before checked_value refused the nan
+        with pytest.raises(EvaluationError, match=r"^f_z\(\(1000\+0j\)\): non-finite value"):
+            f_z(1000, HARDY)
 
     def test_z_zero_reduction_pointwise(self):
         cfg = make_config([0.7, -0.2], [0.1, 1.3], 0.0)
@@ -514,6 +519,17 @@ class TestOneAnalyticSide:
             else:
                 with pytest.raises(EvaluationError, match=rf"at lam={lam!r}: {what}.* underflows"):
                     side(alone)
+
+    def test_boundary_power_below_the_range(self):
+        # |i/2|^(2m) is subnormal at m = 530 and an exact 0 at m = 540, where
+        # the closed form was 0.0; beside a shift in range the term is dropped
+        for m in (530, 540):
+            with pytest.raises(EvaluationError, match=r"^moment_closed_form at lam=0\.0: the "
+                                                      r"value .* underflows at alpha=pi/4$"):
+                moment_closed_form(m, HARDY)
+            alone = moment_closed_form(m, make_config([1.0], [1.0], 0.0))
+            assert moment_closed_form(m, make_config([1.0, 1.0], [0.0, 1.0], 0.0)) == alone
+        assert moment_closed_form(500, HARDY) == -1.0835015725207596e-300
 
     def test_overflowing_shift_derivative_is_typed(self):
         # at lam = -1e150 the shift factor's fourth derivative overflows: it

@@ -91,7 +91,7 @@ def _reference_zeta_vec(s, settings):
     s = np.asarray(s, dtype=complex)
     refl = s.real < 0.0
     u = np.where(refl, 1.0 - s, s)
-    ladder = np.asarray(specfun._em_ladder(settings.max_terms))
+    ladder = np.asarray(specfun._em_ladder_tables(settings.max_terms)[0])
     idx = np.searchsorted(ladder, specfun.em_length(u))
     vals = np.empty(s.shape, dtype=complex)
     errs = np.empty(s.shape, dtype=float)
@@ -299,15 +299,16 @@ class TestZetaKernel:
 
     def test_length_takes_the_point_alone(self):
         assert list(inspect.signature(specfun.em_length).parameters) == ["s"]
-        assert list(inspect.signature(specfun._em_ladder.__wrapped__).parameters) == ["max_terms"]
-        assert specfun._em_ladder(10_000)[0] == 20
+        tables = specfun._em_ladder_tables
+        assert list(inspect.signature(tables.__wrapped__).parameters) == ["max_terms"]
+        assert tables(10_000)[0][0] == 20
 
     def test_point_alone_equals_point_in_batch(self):
         settings = EvalSettings()
         rng = np.random.default_rng(7)
         ts = np.concatenate((rng.uniform(0.0, 6000.0, 1000), rng.uniform(4500.0, 5000.0, 1000)))
         s = 0.5 + 1j * ts
-        ladder = np.asarray(specfun._em_ladder(settings.max_terms))
+        ladder = np.asarray(specfun._em_ladder_tables(settings.max_terms)[0])
         idx = np.searchsorted(ladder, specfun.em_length(s))
         groups, sizes = np.unique(idx, return_counts=True)
         # the batch spans several ladder groups, and one group several row blocks
@@ -326,7 +327,7 @@ class TestZetaKernel:
         # elision size, where the per-group kernel's bits were batch-free
         rng = np.random.default_rng(11)
         settings = EvalSettings()
-        ladder = np.asarray(specfun._em_ladder(settings.max_terms))
+        ladder = np.asarray(specfun._em_ladder_tables(settings.max_terms)[0])
         ts = np.geomspace(0.5, 16_380.0, 600) * rng.choice([-1.0, 1.0], 600)
         s = np.concatenate((
             rng.uniform(-3.0, 4.0, 600) + 1j * ts,  # every ladder entry, reflection included
@@ -342,7 +343,7 @@ class TestZetaKernel:
         assert (s.real < 0).sum() > 100 and (np.abs(1.0 - s.real) <= 0.05).sum() > 40
         small = EvalSettings(max_terms=300)
         s_small = s[np.abs(s) < 400.0]
-        assert len(specfun._em_ladder(small.max_terms)) > 5
+        assert len(specfun._em_ladder_tables(small.max_terms)[0]) > 5
         for points, st in ((s, settings), (s_small, small)):
             for got, ref in zip(specfun.zeta_vec(points, st), _reference_zeta_vec(points, st)):
                 assert got.tobytes() == ref.tobytes()
@@ -358,7 +359,7 @@ class TestZetaKernel:
         # complex multiply is not bitwise commutative; the per-group kernel
         # gave t = 282.453392 other bits than its one-point call
         s = 0.5 + 1j * np.linspace(0.0, 494.0, 250_001)[142_942 - 8192:142_942 + 8192]
-        ladder = np.asarray(specfun._em_ladder(EvalSettings().max_terms))
+        ladder = np.asarray(specfun._em_ladder_tables(EvalSettings().max_terms)[0])
         assert s.size == 16_384 and np.unique(np.searchsorted(ladder, specfun.em_length(s))).size == 1
         assert s[8192] == 0.5 + 282.453392j
         vals, errs = specfun.zeta_vec(s)
@@ -408,7 +409,7 @@ class TestZetaKernel:
         monkeypatch.setattr(specfun, "_em_tail", counted_tail)
         s = 0.5 + 1j * np.linspace(0.0, 3000.0, 500)
         specfun.zeta_vec(s)
-        ladder = np.asarray(specfun._em_ladder(EvalSettings().max_terms))
+        ladder = np.asarray(specfun._em_ladder_tables(EvalSettings().max_terms)[0])
         groups = np.unique(np.searchsorted(ladder, specfun.em_length(s)))
         assert len(groups) >= 5
         assert sorted(calls["direct"]) == [int(n) for n in ladder[groups]]
@@ -419,7 +420,7 @@ class TestZetaKernel:
         # blocks the batch spans
         settings = EvalSettings()
         s = 0.5 + 1j * np.linspace(440.0, 460.0, 8)
-        ladder = specfun._em_ladder(settings.max_terms)
+        ladder = specfun._em_ladder_tables(settings.max_terms)[0]
         n_direct = min(n for n in ladder if n >= specfun.em_length(s).max())
         assert n_direct >= specfun.em_length(s).min()  # one ladder group
         chunk = specfun._EM_CHUNK // n_direct

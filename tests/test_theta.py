@@ -142,6 +142,10 @@ def _reference_stop(x, w, p, tol, slope):
                 return n, tail
 
 
+def _constant_jet(v):
+    return np.array([v] + [0j] * (theta._JET_LEN - 1))
+
+
 class TestScalarAndJetLoops:
     """_folded_theta sums scalars in one loop and jets in another, under one
     tail rule and one noise term; on a constant jet the two must agree."""
@@ -155,7 +159,7 @@ class TestScalarAndJetLoops:
             w = complex(rng.normal(), rng.normal()) if i % 4 else 0j  # w = 0: one exponential
             p = complex(rng.uniform(-1.0, 5.0), rng.normal())  # large sums: rounding shows
             scalar = theta._folded_theta(x, w, p, settings)
-            jet = theta._folded_theta(*(theta._j_lift(v) for v in (x, w, p)), settings)
+            jet = theta._folded_theta(*(_constant_jet(v) for v in (x, w, p)), settings)
             gap = abs(jet.value[0] - scalar.value)
             assert gap <= jet.abs_err_est[0] + scalar.abs_err_est, (x, w, p)
             # each loop stops where the one rule says, and adds its rounding
@@ -177,7 +181,7 @@ class TestScalarAndJetLoops:
     def test_refusals_print_as_the_scalar_loop(self, x, w, max_terms):
         settings = EvalSettings(max_terms=max_terms)
         messages = []
-        for args in ((x, w, 0j), tuple(theta._j_lift(v) for v in (x, w, 0j))):
+        for args in ((x, w, 0j), tuple(_constant_jet(v) for v in (x, w, 0j))):
             with pytest.raises(XishiftError) as info:
                 theta._folded_theta(*args, settings)
             messages.append(str(info.value))
@@ -369,6 +373,17 @@ class TestPsi1:
         # e^(-lam alpha) is below the float range, so the value would be a bare 0
         with pytest.raises(EvaluationError, match=match):
             call()
+
+    def test_boundary_power_below_the_range(self):
+        # |i/2|^order is subnormal at 1060 and an exact 0 at 1080, where the
+        # limit passed as a vanishing one; a limit that is exactly 0 (z = 0)
+        # stays 0 where the factor is in range
+        for order in (1060, 1080):
+            with pytest.raises(EvaluationError, match=r"^psi1_limit_value\(z=\(0\.3\+0j\)\) at "
+                                                      r"lam=0\.0: the value .* underflows at "
+                                                      r"alpha=pi/4$"):
+                psi1_limit_value(0.3, 0.0, order)
+        assert psi1_limit_value(0.0, 0.0, 1000) == 0.0
 
     @pytest.mark.parametrize("lam", [3000.0, 3540.0, 3700.0])
     @pytest.mark.parametrize("order", [0, 2])
