@@ -17,7 +17,8 @@ against an exponential weight: in tau = t/2, Xi(tau)/(1+4 tau^2) =
 -rho(tau)/8, rho is even and the two nabla terms swap under tau -> -tau, so
 the transform is c Int e^(beta tau) rho(tau) F(tau) dtau with
 c = -e^(-z^2/8)/(4 pi) and beta = -i log a.  _line_integral evaluates any
-sum of such terms in one quadrature, rho and F once per node.  It truncates
+sum of such terms in one quadrature, F once per node and rho once per
+distinct |tau| below the Riemann-Siegel crossover.  It truncates
 each side by the majorant |tau|^(2m) exp(-rate |tau| + |z| sqrt(|tau|/2)):
 rho falls like e^(-pi |tau|/4) and F can grow like exp(|z| sqrt(|tau|/2)),
 so the right side decays at rate = pi/4 - max Re beta_k and the left at
@@ -143,11 +144,14 @@ def _line_integral(
     """sum_k c_k Int (tau-lam_k)^(2m) e^(beta_k (tau-lam_k)) rho(tau) F(tau) dtau
     as one quadrature, F(tau) = 1F1((1-2i tau)/4; 1/2; z^2/4).
 
-    terms holds (c_k, beta_k, lam_k), c_k and beta_k complex.  rho and F are
-    evaluated once per node: one eta call with the real log-weight b_ref*tau
-    (b_ref = max Re beta_k) and one 1F1 call; each term then multiplies by
-    exp((Re beta_k - b_ref) tau - Re beta_k lam_k) and the unit phase
-    exp(i Im beta_k (tau - lam_k)).  rho's mass sits at tau = 0 whatever the
+    terms holds (c_k, beta_k, lam_k), c_k and beta_k complex.  Each batch of
+    nodes takes one eta call with the real log-weight b_ref*tau (b_ref = max
+    Re beta_k) and one 1F1 call: F once per node, and rho's zeta and
+    log-Gamma factors once per distinct |tau| (rho is real and even; the eta
+    kernel conjugates them for the mirrored node, bit for bit).  Each term
+    then multiplies by exp((Re beta_k - b_ref) tau - Re beta_k lam_k) and,
+    where Im beta_k != 0, by the unit phase exp(i Im beta_k (tau - lam_k)).
+    rho's mass sits at tau = 0 whatever the
     shifts, so the range is [-T_lo, T_hi]: T_hi from the slowest decay on the
     right, pi/4 - max Re beta_k, and T_lo from the slowest on the left, pi/4 +
     min Re beta_k.  Each shift joins its term's weight: the truncation target
@@ -197,14 +201,15 @@ def _line_integral(
     # real c_k and beta_k (every moment route): the sum is real, and the
     # rule resolves only the real part the caller keeps
     real = not (np.iscomplexobj(cs) or np.iscomplexobj(betas))
-    # the term sum over the eta log-weight's e^(b_ref tau); at nodes and poles alike
+    # the term sum over the eta log-weight's e^(b_ref tau); at nodes and poles
+    # alike.  A real rate's unit phase would be exactly 1 +- 0i: it is skipped
     def weight(taus: np.ndarray) -> np.ndarray:
         out = np.zeros(taus.shape, dtype=complex)
         for c, d, b, g, lam in zip(cs, spread, bs, gs, lams):
-            out += (
-                c * np.exp(d * taus - b * lam) * np.exp(1j * g * (taus - lam))
-                * ((taus - lam) ** (2 * m) if m else 1.0)
-            )
+            term = c * np.exp(d * taus - b * lam)
+            if g:
+                term = term * np.exp(1j * g * (taus - lam))
+            out += term * ((taus - lam) ** (2 * m) if m else 1.0)
         return out
 
     # rho's poles at tau = i/2 (Gamma(s/2) at s = 0) and -i/2 (zeta at

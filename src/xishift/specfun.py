@@ -750,10 +750,37 @@ def _hardy_z(
 # ---------------------------------------------------------------------------
 
 def _eta_em(s: np.ndarray, settings: EvalSettings, log_weight) -> tuple[np.ndarray, np.ndarray]:
-    """exp(log_weight) pi^(-s/2) Gamma(s/2) zeta(s) with zeta by Euler-Maclaurin."""
-    zv, ze = zeta_vec(s, settings)
+    """exp(log_weight) pi^(-s/2) Gamma(s/2) zeta(s) with zeta by Euler-Maclaurin.
+
+    A 1-D batch with points on both sides of the real axis runs zeta_vec and
+    _loggamma_vec once per distinct (Re s, |Im s|): each pair is represented
+    by its first point in the batch, with that point's own sign, and a point
+    of the other sign takes the conjugates.  Off the real axis both kernels
+    are conjugate-symmetric bit for bit, so every point keeps the bits it has
+    alone, and a refusal names the batch's first offending point, sign
+    included.  On the axis they need not be (zeta(1/2 +- 0i) has Im +0 at
+    both signs), so Im s = -0 keys apart from +0.  The prefactor's exponent
+    stays per point.
+    """
     half = s / 2
-    lg, g_rel = _loggamma_vec(half)
+    neg = s.imag < 0.0
+    if s.ndim == 1 and neg.any() and (s.imag > 0.0).any():
+        key = np.where(neg, s.conjugate(), s)
+        key.imag[np.signbit(key.imag) & (key.imag == 0.0)] = -1.0  # no folded point has Im < 0
+        # first occurrences of each key, in batch order
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        reps, inverse = first[order], rank[inverse]
+        flip = neg != neg[reps][inverse]
+        zv, ze = (x[inverse] for x in zeta_vec(s[reps], settings))
+        lg, g_rel = (x[inverse] for x in _loggamma_vec(half[reps]))
+        np.conjugate(zv, out=zv, where=flip)
+        np.conjugate(lg, out=lg, where=flip)
+    else:
+        zv, ze = zeta_vec(s, settings)
+        lg, g_rel = _loggamma_vec(half)
     pref = np.exp(log_weight - half * LN_PI + lg)
     return pref * zv, np.abs(pref) * (ze + np.abs(zv) * g_rel)
 

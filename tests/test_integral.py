@@ -24,10 +24,12 @@ from xishift import (
     transform_identity_residual,
     xi_integral,
 )
-from xishift import integral, make_config, moment_limit_check, quadrature, shifts
+from xishift import integral, make_config, moment_limit_check, quadrature, shifts, specfun
 from xishift.integral import _weighted_moment
 from xishift.quadrature import adaptive_gk, nested_trapezoid
-from xishift.specfun import em_length, eta_line_vec, eta_weighted_line, hyp1f1_vec, xi_line_vec
+from xishift.shifts import moment_numeric
+from xishift.specfun import (em_length, eta_line_vec, eta_weighted_line, hyp1f1_vec, xi_line_vec,
+                             zeta_vec)
 
 from ._oracles import MOMENT_HARDY_A0, TRANSFORM_SIDE_TABLE, XI_INT_HARDY
 
@@ -191,6 +193,27 @@ class TestOneLineKernel:
         assert calls["rule"] == 1
         # the rule stops at level 1, and levels 0 and 1 share one call
         assert calls["1f1"] == calls["eta"] == 1
+
+    def test_zeta_runs_once_per_distinct_abs_tau(self, monkeypatch):
+        # rho is even: the nodes tau and -tau share one zeta point
+        taus, points = [], []
+
+        def eta_spy(t, *args):
+            taus.append(np.array(t))
+            return eta_weighted_line(t, *args)
+
+        def zeta_spy(s, *args):
+            points.append(np.array(s))
+            return zeta_vec(s, *args)
+
+        monkeypatch.setattr(integral, "eta_weighted_line", eta_spy)
+        monkeypatch.setattr(specfun, "zeta_vec", zeta_spy)
+        moment_numeric(1, 0.5, make_config([1.0, 0.5], [0.0, 1.0], 0.3 - 0.2j))
+        nodes = np.concatenate(taus)
+        low = np.abs(nodes[np.abs(nodes) < specfun.RS_CROSSOVER])
+        s = np.concatenate(points)
+        assert (s.real == 0.5).all() and s.size < low.size
+        assert np.sort(np.abs(s.imag)).tobytes() == np.unique(low).tobytes()
 
     def test_kernel_errors_name_their_caller(self, monkeypatch):
         # a rule capped at its first level misses the tolerance: with the

@@ -890,6 +890,72 @@ class TestEta:
         ) < 1e-13 * abs(eta_completed(s).value)
 
 
+def _signed(re, im):
+    """Complex array with exactly these real and imaginary parts, signed zeros kept."""
+    s = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    s.real, s.imag = re, im
+    return s
+
+
+class TestMirroredPoints:
+    """_eta_em evaluates zeta and log-Gamma once per (Re s, |Im s|) pair of a
+    mixed-sign batch and conjugates for the other sign; that keeps the bits
+    only because both kernels are conjugate-symmetric bit for bit."""
+
+    # 3600 points on each branch of zeta_vec and _loggamma_vec
+    rng = np.random.default_rng(36)
+    BRANCHES = {
+        "line below the crossover": _signed(0.5, rng.uniform(0.0, specfun.RS_CROSSOVER, 3600)),
+        "strip": _signed(rng.uniform(-0.5, 1.5, 3600), rng.uniform(-60.0, 60.0, 3600)),
+        "reflection": (lambda r, a: r * np.exp(1j * a))(
+            rng.uniform(0.5, 12.0, 3600), rng.uniform(0.5 * np.pi, 1.5 * np.pi, 3600)),
+        "near zero": (lambda r, a: r * np.exp(1j * a))(
+            rng.uniform(0.0, 0.5, 3600), rng.uniform(-np.pi, np.pi, 3600)),
+        "right of one": _signed(rng.uniform(1.0, 30.0, 3600), rng.uniform(-200.0, 200.0, 3600)),
+    }
+
+    @pytest.mark.parametrize("kernel", ["zeta_vec", "_loggamma_vec"])
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_kernels_are_conjugate_symmetric_bit_for_bit(self, kernel, branch):
+        s = self.BRANCHES[branch]
+        if branch == "reflection":
+            assert (s.real < 0.0).all() and (np.abs(s) >= 0.5).all()
+        fn = getattr(specfun, kernel)
+        vals, errs = fn(s)
+        m_vals, m_errs = fn(s.conjugate())
+        assert m_vals.conjugate().tobytes() == vals.tobytes()
+        assert m_errs.tobytes() == errs.tobytes()
+
+    def test_mixed_batch_equals_each_point_alone(self):
+        # mirrored pairs in either order, repeats, tau = 0, Im s = -0.0, points
+        # off the line, past the crossover and on the reflected real axis, each
+        # with its own log-weight
+        im = np.array([3.5, -3.5, 0.0, -0.0, 3.5, -12.25, 12.25, -12.25, 40.0, -7.0,
+                       150.0, -150.0, 3.0, -3.0, 9.0, -0.0, 0.0])
+        re = np.array([0.5] * 12 + [0.7, 0.7, 0.3, -2.5, -2.5])
+        s = _signed(re, im)
+        lw = 0.3 * im + 0.01 * np.arange(im.size)
+        vals, errs = specfun._eta_vec(s, EvalSettings(), lw)
+        for i in range(s.size):
+            v, e = specfun._eta_vec(s[i:i + 1], EvalSettings(), lw[i:i + 1])
+            assert v.tobytes() == vals[i:i + 1].tobytes(), s[i]
+            assert e.tobytes() == errs[i:i + 1].tobytes(), s[i]
+        taus = im[:12]
+        vals, errs = specfun.eta_weighted_line(taus, 0.6)
+        for i, tau in enumerate(taus):
+            v, e = specfun.eta_weighted_line(taus[i:i + 1], 0.6)
+            assert v.tobytes() == vals[i:i + 1].tobytes(), tau
+            assert e.tobytes() == errs[i:i + 1].tobytes(), tau
+
+    def test_refusal_names_the_first_point_with_its_sign(self):
+        # 0.5 - 40i needs 30 terms and comes first; 0.5 + 19i needs 21
+        s = np.array([0.5 - 40j, 0.5 + 19j, 0.5 + 40j])
+        with pytest.raises(AccuracyError, match=r"s=\(0\.5-40j\) needs 30 terms"):
+            specfun._eta_vec(s, EvalSettings(max_terms=20))
+        with pytest.raises(AccuracyError, match=r"s=\(0\.5\+40j\) needs 30 terms"):
+            specfun._eta_vec(s.conjugate(), EvalSettings(max_terms=20))
+
+
 class TestXiFamily:
     def test_removable_points(self):
         assert xi_c(0.0).value == 0.5
