@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import theta
-from .errors import (AccuracyError, DomainError, RangeOverflowError, ToleranceError,
-                     UnsupportedOrderError)
+from .errors import (AccuracyError, DomainError, EvaluationError, RangeOverflowError,
+                     ToleranceError, UnsupportedOrderError)
 from .quadrature import nested_trapezoid, truncation_point
 from .region import require_inside
 from .settings import DEFAULT_SETTINGS, EvalSettings, require_finite
@@ -56,6 +57,7 @@ __all__ = [
 
 ALPHA_MARGIN = math.pi / 4 - 0.01
 _TAIL_FLOOR = 40.0  # the line integrals' least truncation point, where their tail bound starts
+_LOG_MIN = math.log(sys.float_info.min)  # below it a modulus has left the normal range
 
 
 @dataclass(frozen=True)
@@ -68,26 +70,46 @@ class QuadratureResult:
     at_roundoff: bool
 
 
-def mu(
-    x: complex, z: complex, s: complex, settings: EvalSettings = DEFAULT_SETTINGS
-) -> complex:
-    """x^(1/2-s) e^(-z^2/8) 1F1((1-s)/2; 1/2; z^2/4), principal power."""
-    x, z, s = complex(x), complex(z), complex(s)
+def _mu_in_range(x: complex, z: complex, s: complex, settings: EvalSettings) -> complex | None:
+    """mu at complex arguments, or None where its modulus, judged by its
+    logarithm before any exponential, is below the normal double range."""
     if x == 0:
         raise DomainError("mu needs x != 0 for the principal power")
     f = hyp1f1((1.0 - s) / 2.0, 0.5, z * z / 4.0, settings).value
+    expo = (0.5 - s) * cmath.log(x)
+    if f != 0 and expo.real - (z * z / 8.0).real + math.log(abs(f)) < _LOG_MIN:
+        return None
     try:
-        value = cmath.exp((0.5 - s) * cmath.log(x)) * cmath.exp(-z * z / 8.0) * f
+        value = cmath.exp(expo) * cmath.exp(-z * z / 8.0) * f
     except OverflowError:  # cmath's range error
         raise RangeOverflowError(f"mu(x={x!r}, z={z!r}, s={s!r}) exceeds double range") from None
     return require_finite(value, "mu")
 
 
+def mu(
+    x: complex, z: complex, s: complex, settings: EvalSettings = DEFAULT_SETTINGS
+) -> complex:
+    """x^(1/2-s) e^(-z^2/8) 1F1((1-s)/2; 1/2; z^2/4), principal power.  A
+    value below the normal double range is an EvaluationError; a 1F1 that is
+    exactly 0 gives 0."""
+    x, z, s = complex(x), complex(z), complex(s)
+    value = _mu_in_range(x, z, s, settings)
+    if value is None:
+        raise EvaluationError(f"mu(x={x!r}, z={z!r}, s={s!r}) underflows the double range")
+    return value
+
+
 def nabla(
     x: complex, z: complex, s: complex, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> complex:
-    """mu(x, z, s) + mu(x, z, 1-s); symmetric under s <-> 1-s."""
-    return mu(x, z, s, settings) + mu(x, z, 1.0 - s, settings)
+    """mu(x, z, s) + mu(x, z, 1-s); symmetric under s <-> 1-s.  A term below
+    the normal double range adds nothing; where both are, EvaluationError."""
+    x, z, s = complex(x), complex(z), complex(s)
+    a, b = _mu_in_range(x, z, s, settings), _mu_in_range(x, z, 1.0 - s, settings)
+    if a is None and b is None:
+        raise EvaluationError(f"nabla(x={x!r}, z={z!r}, s={s!r}): both terms underflow "
+                              f"the double range")
+    return b if a is None else a if b is None else a + b
 
 
 def _check_transform_a(a: complex) -> complex:

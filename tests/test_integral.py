@@ -10,6 +10,7 @@ from xishift import (
     AccuracyError,
     DomainError,
     EvalSettings,
+    EvaluationError,
     QuadratureResult,
     RangeOverflowError,
     RegionError,
@@ -27,6 +28,7 @@ from xishift import (
 from xishift import integral, make_config, moment_limit_check, quadrature, shifts, specfun
 from xishift.integral import _weighted_moment
 from xishift.quadrature import adaptive_gk, nested_trapezoid
+from xishift.settings import ValueWithError
 from xishift.shifts import moment_numeric
 from xishift.specfun import (em_length, eta_line_vec, eta_weighted_line, hyp1f1_vec, xi_line_vec,
                              zeta_vec)
@@ -63,6 +65,32 @@ class TestKernels:
             mu(x, 0.3, s)
         with pytest.raises(RangeOverflowError, match=match):
             nabla(x, 0.3, s)
+
+    @pytest.mark.parametrize("x, s", [(2.0, 1e4), (1e-3, -400.0)])
+    def test_power_below_the_range_is_refused(self, x, s):
+        # x^(1/2 - s) underflows: a finite 0 (-0j and 0j) before
+        match = rf"^mu\(x={re.escape(repr(complex(x)))}, z=\(0\.3\+0j\), s=.* underflows"
+        with pytest.raises(EvaluationError, match=match):
+            mu(x, 0.3, s)
+
+    def test_power_near_the_floor_keeps_its_bits(self):
+        x, z, s = 2.0, 0.3, 1e3
+        parts = (cmath.exp((0.5 - s) * math.log(x)) * cmath.exp(-z * z / 8.0)
+                 * hyp1f1((1 - s) / 2.0, 0.5, z * z / 4.0).value)
+        assert mu(x, z, s) == parts and 1.2e-301 < abs(parts) < 1.21e-301
+
+    def test_nabla_drops_a_term_below_the_range(self):
+        # 2^(1/2 - s) is just below the normal range and 2^(s - 1/2) just inside
+        x, s = 2.0, 0.5 + 1022.5
+        with pytest.raises(EvaluationError, match="underflows"):
+            mu(x, 0.0, s)
+        assert nabla(x, 0.0, s) == mu(x, 0.0, 1.0 - s)
+        assert abs(mu(x, 0.0, 1.0 - s) / 2.0 ** 1022.5 - 1.0) < 1e-12
+
+    def test_nabla_refuses_where_both_terms_underflow(self, monkeypatch):
+        monkeypatch.setattr(integral, "hyp1f1", lambda *args: ValueWithError(1e-310, 0.0))
+        with pytest.raises(EvaluationError, match=r"^nabla\(x=\(1\+0j\), .*both terms underflow"):
+            nabla(1.0, 0.0, 0.5)
 
     def test_nabla_symmetry(self):
         x, z, s = 1.3, 0.2 + 0.1j, 0.25 + 4.0j
