@@ -5,13 +5,16 @@ psi1 is the shifted theta combination
     psi1(alpha) = e^((i/2 - lam) alpha) ( e^(-z^2/8)/2
                   + e^(z^2/8) sum_{n>=1} e^(-pi n^2 e^(2 i alpha)) cos(sqrt(pi) e^(i alpha) n z) ).
 
-Here it is summed directly, with no modular transformation, at 40 digits and
-with enough terms that the dropped tail of every alpha-derivative through
-order 4 is below 10^-45; mpmath's `diffs` then gives orders 0..4.  Near
-alpha = pi/4 the direct sum cancels by ~11 digits at the sampled z, which the
-40 working digits absorb.  The sample covers all of the library's routes:
--0.5 <= alpha <= pi/4 - 0.1 takes the direct sum, pi/4 - 0.01 and
-pi/4 - 10^-3 the transformed one, and -0.78 its mirror image.
+Here it is summed directly, with no modular transformation, with enough
+terms that the dropped tail of every alpha-derivative through order 4 is
+below 10^-45; mpmath's `diffs` then gives orders 0..4.  Near alpha = pi/4 the
+direct sum cancels: its largest terms reach 10^67 at pi/4 - 10^-4 and
+z = 0.4 + 0.1i.  Each (alpha, z) is summed at 40 digits plus the digits that
+the largest term's majorant puts above 1 (_digits: 108 there, 41 to 47
+elsewhere), so the result keeps 40.  The sample covers all of the library's
+routes: -0.5 <= alpha <= pi/4 - 0.1 takes the direct sum, pi/4 - 0.01,
+pi/4 - 10^-3 and pi/4 - 10^-4 (the last of the `limits` samples) the
+transformed one, and -0.78 its mirror image.
 
 Usage (mpmath is a test dependency only; the library never imports it):
 
@@ -29,7 +32,7 @@ import mpmath
 
 DPS = 40
 ALPHAS = (0.0, 0.3, 0.6, math.pi / 4 - 0.1, math.pi / 4 - 0.01, math.pi / 4 - 1e-3,
-          -0.5, -0.78)
+          math.pi / 4 - 1e-4, -0.5, -0.78)
 ZS = (0.4 + 0.1j, -0.3 + 0.35j)
 LAMS = (0.0, 0.45)
 ORDER = 4
@@ -47,6 +50,15 @@ def _terms(mp, alpha, z) -> int:
     return n
 
 
+def _digits(alpha, z) -> int:
+    """Working digits: DPS plus the decimal digits that the direct sum's
+    largest term majorant, max_n e^(-decay n^2 + grow n) = e^(grow^2 / (4
+    decay)), puts above the sum's O(1) size, as the cancellation loses them."""
+    decay = math.pi * math.cos(2.0 * alpha)
+    grow = abs((math.sqrt(math.pi) * complex(math.cos(alpha), math.sin(alpha)) * z).imag)
+    return DPS + math.ceil(grow * grow / (4.0 * decay) / math.log(10.0))
+
+
 def psi1_mp(mp, alpha, z, lam, terms):
     """psi1 at the mpf alpha by the direct sum of `terms` terms."""
     u = mp.expj(alpha)
@@ -61,10 +73,10 @@ def table():
     """{(alpha, z, lam): (d^0 .. d^4 psi1 / d alpha^k)} at the exact doubles."""
     mp = mpmath.mp
     out = {}
-    with mp.workdps(DPS):
-        for alpha in ALPHAS:
-            for z in ZS:
-                terms = _terms(mp, alpha, z)
+    for alpha in ALPHAS:
+        for z in ZS:
+            terms = _terms(mp, alpha, z)
+            with mp.workdps(_digits(alpha, z)):
                 for lam in LAMS:
                     f = lambda a: psi1_mp(mp, a, mp.mpc(z), mp.mpf(lam), terms)  # noqa: E731
                     derivs = list(mp.diffs(f, mp.mpf(alpha), ORDER))
