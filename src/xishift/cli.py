@@ -43,6 +43,7 @@ EXIT_NUMERIC = 4
 
 _CONFIG_KEYS = ("coefficients", "shifts", "z_re", "z_im")
 _DECAY_DELTAS = (0.2, 0.1, 0.05, 0.02, 0.01)
+_PSI1_KS = (1, 2, 3, 4)  # the psi1 limit rows sample alpha = pi/4 - 10^-k
 
 
 @dataclass(frozen=True)
@@ -269,7 +270,7 @@ def _cmd_limits(man: RunManifest, cfg: shifts_mod.ShiftConfig):
             rows.append({"check": f"axis_decay_{name}", "shift": 0.0,
                          "order": 0, "param": d, "value": v,
                          "target": 1e-8, "ok": int(ok)})
-    alphas = [math.pi / 4.0 - 10.0 ** -k for k in (1, 2, 3)]
+    alphas = [math.pi / 4.0 - 10.0 ** -k for k in _PSI1_KS]
     bases = [theta._psi1_base_jet(alpha, z, DEFAULT_SETTINGS) for alpha in alphas]
     for lam in cfg.shifts:
         for m in (0, 1):
@@ -279,7 +280,7 @@ def _cmd_limits(man: RunManifest, cfg: shifts_mod.ShiftConfig):
             target = 1e-2 * max(1.0, abs(lim))  # relative: the limits grow like e^(-pi lam/4)
             ok = _decays(res, target)
             passed &= ok
-            for k, v in zip((1, 2, 3), res):
+            for k, v in zip(_PSI1_KS, res):
                 rows.append({"check": "psi1_limit", "shift": lam, "order": 2 * m,
                              "param": float(k), "value": v, "target": target,
                              "ok": int(ok)})

@@ -451,8 +451,9 @@ class TestOneJetSumPerAlpha:
             calls.clear()
             assert main(["limits", "--config", str(path), "--out", str(tmp_path / "l.csv")]) == 0
             # T_4 and T_1 as numbers at each of the five axis deltas; then the
-            # jets at alpha = pi/4 - 10^-k: k = 1 direct, k = 2 and 3 transformed
-            assert calls == [False] * (2 * 5) + [True] * 5, shifts
+            # jets at alpha = pi/4 - 10^-k: k = 1 direct (one sum), k = 2, 3
+            # and 4 transformed (two sums each)
+            assert calls == [False] * (2 * 5) + [True] * 7, shifts
 
 
 class TestAxisLimits:
