@@ -36,7 +36,7 @@ FROZEN = {
     "region": (None, ["region", "--step", "0.25"],
                "06028451037624c95a723fc25b73cdd99b51e139985c73f884f304872153d254"),
     "limits-hardy": (HARDY, ["limits"],
-                     "b2b1bebbb6f7eeede76fe531eaef2ad875f60bb4d916473cfe5709bc8e2ece6f"),
+                     "c890339f4053545426b0d450fa44ac04d6a7662cdf10b59e346166e58251d5f7"),
     # the critical-line integrals: nodes and pole residues of one weight; the
     # theta sides summed at the residual checks' tolerance
     "integral-check": (None, ["integral-check"],
@@ -46,7 +46,7 @@ FROZEN = {
     "moments-series-m0": (SERIES, ["moments", "--m", "0"],
                           "9c38efaf6459fc642b3fd53893718ec93785ae045eac13dffda5c1fbb7b112e2"),
     "limits-exhibit": (EXHIBIT, ["limits"],
-                       "3a89eb5aadc39dd722775242c6fbd53056987534ab107ef28392c4377380d2e3"),
+                       "7519f9acf333e6d8a0105e05c39a75d99d290ed5286403992b5bf75729bf0232"),
     # shifts above and below rho's mass at tau = 0: the line integrals'
     # range stays [-T_lo, T_hi], each shift only in its term's weight
     "moments-far-m1": (FAR, ["moments", "--m", "1"],
@@ -55,7 +55,7 @@ FROZEN = {
                        "574dc36f74df466ad1e2d37c15ad9a61694e22c1163a8021b27cefc09524ed4e"),
     # psi1 limits that grow like e^(-pi lam/4), judged against a relative target
     "limits-neg": (NEG, ["limits"],
-                   "0c8bfca8724595f5391dae7c97cd3e07e2c9247b3a854782cb3b9e93851fa077"),
+                   "a4672a5847f2785ff2ca6f2e3394164c0b226003e63508db5a88a237eebff4ef"),
 }
 
 
