@@ -767,12 +767,9 @@ def _eta_em(s: np.ndarray, settings: EvalSettings, log_weight) -> tuple[np.ndarr
     if s.ndim == 1 and neg.any() and (s.imag > 0.0).any():
         key = np.where(neg, s.conjugate(), s)
         key.imag[np.signbit(key.imag) & (key.imag == 0.0)] = -1.0  # no folded point has Im < 0
-        # first occurrences of each key, in batch order
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        reps, inverse = first[order], rank[inverse]
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        reps = np.sort(first)  # each key's first point, in batch order
+        inverse = np.searchsorted(reps, first[group])
         flip = neg != neg[reps][inverse]
         zv, ze = (x[inverse] for x in zeta_vec(s[reps], settings))
         lg, g_rel = (x[inverse] for x in _loggamma_vec(half[reps]))
