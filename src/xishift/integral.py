@@ -72,15 +72,21 @@ class QuadratureResult:
 
 def _mu_in_range(x: complex, z: complex, s: complex, settings: EvalSettings) -> complex | None:
     """mu at complex arguments, or None where its modulus, judged by its
-    logarithm before any exponential, is below the normal double range."""
+    logarithm before any exponential, is below the normal double range.
+    Where the power, or the power times e^(-z^2/8), would leave that range
+    on its own, the value is one exponential of the summed logarithms."""
     if x == 0:
         raise DomainError("mu needs x != 0 for the principal power")
     f = hyp1f1((1.0 - s) / 2.0, 0.5, z * z / 4.0, settings).value
     expo = (0.5 - s) * cmath.log(x)
-    if f != 0 and expo.real - (z * z / 8.0).real + math.log(abs(f)) < _LOG_MIN:
+    head = expo - z * z / 8.0
+    if f != 0 and head.real + math.log(abs(f)) < _LOG_MIN:
         return None
     try:
-        value = cmath.exp(expo) * cmath.exp(-z * z / 8.0) * f
+        if f != 0 and min(expo.real, head.real) < _LOG_MIN:
+            value = cmath.exp(head + cmath.log(f))
+        else:
+            value = cmath.exp(expo) * cmath.exp(-z * z / 8.0) * f
     except OverflowError:  # cmath's range error
         raise RangeOverflowError(f"mu(x={x!r}, z={z!r}, s={s!r}) exceeds double range") from None
     return require_finite(value, "mu")

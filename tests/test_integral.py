@@ -79,6 +79,13 @@ class TestKernels:
                  * hyp1f1((1 - s) / 2.0, 0.5, z * z / 4.0).value)
         assert mu(x, z, s) == parts and 1.2e-301 < abs(parts) < 1.21e-301
 
+    def test_partial_product_below_the_range_keeps_its_digits(self):
+        # x^(1/2 - s) = e^-735.7 alone is subnormal; the 1F1 factor brings the
+        # value back to 8.2e-308 (40-digit mpmath), which the factor-by-factor
+        # product missed by 2.5e-4
+        ref = 8.188837688719199e-308
+        assert abs(mu(1e-3, 4.0, -106.0) - ref) <= 1e-12 * ref
+
     def test_nabla_drops_a_term_below_the_range(self):
         # 2^(1/2 - s) is just below the normal range and 2^(s - 1/2) just inside
         x, s = 2.0, 0.5 + 1022.5
