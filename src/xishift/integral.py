@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +42,8 @@ from .errors import (AccuracyError, DomainError, EvaluationError, RangeOverflowE
                      ToleranceError, UnsupportedOrderError)
 from .quadrature import nested_trapezoid, truncation_point
 from .region import require_inside
-from .settings import DEFAULT_SETTINGS, EvalSettings, require_finite
+from .settings import (DEFAULT_SETTINGS, LOG_MIN, EvalSettings, below_range, kept_in_range,
+                       require_finite)
 from .specfun import MAX_EXP, eta_weighted_line, hyp1f1, hyp1f1_vec
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
 
 ALPHA_MARGIN = math.pi / 4 - 0.01
 _TAIL_FLOOR = 40.0  # the line integrals' least truncation point, where their tail bound starts
-_LOG_MIN = math.log(sys.float_info.min)  # below it a modulus has left the normal range
 
 
 @dataclass(frozen=True)
@@ -70,26 +69,25 @@ class QuadratureResult:
     at_roundoff: bool
 
 
-def _mu_in_range(x: complex, z: complex, s: complex, settings: EvalSettings) -> complex | None:
-    """mu at complex arguments, or None where its modulus, judged by its
-    logarithm before any exponential, is below the normal double range.
-    Where the power, or the power times e^(-z^2/8), would leave that range
-    on its own, the value is one exponential of the summed logarithms."""
+def _mu_term(x: complex, z: complex, s: complex, settings: EvalSettings) -> tuple[complex, bool]:
+    """(mu, below_range) at complex arguments, judged by the log-modulus: 0 stands
+    for a value below the range, never formed.  Where the power, or it times
+    e^(-z^2/8), leaves the range alone, one exponential of the summed logs."""
     if x == 0:
         raise DomainError("mu needs x != 0 for the principal power")
     f = hyp1f1((1.0 - s) / 2.0, 0.5, z * z / 4.0, settings).value
     expo = (0.5 - s) * cmath.log(x)
     head = expo - z * z / 8.0
-    if f != 0 and head.real + math.log(abs(f)) < _LOG_MIN:
-        return None
+    if f != 0 and below_range(head.real + math.log(abs(f))):
+        return 0j, True
     try:
-        if f != 0 and min(expo.real, head.real) < _LOG_MIN:
+        if f != 0 and min(expo.real, head.real) < LOG_MIN:
             value = cmath.exp(head + cmath.log(f))
         else:
             value = cmath.exp(expo) * cmath.exp(-z * z / 8.0) * f
     except OverflowError:  # cmath's range error
         raise RangeOverflowError(f"mu(x={x!r}, z={z!r}, s={s!r}) exceeds double range") from None
-    return require_finite(value, "mu")
+    return require_finite(value, "mu"), False
 
 
 def mu(
@@ -99,10 +97,8 @@ def mu(
     value below the normal double range is an EvaluationError; a 1F1 that is
     exactly 0 gives 0."""
     x, z, s = complex(x), complex(z), complex(s)
-    value = _mu_in_range(x, z, s, settings)
-    if value is None:
-        raise EvaluationError(f"mu(x={x!r}, z={z!r}, s={s!r}) underflows the double range")
-    return value
+    return kept_in_range([_mu_term(x, z, s, settings)], lambda: EvaluationError(
+        f"mu(x={x!r}, z={z!r}, s={s!r}) underflows the double range"))[0]
 
 
 def nabla(
@@ -111,11 +107,10 @@ def nabla(
     """mu(x, z, s) + mu(x, z, 1-s); symmetric under s <-> 1-s.  A term below
     the normal double range adds nothing; where both are, EvaluationError."""
     x, z, s = complex(x), complex(z), complex(s)
-    a, b = _mu_in_range(x, z, s, settings), _mu_in_range(x, z, 1.0 - s, settings)
-    if a is None and b is None:
-        raise EvaluationError(f"nabla(x={x!r}, z={z!r}, s={s!r}): both terms underflow "
-                              f"the double range")
-    return b if a is None else a if b is None else a + b
+    kept = kept_in_range([_mu_term(x, z, s, settings), _mu_term(x, z, 1.0 - s, settings)],
+                         lambda: EvaluationError(f"nabla(x={x!r}, z={z!r}, s={s!r}): both terms "
+                                                 f"underflow the double range"))
+    return kept[0] + kept[1] if len(kept) == 2 else kept[0]
 
 
 def _check_transform_a(a: complex) -> complex:

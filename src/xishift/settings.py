@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, EvaluationError, SymmetryError
 
-# the one underflow floor, for scalar results and scan nodes alike (underflowed)
+# two floors: UNDERFLOW_FLOOR judges a kernel result or scan node with its error bound
+# (underflowed); LOG_MIN, the normal range's, a moment-identity or mu term (below_range)
 UNDERFLOW_FLOOR = 5e-300
+LOG_MIN = math.log(sys.float_info.min)
 EM_MIN_TERMS = 20  # the shortest Euler-Maclaurin sum (specfun.em_length): the least max_terms
 # the most nodes grid_nodes builds: the evaluators hold ~1 kB per node, so more needs > 10 GB
 MAX_GRID_NODES = 10_000_000
@@ -79,6 +82,22 @@ def underflowed(values, errs) -> np.ndarray:
     """Where |value| and 4*err both fell below UNDERFLOW_FLOOR: there the value
     has underflowed and says nothing about the sign or size of the function."""
     return (np.abs(values) <= UNDERFLOW_FLOOR) & (4.0 * np.asarray(errs) < UNDERFLOW_FLOOR)
+
+
+def below_range(log_size: float, value: complex = 0) -> bool:
+    """Whether a result is below the normal double range: the log-modulus of
+    factors not yet multiplied is below LOG_MIN, or a value already formed has
+    0 < |value| < sys.float_info.min.  An exact 0 is 0 by the mathematics."""
+    return log_size < LOG_MIN or 0.0 < abs(value) < sys.float_info.min
+
+
+def kept_in_range(terms: Iterable[tuple], refuse: Callable[[], Exception]) -> list:
+    """The values of (value, below_range) terms that are in range: a term below
+    the range adds nothing, and refuse() is raised where every term is."""
+    kept = [value for value, below in terms if not below]
+    if not kept:
+        raise refuse()
+    return kept
 
 
 def reality_bound(re, im):

@@ -41,9 +41,9 @@ from .errors import ConfigError, EvaluationError, PoleError
 from .integral import ALPHA_MARGIN, _weighted_moment
 from .region import classify_inequality
 from .settings import (DEFAULT_SETTINGS, EvalSettings, ValueWithError, checked_value,
-                       require_finite, require_real)
+                       kept_in_range, require_finite, require_real)
 from .specfun import _eta_vec, hyp1f1_vec
-from .theta import _below_range, _in_range, _psi1_base_jet, _psi1_boundary, _psi1_shifted
+from .theta import _below_range, _psi1_base_jet, _psi1_boundary, _psi1_shifted, _underflow
 
 __all__ = [
     "ShiftConfig",
@@ -181,16 +181,12 @@ def f_z_critical(
 def _analytic_side(cfg: ShiftConfig, alpha: float, order: int, derivative, context: str) -> float:
     """4 pi sum_j c_j Re derivative(lam_j), derivative(lam) being
     d^order/d alpha^order [e^((i/2 - lam) alpha) B(alpha)], order = 2m: the
-    analytic side of the moment identity.  A term below the normal float range
-    at alpha (its shift factor or its value) adds nothing; where every term
-    is, or the sum overflows, the side is an EvaluationError naming context
-    (and the shift)."""
+    analytic side of the moment identity, its terms kept_in_range; an
+    overflowing sum is an EvaluationError naming context."""
     terms = [(c, lam, derivative(lam)) for c, lam in zip(cfg.coefficients, cfg.shifts)]
-    kept = [c * v.real for c, lam, v in terms if not _below_range(lam, alpha, order, v)]
-    if not kept:  # every term is below the range: refused as the first one is
-        _, lam, value = terms[0]
-        _in_range(value, lam, alpha, order, context)
-    return require_finite(4.0 * math.pi * sum(kept), context)
+    kept = kept_in_range((((c, v), _below_range(lam, alpha, order, v)) for c, lam, v in terms),
+                         lambda: _underflow(*terms[0][1:], alpha, context))  # as the first term
+    return require_finite(4.0 * math.pi * sum(c * v.real for c, v in kept), context)
 
 
 def moment_closed_form(m: int, cfg: ShiftConfig) -> float:

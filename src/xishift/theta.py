@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, EvaluationError, UnsupportedOrderError
 from .region import require_inside
-from .settings import DEFAULT_SETTINGS, EvalSettings, ValueWithError, require_finite
+from .settings import (DEFAULT_SETTINGS, EvalSettings, ValueWithError, below_range,
+                       require_finite)
 
 __all__ = [
     "ThetaEval",
@@ -398,22 +399,15 @@ def _axis_pair(d, log_root, z: complex, settings: EvalSettings):
             _folded_theta(inv, 2.0 * w, log_pref, settings).value)
 
 
-def _shift_underflows(lam: float, alpha: float, order: int) -> bool:
-    """Whether e^{(i/2 - lam) alpha}, of modulus e^{-lam alpha}, is below the
-    normal float range, where it has lost digits; at alpha = pi/4 also the
-    boundary factor (i/2 - lam)^order e^{(i/2 - lam) pi/4}, by its logarithm:
-    the power alone can underflow to an exact 0."""
+def _below_range(lam: float, alpha: float, order: int, value: complex) -> bool:
+    """Whether an order-th psi1 derivative at alpha is below the normal double
+    range, in its value or its shift factor e^{(i/2 - lam) alpha}; at pi/4 also
+    the boundary factor (i/2 - lam)^order e^{(i/2 - lam) pi/4}, by its
+    logarithm: the power alone can underflow to an exact 0."""
     log_size = -lam * alpha
     if alpha == math.pi / 4.0:
         log_size = min(log_size, log_size + order * math.log(abs(0.5j - lam)))
-    return math.exp(min(0.0, log_size)) < sys.float_info.min
-
-
-def _below_range(lam: float, alpha: float, order: int, value: complex) -> bool:
-    """Whether an order-th psi1 derivative at alpha has lost digits below the
-    normal float range, in its shift factor or in its value; an exact 0 (a
-    vanishing limit) has not."""
-    return _shift_underflows(lam, alpha, order) or 0.0 < abs(value) < sys.float_info.min
+    return below_range(log_size, value)
 
 
 def _out_of_range(context: str, lam: float, what: str, alpha: float) -> EvaluationError:
@@ -421,19 +415,21 @@ def _out_of_range(context: str, lam: float, what: str, alpha: float) -> Evaluati
     return EvaluationError(f"{context} at lam={lam!r}: {what} at alpha={at}")
 
 
+def _underflow(lam: float, value: complex, alpha: float, context: str) -> EvaluationError:
+    """The refusal of a value _below_range: its shift factor underflows, or else the value."""
+    what = "e^((i/2 - lam) alpha)" if below_range(-lam * alpha) else f"the value {value!r}"
+    return _out_of_range(context, lam, f"{what} underflows", alpha)
+
+
 def _in_range(value: complex, lam: float, alpha: float, order: int, context: str) -> complex:
-    """value, or an EvaluationError naming context and lam where _below_range."""
-    if _shift_underflows(lam, alpha, 0):
-        raise _out_of_range(context, lam, "e^((i/2 - lam) alpha) underflows", alpha)
     if _below_range(lam, alpha, order, value):
-        raise _out_of_range(context, lam, f"the value {value!r} underflows", alpha)
+        raise _underflow(lam, value, alpha, context)
     return value
 
 
 def _psi1_shifted(base: np.ndarray, alpha: float, lam: float, order: int) -> complex:
     """order-th alpha-derivative of psi1 = e^{(i/2 - lam) alpha} * base, by
-    Leibniz; an overflow is an EvaluationError, an underflow is left to
-    _in_range."""
+    Leibniz; an overflow is an EvaluationError, an underflow left to _in_range."""
     if not 0 <= order < _JET_LEN:
         raise UnsupportedOrderError(f"alpha-derivative order {order} not supported (max 4)")
     try:  # cmath raises where the value overflows; a derivative goes to inf
@@ -449,10 +445,9 @@ def _psi1_shifted(base: np.ndarray, alpha: float, lam: float, order: int) -> com
 
 def _psi1_boundary(lam: float, order: int, limit, context: str) -> complex:
     """The order-th alpha-derivative of e^{(i/2 - lam) alpha} B at alpha = pi/4,
-    where B tends to limit() and its derivatives to 0:
-    (i/2 - lam)^order e^{(i/2 - lam) pi/4} limit().  An overflow in it, or a
-    value that is not finite, is an EvaluationError naming context and lam;
-    an underflow is left to _in_range."""
+    where B tends to limit() and its derivatives to 0: (i/2 - lam)^order
+    e^{(i/2 - lam) pi/4} limit().  An overflow or a non-finite value is an
+    EvaluationError naming context and lam, an underflow left to _in_range."""
     c = 0.5j - lam
     try:
         value = c**order * cmath.exp(math.pi / 4.0 * c) * limit()
@@ -478,14 +473,11 @@ def psi1(
 def psi1_alpha_derivative(
     alpha: float, z: complex, lam: float, order: int, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> complex:
-    """order-th alpha-derivative of psi1 by analytic (jet) differentiation.
-
-    Orders through 4 are supported (the moment identities need 2m <= 4).
-    Near alpha = +-pi/4 the transformed representation keeps orders <= 4
-    noise-free; finite differences would be hopeless there.  That route
-    needs z inside the admissible region near pi/4, and conj z near -pi/4
-    (RegionError otherwise).
-    """
+    """order-th alpha-derivative of psi1 by analytic (jet) differentiation,
+    orders through 4 (the moment identities need 2m <= 4).  Near alpha = +-pi/4
+    the transformed representation keeps them noise-free, where finite
+    differences would be hopeless; it needs z inside the admissible region near
+    pi/4, and conj z near -pi/4 (RegionError otherwise)."""
     _require_finite_point(z, lam, "psi1_alpha_derivative")
     return _in_range(_psi1_shifted(_psi1_base_jet(alpha, z, settings), alpha, lam, order),
                      lam, alpha, order, "psi1")

@@ -77,9 +77,7 @@ class ScanReport:
 
 
 def require_resolved(ts: np.ndarray, fs: np.ndarray, errs: np.ndarray) -> None:
-    """EvaluationError naming the first node whose |f| and 4*err both fell
-    below UNDERFLOW_FLOOR: there the value has underflowed, and it says
-    nothing about the sign or the size of the function."""
+    """EvaluationError naming the first node whose value has underflowed."""
     floored = underflowed(fs, errs)
     if floored.any():
         t = float(ts[np.argmax(floored)])
