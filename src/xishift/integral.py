@@ -75,7 +75,10 @@ def _mu_term(x: complex, z: complex, s: complex, settings: EvalSettings) -> tupl
     e^(-z^2/8), leaves the range alone, one exponential of the summed logs."""
     if x == 0:
         raise DomainError("mu needs x != 0 for the principal power")
-    f = hyp1f1((1.0 - s) / 2.0, 0.5, z * z / 4.0, settings).value
+    f, err = hyp1f1((1.0 - s) / 2.0, 0.5, z * z / 4.0, settings)
+    if err > 0 and abs(f) <= 4.0 * err:  # the series cancelled: not even the sign is known
+        raise EvaluationError(f"mu(x={x!r}, z={z!r}, s={s!r}): 1F1 = {f!r} is unresolved, "
+                              f"within 4 times its error bound {err:.3g}")
     expo = (0.5 - s) * cmath.log(x)
     head = expo - z * z / 8.0
     if f != 0 and below_range(head.real + math.log(abs(f))):
@@ -94,8 +97,8 @@ def mu(
     x: complex, z: complex, s: complex, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> complex:
     """x^(1/2-s) e^(-z^2/8) 1F1((1-s)/2; 1/2; z^2/4), principal power.  A
-    value below the normal double range is an EvaluationError; a 1F1 that is
-    exactly 0 gives 0."""
+    value below the normal double range, or a 1F1 within 4 times its error
+    bound of 0, is an EvaluationError; a 1F1 that is exactly 0 gives 0."""
     x, z, s = complex(x), complex(z), complex(s)
     return kept_in_range([_mu_term(x, z, s, settings)], lambda: EvaluationError(
         f"mu(x={x!r}, z={z!r}, s={s!r}) underflows the double range"))[0]
@@ -105,7 +108,8 @@ def nabla(
     x: complex, z: complex, s: complex, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> complex:
     """mu(x, z, s) + mu(x, z, 1-s); symmetric under s <-> 1-s.  A term below
-    the normal double range adds nothing; where both are, EvaluationError."""
+    the normal double range adds nothing; where both are, or either term's
+    1F1 is unresolved, EvaluationError."""
     x, z, s = complex(x), complex(z), complex(s)
     kept = kept_in_range([_mu_term(x, z, s, settings), _mu_term(x, z, 1.0 - s, settings)],
                          lambda: EvaluationError(f"nabla(x={x!r}, z={z!r}, s={s!r}): both terms "

@@ -99,6 +99,35 @@ class TestKernels:
         with pytest.raises(EvaluationError, match=r"^nabla\(x=\(1\+0j\), .*both terms underflow"):
             nabla(1.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("entry", [mu, nabla])
+    @pytest.mark.parametrize("s", [600.0, 1025.0])
+    def test_cancelled_1f1_is_refused(self, entry, s):
+        # at s = 600, 1F1((1-s)/2; 1/2; 4) sums to -7.3e11 beside an error
+        # bound of 1.5e13: mu returned -3.36e-170 where 60-digit mpmath gives
+        # +3.39e-181, and 4.0e-289 at s = 1025 against -3.2e-309
+        match = rf"^mu\(x=\(2\+0j\), z=\(4\+0j\), s={re.escape(repr(complex(s)))}\): 1F1 = .* unresolved"
+        with pytest.raises(EvaluationError, match=match):
+            entry(2.0, 4.0, s)
+
+    @pytest.mark.parametrize("entry, args, bits", [
+        (mu, (2.0, 0.3, 500.0), "(1.2371205374691014e-152+0j)"),
+        (mu, (2.0, 0.0, 0.3 + 0.2j), "(1.1376781092684645-0.15873383528481316j)"),
+        (mu, (1.0, 0.0, 0.7 + 5.0j), "(1+0j)"),
+        (mu, (2.0, 0.4, 0.3 + 0.2j), "(1.1456584442931206-0.1691512239156503j)"),
+        (mu, (2.0, 0.3, 1e3), "(1.2033309023365603e-301+0j)"),
+        (mu, (1e-3, 4.0, -106.0), "(8.188837688719379e-308+0j)"),
+        (mu, (2.0, 0.0, -1022.0), "(6.355805030767882e+307+0j)"),
+        (mu, (1.0, 0.3, 0.5 + 0.5j), "(1.0000210938580583-0.011250205665246378j)"),
+        (mu, (1.0, 0.3, 0.5 - 0.5j), "(1.0000210938580583+0.011250205665246378j)"),
+        (nabla, (1.3, 0.2 + 0.1j, 0.25 + 4.0j), "(0.9532872053537698-0.18880388301037987j)"),
+        (nabla, (2.0, 0.0, 0.5 + 1.85j), "(0.5689793071310272+0j)"),
+        (nabla, (1.0, 0.3, 0.5 + 0.5j), "(2.0000421877161165+0j)"),
+        (nabla, (2.0, 0.0, 1023.0), "(6.355805030767882e+307+0j)"),
+    ])
+    def test_resolved_1f1_keeps_its_bits(self, entry, args, bits):
+        # the unresolved-1F1 refusal leaves every resolved value as it was
+        assert repr(entry(*args)) == bits
+
     def test_nabla_symmetry(self):
         x, z, s = 1.3, 0.2 + 0.1j, 0.25 + 4.0j
         assert nabla(x, z, s) == nabla(x, z, 1.0 - s)
