@@ -1,10 +1,13 @@
 """The scalar-entry contract: every public scalar entry returns a finite value
 or raises a typed XishiftError, with no RuntimeWarning and no bare builtin
 exception, for any finite argument up to 1e300 in size and any order or
-moment index up to 2000.  The draws are derandomized by the suite's
-hypothesis profile (conftest.py)."""
+moment index up to 2000; a value returned is 0, within 4 times its error
+bound of 0, or at least sys.float_info.min.  The draws are derandomized by
+the suite's hypothesis profile (conftest.py)."""
 
+import cmath
 import math
+import sys
 import warnings
 
 import pytest
@@ -50,15 +53,18 @@ configs = st.lists(st.tuples(nonzero, reals), min_size=1, max_size=3,
 
 
 def _holds(call) -> None:
-    """call() returns a finite value or raises a typed error; a warning is an error."""
+    """call() returns a finite value or raises a typed error; a warning is an
+    error.  A value returned is exactly 0, within 4 times its error bound of
+    0, or at least the normal floor: nothing underflows silently."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             result = call()
         except XishiftError:
             return
-    parts = result if isinstance(result, ValueWithError) else (result,)
-    assert all(math.isfinite(abs(complex(p))) for p in parts), result
+    value, err = result if isinstance(result, ValueWithError) else (result, 0.0)
+    assert cmath.isfinite(value) and math.isfinite(err), result
+    assert value == 0 or abs(value) <= 4.0 * err or abs(value) >= sys.float_info.min, result
 
 
 CONTRACT = settings(max_examples=40, deadline=None)
