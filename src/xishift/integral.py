@@ -70,9 +70,9 @@ class QuadratureResult:
 
 
 def _mu_term(x: complex, z: complex, s: complex, settings: EvalSettings) -> tuple[complex, bool]:
-    """(mu, below_range) at complex arguments, judged by the log-modulus: 0 stands
-    for a value below the range, never formed.  Where the power, or it times
-    e^(-z^2/8), leaves the range alone, one exponential of the summed logs."""
+    """(mu, below_range) at complex arguments, judged by the log-modulus before any
+    exponential; 0 stands for a value below the range, which is never formed.  A
+    power, or power times e^(-z^2/8), outside the range takes one exp of the summed logs."""
     if x == 0:
         raise DomainError("mu needs x != 0 for the principal power")
     f, err = hyp1f1((1.0 - s) / 2.0, 0.5, z * z / 4.0, settings)
