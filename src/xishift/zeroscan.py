@@ -5,12 +5,12 @@ between consecutive nodes as brackets, and reports node zeros (f exactly 0 for
 scan, within its error bound for scan_fz) as width-zero brackets.  scan_fz
 evaluates the grid in one call, then bisects all brackets together.  A
 bracket's first call evaluates only the path that bisection would take if
-the root were where inverse quadratic interpolation through its ends and a
-neighbouring grid node puts it; each later call evaluates its bisection tree
-three levels deep and the path to a new estimate.  Each bracket then steps
-along as long as its next midpoint has a value.  A point's value never
-depends on its batch mates, so each bracket takes exactly the steps of
-scalar bisection, and most close in two calls.
+the root were that of the polynomial through the 8 grid nodes nearest it;
+each later call evaluates its bisection tree three levels deep and the path
+to a new estimate.  Each bracket then steps along as long as its next
+midpoint has a value.  A point's value never depends on its batch mates, so
+each bracket takes exactly the steps of scalar bisection, and most close in
+one call.
 
 report_rows flattens a ScanReport into SCAN_FIELDS rows; the CLI's CSV and
 JSON writers are the only serialisers of scan results.
@@ -36,6 +36,7 @@ __all__ = ["ZeroBracket", "ZeroHit", "ScanReport", "scan", "bisect", "scan_fz",
            "require_resolved", "report_rows", "SCAN_FIELDS"]
 
 _TREE_DEPTH = 3  # bisection steps each evaluator call of scan_fz guarantees: 7 tree points
+_STENCIL = 8  # grid nodes of a first call's interpolant: 6 leave estimates ~1e-9 off
 SCAN_FIELDS = ("t_lo", "t_hi", "t_zero", "f_residual", "iterations")
 
 
@@ -163,17 +164,55 @@ def _tree(lo: float, hi: float, depth: int) -> list[float]:
     return [m, *_tree(lo, m, depth - 1), *_tree(m, hi, depth - 1)]
 
 
+def _stencil_root(
+    lo: float, hi: float, f_lo: float, ts: list[float], fs: list[float]
+) -> float | None:
+    """The root in (lo, hi) of the polynomial through the nodes (ts, fs), by
+    safeguarded Newton on its Newton form with values scaled to at most 1;
+    None where its signs at lo and hi are not f's."""
+    s = max(map(abs, fs))
+    c = [v / s for v in fs]
+    for k in range(1, len(c)):
+        c[k:] = [(c[i] - c[i - 1]) / (ts[i] - ts[i - k]) for i in range(k, len(c))]
+
+    def p(t: float) -> tuple[float, float]:
+        v, d = c[-1], 0.0
+        for i in range(len(c) - 2, -1, -1):
+            d = d * (t - ts[i]) + v
+            v = v * (t - ts[i]) + c[i]
+        return v, d
+
+    sgn = -1.0 if f_lo < 0 else 1.0
+    a, b, width = p(lo)[0], p(hi)[0], hi - lo
+    if not sgn * a > 0 > sgn * b:  # also where rounding or overflow left a NaN
+        return None
+    x = lo + width * (a / (a - b))
+    for _ in range(64):
+        v, d = p(x)
+        lo, hi = (x, hi) if sgn * v > 0 else (lo, x)
+        y = x - v / d if d else math.nan
+        if abs(y - x) <= 1e-7 * width:  # the error left is about the step squared
+            return y
+        x = y if lo < y < hi else 0.5 * (lo + hi)
+    return x
+
+
 def _root_estimate(
-    lo: float, hi: float, f_lo: float, f_hi: float, near: tuple[float, float] | None
+    lo: float, hi: float, f_lo: float, f_hi: float, near: tuple[float, float] | None,
+    stencil: tuple[list[float], list[float]] | None = None,
 ) -> float:
     """A guess at the root in (lo, hi); it decides only which points are evaluated early.
 
-    Inverse quadratic interpolation through both ends and near, a known
-    point outside them (a grid neighbour on a bracket's first call, then the
-    evaluated point nearest outside), else the secant through the ends
-    (regula falsi when near is None, or when two of the three values are
-    equal), else the midpoint: the first of these that lies inside (lo, hi).
+    _stencil_root of the grid nodes nearest a bracket on its first call,
+    else inverse quadratic interpolation through both ends and near, a
+    known point outside them (the nearest stencil node, later the nearest
+    evaluated point), else the secant through the ends (regula falsi when
+    near is None, or when two of the three values are equal), else the
+    midpoint: the first of these that lies inside (lo, hi).
     """
+    r = None if stencil is None else _stencil_root(lo, hi, f_lo, *stencil)
+    if r is not None:
+        return r
     if near is not None:
         c, f_c = near
         # scaled to at most 1 in size, so that products of tiny values do not underflow
@@ -193,13 +232,14 @@ def _root_estimate(
 class _Bisection:
     """One bracket's scalar bisection, stepped as far as the known values of f go."""
 
-    __slots__ = ("lo", "hi", "f_lo", "f_hi", "it", "hit", "near")
+    __slots__ = ("lo", "hi", "f_lo", "f_hi", "it", "hit", "near", "stencil")
 
     def __init__(self, bracket: ZeroBracket) -> None:
         self.lo, self.hi = float(bracket.t_lo), float(bracket.t_hi)
         self.f_lo, self.f_hi = float(bracket.f_lo), float(bracket.f_hi)
         self.it = 0
         self.near: tuple[float, float] | None = None  # see _root_estimate
+        self.stencil: tuple[list[float], list[float]] | None = None
         # an on-node bracket is done: (t_lo, |f_lo|, 0)
         self.hit = None if self.lo < self.hi else ZeroHit(self.lo, abs(self.f_lo), 0)
 
@@ -240,17 +280,17 @@ class _Bisection:
         A closed bracket wants its residual point.  An open one wants the
         path bisection would take if the root were at _root_estimate,
         through its final midpoint, which guarantees one step.  Unless it is
-        a seeded first call (it = 0 with a grid neighbour as near), it also
-        wants its bisection tree _TREE_DEPTH levels deep, which guarantees
-        that many steps.  No point lies past step 200.  All lie inside the
+        a seeded first call (it = 0 with a grid stencil), it also wants its
+        bisection tree _TREE_DEPTH levels deep, which guarantees that many
+        steps.  No point lies past step 200.  All lie inside the
         bracket, where the walk has not been, so none was evaluated before.
         """
         lo, hi, it = self.lo, self.hi, self.it
         if it > 0 and hi - lo <= tol:
             return [0.5 * (lo + hi)]
-        seeded = it == 0 and self.near is not None
-        points = [] if seeded else _tree(lo, hi, min(_TREE_DEPTH, 200 - it))
-        r = _root_estimate(lo, hi, self.f_lo, self.f_hi, self.near)
+        stencil = self.stencil if it == 0 else None
+        points = [] if stencil else _tree(lo, hi, min(_TREE_DEPTH, 200 - it))
+        r = _root_estimate(lo, hi, self.f_lo, self.f_hi, self.near, stencil)
         for _ in range(it, 200):
             m = 0.5 * (lo + hi)
             points.append(m)
@@ -281,22 +321,21 @@ def _bisect_all(
     sees the points that the walk does not take.
 
     grid, the (nodes, values) the brackets were read from, seeds each proper
-    bracket [t_i, t_i+1] with whichever of nodes i-1 and i+2 has the smaller
-    |f|.  A seeded bracket's first call evaluates the estimated path alone,
-    one step guaranteed, so it needs at most one call more than with the tree
-    alone; an unseeded bracket needs no more.
+    bracket [t_i, t_i+1] with its stencil, nodes i-3 .. i+4 shifted inward at
+    the ends of a grid of more than two nodes.  A seeded bracket's first call
+    evaluates the estimated path alone, one step guaranteed, so it needs at
+    most one call more than with the tree alone; an unseeded one no more.
     """
     _require_tol(tol)
     runs = [_Bisection(b) for b in brackets]
     live = [run for run in runs if run.hit is None]
-    if grid is not None:
+    if grid is not None and len(grid[0]) > 2:
         ts, fs = (np.asarray(x, dtype=float).tolist() for x in grid)
         for run in live:
-            i = bisect_left(ts, run.lo)
-            outer = [j for j in (i - 1, i + 2) if 0 <= j < len(ts)]
-            if outer:
-                j = min(outer, key=lambda k: abs(fs[k]))
-                run.near = (ts[j], fs[j])
+            i = bisect_left(ts, run.lo) - (_STENCIL // 2 - 1)
+            i = max(min(i, len(ts) - _STENCIL), 0)
+            run.stencil = (ts[i:i + _STENCIL], fs[i:i + _STENCIL])
+            run.near = _nearest_outside(run.lo, run.hi, dict(zip(*run.stencil)))
     while live:
         wanted = [run.wanted(tol) for run in live]
         vals = np.asarray(f(np.array([t for w in wanted for t in w], dtype=float)),

@@ -238,11 +238,11 @@ class TestBatchBisect:
         monkeypatch.setattr(zeroscan, "fz_line_vec", counted)
         rep = scan_fz(HARDY, 10.0, 100.0, 0.05, 1e-8)
         assert len(rep.zeros) == 29  # N(100) = 29, none below 14
-        # 1 grid call; the path interpolated through a grid neighbour on the
-        # first refinement call and through the nearest evaluated point on the
-        # second close every bracket, where a tree of three levels per call
-        # alone would take 8 calls for 23 steps
-        assert len(calls) <= 3
+        # 1 grid call; the path to the root of the interpolant through the 8
+        # grid nodes nearest each bracket closes every bracket in one more,
+        # where a tree of three levels per call alone would take 8 calls for
+        # 23 steps
+        assert len(calls) <= 2
 
     def test_refinement_counts_on_hardy_windows(self, monkeypatch):
         # eight 10-wide windows (the benchmark's Hardy scan shape): evaluator
@@ -259,8 +259,28 @@ class TestBatchBisect:
             calls.clear()
             scan_fz(HARDY, lo, lo + 10.0, 0.05, 1e-8)
             per_window.append(calls[1:])
-        assert [len(c) for c in per_window] == [2, 2, 2, 2, 2, 3, 2, 3]
-        assert sum(map(sum, per_window)) == 2047
+        assert [len(c) for c in per_window] == [1] * 8
+        assert sum(map(sum, per_window)) == 1128
+
+    def test_refinement_counts_on_exhibit_windows(self, monkeypatch):
+        # six 5-wide windows of the three-shift exhibit at step 0.02 (the
+        # benchmark's shifted scan shape, through 1F1 and the shift dedup):
+        # evaluator calls and points after each grid call, pinned
+        calls = []
+
+        def counted(ts, *args):
+            calls.append(len(ts))
+            return fz_line_vec(ts, *args)
+
+        monkeypatch.setattr(zeroscan, "fz_line_vec", counted)
+        per_window, zeros = [], 0
+        for lo in (60.0, 90.0, 120.0, 150.0, 175.0, 195.0):
+            calls.clear()
+            zeros += len(scan_fz(EXHIBIT, lo, lo + 5.0, 0.02, 1e-8).zeros)
+            per_window.append(calls[1:])
+        assert zeros == 15
+        assert [len(c) for c in per_window] == [1] * 6
+        assert sum(map(sum, per_window)) == 330
 
     def test_reality_failure_names_t(self, monkeypatch):
         def skewed(ts, *args):
@@ -423,21 +443,23 @@ class TestBisectionTree:
 
 
 class TestGridSeed:
-    """Each proper grid bracket [t_i, t_i+1] starts from whichever of nodes
-    i-1 and i+2 has the smaller |f|.  The seed moves only the first call's
-    root estimate, so every result is still the one-step loop's."""
+    """Each proper grid bracket [t_i, t_i+1] starts from the root of the
+    polynomial through nodes i-3 .. i+4, shifted inward at the grid's ends,
+    with the stencil node nearest the bracket as near.  The seed moves only
+    the first call's root estimate, so every result is still the one-step
+    loop's."""
 
     @staticmethod
     def run(monkeypatch, ts, f, tol):
         """(brackets, evaluator call sizes, first) for the brackets of f on the
-        grid ts; first maps each bracket's (t_lo, t_hi) to the near and the
-        estimate of its first call."""
+        grid ts; first maps each bracket's (t_lo, t_hi) to the near, the
+        stencil and the estimate of its first call."""
         first = {}
         estimate = zeroscan._root_estimate
 
-        def recorded(lo, hi, f_lo, f_hi, near):
-            r = estimate(lo, hi, f_lo, f_hi, near)
-            first.setdefault((lo, hi), (near, r))
+        def recorded(lo, hi, f_lo, f_hi, near, stencil=None):
+            r = estimate(lo, hi, f_lo, f_hi, near, stencil)
+            first.setdefault((lo, hi), (near, stencil, r))
             return r
 
         monkeypatch.setattr(zeroscan, "_root_estimate", recorded)
@@ -451,39 +473,60 @@ class TestGridSeed:
         return br.t_lo + (br.t_hi - br.t_lo) * (br.f_lo / (br.f_lo - br.f_hi))
 
     def test_brackets_at_the_grid_ends_have_one_neighbour(self, monkeypatch):
-        f = lambda t: (t - 0.3) * (t - 1.6) * (t - 2.7)
-        ts = np.arange(4.0)
-        brs, _, first = self.run(monkeypatch, ts, f, 1e-10)
-        assert [(br.t_lo, br.t_hi) for br in brs] == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
-        # only node 2, both (|f(3)| < |f(0)|), only node 1
-        assert [first[br.t_lo, br.t_hi][0] for br in brs] == [
-            (2.0, f(2.0)), (3.0, f(3.0)), (1.0, f(1.0))]
+        # the stencils of the end brackets shift inward and keep 8 nodes; their
+        # near is the one neighbour they have
+        roots = (0.3, 5.6, 10.7)
+        f = lambda t: (t - roots[0]) * (t - roots[1]) * (t - roots[2])
+        ts = np.arange(12.0)
+        brs, calls, first = self.run(monkeypatch, ts, f, 1e-10)
+        assert [(br.t_lo, br.t_hi) for br in brs] == [(0.0, 1.0), (5.0, 6.0), (10.0, 11.0)]
+        seeds = [first[br.t_lo, br.t_hi] for br in brs]
+        assert [stencil[0] for _, stencil, _ in seeds] == [
+            list(ts[0:8]), list(ts[2:10]), list(ts[4:12])]
+        assert [near for near, _, _ in seeds] == [(2.0, f(2.0)), (4.0, f(4.0)), (9.0, f(9.0))]
+        # a cubic: each interpolant is f, and one call closes every bracket
+        assert all(abs(r - root) < 1e-12 for (_, _, r), root in zip(seeds, roots))
+        assert len(calls) == 1
 
     def test_two_node_grid_has_no_seed(self, monkeypatch):
         f = lambda t: t - 1.0 / 3.0
         brs, calls, first = self.run(monkeypatch, np.array([0.0, 1.0]), f, 1e-10)
-        near, r = first[0.0, 1.0]
+        near, stencil, r = first[0.0, 1.0]
         # unseeded: regula falsi with the tree, no call beyond the tree's count
-        assert near is None and r == self.secant(brs[0])
+        assert near is None and stencil is None and r == self.secant(brs[0])
         assert len(calls) <= _tree_calls(brs, f, 1e-10)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_short_grid_stencil_is_the_whole_grid(self, monkeypatch, n):
+        f = lambda t: np.cos(1.3 * t) + 0.1
+        ts = np.linspace(0.0, 4.0, n)
+        brs, _, first = self.run(monkeypatch, ts, f, 1e-12)
+        assert brs and not any(br.is_on_node for br in brs)
+        for br in brs:
+            _, stencil, r = first[br.t_lo, br.t_hi]
+            assert stencil == (list(ts), list(f(ts))) and br.t_lo < r < br.t_hi
+
     def test_neighbour_on_a_node_zero(self, monkeypatch):
-        # nodes 1 and 4 are zeros, and both neighbour the bracket [2, 3]:
-        # interpolation through a zero puts the root on it, outside
+        # nodes 1 and 4 are zeros inside the stencil of the bracket [2, 3]; the
+        # interpolant is f, whose root 2.5 is the first midpoint
         f = lambda t: (t - 1.0) * (t - 2.5) * (t - 4.0)
-        brs, _, first = self.run(monkeypatch, np.arange(6.0), f, 1e-10)
+        brs, calls, first = self.run(monkeypatch, np.arange(6.0), f, 1e-10)
         assert [br.is_on_node for br in brs] == [True, False, True]
-        near, r = first[2.0, 3.0]
-        assert near == (1.0, 0.0) and r == self.secant(brs[1])
+        near, stencil, r = first[2.0, 3.0]
+        assert near == (1.0, 0.0) and stencil[1].count(0.0) == 2 and abs(r - 2.5) < 1e-12
+        assert len(calls) == 1
 
     def test_neighbour_value_equal_to_an_end_value(self, monkeypatch):
-        # f(0) == f(2) exactly: the interpolation divides by zero
+        # f(0) == f(2) exactly: interpolation through near divides by zero,
+        # and falls back to the secant; the stencil, a parabola, is exact
         f = lambda t: (t - 1.0) ** 2 - 0.5625
         brs, _, first = self.run(monkeypatch, np.arange(3.0), f, 1e-10)
         assert len(brs) == 2
-        for br, c in zip(brs, (2.0, 0.0)):
-            near, r = first[br.t_lo, br.t_hi]
-            assert near == (c, 0.4375) and r == self.secant(br)
+        for br, c, root in zip(brs, (2.0, 0.0), (0.25, 1.75)):
+            near, _, r = first[br.t_lo, br.t_hi]
+            assert near == (c, 0.4375) and abs(r - root) < 1e-15
+            assert zeroscan._root_estimate(br.t_lo, br.t_hi, br.f_lo, br.f_hi,
+                                           near) == self.secant(br)
 
     def test_estimate_outside_the_bracket_falls_back_to_the_secant(self, monkeypatch):
         # f(0) lies between f(1) and f(2) in value, so the inverse parabola
@@ -491,17 +534,50 @@ class TestGridSeed:
         f = lambda t: 1.45 * t * t - 2.35 * t - 0.1
         brs, _, first = self.run(monkeypatch, np.arange(3.0), f, 1e-10)
         assert [(br.t_lo, br.t_hi) for br in brs] == [(1.0, 2.0)]
-        near, r = first[1.0, 2.0]
-        assert near == (0.0, f(0.0)) and len({near[1], brs[0].f_lo, brs[0].f_hi}) == 3
-        assert r == self.secant(brs[0])
+        (br,) = brs
+        near, _, r = first[1.0, 2.0]
+        assert near == (0.0, f(0.0)) and len({near[1], br.f_lo, br.f_hi}) == 3
+        assert abs(r - (2.35 + math.sqrt(2.35 ** 2 + 0.58)) / 2.9) < 1e-15
+        assert zeroscan._root_estimate(1.0, 2.0, br.f_lo, br.f_hi, near) == self.secant(br)
+
+    def test_polynomial_signs_disagreeing_with_f_fall_back(self, monkeypatch):
+        # f(2) = -2^-60 is rounding noise against the stencil's largest value,
+        # and the interpolant comes out positive there: the estimate is
+        # interpolation through near and the ends, as with no stencil
+        f = lambda t: (t - 2.0) * (1.0 + (t - 3.0) * (t - 6.5)) - 2.0 ** -60
+        ts = np.arange(8.0)
+        brs, _, first = self.run(monkeypatch, ts, f, 1e-10)
+        assert [(br.t_lo, br.t_hi) for br in brs] == [(2.0, 3.0), (3.0, 4.0), (6.0, 7.0)]
+        br = brs[0]
+        assert br.f_lo == -(2.0 ** -60)
+        near, stencil, r = first[2.0, 3.0]
+        assert zeroscan._stencil_root(2.0, 3.0, br.f_lo, *stencil) is None
+        assert near == (1.0, f(1.0))
+        assert r == zeroscan._root_estimate(2.0, 3.0, br.f_lo, br.f_hi, near)
+
+    def test_three_roots_in_one_bracket(self, monkeypatch):
+        f = lambda t: (t - 2.2) * (t - 2.5) * (t - 2.8) * (t + 1.0)
+        brs, _, first = self.run(monkeypatch, np.arange(6.0), f, 1e-12)
+        assert [(br.t_lo, br.t_hi) for br in brs] == [(2.0, 3.0)]
+        assert 2.0 < first[2.0, 3.0][2] < 3.0
+
+    def test_values_near_1e_300(self, monkeypatch):
+        # products of two values underflow; the stencil's are scaled to at most 1
+        roots = (0.7, 3.4, 6.1)
+        f = lambda t: 1e-300 * (t - roots[0]) * (t - roots[1]) * (t - roots[2])
+        brs, calls, first = self.run(monkeypatch, np.arange(9.0) - 0.5, f, 1e-12)
+        assert len(brs) == 3 and len(calls) == 1
+        for br, root in zip(brs, roots):
+            assert abs(first[br.t_lo, br.t_hi][2] - root) < 1e-12
 
     def test_seeded_first_call_evaluates_the_path_alone(self, monkeypatch):
-        # on a line the interpolation is exact, so the path is the walk: the
+        # the interpolant of a cubic is exact, so the path is the walk: the
         # one call holds the steps and the residual point, no tree point
-        f = lambda t: t - 1.3
-        brs, calls, first = self.run(monkeypatch, np.arange(4.0), f, 1e-10)
-        near, r = first[1.0, 2.0]
-        assert near == (0.0, -1.3) and abs(r - 1.3) < 1e-15
+        f = lambda t: (t - 4.3) * (t + 1.0) * (t - 12.0)
+        brs, calls, first = self.run(monkeypatch, np.arange(10.0), f, 1e-10)
+        near, stencil, r = first[4.0, 5.0]
+        assert near == (3.0, f(3.0)) and stencil[0] == list(np.arange(1.0, 9.0))
+        assert abs(r - 4.3) < 1e-14
         _, _, it = _reference_bisect(brs[0], f, 1e-10)
         assert calls == [it + 1]
 
