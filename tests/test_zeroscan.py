@@ -244,28 +244,9 @@ class TestBatchBisect:
         # 23 steps
         assert len(calls) <= 2
 
-    def test_refinement_counts_on_hardy_windows(self, monkeypatch):
-        # eight 10-wide windows (the benchmark's Hardy scan shape): evaluator
-        # calls and points after each grid call, pinned
-        calls = []
-
-        def counted(ts, *args):
-            calls.append(len(ts))
-            return fz_line_vec(ts, *args)
-
-        monkeypatch.setattr(zeroscan, "fz_line_vec", counted)
-        per_window = []
-        for lo in (10.0, 120.0, 230.0, 340.0, 450.0, 560.0, 670.0, 780.0):
-            calls.clear()
-            scan_fz(HARDY, lo, lo + 10.0, 0.05, 1e-8)
-            per_window.append(calls[1:])
-        assert [len(c) for c in per_window] == [1] * 8
-        assert sum(map(sum, per_window)) == 1128
-
-    def test_refinement_counts_on_exhibit_windows(self, monkeypatch):
-        # six 5-wide windows of the three-shift exhibit at step 0.02 (the
-        # benchmark's shifted scan shape, through 1F1 and the shift dedup):
-        # evaluator calls and points after each grid call, pinned
+    @staticmethod
+    def window_calls(monkeypatch, cfg, los, width, step):
+        """Evaluator call sizes after each window's grid call, and the zeros found."""
         calls = []
 
         def counted(ts, *args):
@@ -274,10 +255,25 @@ class TestBatchBisect:
 
         monkeypatch.setattr(zeroscan, "fz_line_vec", counted)
         per_window, zeros = [], 0
-        for lo in (60.0, 90.0, 120.0, 150.0, 175.0, 195.0):
+        for lo in los:
             calls.clear()
-            zeros += len(scan_fz(EXHIBIT, lo, lo + 5.0, 0.02, 1e-8).zeros)
+            zeros += len(scan_fz(cfg, lo, lo + width, step, 1e-8).zeros)
             per_window.append(calls[1:])
+        return per_window, zeros
+
+    def test_refinement_counts_on_hardy_windows(self, monkeypatch):
+        # eight 10-wide windows (the benchmark's Hardy scan shape), pinned
+        per_window, _ = self.window_calls(
+            monkeypatch, HARDY, (10.0, 120.0, 230.0, 340.0, 450.0, 560.0, 670.0, 780.0),
+            10.0, 0.05)
+        assert [len(c) for c in per_window] == [1] * 8
+        assert sum(map(sum, per_window)) == 1128
+
+    def test_refinement_counts_on_exhibit_windows(self, monkeypatch):
+        # six 5-wide windows of the three-shift exhibit at step 0.02 (the
+        # benchmark's shifted scan shape, through 1F1 and the shift dedup), pinned
+        per_window, zeros = self.window_calls(
+            monkeypatch, EXHIBIT, (60.0, 90.0, 120.0, 150.0, 175.0, 195.0), 5.0, 0.02)
         assert zeros == 15
         assert [len(c) for c in per_window] == [1] * 6
         assert sum(map(sum, per_window)) == 330
