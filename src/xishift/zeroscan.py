@@ -7,10 +7,10 @@ evaluates the grid in one call, then bisects all brackets together.  A
 bracket's first call evaluates only the path that bisection would take if
 the root were that of the polynomial through the 8 grid nodes nearest it;
 each later call evaluates its bisection tree three levels deep and the path
-to a new estimate.  Each bracket then steps along as long as its next
-midpoint has a value.  A point's value never depends on its batch mates, so
-each bracket takes exactly the steps of scalar bisection, and most close in
-one call.
+to the secant's root.  Each bracket then steps along as long as its next
+midpoint has a value, which must be finite.  A point's value never depends
+on its batch mates, so each bracket takes exactly the steps of scalar
+bisection, and most close in one call.
 
 report_rows flattens a ScanReport into SCAN_FIELDS rows; the CLI's CSV and
 JSON writers are the only serialisers of scan results.
@@ -142,20 +142,6 @@ def _require_tol(tol: float) -> None:
         raise ConfigError(f"tol must be positive, got {tol}")
 
 
-def _nearest_outside(
-    lo: float, hi: float, known: dict[float, float]
-) -> tuple[float, float] | None:
-    """(t, f(t)) for the known t nearest outside [lo, hi], or None if there is none."""
-    left, right = -math.inf, math.inf
-    for t in known:
-        if left < t < lo:
-            left = t
-        elif hi < t < right:
-            right = t
-    c = left if lo - left <= right - hi else right
-    return (c, known[c]) if math.isfinite(c) else None
-
-
 def _tree(lo: float, hi: float, depth: int) -> list[float]:
     """The midpoints of the bisection tree of [lo, hi], depth levels deep."""
     if depth == 0:
@@ -198,33 +184,18 @@ def _stencil_root(
 
 
 def _root_estimate(
-    lo: float, hi: float, f_lo: float, f_hi: float, near: tuple[float, float] | None,
+    lo: float, hi: float, f_lo: float, f_hi: float,
     stencil: tuple[list[float], list[float]] | None = None,
 ) -> float:
     """A guess at the root in (lo, hi); it decides only which points are evaluated early.
 
-    _stencil_root of the grid nodes nearest a bracket on its first call,
-    else inverse quadratic interpolation through both ends and near, a
-    known point outside them (the nearest stencil node, later the nearest
-    evaluated point), else the secant through the ends (regula falsi when
-    near is None, or when two of the three values are equal), else the
-    midpoint: the first of these that lies inside (lo, hi).
+    The first of these that lies inside (lo, hi): _stencil_root of the grid
+    nodes nearest a bracket on its first call, the secant through the ends
+    (regula falsi), the midpoint.
     """
     r = None if stencil is None else _stencil_root(lo, hi, f_lo, *stencil)
     if r is not None:
         return r
-    if near is not None:
-        c, f_c = near
-        # scaled to at most 1 in size, so that products of tiny values do not underflow
-        s = max(abs(f_lo), abs(f_hi), abs(f_c))
-        a, b, q = f_lo / s, f_hi / s, f_c / s
-        try:
-            r = (lo * b * q / ((a - b) * (a - q)) + hi * a * q / ((b - a) * (b - q))
-                 + c * a * b / ((q - a) * (q - b)))
-        except ZeroDivisionError:
-            r = math.nan
-        if lo < r < hi:
-            return r
     r = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
     return r if lo < r < hi else 0.5 * (lo + hi)
 
@@ -232,13 +203,12 @@ def _root_estimate(
 class _Bisection:
     """One bracket's scalar bisection, stepped as far as the known values of f go."""
 
-    __slots__ = ("lo", "hi", "f_lo", "f_hi", "it", "hit", "near", "stencil")
+    __slots__ = ("lo", "hi", "f_lo", "f_hi", "it", "hit", "stencil")
 
     def __init__(self, bracket: ZeroBracket) -> None:
         self.lo, self.hi = float(bracket.t_lo), float(bracket.t_hi)
         self.f_lo, self.f_hi = float(bracket.f_lo), float(bracket.f_hi)
         self.it = 0
-        self.near: tuple[float, float] | None = None  # see _root_estimate
         self.stencil: tuple[list[float], list[float]] | None = None
         # an on-node bracket is done: (t_lo, |f_lo|, 0)
         self.hit = None if self.lo < self.hi else ZeroHit(self.lo, abs(self.f_lo), 0)
@@ -249,7 +219,8 @@ class _Bisection:
         A step moves lo to the midpoint 0.5*(lo + hi) if f there has f_lo's
         sign, else hi.  Once a step leaves width <= tol the bracket is closed,
         and it is done with |f| at the next midpoint; it is also done at an
-        exact zero (residual 0).  MaxIterError if it is open after step 200.
+        exact zero (residual 0).  MaxIterError if it is open after step 200,
+        EvaluationError if a value it uses is not finite.
         """
         lo, hi, f_lo, f_hi, it = self.lo, self.hi, self.f_lo, self.f_hi, self.it
         neg = f_lo < 0
@@ -261,6 +232,8 @@ class _Bisection:
             fm = value(mid)
             if fm is None:
                 break
+            if not math.isfinite(fm):
+                raise EvaluationError(f"evaluator returned {fm!r} at t={mid!r}")
             if closed:
                 self.hit = ZeroHit(mid, abs(fm), it)
                 break
@@ -278,19 +251,19 @@ class _Bisection:
         """The points the next evaluator call should give this bracket.
 
         A closed bracket wants its residual point.  An open one wants the
-        path bisection would take if the root were at _root_estimate,
-        through its final midpoint, which guarantees one step.  Unless it is
-        a seeded first call (it = 0 with a grid stencil), it also wants its
-        bisection tree _TREE_DEPTH levels deep, which guarantees that many
-        steps.  No point lies past step 200.  All lie inside the
-        bracket, where the walk has not been, so none was evaluated before.
+        path bisection would take if the root were at _root_estimate, through
+        its final midpoint, which guarantees one step.  Unless it is a seeded
+        first call (it = 0 with a grid stencil), it also wants its bisection
+        tree _TREE_DEPTH levels deep, which guarantees that many steps.  No
+        point lies past step 200.  All lie inside the bracket, where the walk
+        has not been, so none was evaluated before.
         """
         lo, hi, it = self.lo, self.hi, self.it
         if it > 0 and hi - lo <= tol:
             return [0.5 * (lo + hi)]
         stencil = self.stencil if it == 0 else None
         points = [] if stencil else _tree(lo, hi, min(_TREE_DEPTH, 200 - it))
-        r = _root_estimate(lo, hi, self.f_lo, self.f_hi, self.near, stencil)
+        r = _root_estimate(lo, hi, self.f_lo, self.f_hi, stencil)
         for _ in range(it, 200):
             m = 0.5 * (lo + hi)
             points.append(m)
@@ -318,7 +291,7 @@ def _bisect_all(
     predicts which midpoints bisection will visit, so every step, midpoint,
     residual and iteration count is the one-step loop's (bisect).  f must
     give each point a value that does not depend on its batch mates; it also
-    sees the points that the walk does not take.
+    sees the points that the walk does not take, whose values are not judged.
 
     grid, the (nodes, values) the brackets were read from, seeds each proper
     bracket [t_i, t_i+1] with its stencil, nodes i-3 .. i+4 shifted inward at
@@ -335,7 +308,6 @@ def _bisect_all(
             i = bisect_left(ts, run.lo) - (_STENCIL // 2 - 1)
             i = max(min(i, len(ts) - _STENCIL), 0)
             run.stencil = (ts[i:i + _STENCIL], fs[i:i + _STENCIL])
-            run.near = _nearest_outside(run.lo, run.hi, dict(zip(*run.stencil)))
     while live:
         wanted = [run.wanted(tol) for run in live]
         vals = np.asarray(f(np.array([t for w in wanted for t in w], dtype=float)),
@@ -344,11 +316,7 @@ def _bisect_all(
         for run, w in zip(live, wanted):
             known = dict(zip(w, vals[start:start + len(w)]))
             start += len(w)
-            known[run.lo], known[run.hi] = run.f_lo, run.f_hi
-            if run.near is not None:
-                known[run.near[0]] = run.near[1]
             run.advance(known.get, tol)
-            run.near = _nearest_outside(run.lo, run.hi, known)
         live = [run for run in live if run.hit is None]
     return [run.hit for run in runs]
 

@@ -155,6 +155,34 @@ class TestBisect:
             ZeroBracket(0.0, 1.0, 1e-200, 1e-200)
 
 
+class TestNonFiniteValues:
+    """A nan or inf on the walk's path raises EvaluationError naming t, from
+    either entry; values off the path are not judged."""
+
+    br = ZeroBracket(0.0, 1.0, -0.305, 0.695)
+
+    @staticmethod
+    def f(bad):
+        # t - 0.305, but bad on (0.3, 0.31), which the walk enters at step 7
+        return lambda t: np.where((0.3 < t) & (t < 0.31), bad, t - 0.305)[()]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bisect(self, bad):
+        with pytest.raises(EvaluationError, match=r"returned -?(nan|inf) at t=0\.3046875$"):
+            bisect(self.br, self.f(bad), 1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bisect_all(self, bad):
+        with pytest.raises(EvaluationError, match=r"returned -?(nan|inf) at t=0\.3046875$"):
+            zeroscan._bisect_all([self.br], self.f(bad), 1e-10)
+
+    def test_values_off_the_walk_are_not_judged(self):
+        # the first call's tree holds 0.625, 0.75 and 0.875, which the walk never takes
+        f = lambda t: np.where(t > 0.6, math.nan, t - 0.305)[()]
+        assert zeroscan._bisect_all([self.br], f, 1e-10) == [
+            ZeroHit(*_reference_bisect(self.br, f, 1e-10))]
+
+
 def _reference_bisect(bracket, f, tol):
     """Textbook scalar bisection, the loop the batch kernel must reproduce."""
     if bracket.is_on_node:
@@ -242,7 +270,22 @@ class TestBatchBisect:
         # grid nodes nearest each bracket closes every bracket in one more,
         # where a tree of three levels per call alone would take 8 calls for
         # 23 steps
-        assert len(calls) <= 2
+        assert calls == [1801, 696]
+
+    @pytest.mark.parametrize("t_hi, tol, calls, points", [
+        (860.0, 1e-9, 3, 31711), (450.0, 1e-12, 4, 19108)])
+    def test_later_calls_on_hardy(self, monkeypatch, t_hi, tol, calls, points):
+        # some brackets outlast their seeded first call here, and later calls
+        # take the secant's path and the tree; pinned
+        counts = []
+
+        def counted(ts, *args):
+            counts.append(len(ts))
+            return fz_line_vec(ts, *args)
+
+        monkeypatch.setattr(zeroscan, "fz_line_vec", counted)
+        scan_fz(HARDY, 0.0, t_hi, 0.05, tol)
+        assert (len(counts), sum(counts)) == (calls, points)
 
     @staticmethod
     def window_calls(monkeypatch, cfg, los, width, step):
@@ -441,21 +484,20 @@ class TestBisectionTree:
 class TestGridSeed:
     """Each proper grid bracket [t_i, t_i+1] starts from the root of the
     polynomial through nodes i-3 .. i+4, shifted inward at the grid's ends,
-    with the stencil node nearest the bracket as near.  The seed moves only
-    the first call's root estimate, so every result is still the one-step
-    loop's."""
+    else from the secant.  The seed moves only the first call's root
+    estimate, so every result is still the one-step loop's."""
 
     @staticmethod
     def run(monkeypatch, ts, f, tol):
         """(brackets, evaluator call sizes, first) for the brackets of f on the
-        grid ts; first maps each bracket's (t_lo, t_hi) to the near, the
-        stencil and the estimate of its first call."""
+        grid ts; first maps each bracket's (t_lo, t_hi) to the stencil and
+        the estimate of its first call."""
         first = {}
         estimate = zeroscan._root_estimate
 
-        def recorded(lo, hi, f_lo, f_hi, near, stencil=None):
-            r = estimate(lo, hi, f_lo, f_hi, near, stencil)
-            first.setdefault((lo, hi), (near, stencil, r))
+        def recorded(lo, hi, f_lo, f_hi, stencil=None):
+            r = estimate(lo, hi, f_lo, f_hi, stencil)
+            first.setdefault((lo, hi), (stencil, r))
             return r
 
         monkeypatch.setattr(zeroscan, "_root_estimate", recorded)
@@ -469,27 +511,25 @@ class TestGridSeed:
         return br.t_lo + (br.t_hi - br.t_lo) * (br.f_lo / (br.f_lo - br.f_hi))
 
     def test_brackets_at_the_grid_ends_have_one_neighbour(self, monkeypatch):
-        # the stencils of the end brackets shift inward and keep 8 nodes; their
-        # near is the one neighbour they have
+        # the stencils of the end brackets shift inward and keep 8 nodes
         roots = (0.3, 5.6, 10.7)
         f = lambda t: (t - roots[0]) * (t - roots[1]) * (t - roots[2])
         ts = np.arange(12.0)
         brs, calls, first = self.run(monkeypatch, ts, f, 1e-10)
         assert [(br.t_lo, br.t_hi) for br in brs] == [(0.0, 1.0), (5.0, 6.0), (10.0, 11.0)]
         seeds = [first[br.t_lo, br.t_hi] for br in brs]
-        assert [stencil[0] for _, stencil, _ in seeds] == [
+        assert [stencil[0] for stencil, _ in seeds] == [
             list(ts[0:8]), list(ts[2:10]), list(ts[4:12])]
-        assert [near for near, _, _ in seeds] == [(2.0, f(2.0)), (4.0, f(4.0)), (9.0, f(9.0))]
         # a cubic: each interpolant is f, and one call closes every bracket
-        assert all(abs(r - root) < 1e-12 for (_, _, r), root in zip(seeds, roots))
+        assert all(abs(r - root) < 1e-12 for (_, r), root in zip(seeds, roots))
         assert len(calls) == 1
 
     def test_two_node_grid_has_no_seed(self, monkeypatch):
         f = lambda t: t - 1.0 / 3.0
         brs, calls, first = self.run(monkeypatch, np.array([0.0, 1.0]), f, 1e-10)
-        near, stencil, r = first[0.0, 1.0]
+        stencil, r = first[0.0, 1.0]
         # unseeded: regula falsi with the tree, no call beyond the tree's count
-        assert near is None and stencil is None and r == self.secant(brs[0])
+        assert stencil is None and r == self.secant(brs[0])
         assert len(calls) <= _tree_calls(brs, f, 1e-10)
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -499,7 +539,7 @@ class TestGridSeed:
         brs, _, first = self.run(monkeypatch, ts, f, 1e-12)
         assert brs and not any(br.is_on_node for br in brs)
         for br in brs:
-            _, stencil, r = first[br.t_lo, br.t_hi]
+            stencil, r = first[br.t_lo, br.t_hi]
             assert stencil == (list(ts), list(f(ts))) and br.t_lo < r < br.t_hi
 
     def test_neighbour_on_a_node_zero(self, monkeypatch):
@@ -508,54 +548,51 @@ class TestGridSeed:
         f = lambda t: (t - 1.0) * (t - 2.5) * (t - 4.0)
         brs, calls, first = self.run(monkeypatch, np.arange(6.0), f, 1e-10)
         assert [br.is_on_node for br in brs] == [True, False, True]
-        near, stencil, r = first[2.0, 3.0]
-        assert near == (1.0, 0.0) and stencil[1].count(0.0) == 2 and abs(r - 2.5) < 1e-12
+        stencil, r = first[2.0, 3.0]
+        assert stencil[1].count(0.0) == 2 and abs(r - 2.5) < 1e-12
         assert len(calls) == 1
 
     def test_neighbour_value_equal_to_an_end_value(self, monkeypatch):
-        # f(0) == f(2) exactly: interpolation through near divides by zero,
-        # and falls back to the secant; the stencil, a parabola, is exact
+        # f(0) == f(2) exactly; the stencil, a parabola, is exact, and
+        # without it the estimate is the secant
         f = lambda t: (t - 1.0) ** 2 - 0.5625
         brs, _, first = self.run(monkeypatch, np.arange(3.0), f, 1e-10)
         assert len(brs) == 2
-        for br, c, root in zip(brs, (2.0, 0.0), (0.25, 1.75)):
-            near, _, r = first[br.t_lo, br.t_hi]
-            assert near == (c, 0.4375) and abs(r - root) < 1e-15
-            assert zeroscan._root_estimate(br.t_lo, br.t_hi, br.f_lo, br.f_hi,
-                                           near) == self.secant(br)
+        for br, root in zip(brs, (0.25, 1.75)):
+            _, r = first[br.t_lo, br.t_hi]
+            assert abs(r - root) < 1e-15
+            assert zeroscan._root_estimate(br.t_lo, br.t_hi, br.f_lo, br.f_hi) == self.secant(br)
 
     def test_estimate_outside_the_bracket_falls_back_to_the_secant(self, monkeypatch):
-        # f(0) lies between f(1) and f(2) in value, so the inverse parabola
-        # through the three puts the root left of node 1
+        # the stencil, a parabola, is exact; without it the estimate is the secant
         f = lambda t: 1.45 * t * t - 2.35 * t - 0.1
         brs, _, first = self.run(monkeypatch, np.arange(3.0), f, 1e-10)
         assert [(br.t_lo, br.t_hi) for br in brs] == [(1.0, 2.0)]
         (br,) = brs
-        near, _, r = first[1.0, 2.0]
-        assert near == (0.0, f(0.0)) and len({near[1], br.f_lo, br.f_hi}) == 3
+        _, r = first[1.0, 2.0]
         assert abs(r - (2.35 + math.sqrt(2.35 ** 2 + 0.58)) / 2.9) < 1e-15
-        assert zeroscan._root_estimate(1.0, 2.0, br.f_lo, br.f_hi, near) == self.secant(br)
+        assert zeroscan._root_estimate(1.0, 2.0, br.f_lo, br.f_hi) == self.secant(br)
 
     def test_polynomial_signs_disagreeing_with_f_fall_back(self, monkeypatch):
         # f(2) = -2^-60 is rounding noise against the stencil's largest value,
-        # and the interpolant comes out positive there: the estimate is
-        # interpolation through near and the ends, as with no stencil
+        # and the interpolant comes out positive there: the estimate is the
+        # unseeded one, the secant, which rounds onto lo, so the midpoint
         f = lambda t: (t - 2.0) * (1.0 + (t - 3.0) * (t - 6.5)) - 2.0 ** -60
         ts = np.arange(8.0)
         brs, _, first = self.run(monkeypatch, ts, f, 1e-10)
         assert [(br.t_lo, br.t_hi) for br in brs] == [(2.0, 3.0), (3.0, 4.0), (6.0, 7.0)]
         br = brs[0]
         assert br.f_lo == -(2.0 ** -60)
-        near, stencil, r = first[2.0, 3.0]
+        stencil, r = first[2.0, 3.0]
         assert zeroscan._stencil_root(2.0, 3.0, br.f_lo, *stencil) is None
-        assert near == (1.0, f(1.0))
-        assert r == zeroscan._root_estimate(2.0, 3.0, br.f_lo, br.f_hi, near)
+        assert self.secant(br) == 2.0
+        assert r == 2.5 == zeroscan._root_estimate(2.0, 3.0, br.f_lo, br.f_hi)
 
     def test_three_roots_in_one_bracket(self, monkeypatch):
         f = lambda t: (t - 2.2) * (t - 2.5) * (t - 2.8) * (t + 1.0)
         brs, _, first = self.run(monkeypatch, np.arange(6.0), f, 1e-12)
         assert [(br.t_lo, br.t_hi) for br in brs] == [(2.0, 3.0)]
-        assert 2.0 < first[2.0, 3.0][2] < 3.0
+        assert 2.0 < first[2.0, 3.0][1] < 3.0
 
     def test_values_near_1e_300(self, monkeypatch):
         # products of two values underflow; the stencil's are scaled to at most 1
@@ -564,15 +601,15 @@ class TestGridSeed:
         brs, calls, first = self.run(monkeypatch, np.arange(9.0) - 0.5, f, 1e-12)
         assert len(brs) == 3 and len(calls) == 1
         for br, root in zip(brs, roots):
-            assert abs(first[br.t_lo, br.t_hi][2] - root) < 1e-12
+            assert abs(first[br.t_lo, br.t_hi][1] - root) < 1e-12
 
     def test_seeded_first_call_evaluates_the_path_alone(self, monkeypatch):
         # the interpolant of a cubic is exact, so the path is the walk: the
         # one call holds the steps and the residual point, no tree point
         f = lambda t: (t - 4.3) * (t + 1.0) * (t - 12.0)
         brs, calls, first = self.run(monkeypatch, np.arange(10.0), f, 1e-10)
-        near, stencil, r = first[4.0, 5.0]
-        assert near == (3.0, f(3.0)) and stencil[0] == list(np.arange(1.0, 9.0))
+        stencil, r = first[4.0, 5.0]
+        assert stencil[0] == list(np.arange(1.0, 9.0))
         assert abs(r - 4.3) < 1e-14
         _, _, it = _reference_bisect(brs[0], f, 1e-10)
         assert calls == [it + 1]
